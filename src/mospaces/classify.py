@@ -20,7 +20,7 @@ vector can exceed, which bounds min(|x+y|, |x-y|) away from 2 uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .grid import MeasureGrid, StepFunction
 from .interpolation import IntSpaceSpec, witness_int
 from .musielak import (
     MusielakField,
+    gauge,
     luxemburg_norm,
     modular,
     modular_of_bounds,
@@ -45,10 +46,12 @@ from .reports import (
     FORM_OPLUS,
     NOT_DAUGAVET,
     ClassificationReport,
-    FailureCertificate,
     NonsquareWitness,
     record_from_samples,
 )
+
+
+_RTOL = 1e-14  # relative bracket width of the witness constants
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,11 @@ class NonsquareSetup:
     a: float
     b: float
     sigma1: float
+
+
+def _flat_modular(field: MusielakField, u: float, cells) -> float:
+    """Modular of the profile equal to u on ``cells`` and 0 elsewhere."""
+    return math.fsum(field.curves[i].value(u) * field.grid.weights[i] for i in cells)
 
 
 def _interval_point(L: float, R: float, t: float) -> float:
@@ -79,9 +87,6 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
     if not work:
         raise PreconditionError("no cell has d < b")
 
-    def mod_at(a, cells):
-        return math.fsum(field.curves[i].value(a) * grid.weights[i] for i in cells)
-
     while True:
         L = max(prm[i].d for i in work)
         R = min(prm[i].b for i in work)
@@ -90,7 +95,7 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
             t_feas = None
             t = 0.5
             for _ in range(80):
-                if mod_at(_interval_point(L, R, t), work) <= 1.0:
+                if _flat_modular(field, _interval_point(L, R, t), work) <= 1.0:
                     t_feas = t
                     break
                 t /= 2.0
@@ -133,10 +138,6 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     a, b = setup.a, setup.b
     carrier = [idx[cid] for cid in setup.cells]
     s_cells = [i for i in range(len(grid)) if math.isinf(prm[i].b)]
-
-    def mod_at(a_, cells):
-        return math.fsum(field.curves[i].value(a_) * grid.weights[i] for i in cells)
-
     x_vals = [0.0] * len(grid)
     record = {
         "carrier": list(setup.cells),
@@ -160,7 +161,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
         if not exact_fill:
             outside = [i for i in s_cells if i not in carrier]
             top_up = min(outside)
-            residual = 1.0 - mod_at(a, carrier)
+            residual = 1.0 - _flat_modular(field, a, carrier)
             if residual < 0:  # pragma: no cover - carrier was built feasible
                 raise WitnessConstructionError("carrier modular exceeds one")
             d0 = 0.0
@@ -172,17 +173,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
             record.update({"mode": "flat-top-up", "top_up_cell": grid.ids[top_up], "d0": d0})
         else:
             # single unbounded-domain carrier cell: raise a until the modular is one
-            i0 = carrier[0]
-            lo, hi = a, max(2.0 * a, a + 1.0)
-            while mod_at(hi, carrier) < 1.0:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mod_at(mid, carrier) <= 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            a = lo
+            a = gauge(field, [float(i in carrier) for i in range(len(grid))], 1.0, _RTOL)[0]
             b = 2.0 * a
             record.update({"mode": "exact-fill", "a": a, "b": b})
     else:
@@ -199,20 +190,13 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
                 "cannot keep modular above one outside the carrier set"
             )
         comp = [i for i in range(len(grid)) if i not in carrier]
-
-        def scaled_bounds_mod(scale):
-            terms = []
-            for i in comp:
-                t = field.curves[i].value(scale * prm[i].b)
-                if math.isinf(t):
-                    return INF
-                terms.append(t * grid.weights[i])
-            return math.fsum(terms)
+        comp_bounds = [0.0 if i in carrier else p.b for i, p in enumerate(prm)]
+        comp_profile = StepFunction(grid, tuple(comp_bounds))
 
         c1 = None
         for j in range(1, 60):
             cand = 1.0 - 2.0**-j
-            val = scaled_bounds_mod(cand)
+            val = modular(field, cand * comp_profile)
             if math.isfinite(val) and val > 1.0:
                 c1 = cand
                 break
@@ -221,19 +205,11 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
                 "no scale below the domain ends keeps the modular above one "
                 "(blow-up end values on this grid)"
             )
-        residual = 1.0 - mod_at(a, carrier)
+        residual = 1.0 - _flat_modular(field, a, carrier)
         if residual > 0.0:
-            lo, hi = 0.0, 1.0
-            while scaled_bounds_mod(c1 / (1.0 + hi)) > residual:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if scaled_bounds_mod(c1 / (1.0 + mid)) > residual:
-                    lo = mid
-                else:
-                    hi = mid
-            c2 = hi
-            scale = c1 / (1.0 + c2)
+            # largest scale of the domain ends whose modular fits the residual
+            scale = gauge(field, comp_bounds, residual, _RTOL)[0]
+            c2 = c1 / scale - 1.0
             for i in comp:
                 x_vals[i] = scale * prm[i].b
             record.update({"mode": "bounded-top-up", "c1": c1, "c2": c2, "scale": scale})
@@ -261,18 +237,12 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     if not sigma2 < 1.0:
         raise WitnessConstructionError("halving ratio reached one at the caps")
     sigma0 = sigma2
-    eta = mod_at(a, carrier)
+    eta = _flat_modular(field, a, carrier)
     delta_mod = (1.0 - sigma0) * eta / 4.0
 
-    # margin: largest stretch keeping the modular within delta of one
-    t_hi = b / a - 1.0
-    t_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if modular(field, (1.0 + mid) * x) <= 1.0 + delta_mod:
-            t_lo = mid
-        else:
-            t_hi = mid
+    # margin: largest stretch up to b/a keeping the modular within delta of one
+    stretch = gauge(field, [abs(v) for v in x.values], 1.0 + delta_mod, _RTOL)[0]
+    t_lo = min(stretch, b / a) - 1.0
     if t_lo <= 0.0:  # pragma: no cover - modular is continuous at x
         raise WitnessConstructionError("no admissible stretch margin")
     eps = t_lo / 2.0
@@ -296,36 +266,15 @@ def verify_nonsquare(
 ):
     """Check min(|x+y|, |x-y|) <= 2 - delta on sampled and adversarial unit y.
 
-    A single modular evaluation at the bound certifies most samples
-    (modular(z / c) <= 1 implies |z| <= c); the minimum is then located by a
-    short bisection for the record, and refined exactly only when a sample
-    gets near the bound.  Any violation raises, carrying the offending
-    direction; the record keeps the largest minimum observed.
+    Each direction is scaled to the unit sphere and both Luxemburg norms are
+    evaluated; the record keeps the largest minimum observed and its
+    direction.  Any violation raises, carrying the offending direction.
     """
     x = witness.x
     grid = field.grid
     bound = 2.0 - witness.delta
     rng = np.random.default_rng(seed)
     n = len(grid)
-
-    def norm(y):
-        return luxemburg_norm(field, y, tol=1e-11)
-
-    def below(z, c):
-        return modular(field, (1.0 / c) * z) <= 1.0
-
-    def coarse_min(plus, minus):
-        # lower-biased estimate of min(|x+y|, |x-y|) within the bound bracket
-        lo, hi = 0.0, bound
-        for _ in range(16):
-            mid = 0.5 * (lo + hi)
-            if mid == 0.0:
-                break
-            if below(plus, mid) or below(minus, mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo
 
     max_observed = 0.0
     worst = None
@@ -337,11 +286,9 @@ def verify_nonsquare(
             return
         y = unit_sphere_point(field, y)
         checked += 1
-        plus, minus = x + y, x - y
-        if below(plus, bound) or below(minus, bound):
-            val = coarse_min(plus, minus)
-        else:
-            val = min(norm(plus), norm(minus))  # exact check near the bound
+        val = min(
+            luxemburg_norm(field, x + y, tol=1e-11), luxemburg_norm(field, x - y, tol=1e-11)
+        )
         if val > max_observed:
             max_observed, worst = val, y.values
         if val > bound + 1e-9:
@@ -492,9 +439,8 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         try:
             witness = build_nonsquare_witness(field)
             if samples:
-                record = verify_nonsquare(field, witness, samples, seed)
-                witness = NonsquareWitness(
-                    witness.x, witness.delta, witness.construction, record
+                witness = replace(
+                    witness, verification=verify_nonsquare(field, witness, samples, seed)
                 )
         except WitnessConstructionError as exc:
             explanation = str(exc)
@@ -543,15 +489,7 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         constants.update(
             {"gamma": sorted(spec.gamma), "w": list(spec.w), "v": list(spec.v)}
         )
-        witness = FailureCertificate(
-            kind=witness.kind,
-            x=witness.x,
-            functional=witness.functional,
-            epsilon=witness.epsilon,
-            second_functional=witness.second_functional,
-            constants=constants,
-            verification=witness.verification,
-        )
+        witness = replace(witness, constants=constants)
     except (PreconditionError, WitnessConstructionError) as exc:
         explanation = str(exc)
     return ClassificationReport(

@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -361,8 +360,7 @@ def cmd_classify(cfg: dict, args) -> dict:
 def cmd_verify(cfg: dict, args) -> dict:
     if not args.certificate:
         raise ConfigError("verify needs --certificate <report.json>")
-    with open(args.certificate) as fh:
-        cert_report = json.load(fh)
+    cert_report = _load_object(args.certificate, "certificate")
     if cert_report.get("config_hash") != config_hash(cfg):
         raise PreconditionError("certificate does not match this configuration")
     witness = cert_report.get("results", {}).get("witness")
@@ -451,38 +449,43 @@ def cmd_probe(cfg: dict, args) -> dict:
         return (1.0 / scale) * y  # probes expect unit inputs; normalise here
 
     out = []
-    for i, probe in enumerate(cfg.get("probes", [])):
-        kind = probe.get("type")
-        entry: dict[str, Any] = {"type": kind, "one_sided": True}
-        if kind == "slice_diameter":
-            f = unit_vector(probe["functional"], dual, "slice functional")
-            s = Slice(f, num(probe["eps"]))
-            entry["diameter_lower_bound"] = slice_diameter_lb(
-                primal, dual, s, samples=samples, seed=seed + i
-            )
-        elif kind == "roughness":
-            x = unit_vector(probe["x"], primal, "probe point")
-            scales = tuple(num(t) for t in probe.get("scales", [0.5, 0.1, 0.02, 0.004]))
-            entry["roughness_lower_bound"] = roughness_probe(
-                primal, x, scales, samples=min(samples, 2000), seed=seed + i
-            )
-        elif kind == "daugavet_condition":
-            x = unit_vector(probe["x"], primal, "probe point")
-            f = unit_vector(probe["functional"], dual, "slice functional")
-            res = daugavet_condition_probe(
-                primal, dual, x, f, num(probe["eps"]), budget=samples, seed=seed + i
-            )
-            entry.update(
-                {
-                    "found": res.found,
-                    "witness_direction": jsonify(res.witness_direction),
-                    "evaluations": res.evaluations,
-                    "note": res.note,
-                }
-            )
-        else:
-            raise ConfigError(f"unknown probe type {kind!r}")
-        out.append(entry)
+    try:
+        for i, probe in enumerate(cfg.get("probes", [])):
+            if not isinstance(probe, dict):
+                raise ConfigError(f"probe {i} must be a JSON object")
+            kind = probe.get("type")
+            entry: dict[str, Any] = {"type": kind, "one_sided": True}
+            if kind == "slice_diameter":
+                f = unit_vector(probe["functional"], dual, "slice functional")
+                s = Slice(f, num(probe["eps"]))
+                entry["diameter_lower_bound"] = slice_diameter_lb(
+                    primal, dual, s, samples=samples, seed=seed + i
+                )
+            elif kind == "roughness":
+                x = unit_vector(probe["x"], primal, "probe point")
+                scales = tuple(num(t) for t in probe.get("scales", [0.5, 0.1, 0.02, 0.004]))
+                entry["roughness_lower_bound"] = roughness_probe(
+                    primal, x, scales, samples=min(samples, 2000), seed=seed + i
+                )
+            elif kind == "daugavet_condition":
+                x = unit_vector(probe["x"], primal, "probe point")
+                f = unit_vector(probe["functional"], dual, "slice functional")
+                res = daugavet_condition_probe(
+                    primal, dual, x, f, num(probe["eps"]), budget=samples, seed=seed + i
+                )
+                entry.update(
+                    {
+                        "found": res.found,
+                        "witness_direction": jsonify(res.witness_direction),
+                        "evaluations": res.evaluations,
+                        "note": res.note,
+                    }
+                )
+            else:
+                raise ConfigError(f"unknown probe type {kind!r}")
+            out.append(entry)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad probe spec: {exc!r}") from exc
     return {"probes": out}
 
 
@@ -540,14 +543,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_object(path: str, what: str) -> dict:
+    """A JSON object read from ``path``; anything else is a ConfigError."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return obj
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.environ.setdefault("MOSPACES_WORKERS", "1")
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        cfg = _load_object(args.config, "config")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     t0 = time.perf_counter()
     try:

@@ -458,13 +458,3 @@ def _conjugate_pwl(curve: PiecewiseLinear) -> PiecewiseLinear:
     # unbounded domain: conjugate ends at the final slope, left-continuously
     return PiecewiseLinear.closed(tuple(new_bp), tuple(new_sl))
 
-
-def as_piecewise(curve: OrliczCurve) -> PiecewiseLinear:
-    """Canonical piecewise form of linear and indicator curves."""
-    if isinstance(curve, Linear):
-        return PiecewiseLinear((0.0, INF), (curve.slope,), None)
-    if isinstance(curve, Indicator):
-        return PiecewiseLinear((0.0, curve.bound), (0.0,), 0.0)
-    if isinstance(curve, PiecewiseLinear):
-        return curve
-    raise TypeError(f"no piecewise form for {curve!r}")

@@ -18,7 +18,7 @@ sum) below 2 - epsilon; certificates are re-checked by seeded sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -360,15 +360,7 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             raise VerificationError(
                 f"sum certificate failed its own verification: {record}"
             )
-        cert = FailureCertificate(
-            kind=cert.kind,
-            x=cert.x,
-            functional=cert.functional,
-            epsilon=cert.epsilon,
-            second_functional=cert.second_functional,
-            constants=cert.constants,
-            verification=record,
-        )
+        cert = replace(cert, verification=record)
     return cert
 
 
@@ -485,15 +477,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             raise VerificationError(
                 f"intersection certificate failed its own verification: {record}"
             )
-        cert = FailureCertificate(
-            kind=cert.kind,
-            x=cert.x,
-            functional=cert.functional,
-            epsilon=cert.epsilon,
-            second_functional=None,
-            constants=cert.constants,
-            verification=record,
-        )
+        cert = replace(cert, verification=record)
     return cert
 
 

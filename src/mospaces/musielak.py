@@ -2,9 +2,11 @@
 
 A ``MusielakField`` assigns one Orlicz curve per grid cell.  The modular of
 a step function is the weighted sum of curve values; the gauge norm
-(Luxemburg) is the scaling that brings the modular to one, found by
-bisection, and the dual-flavoured Amemiya norm minimises k -> (1+rho(kx))/k,
-which is unimodal.  A supremum-form oracle over the modular unit ball
+(Luxemburg) is the scaling that brings the modular to one.  ``gauge``
+solves rho(t|x|) = level by Newton steps from above on the convex map
+t -> rho(t|x|); every level-set scaling in the package goes through it.
+The dual-flavoured Amemiya norm minimises k -> (1+rho(kx))/k, which is
+unimodal.  A supremum-form oracle over the modular unit ball
 cross-checks the Amemiya route through the Koethe duality.
 
 The structural decomposition splits the grid into indicator-type cells
@@ -16,14 +18,16 @@ to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curves import INF, CurveParams, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, conjugate
+from .curves import INF, CurveParams, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
 from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
 
 _MAX_DOUBLINGS = 4096
+_MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest gauge bracket asked for
 _BISECT_STEPS = 200
 
 
@@ -130,76 +134,99 @@ def modular_of_bounds(field: MusielakField, cells=None) -> float:
     return math.fsum(terms)
 
 
-def luxemburg_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12) -> float:
-    """inf{lam > 0 : modular(x/lam) <= 1} by bisection on the monotone modular.
+def _closure_left_slope(curve: OrliczCurve, u: float) -> float:
+    """Left derivative of the curve's closure at u (right derivative at 0)."""
+    if u == 0.0:
+        return curve.right_derivative(0.0)
+    if isinstance(curve, PiecewiseLinear):  # a blow-up end keeps the last slope
+        return curve.slopes[bisect_left(curve.breakpoints, u) - 1]
+    return curve.left_derivative(u)
 
-    Returns the lower end of the final bracket, so the result never exceeds
-    the true norm (keeps norm-ratio invariants one-sided).
+
+def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> tuple[float, float]:
+    """Bracket (lo, hi) of T = sup{t >= 0 : modular(t*ax) <= level}.
+
+    ``ax`` holds nonnegative cell values, not all zero, and ``level`` is
+    positive.  Guarantees modular(lo*ax) <= level, hi >= T and
+    hi - lo <= rtol*lo (or no float lies strictly between lo and hi); an
+    ``rtol`` below four ulps, such as zero, a negative value or NaN, is
+    raised to four ulps.  r(t) = modular(t*ax) is convex and nondecreasing,
+    so Newton steps on its closure from above (left slopes) never
+    undershoot T and solve a piecewise-linear piece exactly, while the chord
+    through the feasible end never overshoots it.  The start is the domain
+    edge or the tightest single-cell bound, whichever is smaller.
+    """
+    live = [
+        (v, crv, w, prm.b)
+        for v, crv, w, prm in zip(ax, field.curves, field.grid.weights, field.cell_params)
+        if v > 0.0
+    ]
+    if not live:
+        raise PreconditionError("the gauge of the zero function is unbounded")
+    rtol = max(_MIN_RTOL, rtol)  # NaN compares false, so it is raised too
+    edge = min(b / v for v, _, _, b in live)
+    hi = min([edge] + [crv.inverse_upper(level / w) / v for v, crv, w, _ in live])
+    if math.isinf(hi):
+        raise UnboundedNormError("the gauge scale overflows: the norm is below 1/DBL_MAX")
+
+    def closure(t: float):  # closed modular and t times its left slope, for t <= edge
+        vals, slopes = [], []
+        for v, crv, w, b in live:
+            u = min(t * v, b)
+            vals.append(crv.value_closed(u) * w)
+            slopes.append(_closure_left_slope(crv, u) * u * w)  # v*w alone may overflow
+        return math.fsum(vals), math.fsum(slopes)
+
+    r_hi, s_hi = closure(hi)
+    if r_hi <= level:
+        # T = hi: the closure stays under the level up to the edge (past it
+        # the modular is infinite), or a single cell's bound is met exactly
+        lo = hi if _scaled_modular(field, ax, hi) <= level else hi * (1.0 - rtol / 4.0)
+        return lo, hi * (1.0 + rtol / 2.0)
+    lo, r_lo = 0.0, 0.0
+    back = rtol / 2.0  # step back from hi when both steps stall; doubles each time
+    for _ in range(_MAX_DOUBLINGS):
+        if hi - lo <= rtol * lo or math.nextafter(lo, INF) >= hi:
+            return lo, hi
+        t = lo + (hi - lo) * (level - r_lo) / (r_hi - r_lo)  # chord: r(t) <= level
+        if hi - t > rtol * t:  # chord still loose: tangent root, r >= level there
+            t = max(hi * (1.0 - (r_hi - level) / s_hi), lo * (1.0 + rtol / 2.0))
+        if not lo < t < hi:  # rounding stalled both steps
+            t = max(0.5 * (lo + hi), hi * (1.0 - back))
+            back *= 2.0
+            if t >= hi:  # subnormal hi: rtol is below its ulp
+                t = 0.5 * (lo + hi)
+        r_t, s_t = closure(t)
+        if r_t > level:
+            hi, r_hi, s_hi = t, r_t, s_t
+        else:
+            lo, r_lo = t, r_t
+    raise MospacesError("gauge solver did not converge")  # pragma: no cover
+
+
+def luxemburg_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12) -> float:
+    """inf{lam > 0 : modular(x/lam) <= 1}, from the gauge bracket of |x|.
+
+    Returns 1/hi, so the result never exceeds the true norm (keeps
+    norm-ratio invariants one-sided).
     """
     _check(field, x)
     if x.is_zero():
         return 0.0
-    ax = [abs(v) for v in x.values]
-    hi = max(ax)
-    for _ in range(_MAX_DOUBLINGS):
-        if _scaled_modular(field, ax, 1.0 / hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise UnboundedNormError("modular stayed above 1 up to the overflow cap")
-    lo = hi / 2.0
-    while _scaled_modular(field, ax, 1.0 / lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-        if lo < 5e-324:  # pragma: no cover - nonzero x always brackets
-            return 0.0
-    for _ in range(_BISECT_STEPS):
-        if hi - lo <= tol * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        if _scaled_modular(field, ax, 1.0 / mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return 1.0 / gauge(field, [abs(v) for v in x.values], 1.0, tol)[1]
 
 
 def unit_sphere_point(field: MusielakField, y: StepFunction) -> StepFunction:
     """Scale y to the unit sphere of the Luxemburg norm.
 
-    Uses sup{t : modular(t*y) <= 1}; the scaled point has norm exactly 1
-    whether or not the modular reaches 1 (jump curves may skip it).
+    Uses the feasible end of the gauge bracket of sup{t : modular(t*y) <= 1};
+    the scaled point has norm 1 whether or not the modular reaches 1 (jump
+    curves may skip it).
     """
     _check(field, y)
     if y.is_zero():
         raise PreconditionError("cannot normalise the zero function")
-    ay = [abs(v) for v in y.values]
-    t_lo, t_hi = 1.0, 1.0
-    if _scaled_modular(field, ay, 1.0) <= 1.0:
-        for _ in range(_MAX_DOUBLINGS):
-            t_hi *= 2.0
-            if _scaled_modular(field, ay, t_hi) > 1.0:
-                break
-            t_lo = t_hi
-        else:
-            raise UnboundedNormError("modular never exceeded 1")  # pragma: no cover
-    else:
-        for _ in range(_MAX_DOUBLINGS):
-            t_lo /= 2.0
-            if _scaled_modular(field, ay, t_lo) <= 1.0:
-                break
-            t_hi = t_lo
-        else:
-            raise UnboundedNormError("modular stayed above 1")  # pragma: no cover
-    for _ in range(120):
-        if t_hi - t_lo <= 1e-13 * t_lo:
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        if _scaled_modular(field, ay, mid) <= 1.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return t_lo * y
+    return gauge(field, [abs(v) for v in y.values], 1.0, 1e-13)[0] * y
 
 
 def conjugate_field(field: MusielakField) -> MusielakField:
@@ -275,7 +302,7 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
 def _rightmost_maximizer(curve: OrliczCurve, v: float) -> float:
     """Largest u maximising u*v - phi(u) (closure at a finite end; may be inf)."""
     if isinstance(curve, Power):
-        return _safe_pow(v, 1.0 / (curve.p - 1.0))
+        return _pow(v, 1.0 / (curve.p - 1.0))
     if isinstance(curve, Linear):
         return INF if v >= curve.slope else 0.0
     if isinstance(curve, Indicator):
@@ -289,13 +316,6 @@ def _rightmost_maximizer(curve: OrliczCurve, v: float) -> float:
                 break
         return u
     raise TypeError(f"not an Orlicz curve: {curve!r}")
-
-
-def _safe_pow(v, e):
-    try:
-        return v**e
-    except OverflowError:  # pragma: no cover
-        return INF
 
 
 def _next_kink(curve: OrliczCurve, u: float) -> float:

@@ -15,6 +15,7 @@ from mospaces import (
     Power,
     StepFunction,
     SumSpaceSpec,
+    modular,
 )
 
 INF = math.inf
@@ -126,6 +127,28 @@ def d_param_scan(curve: OrliczCurve, u_max=20.0, steps=200_000):
         if abs(half - fu / 2.0) <= 1e-12 * (1.0 + fu):
             best = float(u)
     return best
+
+
+def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):
+    """Bracket of sup{t >= 0 : modular(t*x) <= level}: doubling, then bisection."""
+
+    def ok(t):
+        return modular(field, t * x) <= level
+
+    lo = hi = 1.0 / max(abs(v) for v in x.values)
+    while ok(hi):
+        lo, hi = hi, 2.0 * hi
+    while not ok(lo):
+        lo, hi = lo / 2.0, lo
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def half_ratio_scan(curve: OrliczCurve, lo, hi, steps=100_000):

@@ -135,6 +135,18 @@ def test_norm_command_orlicz_indicator(tmp_path, capsys):
     assert math.isclose(res["luxemburg"], 3.0, rel_tol=1e-9)
 
 
+def test_norm_command_tolerance_zero(tmp_path, capsys):
+    cfg = dict(BASE, grid={"weights": [1.0, 2.0]}, x=[1.0, -0.5])
+    cfg["space"] = {"kind": "nakano", "exponents": [2, 3]}
+    path = write(tmp_path / "c.json", cfg)
+    assert main(["norm", "--config", path]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert main(["norm", "--config", path, "--tol", "0"]) == EXIT_OK
+    tight = json.loads(capsys.readouterr().out)["results"]
+    assert math.isclose(tight["luxemburg"], res["luxemburg"], rel_tol=1e-10)
+    assert tight["luxemburg"] <= res["luxemburg"] * (1.0 + 1e-10)
+
+
 def test_norm_command_zero(tmp_path, capsys):
     cfg = dict(BASE)
     cfg["x"] = [0.0, 0.0]
@@ -338,7 +350,7 @@ def test_verify_int_certificate_round_trip(tmp_path):
     )
 
 
-def test_exit_codes_for_bad_input(tmp_path):
+def test_exit_codes_for_bad_input(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["norm", "--config", str(missing)]) == EXIT_CONFIG
 
@@ -357,6 +369,26 @@ def test_exit_codes_for_bad_input(tmp_path):
         {"grid": {"weights": [0.0]}, "space": {"kind": "nakano", "exponents": [2]}, "x": [1.0]},
     )
     assert main(["norm", "--config", bad_weights]) == EXIT_CONFIG
+
+    def one_line_config_error(argv):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        return code == EXIT_CONFIG and err.count("\n") == 1 and "Traceback" not in err
+
+    array_cfg = write(tmp_path / "array.json", [BASE])
+    assert one_line_config_error(["norm", "--config", array_cfg])
+
+    cfg = write(tmp_path / "base.json", BASE)
+    assert one_line_config_error(
+        ["verify", "--config", cfg, "--certificate", str(tmp_path / "no-cert.json")]
+    )
+    array_cert = write(tmp_path / "array-cert.json", [])
+    assert one_line_config_error(["verify", "--config", cfg, "--certificate", array_cert])
+
+    for probes in ([{"type": "roughness"}], [["roughness", [1.0, 0.0]]], 5):
+        probe_cfg = write(tmp_path / "probe.json", dict(BASE, probes=probes))
+        assert one_line_config_error(["probe", "--config", probe_cfg])
 
 
 def test_cli_entry_point_runs():

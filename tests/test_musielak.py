@@ -13,6 +13,7 @@ from mospaces import (
     Power,
     PreconditionError,
     StepFunction,
+    UnboundedNormError,
     amemiya_norm,
     bounded_level_sets,
     conjugate,
@@ -27,7 +28,8 @@ from mospaces import (
     unit_sphere_point,
     weights,
 )
-from helpers import random_field, random_x
+from mospaces.musielak import gauge
+from helpers import gauge_bisect, random_field, random_x
 
 INF = math.inf
 
@@ -333,3 +335,118 @@ def test_unit_sphere_point_lands_on_sphere():
             continue
         u = unit_sphere_point(f, y)
         assert math.isclose(luxemburg_norm(f, u), 1.0, rel_tol=1e-9)
+
+
+# -- gauge solver ------------------------------------------------------------
+
+
+def assert_gauge_bracket(f, x, level, rtol):
+    lo, hi = gauge(f, [abs(v) for v in x.values], level, rtol)
+    assert 0.0 < lo <= hi
+    # an rtol below four ulps (zero, negative, NaN) is raised to four ulps
+    assert hi - lo <= max(4.0 * math.ulp(1.0), rtol) * lo or math.nextafter(lo, INF) >= hi
+    assert modular(f, lo * x) <= level
+    assert modular(f, hi * x) > level  # hence hi >= T
+    return lo, hi
+
+
+@pytest.mark.parametrize("level", [0.3, 1.0, 1.05])
+def test_gauge_bracket_guarantees(level):
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        f = random_field(rng, allow_jump=True)
+        x = random_x(rng, f.grid)
+        if x.is_zero():
+            continue
+        rtol = float(rng.choice([0.0, -1.0, math.nan, 1e-20, 1e-13, 1e-12, 1e-8]))
+        assert_gauge_bracket(f, x, level, rtol)
+
+
+@pytest.mark.parametrize("level", [0.3, 1.0, 1.05])
+def test_gauge_matches_reference_bisection(level):
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        f = random_field(rng, n=int(rng.integers(1, 9)))
+        x = random_x(rng, f.grid)
+        if x.is_zero():
+            continue
+        lo, hi = gauge(f, [abs(v) for v in x.values], level, 1e-12)
+        ref_lo, ref_hi = gauge_bisect(f, x, level)
+        assert lo <= ref_hi and ref_lo <= hi  # both brackets hold T
+        assert math.isclose(lo, ref_lo, rel_tol=1e-11)
+
+
+def test_gauge_rejects_zero_values_and_overflowing_scale():
+    f = MusielakField.constant(unit_grid(), Power(2.0))
+    with pytest.raises(PreconditionError):
+        gauge(f, [0.0, 0.0])
+    # the scale 1/|x| is not a float, so no bracket of it can be returned
+    with pytest.raises(UnboundedNormError):
+        luxemburg_norm(f, StepFunction(f.grid, (1e-310, 0.0)))
+    # a normal x whose norm is below 1/DBL_MAX: the scale T = 1e310 overflows
+    g = MeasureGrid((1e-5,))
+    with pytest.raises(UnboundedNormError):
+        luxemburg_norm(MusielakField.constant(g, Linear(1.0)), StepFunction(g, (1e-305,)))
+
+
+@pytest.mark.parametrize("curve", [Power(2.0), Power(1.0005), Linear(1.0)])
+def test_gauge_subnormal_scale(curve):
+    # |x|*mass near 1e310: the slope of r in t overflows, and T is subnormal
+    # for the two curves that are linear or nearly so
+    g = MeasureGrid((1e10, 3e9))
+    f = MusielakField.constant(g, curve)
+    x = StepFunction(g, (1e300, -7e299))
+    for rtol in (0.0, 1e-12):
+        lo, hi = assert_gauge_bracket(f, x, 1.0, rtol)
+        assert lo < 1e-300
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_gauge_extreme_magnitudes(scale):
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        f = random_field(rng)
+        x = random_x(rng, f.grid)
+        if x.is_zero():
+            continue
+        big = scale * x
+        assert_gauge_bracket(f, big, 1.0, 1e-12)
+        assert math.isclose(luxemburg_norm(f, big), scale * luxemburg_norm(f, x), rel_tol=1e-10)
+        assert modular(f, unit_sphere_point(f, big)) <= 1.0
+
+
+@pytest.mark.parametrize("p", [1.0000001, 1.0005, 1.000999])
+def test_gauge_power_near_one(p):
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 5):
+        g = MeasureGrid(tuple(float(w) for w in rng.uniform(0.1, 3.0, n)))
+        f = MusielakField.constant(g, Power(p))
+        x = StepFunction(g, tuple(float(v) for v in rng.uniform(-3.0, 3.0, n)))
+        assert_gauge_bracket(f, x, 1.0, 1e-12)
+        exact = math.fsum(w * abs(v) ** p / p for w, v in zip(g.weights, x.values)) ** (1.0 / p)
+        assert math.isclose(luxemburg_norm(f, x), exact, rel_tol=1e-10)
+        assert modular(f, unit_sphere_point(f, x)) <= 1.0
+
+
+def test_gauge_blow_up_end_single_cell():
+    # phi = 0.5u on [0, 1], then slope 1 up to u = 2, infinite at 2 itself;
+    # with mass 0.5 the closure reaches only 0.75 at the edge t = 0.5
+    g = MeasureGrid((0.5,))
+    f = MusielakField.constant(g, PiecewiseLinear((0.0, 1.0, 2.0), (0.5, 1.0), INF))
+    x = StepFunction(g, (4.0,))
+    lo, hi = assert_gauge_bracket(f, x, 0.5, 1e-12)
+    assert math.isclose(lo, 1.5 / 4.0, rel_tol=1e-12)
+    lo, hi = assert_gauge_bracket(f, x, 1.0, 1e-12)
+    assert lo < 0.5 < hi
+    assert modular(f, hi * x) == INF
+    assert math.isclose(luxemburg_norm(f, x), 2.0, rel_tol=1e-11)
+    assert modular(f, unit_sphere_point(f, x)) <= 1.0
+
+
+def test_gauge_single_cell_fields():
+    rng = np.random.default_rng(59)
+    for _ in range(100):
+        f = random_field(rng, n=1)
+        x = StepFunction(f.grid, (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)),))
+        for level in (0.3, 1.0, 1.05):
+            assert_gauge_bracket(f, x, level, 1e-12)
