@@ -312,6 +312,7 @@ def _record_to_json(record) -> Optional[dict]:
         "max_observed": record.max_observed,
         "violations": record.violations,
         "seed": record.seed,
+        "worst_point": jsonify(record.worst_point),
     }
 
 
@@ -363,47 +364,59 @@ def cmd_verify(cfg: dict, args) -> dict:
     cert_report = _load_object(args.certificate, "certificate")
     if cert_report.get("config_hash") != config_hash(cfg):
         raise PreconditionError("certificate does not match this configuration")
-    witness = cert_report.get("results", {}).get("witness")
+    results = cert_report.get("results", {})
+    if not isinstance(results, dict):
+        raise ConfigError("certificate results must be a JSON object")
+    witness = results.get("witness")
     if witness is None:
         raise PreconditionError("report carries no witness to verify")
+    if not isinstance(witness, dict):
+        raise ConfigError("certificate witness must be a JSON object")
     samples = _samples(cfg, args)
     seed = _seed(cfg, args)
     space = parse_space(cfg)
     wtype = witness.get("type")
-    if wtype == "nonsquare":
-        if space.field is None:
-            raise PreconditionError("nonsquare witnesses need a gauge-norm space")
-        x = StepFunction(space.grid, tuple(num(t) for t in witness["x"]))
-        wit = NonsquareWitness(x=x, delta=num(witness["delta"]))
-        record = verify_nonsquare(space.field, wit, samples, seed)
-    elif wtype in ("sum-case", "intersection-case"):
-        grid = MeasureGrid(
-            tuple(num(t) for t in witness["grid_weights"]),
-            tuple(witness["grid_ids"]),
-        )
-        cert = FailureCertificate(
-            kind=wtype,
-            x=StepFunction(grid, tuple(num(t) for t in witness["x"])),
-            functional=StepFunction(
-                grid, tuple(num(t) for t in witness["functional"])
-            ),
-            epsilon=num(witness["epsilon"]),
-            second_functional=(
-                StepFunction(grid, tuple(num(t) for t in witness["second_functional"]))
-                if "second_functional" in witness
-                else None
-            ),
-            constants=witness.get("constants", {}),
-        )
-        if wtype == "sum-case":
-            if space.sum_spec is None or space.sum_spec.grid != grid:
-                raise PreconditionError("certificate grid does not match the space")
-            record = verify_sum_certificate(space.sum_spec, cert, samples, seed)
-        else:
-            spec = _embedded_int_spec(space, grid, witness)
-            record = verify_int_certificate(spec, cert, samples, seed)
-    else:
+    if wtype not in ("nonsquare", "sum-case", "intersection-case"):
         raise ConfigError(f"unknown witness type {wtype!r}")
+    if wtype == "nonsquare" and space.field is None:
+        raise PreconditionError("nonsquare witnesses need a gauge-norm space")
+    try:
+        if wtype == "nonsquare":
+            x = StepFunction(space.grid, tuple(num(t) for t in witness["x"]))
+            wit = NonsquareWitness(x=x, delta=num(witness["delta"]))
+        else:
+            grid = MeasureGrid(
+                tuple(num(t) for t in witness["grid_weights"]),
+                tuple(witness["grid_ids"]),
+            )
+            cert = FailureCertificate(
+                kind=wtype,
+                x=StepFunction(grid, tuple(num(t) for t in witness["x"])),
+                functional=StepFunction(
+                    grid, tuple(num(t) for t in witness["functional"])
+                ),
+                epsilon=num(witness["epsilon"]),
+                second_functional=(
+                    StepFunction(grid, tuple(num(t) for t in witness["second_functional"]))
+                    if "second_functional" in witness
+                    else None
+                ),
+                constants=witness.get("constants", {}),
+            )
+            if not isinstance(cert.constants, dict):
+                raise TypeError("constants must be a JSON object")
+            if wtype == "intersection-case":
+                spec = _embedded_int_spec(space, grid, cert.constants)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad certificate witness: {exc!r}") from exc
+    if wtype == "nonsquare":
+        record = verify_nonsquare(space.field, wit, samples, seed)
+    elif wtype == "sum-case":
+        if space.sum_spec is None or space.sum_spec.grid != grid:
+            raise PreconditionError("certificate grid does not match the space")
+        record = verify_sum_certificate(space.sum_spec, cert, samples, seed)
+    else:
+        record = verify_int_certificate(spec, cert, samples, seed)
     if record.violations:
         raise VerificationError(
             f"re-verification found {record.violations} violations "
@@ -412,10 +425,9 @@ def cmd_verify(cfg: dict, args) -> dict:
     return {"verdict": "pass", "verification": _record_to_json(record)}
 
 
-def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, witness: dict) -> IntSpaceSpec:
+def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> IntSpaceSpec:
     if space.int_spec is not None and space.int_spec.grid == grid:
         return space.int_spec
-    consts = witness.get("constants", {})
     gamma = consts.get("gamma")
     w = consts.get("w")
     v = consts.get("v")

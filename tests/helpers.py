@@ -15,7 +15,9 @@ from mospaces import (
     Power,
     StepFunction,
     SumSpaceSpec,
+    luxemburg_norm,
     modular,
+    unit_sphere_point,
 )
 
 INF = math.inf
@@ -149,6 +151,49 @@ def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):
         else:
             hi = mid
     return lo, hi
+
+
+def nonsquare_reference(field, witness, samples, seed):
+    """verify_nonsquare one direction at a time through the scalar solvers.
+
+    Same directions in the same draw order; returns (directions checked,
+    max of min(|x+y|, |x-y|), the unit y attaining it).
+    """
+    x = witness.x
+    grid = field.grid
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    best, worst, checked = 0.0, None, 0
+
+    def consider(y):
+        nonlocal best, worst, checked
+        if y.is_zero():
+            return
+        y = unit_sphere_point(field, y)
+        checked += 1
+        val = min(luxemburg_norm(field, x + y, 1e-11), luxemburg_norm(field, x - y, 1e-11))
+        if val > best:
+            best, worst = val, y.values
+
+    consider(x)
+    consider(-1.0 * x)
+    for cid in grid.ids:
+        consider(StepFunction.atom(grid, cid))
+    signs = tuple(1.0 if v >= 0 else -1.0 for v in x.values)
+    consider(StepFunction(grid, signs))
+    consider(StepFunction(grid, tuple(s if i % 2 == 0 else -s for i, s in enumerate(signs))))
+    consider(
+        StepFunction(
+            grid, tuple(min(p.b, 1.0) if math.isfinite(p.b) else 1.0 for p in field.cell_params)
+        )
+    )
+    while checked < samples:
+        y = StepFunction(grid, tuple(rng.standard_normal(n)))
+        if rng.uniform() < 0.25:
+            mask = rng.uniform(size=n) < 0.5
+            y = StepFunction(grid, tuple(v if m else 0.0 for v, m in zip(y.values, mask)))
+        consider(y)
+    return checked, best, worst
 
 
 def half_ratio_scan(curve: OrliczCurve, lo, hi, steps=100_000):

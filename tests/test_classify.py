@@ -33,7 +33,7 @@ from mospaces import (
     verify_nonsquare,
     weights,
 )
-from helpers import random_field, random_x
+from helpers import nonsquare_reference, random_field, random_x
 
 INF = math.inf
 
@@ -319,6 +319,44 @@ def test_verify_rejects_tampered_delta():
 
     with pytest.raises(VerificationError):
         verify_nonsquare(f, bad, samples=500, seed=21)
+
+
+def _three_mode_fields():
+    g = MeasureGrid((0.7, 1.3, 0.9, 1.6, 1.1, 0.8))
+    mix = (
+        Power(2.5),
+        PiecewiseLinear((0.0, 0.4, INF), (0.2, 1.1)),
+        Linear(1.4),
+        Indicator(1.2),
+        PiecewiseLinear((0.0, 0.6, 1.9), (0.3, 1.0), INF),
+        Power(1.6),
+    )
+    bounded = (
+        PiecewiseLinear.closed((0.0, 0.6, 2.0), (0.3, 1.2)),
+        Indicator(1.2),
+        PiecewiseLinear.closed((0.0, 0.7, 1.8), (0.1, 0.9)),
+        PiecewiseLinear((0.0, 0.5, 2.2), (0.2, 1.4), INF),
+        Indicator(0.9),
+        PiecewiseLinear.closed((0.0, 1.1, 2.4), (0.4, 1.3)),
+    )
+    return [
+        (MusielakField(g, mix), "flat-top-up"),
+        (MusielakField.constant(g, Power(1.3)), "flat-top-up"),
+        (MusielakField.nakano(g, (INF, INF, 2.7, INF, INF, INF)), "exact-fill"),
+        (MusielakField(g, bounded), "bounded-top-up"),
+    ]
+
+
+@pytest.mark.parametrize("field, mode", _three_mode_fields())
+def test_verify_nonsquare_matches_scalar_reference(field, mode):
+    wit = build_nonsquare_witness(field)
+    assert wit.construction["mode"] == mode
+    for seed in (3, 11):
+        rec = verify_nonsquare(field, wit, samples=120, seed=seed)
+        checked, best, worst = nonsquare_reference(field, wit, 120, seed)
+        assert rec.samples_requested == rec.samples_accepted == checked
+        assert math.isclose(rec.max_observed, best, rel_tol=1e-10)
+        assert len(rec.worst_point) == len(worst)
 
 
 # -- search probe ---------------------------------------------------------------

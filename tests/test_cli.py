@@ -9,6 +9,7 @@ from mospaces.cli import (
     EXIT_PRECONDITION,
     EXIT_VERIFICATION,
     canonical_json,
+    config_hash,
     curve_to_json,
     jsonify,
     main,
@@ -315,6 +316,28 @@ def test_verify_round_trip_and_tamper(tmp_path):
     )
 
 
+def test_verification_records_carry_the_worst_point(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", dict(BASE, x=[1.0, 0.5], samples=60))
+    report_path = tmp_path / "report.json"
+    assert main(["classify", "--config", cfg, "--out", str(report_path)]) == EXIT_OK
+    record = json.loads(report_path.read_text())["results"]["witness"]["verification"]
+    assert len(record["worst_point"]) == 2
+    assert main(["verify", "--config", cfg, "--certificate", str(report_path)]) == EXIT_OK
+    again = json.loads(capsys.readouterr().out)["results"]["verification"]
+    assert again["worst_point"] == record["worst_point"]
+
+
+def test_norm_command_above_dbl_max(tmp_path, capsys):
+    cfg = {
+        "grid": {"weights": [1e10, 3e9]},
+        "space": {"kind": "orlicz", "curve": {"family": "linear", "slope": 1.0}},
+        "x": [1e300, -7e299],
+    }
+    assert main(["norm", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "exceeds DBL_MAX" in err and err.count("\n") == 1
+
+
 def test_verify_rejects_wrong_config(tmp_path):
     cfg = write(tmp_path / "c.json", dict(BASE, samples=150))
     report_path = tmp_path / "report.json"
@@ -389,6 +412,12 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     for probes in ([{"type": "roughness"}], [["roughness", [1.0, 0.0]]], 5):
         probe_cfg = write(tmp_path / "probe.json", dict(BASE, probes=probes))
         assert one_line_config_error(["probe", "--config", probe_cfg])
+
+    no_grid = {"type": "sum-case", "x": [1.0, 0.0], "functional": [1.0, 0.0], "epsilon": 0.5}
+    for results in ({"witness": {"type": "nonsquare"}}, 5, {"witness": [1]}, {"witness": no_grid}):
+        body = {"config_hash": config_hash(BASE), "results": results}
+        cert = write(tmp_path / "hostile.json", body)
+        assert one_line_config_error(["verify", "--config", cfg, "--certificate", cert])
 
 
 def test_cli_entry_point_runs():

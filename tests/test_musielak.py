@@ -28,7 +28,7 @@ from mospaces import (
     unit_sphere_point,
     weights,
 )
-from mospaces.musielak import gauge
+from mospaces.musielak import gauge, gauge_block, luxemburg_norms, unit_sphere_points
 from helpers import gauge_bisect, random_field, random_x
 
 INF = math.inf
@@ -450,3 +450,92 @@ def test_gauge_single_cell_fields():
         x = StepFunction(f.grid, (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)),))
         for level in (0.3, 1.0, 1.05):
             assert_gauge_bracket(f, x, level, 1e-12)
+
+
+def test_norm_above_dbl_max_raises():
+    # the gauge scale is subnormal, so 1/hi overflows; the Amemiya objective
+    # overflows at every k
+    g = MeasureGrid((1e10, 3e9))
+    f = MusielakField.constant(g, Linear(1.0))
+    x = StepFunction(g, (1e300, -7e299))
+    for norm in (luxemburg_norm, amemiya_norm):
+        with pytest.raises(UnboundedNormError, match="exceeds DBL_MAX"):
+            norm(f, x)
+    with pytest.raises(UnboundedNormError, match="exceeds DBL_MAX"):
+        luxemburg_norms(f, [x.values])
+
+
+def test_amemiya_restarts_where_the_objective_overflows():
+    # modular(x) overflows at k = 1 although the norm is finite
+    g = MeasureGrid((0.5, 2.0))
+    f = MusielakField(g, (Power(2.0), Linear(1.5)))
+    x = StepFunction(g, (0.8, -1.9))
+    big = 1e200 * x
+    assert modular(f, big) == INF
+    assert math.isclose(amemiya_norm(f, big), 1e200 * amemiya_norm(f, x), rel_tol=1e-9)
+
+
+# -- row-batched gauge ------------------------------------------------------------
+
+
+def _block_rows(rng, f, count):
+    """Nonzero step functions, some with zero cells or magnitudes 1e-300 to 1e300."""
+    rows = []
+    for _ in range(count):
+        x = random_x(rng, f.grid)
+        if rng.uniform() < 0.3:
+            x = StepFunction(f.grid, tuple(v if rng.uniform() < 0.6 else 0.0 for v in x.values))
+        if rng.uniform() < 0.2:
+            x = float(rng.choice([1e-300, 1e-150, 1e150, 1e300])) * x
+        if not x.is_zero():
+            rows.append(x)
+    return rows
+
+
+def assert_block_matches_rows(f, xs, level, rtol):
+    lo, hi = gauge_block(f, [[abs(v) for v in x.values] for x in xs], level, rtol)
+    width = max(4.0 * math.ulp(1.0), rtol)
+    for x, l, h in zip(xs, lo.tolist(), hi.tolist()):
+        assert 0.0 < l <= h
+        assert h - l <= width * l or math.nextafter(l, INF) >= h
+        assert modular(f, l * x) <= level
+        assert modular(f, h * x) > level
+        l1, h1 = gauge(f, [abs(v) for v in x.values], level, rtol)
+        assert l <= h1 and l1 <= h  # both brackets hold T
+        assert abs(l - l1) <= width * max(l, l1) + math.ulp(max(l, l1))
+
+
+@pytest.mark.parametrize("level", [0.3, 1.0, 1.05])
+def test_gauge_block_matches_one_row_solves(level):
+    rng = np.random.default_rng(61)
+    for k in range(60):
+        if k % 5 == 0:
+            g = MeasureGrid(tuple(float(w) for w in rng.uniform(0.1, 3.0, int(rng.integers(1, 7)))))
+            f = MusielakField.constant(g, Power(float(rng.uniform(1.0000001, 1.001))))
+        else:
+            f = random_field(rng, n=1 if k % 7 == 0 else None, allow_jump=True)
+        xs = _block_rows(rng, f, 12)
+        if xs:
+            for rtol in (0.0, 1e-13, 1e-11):
+                assert_block_matches_rows(f, xs, level, rtol)
+
+
+def test_gauge_block_rejects_zero_rows():
+    f = MusielakField.constant(unit_grid(), Power(2.0))
+    with pytest.raises(PreconditionError):
+        gauge_block(f, [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_row_batched_norms_match_scalar_ones():
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        f = random_field(rng, n=int(rng.integers(1, 9)))
+        xs = [random_x(rng, f.grid) for _ in range(6)] + [StepFunction.zero(f.grid)]
+        norms = luxemburg_norms(f, [x.values for x in xs], 1e-11)
+        for x, got in zip(xs, norms.tolist()):
+            want = luxemburg_norm(f, x, 1e-11)
+            assert got <= want * (1.0 + 1e-11) and math.isclose(got, want, rel_tol=1e-11)
+        ys = [x for x in xs if not x.is_zero()]
+        for y, u in zip(ys, unit_sphere_points(f, [y.values for y in ys])):
+            assert modular(f, StepFunction(f.grid, tuple(u.tolist()))) <= 1.0
+            assert np.allclose(u, unit_sphere_point(f, y).values, rtol=1e-12, atol=0.0)
