@@ -19,7 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -112,6 +112,8 @@ def parse_curve(d: dict) -> OrliczCurve:
         if family == "piecewise":
             bp = tuple(num(t) for t in d["breakpoints"])
             sl = tuple(num(t) for t in d["slopes"])
+            if not bp:
+                raise ValueError("a piecewise curve needs breakpoints")
             if math.isinf(bp[-1]):
                 return PiecewiseLinear(bp, sl, None)
             ev = d.get("end_value")
@@ -153,17 +155,21 @@ def parse_grid(d: dict) -> MeasureGrid:
             weights = tuple(float(t) for t in rng.uniform(lo, hi, n))
         ids = tuple(d["ids"]) if "ids" in d else ()
         return MeasureGrid(weights, ids)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
+
+
+_WEIGHTED_SPECS = {"weighted_sum": SumSpaceSpec, "weighted_intersection": IntSpaceSpec}
 
 
 @dataclass
 class SpaceConfig:
+    """A parsed space: a gauge-norm ``field`` or a weighted interpolation ``spec``."""
+
     kind: str
     grid: MeasureGrid
     field: Optional[MusielakField] = None
-    sum_spec: Optional[SumSpaceSpec] = None
-    int_spec: Optional[IntSpaceSpec] = None
+    spec: Union[SumSpaceSpec, IntSpaceSpec, None] = None
 
 
 def parse_space(cfg: dict) -> SpaceConfig:
@@ -182,22 +188,14 @@ def parse_space(cfg: dict) -> SpaceConfig:
         if kind == "orlicz":
             curve = parse_curve(space["curve"])
             return SpaceConfig(kind, grid, field=MusielakField.constant(grid, curve))
-        if kind == "weighted_sum":
-            spec = SumSpaceSpec(
-                grid,
-                frozenset(space["gamma"]) if "gamma" in space else grid.cell_set(),
-                tuple(num(t) for t in space["v"]),
-                tuple(num(t) for t in space["w"]),
+        if kind in _WEIGHTED_SPECS:
+            spec = _WEIGHTED_SPECS[kind](
+                grid=grid,
+                gamma=frozenset(space["gamma"]) if "gamma" in space else grid.cell_set(),
+                v=tuple(num(t) for t in space["v"]),
+                w=tuple(num(t) for t in space["w"]),
             )
-            return SpaceConfig(kind, grid, sum_spec=spec)
-        if kind == "weighted_intersection":
-            spec = IntSpaceSpec(
-                grid,
-                frozenset(space["gamma"]) if "gamma" in space else grid.cell_set(),
-                tuple(num(t) for t in space["w"]),
-                tuple(num(t) for t in space["v"]),
-            )
-            return SpaceConfig(kind, grid, int_spec=spec)
+            return SpaceConfig(kind, grid, spec=spec)
     except (KeyError, TypeError, ValueError, GridMismatchError, UnknownCellError) as exc:
         raise ConfigError(f"bad space spec: {exc}") from exc
     raise ConfigError(f"unknown space kind {kind!r}")
@@ -208,21 +206,15 @@ def space_to_json(space: SpaceConfig) -> dict:
     grid = {"weights": list(space.grid.weights), "ids": list(space.grid.ids)}
     if space.field is not None:
         body = {"kind": "musielak", "curves": [curve_to_json(c) for c in space.field.curves]}
-    elif space.sum_spec is not None:
-        body = {
-            "kind": "weighted_sum",
-            "gamma": sorted(space.sum_spec.gamma),
-            "v": list(space.sum_spec.v),
-            "w": list(space.sum_spec.w),
-        }
     else:
-        body = {
-            "kind": "weighted_intersection",
-            "gamma": sorted(space.int_spec.gamma),
-            "w": list(space.int_spec.w),
-            "v": list(space.int_spec.v),
-        }
+        body = _spec_to_json(space.spec)
     return {"grid": grid, "space": body}
+
+
+def _spec_to_json(spec) -> dict:
+    """The ``space`` fragment of a weighted sum or intersection spec."""
+    kind = next(k for k, cls in _WEIGHTED_SPECS.items() if isinstance(spec, cls))
+    return {"kind": kind, "gamma": sorted(spec.gamma), "v": list(spec.v), "w": list(spec.w)}
 
 
 def parse_x(cfg: dict, grid: MeasureGrid) -> StepFunction:
@@ -262,11 +254,25 @@ def make_report(command: str, cfg: dict, results: dict, args, elapsed_ms: float)
 
 
 def _seed(cfg, args):
-    return args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    return _integer_setting(cfg, args, "seed", 0, least=0)
 
 
 def _samples(cfg, args):
-    return args.samples if args.samples is not None else int(cfg.get("samples", 10000))
+    return _integer_setting(cfg, args, "samples", 10000, least=0)
+
+
+def _integer_setting(cfg, args, key, default, least=None):
+    """The command-line override of ``key``, else its config value, as an int."""
+    value = getattr(args, key)
+    if value is None:
+        value = cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    bad = isinstance(value, bool) or not isinstance(value, int)
+    if bad or (least is not None and value < least):
+        what = "an integer" if least is None else f"an integer >= {least}"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def _tol(cfg, args):
@@ -329,12 +335,12 @@ def cmd_norm(cfg: dict, args) -> dict:
         results["modular"] = jsonify(modular(space.field, x))
         results["luxemburg"] = luxemburg_norm(space.field, x, tol=min(tol, 1e-10))
         results["amemiya"] = amemiya_norm(space.field, x, tol=min(tol, 1e-10))
-    elif space.sum_spec is not None:
-        results["sum_norm"] = wsum_norm(space.sum_spec, x)
-        results["dual_norm"] = sum_dual_norm(space.sum_spec, x)
+    elif isinstance(space.spec, SumSpaceSpec):
+        results["sum_norm"] = wsum_norm(space.spec, x)
+        results["dual_norm"] = sum_dual_norm(space.spec, x)
     else:
-        results["intersection_norm"] = wint_norm(space.int_spec, x)
-        results["dual_norm"] = int_dual_norm(space.int_spec, x)
+        results["intersection_norm"] = wint_norm(space.spec, x)
+        results["dual_norm"] = int_dual_norm(space.spec, x)
     return results
 
 
@@ -344,10 +350,10 @@ def cmd_classify(cfg: dict, args) -> dict:
     seed = _seed(cfg, args)
     if space.field is not None:
         report = classify(space.field, samples=samples, seed=seed)
-    elif space.sum_spec is not None:
-        report = classify_sum(space.sum_spec, samples=samples, seed=seed)
+    elif isinstance(space.spec, SumSpaceSpec):
+        report = classify_sum(space.spec, samples=samples, seed=seed)
     else:
-        report = classify_int(space.int_spec, samples=samples, seed=seed)
+        report = classify_int(space.spec, samples=samples, seed=seed)
     return {
         "verdict": report.verdict,
         "canonical_form": report.canonical_form,
@@ -412,9 +418,9 @@ def cmd_verify(cfg: dict, args) -> dict:
     if wtype == "nonsquare":
         record = verify_nonsquare(space.field, wit, samples, seed)
     elif wtype == "sum-case":
-        if space.sum_spec is None or space.sum_spec.grid != grid:
+        if not isinstance(space.spec, SumSpaceSpec) or space.spec.grid != grid:
             raise PreconditionError("certificate grid does not match the space")
-        record = verify_sum_certificate(space.sum_spec, cert, samples, seed)
+        record = verify_sum_certificate(space.spec, cert, samples, seed)
     else:
         record = verify_int_certificate(spec, cert, samples, seed)
     if record.violations:
@@ -426,8 +432,8 @@ def cmd_verify(cfg: dict, args) -> dict:
 
 
 def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> IntSpaceSpec:
-    if space.int_spec is not None and space.int_spec.grid == grid:
-        return space.int_spec
+    if isinstance(space.spec, IntSpaceSpec) and space.spec.grid == grid:
+        return space.spec
     gamma = consts.get("gamma")
     w = consts.get("w")
     v = consts.get("v")
@@ -447,12 +453,12 @@ def cmd_probe(cfg: dict, args) -> dict:
         primal = lambda y: luxemburg_norm(space.field, y, tol=min(tol, 1e-10))
         dual_field = conjugate_field(space.field)
         dual = lambda y: amemiya_norm(dual_field, y, tol=min(tol, 1e-10))
-    elif space.sum_spec is not None:
-        primal = lambda y: wsum_norm(space.sum_spec, y)
-        dual = lambda y: sum_dual_norm(space.sum_spec, y)
+    elif isinstance(space.spec, SumSpaceSpec):
+        primal = lambda y: wsum_norm(space.spec, y)
+        dual = lambda y: sum_dual_norm(space.spec, y)
     else:
-        primal = lambda y: wint_norm(space.int_spec, y)
-        dual = lambda y: int_dual_norm(space.int_spec, y)
+        primal = lambda y: wint_norm(space.spec, y)
+        dual = lambda y: int_dual_norm(space.spec, y)
     def unit_vector(values, oracle, what):
         y = StepFunction(space.grid, tuple(num(t) for t in values))
         scale = oracle(y)
@@ -506,21 +512,9 @@ def cmd_conjugate(cfg: dict, args) -> dict:
     if space.field is not None:
         dual = conjugate_field(space.field)
         return {"curves": [curve_to_json(c) for c in dual.curves]}
-    if space.sum_spec is not None:
-        spec = space.sum_spec.reciprocal_int()
-        return {
-            "kind": "weighted_intersection",
-            "gamma": sorted(spec.gamma),
-            "w": list(spec.w),
-            "v": list(spec.v),
-        }
-    spec = space.int_spec.reciprocal_sum()
-    return {
-        "kind": "weighted_sum",
-        "gamma": sorted(spec.gamma),
-        "v": list(spec.v),
-        "w": list(spec.w),
-    }
+    if isinstance(space.spec, SumSpaceSpec):
+        return _spec_to_json(space.spec.reciprocal_int())
+    return _spec_to_json(space.spec.reciprocal_sum())
 
 
 COMMANDS = {
@@ -577,6 +571,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         results = COMMANDS[args.command](cfg, args)
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        report = make_report(args.command, cfg, results, args, elapsed_ms)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -593,8 +589,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    report = make_report(args.command, cfg, results, args, elapsed_ms)
     text = json.dumps(jsonify(report), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

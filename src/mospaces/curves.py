@@ -325,7 +325,7 @@ class PiecewiseLinear(OrliczCurve):
         """Bounded-domain curve carrying its left limit at the end."""
         bp = tuple(float(u) for u in breakpoints)
         sl = tuple(float(s) for s in slopes)
-        end = math.fsum(s * (bp[j + 1] - bp[j]) for j, s in enumerate(sl))
+        end = math.fsum(s * (b - a) for s, a, b in zip(sl, bp, bp[1:]))  # post-init checks counts
         return PiecewiseLinear(bp, sl, end)
 
     def _left_limit(self) -> float:

@@ -18,7 +18,7 @@ sum) below 2 - epsilon; certificates are re-checked by seeded sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,15 +37,21 @@ from .reports import (
 _SLACK = 1e-12  # float allowance when comparing against certified bounds
 
 
-def _validate_weights(grid, gamma, values, where):
-    vals = tuple(float(t) for t in values)
-    if len(vals) != len(grid):
-        raise GridMismatchError("weight count must equal cell count")
-    for cid, t in zip(grid.ids, vals):
-        if where == "all" or cid in gamma:
-            if not (t > 0.0 and math.isfinite(t)):
+def _validate_spec(spec):
+    """Resolve gamma, then check the weights in field order: v > 0 on gamma, w > 0."""
+    grid = spec.grid
+    gamma = grid.cell_set(spec.gamma)
+    object.__setattr__(spec, "gamma", gamma)
+    if not gamma:
+        raise ValueError("gamma must have positive measure")
+    for f in fields(spec)[2:]:
+        vals = tuple(float(t) for t in getattr(spec, f.name))
+        if len(vals) != len(grid):
+            raise GridMismatchError("weight count must equal cell count")
+        for cid, t in zip(grid.ids, vals):
+            if (f.name == "w" or cid in gamma) and not (t > 0.0 and math.isfinite(t)):
                 raise ValueError(f"weight on {cid} must be positive finite, got {t}")
-    return vals
+        object.__setattr__(spec, f.name, vals)
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,7 @@ class SumSpaceSpec:
     w: tuple[float, ...]  # sup weight, positive everywhere
 
     def __post_init__(self):
-        gamma = self.grid.cell_set(self.gamma)
-        object.__setattr__(self, "gamma", gamma)
-        if not gamma:
-            raise ValueError("gamma must have positive measure")
-        object.__setattr__(self, "v", _validate_weights(self.grid, gamma, self.v, "gamma"))
-        object.__setattr__(self, "w", _validate_weights(self.grid, gamma, self.w, "all"))
+        _validate_spec(self)
 
     def reciprocal_int(self) -> "IntSpaceSpec":
         """The Koethe-dual intersection space (reciprocal weights)."""
@@ -85,12 +86,7 @@ class IntSpaceSpec:
     v: tuple[float, ...]  # sup weight, positive on gamma
 
     def __post_init__(self):
-        gamma = self.grid.cell_set(self.gamma)
-        object.__setattr__(self, "gamma", gamma)
-        if not gamma:
-            raise ValueError("gamma must have positive measure")
-        object.__setattr__(self, "w", _validate_weights(self.grid, gamma, self.w, "all"))
-        object.__setattr__(self, "v", _validate_weights(self.grid, gamma, self.v, "gamma"))
+        _validate_spec(self)
 
     def reciprocal_sum(self) -> SumSpaceSpec:
         """The Koethe-dual sum space (reciprocal weights)."""
@@ -170,13 +166,19 @@ def int_dual_norm(spec: IntSpaceSpec, f: StepFunction) -> float:
     return wsum_norm(spec.reciprocal_sum(), f)
 
 
-def _integral_ratio(grid, num, den, cells) -> float:
-    """Integral of num/den over the given cells."""
-    return math.fsum(
+def _collapse_evidence(spec, num, den) -> tuple[float, float]:
+    """Mass outside gamma and the integral of num/den over gamma.
+
+    The sum space passes (v, w), the intersection space (w, v).
+    """
+    grid = spec.grid
+    comp_mass = grid.measure(frozenset(grid.ids) - spec.gamma)
+    ratio = math.fsum(
         num[i] / den[i] * grid.weights[i]
         for i, cid in enumerate(grid.ids)
-        if cid in cells
+        if cid in spec.gamma
     )
+    return comp_mass, ratio
 
 
 def order_continuity_check(spec: SumSpaceSpec) -> tuple[bool, dict]:
@@ -186,13 +188,21 @@ def order_continuity_check(spec: SumSpaceSpec) -> tuple[bool, dict]:
     reduces to the complement of gamma having measure zero; both numbers are
     returned as evidence.
     """
-    complement = frozenset(spec.grid.ids) - spec.gamma
-    comp_mass = spec.grid.measure(complement)
-    ratio = _integral_ratio(spec.grid, spec.v, spec.w, spec.gamma)
-    return comp_mass == 0.0, {
-        "complement_mass": comp_mass,
-        "integral_v_over_w": ratio,
-    }
+    comp_mass, ratio = _collapse_evidence(spec, spec.v, spec.w)
+    return comp_mass == 0.0, {"complement_mass": comp_mass, "integral_v_over_w": ratio}
+
+
+def _classify_pair(spec, num, den, ratio_key, form, dual_form, witness, samples, seed):
+    """Collapse to ``form`` when the evidence allows, else try ``witness``."""
+    comp_mass, ratio = _collapse_evidence(spec, num, den)
+    evidence = {"complement_mass": comp_mass, ratio_key: ratio}
+    if comp_mass == 0.0 and ratio <= 1.0:
+        return ClassificationReport(DAUGAVET, form, dual_form, evidence)
+    try:
+        cert = witness(spec, samples=samples, seed=seed)
+    except (PreconditionError, WitnessConstructionError) as exc:
+        return ClassificationReport(NOT_DAUGAVET, None, None, evidence, explanation=str(exc))
+    return ClassificationReport(NOT_DAUGAVET, None, None, evidence, cert)
 
 
 def classify_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> ClassificationReport:
@@ -202,59 +212,17 @@ def classify_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> Classif
     the grid and the integral of v/w is at most one; otherwise a failure
     certificate is attached when constructible on this grid.
     """
-    complement = frozenset(spec.grid.ids) - spec.gamma
-    comp_mass = spec.grid.measure(complement)
-    ratio = _integral_ratio(spec.grid, spec.v, spec.w, spec.gamma)
-    evidence = {"complement_mass": comp_mass, "integral_v_over_w": ratio}
-    if comp_mass == 0.0 and ratio <= 1.0:
-        return ClassificationReport(
-            verdict=DAUGAVET,
-            canonical_form=FORM_L1,
-            dual_form="weighted-Linf(1/v) ∩ weighted-L1(1/w)",
-            evidence=evidence,
-        )
-    witness = None
-    explanation = None
-    try:
-        witness = witness_sum(spec, samples=samples, seed=seed)
-    except (PreconditionError, WitnessConstructionError) as exc:
-        explanation = str(exc)
-    return ClassificationReport(
-        verdict=NOT_DAUGAVET,
-        canonical_form=None,
-        dual_form=None,
-        evidence=evidence,
-        witness=witness,
-        explanation=explanation,
+    return _classify_pair(
+        spec, spec.v, spec.w, "integral_v_over_w", FORM_L1,
+        "weighted-Linf(1/v) ∩ weighted-L1(1/w)", witness_sum, samples, seed,
     )
 
 
 def classify_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> ClassificationReport:
     """Daugavet-style verdict for the intersection space (collapse to sup norm)."""
-    complement = frozenset(spec.grid.ids) - spec.gamma
-    comp_mass = spec.grid.measure(complement)
-    ratio = _integral_ratio(spec.grid, spec.w, spec.v, spec.gamma)
-    evidence = {"complement_mass": comp_mass, "integral_w_over_v": ratio}
-    if comp_mass == 0.0 and ratio <= 1.0:
-        return ClassificationReport(
-            verdict=DAUGAVET,
-            canonical_form=FORM_LINF,
-            dual_form="weighted-Linf(1/w) + weighted-L1(1/v)",
-            evidence=evidence,
-        )
-    witness = None
-    explanation = None
-    try:
-        witness = witness_int(spec, samples=samples, seed=seed)
-    except (PreconditionError, WitnessConstructionError) as exc:
-        explanation = str(exc)
-    return ClassificationReport(
-        verdict=NOT_DAUGAVET,
-        canonical_form=None,
-        dual_form=None,
-        evidence=evidence,
-        witness=witness,
-        explanation=explanation,
+    return _classify_pair(
+        spec, spec.w, spec.v, "integral_w_over_v", FORM_LINF,
+        "weighted-Linf(1/w) + weighted-L1(1/v)", witness_int, samples, seed,
     )
 
 
@@ -274,13 +242,12 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     of h + g at or below 2 - epsilon.
     """
     grid = spec.grid
-    complement = frozenset(grid.ids) - spec.gamma
-    if grid.measure(complement) > 0.0:
+    comp_mass, ratio = _collapse_evidence(spec, spec.v, spec.w)
+    if comp_mass > 0.0:
         raise PreconditionError(
             "failure witness needs a non-order-continuous space here, which "
             "requires singular functionals; not representable on a finite grid"
         )
-    ratio = _integral_ratio(grid, spec.v, spec.w, spec.gamma)
     if ratio <= 1.0:
         raise PreconditionError("space collapses to the weighted L1 space")
 
@@ -374,9 +341,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     admissible interval 2c(1-c*I1)/(1+c).
     """
     grid = spec.grid
-    complement = frozenset(grid.ids) - spec.gamma
-    comp_mass = grid.measure(complement)
-    ratio = _integral_ratio(grid, spec.w, spec.v, spec.gamma)
+    comp_mass, ratio = _collapse_evidence(spec, spec.w, spec.v)
     if comp_mass == 0.0 and ratio <= 1.0:
         raise PreconditionError("space collapses to the weighted sup norm")
     contrib = {
@@ -387,6 +352,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     idx = grid.index
 
     if comp_mass > 0.0:
+        complement = frozenset(grid.ids) - spec.gamma
         c = 0.5
         cell_a = min(contrib, key=contrib.get)
         if contrib[cell_a] >= 1.0:

@@ -315,10 +315,25 @@ def test_verify_rejects_tampered_delta():
     f = MusielakField.constant(g, Power(2.0))
     wit = build_nonsquare_witness(f)
     bad = NonsquareWitness(wit.x, 0.9, wit.construction)
+    record = verify_nonsquare(f, bad, samples=500, seed=21)
+    assert record.violations > 0 and not record.passed
+    assert record.max_observed > record.bound
+    assert record.samples_requested == 500
+
+
+def test_classify_raises_when_its_witness_fails_verification(monkeypatch):
+    import importlib
+
     from mospaces import VerificationError
 
-    with pytest.raises(VerificationError):
-        verify_nonsquare(f, bad, samples=500, seed=21)
+    # mospaces.classify is the function once the package is imported
+    classify_module = importlib.import_module("mospaces.classify")
+
+    build = classify_module.build_nonsquare_witness
+    tampered = lambda field: NonsquareWitness(build(field).x, 0.9)
+    monkeypatch.setattr(classify_module, "build_nonsquare_witness", tampered)
+    with pytest.raises(VerificationError, match="violations"):
+        classify(MusielakField.constant(unit_grid(), Power(2.0)), samples=200, seed=3)
 
 
 def _three_mode_fields():

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from mospaces.cli import (
     EXIT_CONFIG,
@@ -252,6 +258,31 @@ def test_conjugate_command_weighted_spaces(tmp_path, capsys):
     assert res["v"] == [0.5, 0.25]  # reciprocal of the L1 weights
 
 
+def test_conjugate_command_round_trips_through_the_sum_space(tmp_path, capsys):
+    grid = {"weights": [1.0, 2.0, 0.5]}
+    start = {
+        "kind": "weighted_intersection",
+        "gamma": ["c0", "c2"],
+        "w": [2.0, 4.0, 0.5],
+        "v": [0.25, 1.0, 8.0],
+    }
+    cfg = write(tmp_path / "c.json", {"grid": grid, "space": start})
+    assert main(["conjugate", "--config", cfg]) == EXIT_OK
+    dual = json.loads(capsys.readouterr().out)["results"]
+    assert dual["kind"] == "weighted_sum"
+    assert dual["gamma"] == ["c0", "c2"]
+    assert dual["w"] == [0.5, 0.25, 2.0]  # reciprocal of the L1 weights
+    assert dual["v"] == [4.0, 1.0, 0.125]  # reciprocal of the sup weights on gamma
+
+    cfg2 = write(tmp_path / "c2.json", {"grid": grid, "space": dual})
+    assert main(["conjugate", "--config", cfg2]) == EXIT_OK
+    back = json.loads(capsys.readouterr().out)["results"]
+    assert back["kind"] == "weighted_intersection"
+    assert back["gamma"] == start["gamma"]
+    assert back["w"] == start["w"]
+    assert back["v"] == start["v"]
+
+
 def test_probe_command_empty_list(tmp_path, capsys):
     cfg = write(
         tmp_path / "c.json",
@@ -294,7 +325,7 @@ def test_reports_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_round_trip_and_tamper(tmp_path):
+def test_verify_round_trip_and_tamper(tmp_path, capsys):
     cfg = write(tmp_path / "c.json", dict(BASE, x=[1.0, 0.5], samples=200))
     report_path = tmp_path / "report.json"
     assert main(["classify", "--config", cfg, "--out", str(report_path)]) == EXIT_OK
@@ -310,10 +341,13 @@ def test_verify_round_trip_and_tamper(tmp_path):
     tampered["results"]["witness"]["delta"] = 0.9
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(tampered))
+    capsys.readouterr()
     assert (
         main(["verify", "--config", cfg, "--certificate", str(bad_path), "--seed", "777"])
         == EXIT_VERIFICATION
     )
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "violations" in err and "found 0 " not in err
 
 
 def test_verification_records_carry_the_worst_point(tmp_path, capsys):
@@ -402,7 +436,16 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     array_cfg = write(tmp_path / "array.json", [BASE])
     assert one_line_config_error(["norm", "--config", array_cfg])
 
+    unbounded_range = {"cells": 2, "weight_seed": 1, "weight_range": ["inf", 1.0]}
+    range_cfg = write(tmp_path / "range.json", dict(BASE, grid=unbounded_range))
+    assert one_line_config_error(["norm", "--config", range_cfg])
+
+    for setting in ({"samples": None}, {"samples": -5}, {"seed": [1]}, {"seed": -1}):
+        bad_setting = write(tmp_path / "setting.json", dict(BASE, **setting))
+        assert one_line_config_error(["norm", "--config", bad_setting])
+
     cfg = write(tmp_path / "base.json", BASE)
+    assert one_line_config_error(["classify", "--config", cfg, "--samples", "-5"])
     assert one_line_config_error(
         ["verify", "--config", cfg, "--certificate", str(tmp_path / "no-cert.json")]
     )
@@ -423,3 +466,141 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
 def test_cli_entry_point_runs():
     proc = run_cli(["norm", "--config", "/does/not/exist.json"])
     assert proc.returncode == EXIT_CONFIG
+
+
+# -- config fuzzing -------------------------------------------------------------
+
+# values no config key expects; each example puts them into at most one slot
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "abc", "inf", "-inf"]),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "seed", "kind"]), st.integers(0, 3), max_size=2),
+)
+_POS = st.floats(0.25, 4.0)
+_SLOTS = ("grid", "space", "entries", "curve", "x", "seed", "samples", "tol", "probes")
+
+
+@st.composite
+def _curve(draw, broken):
+    a = draw(st.floats(0.2, 2.0))
+    s1 = draw(st.floats(0.0, 1.0))
+    s2 = s1 + draw(st.floats(0.1, 2.0))
+    valid = [
+        {"family": "power", "p": 1.0 + a},
+        {"family": "linear", "slope": a},
+        {"family": "indicator", "bound": a},
+        {"family": "piecewise", "breakpoints": [0.0, a, "inf"], "slopes": [s1, s2]},
+        {"family": "piecewise", "breakpoints": [0.0, a], "slopes": [s2]},
+        {"family": "piecewise", "breakpoints": [0.0, a], "slopes": [s2], "end_value": "inf"},
+    ]
+    malformed = [
+        {"family": "piecewise", "breakpoints": [], "slopes": []},
+        {"family": "piecewise", "breakpoints": [0.0, a], "slopes": [s2, s1]},
+        {"family": "piecewise", "breakpoints": [0.0, a, "inf"], "slopes": [s2, s1]},
+        {"family": "power"},
+    ]
+    return draw(st.sampled_from(malformed if broken else valid))
+
+
+def _vector(n):
+    return st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+
+
+def _probe(n):
+    eps = st.floats(0.01, 0.5)
+    return st.one_of(
+        st.builds(lambda x: {"type": "roughness", "x": x}, _vector(n)),
+        st.builds(
+            lambda f, e: {"type": "slice_diameter", "functional": f, "eps": e}, _vector(n), eps
+        ),
+        st.builds(
+            lambda x, f, e: {"type": "daugavet_condition", "x": x, "functional": f, "eps": e},
+            _vector(n),
+            _vector(n),
+            eps,
+        ),
+    )
+
+
+@st.composite
+def _config(draw):
+    """A config with valid values except, usually, in one slot."""
+    broken = draw(st.sampled_from((None,) + _SLOTS))
+    n = draw(st.integers(1, 4))
+    ids = [f"c{i}" for i in range(n)]
+    weights = st.lists(_POS, min_size=n, max_size=n)
+
+    def slot(name, valid):
+        return draw(_JUNK if broken == name else valid)
+
+    kinds = ["orlicz", "musielak"]
+    if broken != "curve":
+        kinds += ["nakano", "weighted_sum", "weighted_intersection"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "nakano":
+        exponents = st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n)
+        space = {"kind": kind, "exponents": slot("entries", exponents)}
+    elif kind == "orlicz":
+        space = {"kind": kind, "curve": slot("entries", _curve(broken == "curve"))}
+    elif kind == "musielak":
+        curves = [draw(_curve(broken == "curve" and i == 0)) for i in range(n)]
+        space = {"kind": kind, "curves": slot("entries", st.just(curves))}
+    else:
+        space = {"kind": kind, "v": slot("entries", weights), "w": draw(weights)}
+        if draw(st.booleans()):
+            space["gamma"] = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    cfg = {
+        "grid": slot(
+            "grid",
+            st.one_of(
+                st.builds(lambda w: {"weights": w}, weights),
+                st.builds(lambda s: {"cells": n, "weight_seed": s}, st.integers(0, 9)),
+            ),
+        ),
+        "space": slot("space", st.just(space)),
+        "x": slot(
+            "x",
+            st.one_of(
+                _vector(n),
+                st.builds(lambda s, c: {"seed": s, "scale": c}, st.integers(0, 9), _POS),
+            ),
+        ),
+        "samples": slot("samples", st.integers(0, 20)),
+        "probes": slot("probes", st.lists(_probe(n), max_size=2)),
+    }
+    for key, valid in (("seed", st.integers(0, 99)), ("tol", st.floats(1e-12, 1e-3))):
+        if broken == key or draw(st.booleans()):
+            cfg[key] = slot(key, valid)
+    return cfg
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_config(), st.sampled_from(["norm", "classify", "verify", "probe", "conjugate"]))
+def test_fuzzed_configs_keep_the_exit_code_contract(cfg, command):
+    """Any config exits 0, 2, 3 or 4 with at most one line on stderr.
+
+    ``verify`` is handed the report of ``classify`` on the same config.
+    """
+    contract = (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_VERIFICATION)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "c.json", cfg)
+        argv = [command, "--config", path]
+        if command == "verify":
+            cert = str(Path(tmp) / "cert.json")
+            code, err = _run_in_process(["classify", "--config", path, "--out", cert])
+            assert code in contract, err
+            argv += ["--certificate", cert]
+        code, err = _run_in_process(argv)
+    assert code in contract, err
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
