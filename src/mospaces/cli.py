@@ -39,6 +39,7 @@ from .grid import MeasureGrid, StepFunction
 from .interpolation import (
     IntSpaceSpec,
     SumSpaceSpec,
+    _int_slice_center,
     classify_int,
     classify_sum,
     int_dual_norm,
@@ -413,6 +414,7 @@ def cmd_verify(cfg: dict, args) -> dict:
                 raise TypeError("constants must be a JSON object")
             if wtype == "intersection-case":
                 spec = _embedded_int_spec(space, grid, cert.constants)
+                _int_slice_center(spec, cert)  # reads the cells the constants name
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad certificate witness: {exc!r}") from exc
     if wtype == "nonsquare":
@@ -482,6 +484,8 @@ def cmd_probe(cfg: dict, args) -> dict:
             elif kind == "roughness":
                 x = unit_vector(probe["x"], primal, "probe point")
                 scales = tuple(num(t) for t in probe.get("scales", [0.5, 0.1, 0.02, 0.004]))
+                if not scales:
+                    raise ConfigError(f"probe {i}: roughness scales must not be empty")
                 entry["roughness_lower_bound"] = roughness_probe(
                     primal, x, scales, samples=min(samples, 2000), seed=seed + i
                 )

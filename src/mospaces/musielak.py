@@ -9,12 +9,18 @@ t -> rho(t|x|); every level-set scaling in the package goes through it.
 all of them per step on a numpy form of the field compiled once per field;
 ``luxemburg_norms`` and ``unit_sphere_points`` are the row-batched
 ``luxemburg_norm`` and ``unit_sphere_point``.  The per-cell loop stays the
-reference: one-row solves use it, and a block falls back to it for a row
-whose comparison with the level stays uncertain under the kernel's error
-bound.
-The dual-flavoured Amemiya norm minimises k -> (1+rho(kx))/k, which is
-unimodal.  A supremum-form oracle over the modular unit ball
-cross-checks the Amemiya route through the Koethe duality.
+reference, and a block falls back to it for a row whose comparison with
+the level stays uncertain under the kernel's error bound.
+The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
+bracketed root of its optimality condition, split by tangent intersections
+with a bisection safeguard, and stops once h at an evaluated k is within
+the tolerance of a lower bound from the tangents at the bracket's ends.
+Its value is an upper bound of the infimum, so Luxemburg <= Amemiya holds
+by construction.  A one-row solve of either norm evaluates the per-cell
+loop below ``_KERNEL_CELLS`` cells and the compiled kernel from there on,
+where one kernel call costs less than a pass over the cells.
+A supremum-form oracle over the modular unit ball cross-checks the
+Amemiya route through the Koethe duality.
 
 The structural decomposition splits the grid into indicator-type cells
 (``omega_inf``), globally linear cells (``omega_1``), linear-up-to-a-bound
@@ -25,6 +31,7 @@ to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +46,11 @@ _MAX_DOUBLINGS = 4096
 _MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest gauge bracket asked for
 _BISECT_STEPS = 200
 _SPHERE_RTOL = 1e-13  # gauge bracket width of the unit-sphere scaling
+# from this row length on, one compiled-kernel call costs less than the
+# per-cell loop (one-row crossover measured on a 2-core Xeon VM: 96-128
+# cells for Amemiya, about 128 for Luxemburg)
+_KERNEL_CELLS = 128
+_DBL_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -207,25 +219,34 @@ def _check_start(hi: float):
         raise UnboundedNormError("the gauge scale underflows: the norm exceeds DBL_MAX")
 
 
-def _edge_bracket(t: float, feasible, rtol: float) -> tuple[float, float]:
-    """Bracket of T when the closure at the start bound t is at most the level.
+def _edge_brackets(rows: list, starts: list, feasible, rtol: float) -> list:
+    """Brackets of T for rows whose closure at their start bound is at most the level.
 
-    Then T is t up to rounding: the closure stays under the level up to the
-    edge (past it the modular is infinite), or a single cell's bound is met
-    exactly.  Steps of rtol (at least one ulp) away from t reach a feasible
-    ``lo`` and an infeasible ``hi`` by the scalar test ``feasible``.
+    Then T is the start t up to rounding: the closure stays under the level
+    up to the edge (past it the modular is infinite), or a single cell's
+    bound is met exactly.  Steps of rtol (at least one ulp) away from t
+    reach a feasible ``lo`` and an infeasible ``hi``; all rows step in
+    lockstep, and ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k])
+    <= level for each k.
     """
     up = lambda u: max(u * (1.0 + rtol / 2.0), math.nextafter(u, INF))
     down = lambda u: min(u * (1.0 - rtol / 4.0), math.nextafter(u, 0.0))
-    if feasible(t):
-        lo, hi = t, up(t)
-        while feasible(hi):
-            lo, hi = hi, up(hi)
-    else:
-        lo, hi = down(t), up(t)
-        while not feasible(lo):
-            lo, hi = down(lo), lo
-    return lo, hi
+    rising = feasible(rows, starts)  # a feasible start steps hi up, another steps lo down
+    lo = [t if ok else down(t) for t, ok in zip(starts, rising)]
+    hi = [up(t) for t in starts]
+    pending = list(range(len(rows)))
+    while pending:
+        probes = [hi[j] if rising[j] else lo[j] for j in pending]
+        stepping = []
+        for j, t, ok in zip(pending, probes, feasible([rows[j] for j in pending], probes)):
+            if rising[j] and ok:
+                lo[j], hi[j] = t, up(t)
+                stepping.append(j)
+            elif not rising[j] and not ok:
+                lo[j], hi[j] = down(t), t
+                stepping.append(j)
+        pending = stepping
+    return list(zip(lo, hi))
 
 
 def _newton(starts, settle, feasible, level: float, rtol: float) -> list:
@@ -235,8 +256,8 @@ def _newton(starts, settle, feasible, level: float, rtol: float) -> list:
     evaluates the closure r and t*r' at ts[k] for row rows[k] and returns
     points (k, t, r, s) whose side of ``level`` is certain: t itself, or
     t*(1 - rtol/4) below and t*(1 + rtol/4) above the level, which closes
-    the bracket.  ``feasible(i, t)`` is the scalar test
-    modular(t * row i) <= level.  Returns one bracket (lo, hi) per row.
+    the bracket.  ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k])
+    <= level for each k.  Returns one bracket (lo, hi) per row.
     """
     out = [None] * len(starts)
     # per row: lo, r(lo), hi, r(hi), hi*r'(hi), and the step back from hi
@@ -251,12 +272,12 @@ def _newton(starts, settle, feasible, level: float, rtol: float) -> list:
                     st[2], st[3], st[4] = t, r, s
             elif t > st[0]:
                 st[0], st[1] = t, r
-        stepping, ts = [], []
+        stepping, ts, edge = [], [], []
         for i in rows:
             st = states[i]
             lo, r_lo, hi, r_hi, s_hi, back = st
             if hi == INF:  # the closure at the start bound is at most the level
-                out[i] = _edge_bracket(starts[i], lambda u: feasible(i, u), rtol)
+                edge.append(i)
                 continue
             if hi - lo <= rtol * lo or math.nextafter(lo, INF) >= hi:
                 out[i] = (lo, hi)
@@ -271,6 +292,10 @@ def _newton(starts, settle, feasible, level: float, rtol: float) -> list:
                     t = 0.5 * (lo + hi)
             stepping.append(i)
             ts.append(t)
+        if edge:
+            brackets = _edge_brackets(edge, [starts[i] for i in edge], feasible, rtol)
+            for i, bracket in zip(edge, brackets):
+                out[i] = bracket
         if not stepping:
             return out
         rows = stepping
@@ -289,9 +314,13 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
     undershoot T and solve a piecewise-linear piece exactly, while the chord
     through the feasible end never overshoots it.  The start is the domain
     edge or the tightest single-cell bound, whichever is smaller (the caps
-    of ``_start_caps``).  ``gauge_block`` runs the same loop on many rows;
-    here the one row is evaluated by the per-cell closure.
+    of ``_start_caps``).  ``gauge_block`` runs the same loop on many rows.
+    A row of ``_KERNEL_CELLS`` cells or more is solved by ``gauge_block``;
+    a shorter one is evaluated by the per-cell closure.
     """
+    if len(ax) >= _KERNEL_CELLS:
+        lo, hi = gauge_block(field, [ax], level, rtol)
+        return float(lo[0]), float(hi[0])
     rtol = max(_MIN_RTOL, rtol)  # NaN compares false, so it is raised too
     hi = min((c / v for v, c in zip(ax, _start_caps(field, level)) if v > 0.0), default=None)
     if hi is None:
@@ -301,7 +330,7 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
     ((lo, hi),) = _newton(
         [hi],
         lambda rows, ts: [(0, ts[0], *closure(ts[0]))],
-        lambda i, t: _scaled_modular(field, ax, t) <= level,
+        lambda rows, ts: [_scaled_modular(field, ax, t) <= level for t in ts],
         level,
         rtol,
     )
@@ -329,7 +358,7 @@ class _FieldKernel:
     is piecewise linear.  On those cells ``closure`` reproduces the per-cell
     ``value_closed`` bit for bit; numpy's power may differ from Python's
     ``**`` by a few ulps, and its row sums are not fsum, which the error
-    bound of ``closure`` covers.
+    bound ``rel``/``abs`` of ``side`` covers.
     """
 
     def __init__(self, field: MusielakField):
@@ -338,7 +367,7 @@ class _FieldKernel:
         knotted = [i for i, c in enumerate(field.curves) if not isinstance(c, Power)]
         self.power, self.knotted = np.array(power, dtype=np.intp), np.array(knotted, dtype=np.intp)
         self.p = np.array([field.curves[i].p for i in power])
-        self.power_w, self.knot_w = weights[power], weights[knotted]
+        self.weights, self.power_w, self.knot_w = weights, weights[power], weights[knotted]
         tables = [_knot_table(field.curves[i]) for i in knotted]
         width = max((len(t[0]) for t in tables), default=1)
         table = np.full((3, len(tables), width), [[[INF]], [[0.0]], [[0.0]]])
@@ -348,21 +377,35 @@ class _FieldKernel:
         self.cols = np.arange(len(tables))
         self.b = np.array([t[3] for t in tables])
         self.vb = np.array([t[4] for t in tables])
+        # the modular is infinite at b itself on a blow-up end
+        self.blowup = np.isfinite(self.b) & np.array(
+            [math.isinf(field.cell_params[i].value_at_b) for i in knotted], dtype=bool
+        )
+        # per cell in grid order: the domain end, and for cells linear from
+        # some knot on (unbounded linear and piecewise-linear cells) that knot,
+        # the final slope and the cell's share w*(slope*knot - phi(knot)) of
+        # the limit of k*r'(k) - r(k)
         n = len(weights)
+        self.cell_b = np.full(n, INF)
+        self.cell_b[self.knotted] = self.b
+        tail = ~np.isfinite(self.b)
+        last = self.cols[tail], np.array([len(t[0]) - 1 for t in tables], dtype=np.intp)[tail]
+        knot, value, slope = self.knots[last], self.values[last], self.slopes[last]
+        cells = self.knotted[tail]
+        self.tail_from = np.full(n, INF)
+        self.tail_from[cells] = knot
+        self.tail_slope = np.zeros(n)
+        self.tail_slope[cells] = slope
+        self.tail_gap = np.zeros(n)
+        self.tail_gap[cells] = weights[cells] * (slope * knot - value)
         self.depth = (n - 1).bit_length()  # of the pairwise row sum
         # relative error of r against the per-cell fsum: the pairwise sum,
         # a few ulps of power per cell, and the rounding of the bound itself
         self.rel = (self.depth + 16) * 2.0**-52
         self.abs = (4.0 * float(weights.sum()) + n) * math.ulp(0.0)  # subnormal powers
 
-    def closure(self, rows: np.ndarray, t: np.ndarray, level: float):
-        """Closed modular r and t*r' at t[k] of rows[k], and the side of ``level``.
-
-        ``rows`` holds nonnegative cell values (rows x cells).  The side is
-        1 where the per-cell fsum ``_closure`` is certainly above ``level``,
-        -1 where it is certainly at most ``level``, and 0 where the error
-        bound leaves it open.
-        """
+    def closure(self, rows: np.ndarray, t: np.ndarray):
+        """Closed modular r and t*r' at t[k] of rows[k] (rows x cells, nonnegative)."""
         n_rows = len(t)
         terms = np.zeros((n_rows, 1 << self.depth))
         scale = t[:, None]
@@ -382,10 +425,46 @@ class _FieldKernel:
             for _ in range(self.depth):
                 half = terms.shape[1] // 2
                 terms = terms[:, :half] + terms[:, half:]
-            r = terms[:, 0]
+        return terms[:, 0], s
+
+    def side(self, r: np.ndarray, level: float) -> np.ndarray:
+        """Per kernel value r: 1 where the per-cell fsum ``_closure`` is
+        certainly above ``level``, -1 where it is certainly at most ``level``,
+        0 where the error bound leaves it open."""
+        with np.errstate(invalid="ignore"):
             above = r * (1.0 - self.rel) - self.abs > level
             below = r * (1.0 + self.rel) + self.abs <= level
-        return r, s, above.astype(np.int8) - below.astype(np.int8)
+        return above.astype(np.int8) - below.astype(np.int8)
+
+    def beyond(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Rows where some t*|x_i| leaves the domain or meets a blow-up end."""
+        u = t[:, None] * rows[:, self.knotted]
+        return ((u > self.b) | ((u == self.b) & self.blowup)).any(axis=1)
+
+    def edges(self, ax: np.ndarray):
+        """(k_sup, tail) of the row ``ax`` for the Amemiya search.
+
+        k_sup = min b_i/|x_i| over the support (inf when every supporting
+        cell has an unbounded domain).  ``tail`` is None unless every
+        supporting cell is linear from some knot on; then it is (k_lin,
+        limit, g_inf): past k_lin the modular is affine in k, h(k) tends to
+        limit = sum w_i |x_i| s_i (s_i the final slopes), and
+        k*r'(k) - r(k) equals g_inf.
+        """
+        live = ax > 0.0
+        v = ax[live]
+        with np.errstate(over="ignore"):
+            k_sup = float((self.cell_b[live] / v).min())
+            start = self.tail_from[live]
+            if not np.isfinite(start).all():
+                return k_sup, None
+            k_lin = float((start / v).max())
+            products = self.weights[live] * v * self.tail_slope[live]
+        try:
+            limit = math.fsum(products.tolist())
+        except OverflowError:  # the sum passes DBL_MAX
+            limit = INF
+        return k_sup, (k_lin, limit, math.fsum(self.tail_gap[live].tolist()))
 
 
 def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e-12):
@@ -399,7 +478,9 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
     makes it certain.  Where it does not, the kernel settles
     t*(1 - rtol/4) below and t*(1 + rtol/4) above the level instead, which
     closes the bracket; failing that, the row falls back to the per-cell
-    closure at t.
+    closure at t.  Rows whose T sits at a domain edge step out with kernel
+    feasibility tests, and with the scalar modular only where the error
+    bound leaves the test open.
     """
     rows = np.asarray(rows, dtype=float)
     if not rows.any(axis=1).all():
@@ -413,8 +494,8 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
 
     def settle(idx, ts):
         sub, t = rows[idx], np.array(ts)
-        r, s, side = kernel.closure(sub, t, level)
-        sure = side != 0
+        r, s = kernel.closure(sub, t)
+        sure = kernel.side(r, level) != 0
         points = list(
             zip(np.flatnonzero(sure).tolist(), t[sure].tolist(), r[sure].tolist(), s[sure].tolist())
         )
@@ -422,7 +503,8 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
         if unsure.size:
             m = unsure.size
             tn = np.concatenate((t[unsure] * (1.0 - rtol / 4.0), t[unsure] * (1.0 + rtol / 4.0)))
-            rn, sn, siden = kernel.closure(np.concatenate((sub[unsure], sub[unsure])), tn, level)
+            rn, sn = kernel.closure(np.concatenate((sub[unsure], sub[unsure])), tn)
+            siden = kernel.side(rn, level)
             closed = (siden[:m] < 0) & (siden[m:] > 0)
             both = np.concatenate((unsure[closed], unsure[closed]))
             pair = np.concatenate((closed, closed))
@@ -432,14 +514,16 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
             points.append((k, ts[k], *_closure(field, sub[k].tolist())(ts[k])))
         return points
 
-    brackets = _newton(
-        starts.tolist(),
-        settle,
-        lambda i, t: _scaled_modular(field, rows[i].tolist(), t) <= level,
-        level,
-        rtol,
-    )
-    lo, hi = np.array(brackets).T
+    def feasible(idx, ts):
+        # below the domain edge and off blow-up ends the closure is the modular
+        sub, t = rows[idx], np.array(ts)
+        side = np.where(kernel.beyond(sub, t), 1, kernel.side(kernel.closure(sub, t)[0], level))
+        ok = (side < 0).tolist()
+        for k in np.flatnonzero(side == 0).tolist():
+            ok[k] = _scaled_modular(field, sub[k].tolist(), ts[k]) <= level
+        return ok
+
+    lo, hi = np.array(_newton(starts.tolist(), settle, feasible, level, rtol)).T
     return lo, hi
 
 
@@ -499,78 +583,130 @@ def conjugate_field(field: MusielakField) -> MusielakField:
     return MusielakField(field.grid, tuple(conjugate(c) for c in field.curves))
 
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> float:
-    """inf over k > 0 of (1 + modular(k x)) / k.
+    """inf over k > 0 of h(k) = (1 + modular(k x)) / k, from above.
 
-    The objective is unimodal: it is the slope of the chord from the origin
-    to (k, 1 + modular(kx)) with a convex numerator.  Search runs on log k by
-    golden section.  When every supporting cell is asymptotically linear the
-    objective can decrease forever; the infimum is then approached with a
-    certified gap (the chord slope exceeds the limit by at most 1/k).  Where
-    the objective overflows at the first k tried, the search starts from the
-    gauge scale instead; a norm above DBL_MAX raises ``UnboundedNormError``.
+    With r(k) = modular(k|x|) and g(k) = k*r'(k) - r(k), which is
+    nondecreasing, h has slope (g(k) - 1)/k**2: a minimiser k* satisfies
+    g(k*-) <= 1 <= g(k*+), or sits at the domain edge k_sup.  The search
+    keeps a bracket with g <= 1 at its lower end and g > 1 at its upper end,
+    splits it where the tangents of 1 + r at the two ends meet (exact when
+    the bracket spans one kink of a piecewise-linear r), and bisects
+    (geometrically while the bracket is wide) when a step fails to halve the
+    bracket's log-width.  It stops once the best h evaluated is within
+    ``tol`` (relative) of the lower bound
+    max(r'(a) + (1 - g(a))/b, r'(b) + (1 - g(b))/a) that the tangents give
+    on [a, b]; a ``tol`` below four ulps, such as zero, a negative value or
+    NaN, is raised to four ulps.
+
+    The result is an upper bound of the infimum: h at an evaluated k (with
+    r rounded up by the compiled kernel's error bound where the kernel
+    computed it), the closed value at k_sup when the minimum sits on the
+    edge, or the limit sum w_i |x_i| s_i (s_i the final slopes, rounded up
+    by the kernel's bound) when every supporting cell is linear from some
+    knot on and g stays below 1.  A row of ``_KERNEL_CELLS`` cells or more
+    is evaluated by the compiled kernel, a shorter one cell by cell.  Where
+    the objective overflows before a bracket is found, the search restarts
+    from the gauge scale; a norm above DBL_MAX raises
+    ``UnboundedNormError``.
     """
     _check(field, x)
     if x.is_zero():
         return 0.0
     ax = [abs(v) for v in x.values]
+    evaluator = _kernel_evaluator if len(ax) >= _KERNEL_CELLS else _cell_evaluator
+    return _amemiya(field, ax, tol, evaluator(field, ax))[0]
 
-    def h(k: float) -> float:
-        m = _scaled_modular(field, ax, k)
-        return INF if math.isinf(m) else (1.0 + m) / k
 
-    k_sup = INF
-    for v, prm in zip(ax, field.cell_params):
-        if v > 0.0 and math.isfinite(prm.b):
-            k_sup = min(k_sup, prm.b / v)
+def _cell_evaluator(field: MusielakField, ax):
+    """k -> (r(k), k*r'(k), an upper bound of r(k)) by the per-cell closure."""
+    closure = _closure(field, ax)
 
-    edge = INF
-    k1 = k_sup / 2.0 if math.isfinite(k_sup) else 1.0
-    hk = h(k1)
-    if math.isinf(hk):
-        # the objective overflows at k1; at the gauge scale modular(kx) <= 1,
-        # so there it is at most 2/k unless the norm itself is out of range
-        lo_k, hi_k = gauge(field, ax, 1.0, tol)
-        _norm_of_scale(hi_k)
-        k1, hk = lo_k, h(lo_k)
-        if math.isinf(hk):
-            raise UnboundedNormError("the Amemiya objective overflows: the norm is near DBL_MAX")
-    if math.isfinite(k_sup):
-        hi = k_sup
-        edge = h(k_sup)
-        best = min(edge, hk)
-    else:
-        while True:
-            h2 = h(2.0 * k1)
-            if h2 >= hk:
-                break
-            k1, hk = 2.0 * k1, h2
-            if 1.0 / k1 <= tol * hk:
-                return hk  # still descending; gap to the infimum is <= 1/k
-        hi = 2.0 * k1
-        best = hk
-    lo = 0.5 / hk  # any evaluated k certifies k* >= 1/h(k)
+    def evaluate(k: float):
+        r, s = closure(k)
+        return r, s, r
 
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    t1 = t_hi - _GOLD * (t_hi - t_lo)
-    t2 = t_lo + _GOLD * (t_hi - t_lo)
-    f1, f2 = h(math.exp(t1)), h(math.exp(t2))
-    for _ in range(220):
-        if t_hi - t_lo <= 1e-12:
-            break
-        if f1 <= f2:
-            t_hi, t2, f2 = t2, t1, f1
-            t1 = t_hi - _GOLD * (t_hi - t_lo)
-            f1 = h(math.exp(t1))
+    return evaluate
+
+
+def _kernel_evaluator(field: MusielakField, ax):
+    """The same on the compiled kernel, r rounded up by its error bound."""
+    kernel, row = field._kernel, np.array([ax], dtype=float)
+
+    def evaluate(k: float):
+        r, s = kernel.closure(row, np.array([k]))
+        r, s = float(r[0]), float(s[0])
+        return r, s, r * (1.0 + kernel.rel) + kernel.abs
+
+    return evaluate
+
+
+def _amemiya(field: MusielakField, ax, tol: float, evaluate) -> tuple[float, float, int]:
+    """The search of ``amemiya_norm`` on |x| = ``ax`` with the one-row ``evaluate``.
+
+    Returns (value, lower bound of the infimum, evaluations).
+    """
+    tol = max(_MIN_RTOL, tol)  # NaN compares false, so it is raised too
+    kernel = field._kernel
+    row = np.array(ax, dtype=float)
+    edge, tail = kernel.edges(row)  # k_sup: a minimiser lies at or below it
+    if tail is not None:
+        k_lin, limit, g_inf = tail
+        if g_inf <= 1.0:  # g stays below 1, so h falls to its limit
+            if math.isinf(limit):
+                raise UnboundedNormError("the Amemiya limit overflows: the norm exceeds DBL_MAX")
+            return limit * (1.0 + kernel.rel), limit, 0
+        edge = k_lin  # past k_lin g is g_inf > 1, so a minimiser lies at or below it
+    top = min(edge, _DBL_MAX)
+    lo = hi = None  # (k, r, k*r'): g(lo) <= 1 < g(hi), or r overflows at hi
+    k = top if math.isfinite(edge) else min(1.0 / float(row.max()), top)
+    best, evals, grow, width, restarted = INF, 0, 2.0, INF, False
+    for _ in range(_MAX_DOUBLINGS):
+        r, s, r_up = evaluate(k)
+        evals += 1
+        best = min(best, (1.0 + r_up) / k)
+        if math.isfinite(r) and s - r <= 1.0:
+            lo = (k, r, s)
         else:
-            t_lo, t1, f1 = t1, t2, f2
-            t2 = t_lo + _GOLD * (t_hi - t_lo)
-            f2 = h(math.exp(t2))
-        best = min(best, f1, f2)
-    return min(best, edge)
+            hi = (k, r, s)
+        if hi is None:  # h falls up to k
+            if k >= top:  # the minimum sits at the edge
+                return best, (1.0 + r) / k, evals
+            k, grow = min(k * grow, top), grow * grow
+            continue
+        if lo is None:
+            h_hi = (1.0 + hi[1]) / hi[0]
+            if math.isfinite(h_hi):
+                k = min(1.0 / h_hi, 0.5 * hi[0])  # every minimiser lies above 1/h(k)
+            elif not restarted:
+                # h overflows at k; at the gauge scale modular(kx) <= 1, so
+                # there h is at most 2/k unless the norm itself is out of range
+                restarted = True
+                k, hi_k = gauge(field, ax, 1.0, tol)
+                _norm_of_scale(hi_k)
+            else:
+                raise UnboundedNormError(
+                    "the Amemiya objective overflows: the norm is near DBL_MAX"
+                )
+            continue
+        (ka, ra, sa), (kb, rb, sb) = lo, hi
+        ga, da = sa - ra, sa / ka
+        bound = da + (1.0 - ga) / kb  # tangent of 1 + r at ka, over [ka, kb]
+        tangent = math.isfinite(rb)
+        if tangent:
+            gb, db = sb - rb, sb / kb
+            bound = max(bound, db + (1.0 - gb) / ka)
+        if best - bound <= tol * best or math.nextafter(ka, INF) >= kb:
+            return best, bound, evals
+        k = INF
+        if tangent and math.log(kb) - math.log(ka) <= 0.5 * width and db > da:
+            k = (gb - ga) / (db - da)  # where the tangents at ka and kb meet
+        width = math.log(kb) - math.log(ka)
+        if not ka < k < kb:  # bisection, geometric while the bracket is wide
+            k = math.sqrt(ka) * math.sqrt(kb)
+            if not ka < k < kb:
+                k = 0.5 * (ka + kb)
+    raise MospacesError("Amemiya search did not converge")  # pragma: no cover
 
 
 def _rightmost_maximizer(curve: OrliczCurve, v: float) -> float:

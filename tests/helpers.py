@@ -153,6 +153,65 @@ def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):
     return lo, hi
 
 
+def amemiya_golden(field, x: StepFunction, tol=1e-10):
+    """inf over k > 0 of (1 + modular(k x))/k by a 220-step golden section on log k.
+
+    The unimodal search the package used before its bracketed root; every
+    value it returns is h at an evaluated k, the closed value at the domain
+    edge, or (when h still falls after doubling) h at a k with 1/k <= tol*h.
+    """
+    if x.is_zero():
+        return 0.0
+
+    def h(k):
+        m = modular(field, k * x)
+        return INF if math.isinf(m) else (1.0 + m) / k
+
+    k_sup = INF
+    for v, prm in zip(x.values, field.cell_params):
+        if v != 0.0 and math.isfinite(prm.b):
+            k_sup = min(k_sup, prm.b / abs(v))
+    edge = INF
+    k1 = k_sup / 2.0 if math.isfinite(k_sup) else 1.0
+    hk = h(k1)
+    if math.isinf(hk):  # restart where modular(kx) <= 1
+        k1 = gauge_bisect(field, x)[0]
+        hk = h(k1)
+    if math.isfinite(k_sup):
+        hi = k_sup
+        edge = h(k_sup)
+        best = min(edge, hk)
+    else:
+        while True:
+            h2 = h(2.0 * k1)
+            if h2 >= hk:
+                break
+            k1, hk = 2.0 * k1, h2
+            if 1.0 / k1 <= tol * hk:
+                return hk
+        hi = 2.0 * k1
+        best = hk
+    lo = 0.5 / hk
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    t_lo, t_hi = math.log(lo), math.log(hi)
+    t1 = t_hi - gold * (t_hi - t_lo)
+    t2 = t_lo + gold * (t_hi - t_lo)
+    f1, f2 = h(math.exp(t1)), h(math.exp(t2))
+    for _ in range(220):
+        if t_hi - t_lo <= 1e-12:
+            break
+        if f1 <= f2:
+            t_hi, t2, f2 = t2, t1, f1
+            t1 = t_hi - gold * (t_hi - t_lo)
+            f1 = h(math.exp(t1))
+        else:
+            t_lo, t1, f1 = t1, t2, f2
+            t2 = t_lo + gold * (t_hi - t_lo)
+            f2 = h(math.exp(t2))
+        best = min(best, f1, f2)
+    return min(best, edge)
+
+
 def nonsquare_reference(field, witness, samples, seed):
     """verify_nonsquare one direction at a time through the scalar solvers.
 

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mospaces.cli import (
@@ -152,6 +153,36 @@ def test_norm_command_tolerance_zero(tmp_path, capsys):
     tight = json.loads(capsys.readouterr().out)["results"]
     assert math.isclose(tight["luxemburg"], res["luxemburg"], rel_tol=1e-10)
     assert tight["luxemburg"] <= res["luxemburg"] * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        {"kind": "nakano", "exponents": [2, 3]},
+        {"kind": "orlicz", "curve": {"family": "linear", "slope": 1.5}},
+        {
+            "kind": "musielak",
+            "curves": [
+                {
+                    "family": "piecewise",
+                    "breakpoints": [0.0, 0.5, 2.0],
+                    "slopes": [0.5, 2.0],
+                    "end_value": "inf",
+                },
+                {"family": "indicator", "bound": 1.5},
+            ],
+        },
+    ],
+)
+def test_norm_command_raises_degenerate_tolerances_to_a_floor(tmp_path, capsys, space):
+    # a NaN, zero or negative tol reaches both solvers; each raises it to four ulps
+    cfg = dict(BASE, grid={"weights": [1.0, 2.0]}, x=[1.0, -0.5], space=space)
+    runs = [(dict(cfg, tol=math.nan), []), (cfg, ["--tol", "0"]), (cfg, ["--tol", "-1"])]
+    for body, extra in runs:
+        path = write(tmp_path / "c.json", body)
+        assert main(["norm", "--config", path, *extra]) == EXIT_OK
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["luxemburg"] <= res["amemiya"] <= 2.0 * res["luxemburg"]
 
 
 def test_norm_command_zero(tmp_path, capsys):
@@ -452,7 +483,8 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     array_cert = write(tmp_path / "array-cert.json", [])
     assert one_line_config_error(["verify", "--config", cfg, "--certificate", array_cert])
 
-    for probes in ([{"type": "roughness"}], [["roughness", [1.0, 0.0]]], 5):
+    empty_scales = {"type": "roughness", "x": [1.0, 0.0], "scales": []}
+    for probes in ([{"type": "roughness"}], [["roughness", [1.0, 0.0]]], 5, [empty_scales]):
         probe_cfg = write(tmp_path / "probe.json", dict(BASE, probes=probes))
         assert one_line_config_error(["probe", "--config", probe_cfg])
 
@@ -461,6 +493,25 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         body = {"config_hash": config_hash(BASE), "results": results}
         cert = write(tmp_path / "hostile.json", body)
         assert one_line_config_error(["verify", "--config", cfg, "--certificate", cert])
+
+
+def test_verify_rejects_intersection_constants_naming_no_cells(tmp_path, capsys):
+    cfg = {
+        "grid": {"cells": 2, "weight_seed": 0},
+        "space": {"kind": "weighted_intersection", "v": [1.0, 1.0], "w": [1.0, 1.0]},
+    }
+    path = write(tmp_path / "c.json", cfg)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    report = json.loads(cert.read_text())
+    assert report["results"]["witness"]["type"] == "intersection-case"
+    for constants in ({}, {"set_a1": 5}, {"set_a1": ["nope"]}, {"case": "gamma-proper"}):
+        report["results"]["witness"]["constants"] = constants
+        hostile = write(tmp_path / "hostile.json", report)
+        capsys.readouterr()
+        assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_entry_point_runs():
@@ -481,7 +532,21 @@ _JUNK = st.one_of(
     st.dictionaries(st.sampled_from(["a", "seed", "kind"]), st.integers(0, 3), max_size=2),
 )
 _POS = st.floats(0.25, 4.0)
-_SLOTS = ("grid", "space", "entries", "curve", "x", "seed", "samples", "tol", "probes")
+_SLOTS = (
+    "grid",
+    "ids",
+    "weight_range",
+    "space",
+    "entries",
+    "curve",
+    "x",
+    "seed",
+    "samples",
+    "tol",
+    "probes",
+    "scales",
+    "certificate",
+)
 
 
 @st.composite
@@ -510,10 +575,10 @@ def _vector(n):
     return st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
 
 
-def _probe(n):
+def _probe(n, scales):
     eps = st.floats(0.01, 0.5)
     return st.one_of(
-        st.builds(lambda x: {"type": "roughness", "x": x}, _vector(n)),
+        st.builds(lambda x, t: {"type": "roughness", "x": x, **t}, _vector(n), scales),
         st.builds(
             lambda f, e: {"type": "slice_diameter", "functional": f, "eps": e}, _vector(n), eps
         ),
@@ -526,9 +591,17 @@ def _probe(n):
     )
 
 
+_BAD_SCALES = st.one_of(_JUNK, st.just([]), st.lists(st.floats(-1.0, 0.0), min_size=1, max_size=2))
+
+
 @st.composite
 def _config(draw):
-    """A config with valid values except, usually, in one slot."""
+    """A config with valid values except, usually, in one slot.
+
+    Returns the config and, when the certificate slot is broken, how to
+    corrupt the certificate that ``classify`` writes for it: (target, key
+    index, delete, junk).
+    """
     broken = draw(st.sampled_from((None,) + _SLOTS))
     n = draw(st.integers(1, 4))
     ids = [f"c{i}" for i in range(n)]
@@ -553,14 +626,25 @@ def _config(draw):
         space = {"kind": kind, "v": slot("entries", weights), "w": draw(weights)}
         if draw(st.booleans()):
             space["gamma"] = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    if broken == "grid":
+        grid = draw(_JUNK)
+    elif broken != "weight_range" and draw(st.booleans()):
+        grid = {"weights": draw(weights)}
+    else:
+        grid = {"cells": n, "weight_seed": draw(st.integers(0, 9))}
+        if broken == "weight_range" or draw(st.booleans()):
+            pair = st.lists(_POS, min_size=2, max_size=2).map(sorted)
+            grid["weight_range"] = slot("weight_range", pair)
+    if broken != "grid" and (broken == "ids" or draw(st.booleans())):
+        grid["ids"] = slot("ids", st.permutations(ids))
+    scales = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3).map(lambda t: {"scales": t})
+    if broken == "scales":
+        bad = _probe(n, _BAD_SCALES.map(lambda t: {"scales": t}))
+        probes = [draw(bad.filter(lambda p: "scales" in p))]
+    else:
+        probes = slot("probes", st.lists(_probe(n, st.one_of(st.just({}), scales)), max_size=2))
     cfg = {
-        "grid": slot(
-            "grid",
-            st.one_of(
-                st.builds(lambda w: {"weights": w}, weights),
-                st.builds(lambda s: {"cells": n, "weight_seed": s}, st.integers(0, 9)),
-            ),
-        ),
+        "grid": grid,
         "space": slot("space", st.just(space)),
         "x": slot(
             "x",
@@ -570,12 +654,34 @@ def _config(draw):
             ),
         ),
         "samples": slot("samples", st.integers(0, 20)),
-        "probes": slot("probes", st.lists(_probe(n), max_size=2)),
+        "probes": probes,
     }
     for key, valid in (("seed", st.integers(0, 99)), ("tol", st.floats(1e-12, 1e-3))):
         if broken == key or draw(st.booleans()):
             cfg[key] = slot(key, valid)
-    return cfg
+    hostile = None
+    if broken == "certificate":
+        target = draw(st.sampled_from(["config_hash", "results", "witness", "witness key"]))
+        hostile = (target, draw(st.integers(0, 9)), draw(st.booleans()), draw(_JUNK))
+    return cfg, hostile
+
+
+def _corrupt(cert: dict, hostile):
+    """Put junk into, or delete, the part of a certificate ``hostile`` names."""
+    target, index, delete, junk = hostile
+    results = cert.get("results")
+    witness = results.get("witness") if isinstance(results, dict) else None
+    owner, key = {
+        "config_hash": (cert, "config_hash"),
+        "results": (cert, "results"),
+        "witness": (results, "witness"),
+        "witness key": (witness, sorted(witness)[index % len(witness)] if witness else None),
+    }[target]
+    if isinstance(owner, dict) and key is not None:
+        if delete:
+            owner.pop(key, None)
+        else:
+            owner[key] = junk
 
 
 def _run_in_process(argv):
@@ -585,13 +691,15 @@ def _run_in_process(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
 @given(_config(), st.sampled_from(["norm", "classify", "verify", "probe", "conjugate"]))
-def test_fuzzed_configs_keep_the_exit_code_contract(cfg, command):
+def test_fuzzed_configs_keep_the_exit_code_contract(case, command):
     """Any config exits 0, 2, 3 or 4 with at most one line on stderr.
 
-    ``verify`` is handed the report of ``classify`` on the same config.
+    ``verify`` is handed the report of ``classify`` on the same config,
+    corrupted where the example breaks the certificate.
     """
+    cfg, hostile = case
     contract = (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_VERIFICATION)
     with tempfile.TemporaryDirectory() as tmp:
         path = write(Path(tmp) / "c.json", cfg)
@@ -600,6 +708,11 @@ def test_fuzzed_configs_keep_the_exit_code_contract(cfg, command):
             cert = str(Path(tmp) / "cert.json")
             code, err = _run_in_process(["classify", "--config", path, "--out", cert])
             assert code in contract, err
+            if hostile is not None and code == EXIT_OK:
+                with open(cert) as fh:
+                    report = json.load(fh)
+                _corrupt(report, hostile)
+                write(Path(cert), report)
             argv += ["--certificate", cert]
         code, err = _run_in_process(argv)
     assert code in contract, err

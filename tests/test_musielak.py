@@ -28,8 +28,17 @@ from mospaces import (
     unit_sphere_point,
     weights,
 )
-from mospaces.musielak import gauge, gauge_block, luxemburg_norms, unit_sphere_points
-from helpers import gauge_bisect, random_field, random_x
+from mospaces import musielak
+from mospaces.musielak import (
+    _amemiya,
+    _cell_evaluator,
+    _kernel_evaluator,
+    gauge,
+    gauge_block,
+    luxemburg_norms,
+    unit_sphere_points,
+)
+from helpers import amemiya_golden, gauge_bisect, random_field, random_x
 
 INF = math.inf
 
@@ -149,6 +158,138 @@ def test_amemiya_linear_field_reaches_weighted_l1():
     x = StepFunction(g, (1.0, -2.0))
     expect = 1.0 * 1.0 * 1.0 + 2.0 * 0.5 * 2.0
     assert math.isclose(amemiya_norm(f, x), expect, rel_tol=1e-8)
+
+
+def assert_amemiya(f, x, tol=1e-10, reference=None):
+    """Both one-row evaluators give a value at or above the search's certified
+    lower bound, within ``tol`` of it and of ``reference``; returns the value."""
+    ax = [abs(v) for v in x.values]
+    values = []
+    for evaluator in (_cell_evaluator, _kernel_evaluator):
+        value, bound, _ = _amemiya(f, ax, tol, evaluator(f, ax))
+        assert value >= bound * (1.0 - 1e-15)  # the bound itself is rounded
+        assert value - bound <= max(tol, 1e-14) * value
+        if reference is not None:
+            # the reference is at or above the infimum, so at or above the bound
+            assert bound <= reference * (1.0 + 1e-15)
+            assert abs(value - reference) <= tol * max(value, reference) + 1e-12 * reference
+        values.append(value)
+    assert math.isclose(values[0], values[1], rel_tol=2.0 * tol)
+    assert amemiya_norm(f, x, tol) == values[len(ax) >= musielak._KERNEL_CELLS]
+    return values[0]
+
+
+def test_amemiya_matches_golden_section_and_sup_oracle():
+    # jump and blow-up PWL ends, bounded edges, zero cells, single-cell grids
+    rng = np.random.default_rng(71)
+    for k in range(150):
+        f = random_field(rng, n=1 if k % 5 == 0 else int(rng.integers(2, 9)), allow_jump=True)
+        x = random_x(rng, f.grid)
+        if rng.uniform() < 0.3:
+            x = StepFunction(f.grid, tuple(v if rng.uniform() < 0.6 else 0.0 for v in x.values))
+        if x.is_zero():
+            continue
+        value = assert_amemiya(f, x, reference=amemiya_golden(f, x))
+        if k % 3 == 0:
+            oracle = orlicz_norm_sup_oracle(f, x).value  # a lower bound of the norm
+            assert value * (1.0 - 1e-8) <= oracle <= value * (1.0 + 1e-12)
+
+
+def test_amemiya_minimum_at_the_domain_edge():
+    # h(k) = (1 + k/2)/k falls up to k_sup = 1, closed or blowing up there
+    g = MeasureGrid((1.0,))
+    x = StepFunction(g, (1.0,))
+    for end in (0.5, INF):
+        f = MusielakField.constant(g, PiecewiseLinear((0.0, 1.0), (0.5,), end))
+        assert assert_amemiya(f, x) == 1.5
+        assert amemiya_golden(f, x) >= 1.5
+    # indicator cells put the minimum at k_sup: the weighted sup max |x_i|/bound_i
+    g2 = MeasureGrid((0.5, 2.0, 1.0))
+    f2 = MusielakField(g2, (Indicator(2.0), Indicator(0.5), Linear(0.1)))
+    x2 = StepFunction(g2, (3.0, -1.0, 0.5))
+    # h(k) = (1 + 0.05*k)/k at k <= k_sup = 0.5
+    assert math.isclose(assert_amemiya(f2, x2), 2.05, rel_tol=1e-15)
+
+
+def test_amemiya_linear_tails():
+    # only linear supports: r(k) is affine past the last knot, where
+    # g(k) = k r'(k) - r(k) = w * (slope*knot - phi(knot)) is constant
+    g = MeasureGrid((1.0, 2.0))
+    flat = PiecewiseLinear((0.0, 1.0, INF), (0.0, 1.0))  # adds w * (1*1 - 0) to g
+    f = MusielakField(g, (Linear(2.0), flat))
+    x = StepFunction(g, (1.0, 0.0))
+    assert math.isclose(assert_amemiya(f, x), 2.0, rel_tol=1e-14)
+    # g stays at 0.5 <= 1: h falls to the limit 1*1*2 + 0.5*3*1
+    half = MusielakField(MeasureGrid((1.0, 0.5)), (Linear(2.0), flat))
+    xh = StepFunction(half.grid, (1.0, 3.0))
+    assert math.isclose(assert_amemiya(half, xh), 3.5, rel_tol=1e-14)
+    assert amemiya_golden(half, xh) >= 3.5
+    # g jumps to 2 > 1 at k = 1/3, the last knot: the minimum sits there,
+    # h(1/3) = 3 * (1 + 2/3 + 0) = 5
+    x2 = StepFunction(g, (1.0, 3.0))
+    assert math.isclose(assert_amemiya(f, x2, reference=amemiya_golden(f, x2)), 5.0, rel_tol=1e-14)
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        f = random_field(rng, families=("linear", "pwl"), allow_jump=False)
+        if any(math.isfinite(c.params().b) for c in f.curves):
+            continue
+        x = random_x(rng, f.grid)
+        if not x.is_zero():
+            assert_amemiya(f, x, reference=amemiya_golden(f, x))
+
+
+@pytest.mark.parametrize("p", [1.0000001, 1.0004, 1.001])
+def test_amemiya_power_near_one(p):
+    # constant power field: h(k) = 1/k + k**(p-1) S/p with S = sum w|x|^p, so
+    # the norm is (p/(p-1))**(1-1/p) * S**(1/p)
+    rng = np.random.default_rng(79)
+    for n in (1, 3, 6):
+        g = MeasureGrid(tuple(float(w) for w in rng.uniform(0.1, 3.0, n)))
+        f = MusielakField.constant(g, Power(p))
+        x = random_x(rng, g)
+        s = math.fsum(w * abs(v) ** p for w, v in zip(g.weights, x.values))
+        expect = (p / (p - 1.0)) ** (1.0 - 1.0 / p) * s ** (1.0 / p)
+        assert math.isclose(assert_amemiya(f, x), expect, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_amemiya_extreme_magnitudes(scale):
+    # the norm is homogeneous; the golden section is not used as the reference
+    # here, since its doubling leaves the float range at these magnitudes
+    rng = np.random.default_rng(83)
+    for k in range(40):
+        f = random_field(rng, n=1 if k % 4 == 0 else None, allow_jump=True)
+        x = random_x(rng, f.grid)
+        if x.is_zero():
+            continue
+        base = assert_amemiya(f, x)
+        assert math.isclose(assert_amemiya(f, scale * x), scale * base, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_large_rows_kernel_path_against_per_cell_path(n, monkeypatch):
+    rng = np.random.default_rng(89 + n)
+    for _ in range(2):
+        f = random_field(rng, n=n)
+        x = random_x(rng, f.grid, scale=0.5)
+        # Amemiya: both evaluators, and the references where they are cheap
+        reference = amemiya_golden(f, x) if n == 512 else None
+        value = assert_amemiya(f, x, reference=reference)
+        if n == 512:
+            oracle = orlicz_norm_sup_oracle(f, x).value
+            assert value * (1.0 - 1e-8) <= oracle <= value * (1.0 + 1e-12)
+        # Luxemburg: the one-row kernel solve is below the true norm, so below
+        # the per-cell bracket's upper norm 1/lo
+        lux = luxemburg_norm(f, x, 1e-10)
+        _, hi = gauge(f, [abs(v) for v in x.values], 1.0, 1e-10)
+        assert lux == 1.0 / hi and modular(f, hi * x) > 1.0
+        with monkeypatch.context() as m:
+            m.setattr(musielak, "_KERNEL_CELLS", n + 1)
+            lo_cell, hi_cell = gauge(f, [abs(v) for v in x.values], 1.0, 1e-10)
+            lux_cell = luxemburg_norm(f, x, 1e-10)
+        assert lux <= 1.0 / lo_cell
+        assert math.isclose(lux, lux_cell, rel_tol=2e-10)
+        assert lux <= value
 
 
 @settings(max_examples=120, deadline=None)
@@ -518,6 +659,18 @@ def test_gauge_block_matches_one_row_solves(level):
         if xs:
             for rtol in (0.0, 1e-13, 1e-11):
                 assert_block_matches_rows(f, xs, level, rtol)
+
+
+def test_gauge_block_steps_off_blow_up_ends():
+    # T = b/|x| exactly, where the closure is 0.5 but the modular is infinite;
+    # a bounded closed end (finite there) and an indicator end stay feasible
+    g = MeasureGrid((1.0, 1.0))
+    blow = PiecewiseLinear((0.0, 1.0), (0.5,), INF)
+    for other in (blow, PiecewiseLinear.closed((0.0, 1.0), (0.5,)), Indicator(1.0)):
+        f = MusielakField(g, (blow, other))
+        xs = [StepFunction(g, (v, w)) for v, w in ((1.0, 0.0), (0.5, 0.25), (4.0, 4.0), (0.0, 2.0))]
+        assert_block_matches_rows(f, xs, 1.0, 0.0)
+        assert_block_matches_rows(f, xs, 1.0, 1e-11)
 
 
 def test_gauge_block_rejects_zero_rows():
