@@ -58,6 +58,11 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
+# Largest accepted sample budget.  The verifiers may draw 50 points per
+# requested sample, so an unchecked count such as 3.4e38 never finishes;
+# a count above this is a config error.
+MAX_SAMPLES = 10**6
+
 
 # --------------------------------------------------------------------------
 # JSON with explicit infinity tokens
@@ -259,7 +264,10 @@ def _seed(cfg, args):
 
 
 def _samples(cfg, args):
-    return _integer_setting(cfg, args, "samples", 10000, least=0)
+    value = _integer_setting(cfg, args, "samples", 10000, least=0)
+    if value > MAX_SAMPLES:
+        raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {value!r}")
+    return value
 
 
 def _integer_setting(cfg, args, key, default, least=None):

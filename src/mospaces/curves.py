@@ -73,10 +73,6 @@ class OrliczCurve:
         """Lower-semicontinuous closure: left limit at a finite domain end."""
         return self.value(u)
 
-    def asymptotic_slope(self) -> float:
-        """lim phi(u)/u as u -> inf (inf when the domain is bounded)."""
-        raise NotImplementedError
-
     def _half_ratio_sup(self, lo: float, hi: float) -> float:
         """Exact sup of 2*phi(u/2)/phi(u) on [lo, hi]; closure value at hi."""
         raise NotImplementedError
@@ -183,9 +179,6 @@ class Power(OrliczCurve):
             return INF
         return _pow(c * self.p, 1.0 / self.p)
 
-    def asymptotic_slope(self):
-        return INF
-
     def _half_ratio_sup(self, lo, hi):
         return 2.0 ** (1.0 - self.p)
 
@@ -223,9 +216,6 @@ class Linear(OrliczCurve):
             raise PreconditionError("inverse needs c >= 0")
         return c / self.slope if math.isfinite(c) else INF
 
-    def asymptotic_slope(self):
-        return self.slope
-
     def _half_ratio_sup(self, lo, hi):  # pragma: no cover - precondition fails
         raise PreconditionError("linear curves have no half-point interval")
 
@@ -262,9 +252,6 @@ class Indicator(OrliczCurve):
         if c < 0:
             raise PreconditionError("inverse needs c >= 0")
         return self.bound
-
-    def asymptotic_slope(self):
-        return INF
 
     def _half_ratio_sup(self, lo, hi):  # pragma: no cover - precondition fails
         raise PreconditionError("indicator curves have no half-point interval")
@@ -403,9 +390,6 @@ class PiecewiseLinear(OrliczCurve):
                     return self.breakpoints[j]  # plateau: sup of the level set
                 return self.breakpoints[j - 1] + (c - vals[j - 1]) / s
         return 0.0  # pragma: no cover - vals[0] = 0 <= c always
-
-    def asymptotic_slope(self):
-        return INF if math.isfinite(self.breakpoints[-1]) else self.slopes[-1]
 
     def _half_ratio_sup(self, lo, hi):
         candidates = {lo, hi}

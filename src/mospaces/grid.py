@@ -46,10 +46,6 @@ class MeasureGrid:
     def __len__(self):
         return len(self.weights)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.weights)
-
     def cell_set(self, ids: Iterable[str] | None = None) -> CellSet:
         """Validated CellSet; all cells when ids is None."""
         if ids is None:

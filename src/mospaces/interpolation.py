@@ -13,6 +13,9 @@ dually for the intersection space.  When classification fails, the module
 builds explicit failure certificates: a unit vector, a norm-one functional
 and a margin epsilon such that every slice member keeps |x+y| (or the dual
 sum) below 2 - epsilon; certificates are re-checked by seeded sampling.
+The dual unit ball of the sum space is the unit ball of the intersection
+space with reciprocal weights, so a sum certificate is checked as a primal
+slice of that space: every check evaluates the intersection norm.
 """
 
 from __future__ import annotations
@@ -456,15 +459,14 @@ def _assert_unit(value: float, label: str):
 # certificate verification by seeded sampling
 
 
-def _verify_slice_bound(
-    grid, center, extremal_seed, norm, func, deviation, eps, samples, seed
-):
-    """Common slice-verification loop.
+def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, seed):
+    """Sample the slice {y : |y| = 1, functional(y) > 1 - eps} of ``spec``.
 
-    Draws unit vectors in the slice {func > 1 - eps} (deterministic
-    extremal candidates first, then center-blended and raw random points)
-    and records the maximum of ``deviation`` against the bound 2 - eps.
+    Draws deterministic extremal candidates first (the center, atoms, sign
+    patterns), then center-blended and raw random points, and records the
+    maximum of |point + y| against the bound 2 - eps.
     """
+    grid = spec.grid
     rng = np.random.default_rng(seed)
     bound = 2.0 - eps
     n = len(grid)
@@ -476,19 +478,19 @@ def _verify_slice_bound(
 
     def consider(y):
         nonlocal max_observed, worst, violations, accepted
-        nrm = norm(y)
+        nrm = wint_norm(spec, y)
         if nrm == 0.0:
             return
         y = (1.0 / nrm) * y
-        if func(y) > 1.0 - eps:
+        if pairing(functional, y) > 1.0 - eps:
             accepted += 1
-            val = deviation(y)
+            val = wint_norm(spec, y + point)
             if val > max_observed:
                 max_observed, worst = val, y.values
             if val > bound + _SLACK:
                 violations += 1
 
-    for y in _adversarial_candidates(grid, extremal_seed, center):
+    for y in _adversarial_candidates(functional, center):
         drawn += 1
         consider(y)
     cap = 50 * samples + 1000
@@ -499,7 +501,7 @@ def _verify_slice_bound(
         else:
             t = rng.uniform(0.0, eps / 2.0)
             noise = StepFunction(grid, tuple(rng.standard_normal(n)))
-            nrm = norm(noise)
+            nrm = wint_norm(spec, noise)
             if nrm == 0.0:
                 continue
             y = (1.0 - t) * center + (t / nrm) * noise
@@ -515,38 +517,22 @@ def verify_int_certificate(
     """Sample the primal slice and check |x+y| stays at or below 2 - eps."""
     if cert.kind != "intersection-case":
         raise PreconditionError("certificate is not for an intersection space")
-    x, f = cert.x, cert.functional
-    return _verify_slice_bound(
-        spec.grid,
-        _int_slice_center(spec, cert),
-        f,
-        norm=lambda y: wint_norm(spec, y),
-        func=lambda y: pairing(f, y),
-        deviation=lambda y: wint_norm(spec, x + y),
-        eps=cert.epsilon,
-        samples=samples,
-        seed=seed,
-    )
+    center = _int_slice_center(spec, cert)
+    return _verify_slice(spec, cert.x, cert.functional, center, cert.epsilon, samples, seed)
 
 
 def verify_sum_certificate(
     spec: SumSpaceSpec, cert: FailureCertificate, samples: int, seed: int
 ):
-    """Sample the dual slice through x and check the dual norm of h + g."""
+    """Sample the dual slice through x and check the dual norm of h + g.
+
+    That slice is a primal slice of the reciprocal-weight intersection
+    space, with x as its functional and g as its point.
+    """
     if cert.kind != "sum-case":
         raise PreconditionError("certificate is not for a sum space")
     x, f0, g = cert.x, cert.functional, cert.second_functional
-    return _verify_slice_bound(
-        spec.grid,
-        f0,
-        x,
-        norm=lambda h: sum_dual_norm(spec, h),
-        func=lambda h: pairing(h, x),
-        deviation=lambda h: sum_dual_norm(spec, h + g),
-        eps=cert.epsilon,
-        samples=samples,
-        seed=seed,
-    )
+    return _verify_slice(spec.reciprocal_int(), g, x, f0, cert.epsilon, samples, seed)
 
 
 def _int_slice_center(spec: IntSpaceSpec, cert: FailureCertificate):
@@ -565,8 +551,9 @@ def _int_slice_center(spec: IntSpaceSpec, cert: FailureCertificate):
     return StepFunction(grid, tuple(vals))
 
 
-def _adversarial_candidates(grid, aligned_to, center):
+def _adversarial_candidates(functional: StepFunction, center: StepFunction):
     """Deterministic extremal candidates: the center, atoms, sign patterns."""
+    grid = functional.grid
     yield center
     yield -1.0 * center
     n = len(grid)
@@ -576,6 +563,6 @@ def _adversarial_candidates(grid, aligned_to, center):
         yield StepFunction(grid, tuple(vals))
         vals[i] = -1.0
         yield StepFunction(grid, tuple(vals))
-    signs = tuple(1.0 if t >= 0 else -1.0 for t in aligned_to.values)
+    signs = tuple(1.0 if t >= 0 else -1.0 for t in functional.values)
     yield StepFunction(grid, signs)
     yield StepFunction(grid, tuple(-s for s in signs))

@@ -739,9 +739,7 @@ def _next_kink(curve: OrliczCurve, u: float) -> float:
     return INF
 
 
-def orlicz_norm_sup_oracle(
-    field: MusielakField, x: StepFunction, max_polish_rounds: int | None = None
-) -> SupOracleResult:
+def orlicz_norm_sup_oracle(field: MusielakField, x: StepFunction) -> SupOracleResult:
     """Orlicz norm of x as a supremum of pairings, used as a cross-check.
 
     Solves max sum(x_i y_i mu_i) over the unit ball of the conjugate modular
@@ -803,7 +801,7 @@ def orlicz_norm_sup_oracle(
     kinks = sum(
         len(c.breakpoints) for c in constraint.values() if isinstance(c, PiecewiseLinear)
     )
-    rounds_cap = max_polish_rounds if max_polish_rounds is not None else kinks + len(supp) + 16
+    rounds_cap = kinks + len(supp) + 16
     rounds = 0
     converged = False
     for rounds in range(1, rounds_cap + 1):

@@ -10,6 +10,7 @@ so the probes run unchanged against gauge norms, weighted norms or duals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -74,36 +75,25 @@ def slice_diameter_lb(
     grid = f.grid
     rng = np.random.default_rng(seed)
     n = len(grid)
+    aligned = list(_aligned_candidates(grid, f))
+    draws = (
+        StepFunction(grid, tuple(rng.standard_normal(n)))
+        for _ in range(samples - len(aligned))
+    )
     archive: list[StepFunction] = []
     best = 0.0
-
-    def admit(y) -> None:
-        nonlocal best
-        for z in archive:
-            d = primal(y - z)
-            if d > best:
-                best = d
-        if len(archive) < _ARCHIVE:
-            archive.append(y)
-
-    drawn = 0
-    for y in _aligned_candidates(grid, f):
-        drawn += 1
+    for y in itertools.chain(aligned, draws):
         ny = primal(y)
         if ny == 0.0:
             continue
         y = (1.0 / ny) * y
         if pairing(f, y) > 1.0 - s.eps:
-            admit(y)
-    while drawn < samples:
-        drawn += 1
-        y = StepFunction(grid, tuple(rng.standard_normal(n)))
-        ny = primal(y)
-        if ny == 0.0:
-            continue
-        y = (1.0 / ny) * y
-        if pairing(f, y) > 1.0 - s.eps:
-            admit(y)
+            for z in archive:
+                d = primal(y - z)
+                if d > best:
+                    best = d
+            if len(archive) < _ARCHIVE:
+                archive.append(y)
     if not archive:
         raise PreconditionError("slice empty at this sample budget (eps too small)")
     if best > 2.0 + 1e-9:
@@ -175,16 +165,26 @@ def daugavet_condition_probe(
     n = len(grid)
     evaluations = 0
 
-    def qualify(y):
+    def slack(y, scored=True):
+        """Unit y and min(f(y) - (1 - eps), |x + y| - (2 - eps)); a hit is > 0.
+
+        (None, -inf) when |y| = 0.  Unscored, |x + y| is skipped once the
+        pairing slack is <= 0, and that slack (an upper bound of the
+        minimum) is returned instead.
+        """
         nonlocal evaluations
         ny = primal(y)
         if ny == 0.0:
-            return None
+            return None, -math.inf
         y = (1.0 / ny) * y
         evaluations += 1
-        if pairing(f, y) > 1.0 - eps and primal(x + y) > 2.0 - eps:
-            return y
-        return None
+        s = pairing(f, y) - (1.0 - eps)
+        if scored or s > 0.0:
+            s = min(s, primal(x + y) - (2.0 - eps))
+        return y, s
+
+    def witnessed(y):
+        return ConditionProbeResult(True, y, evaluations, "condition witnessed")
 
     pool = list(_aligned_candidates(grid, f))
     pool.append(x)
@@ -192,17 +192,11 @@ def daugavet_condition_probe(
     best_score = -math.inf
     best_y = None
     for y in pool:
-        hit = qualify(y)
-        if hit is not None:
-            return ConditionProbeResult(True, hit, evaluations, "condition witnessed")
-        ny = primal(y)
-        if ny:
-            yy = (1.0 / ny) * y
-            score = min(
-                pairing(f, yy) - (1.0 - eps), primal(x + yy) - (2.0 - eps)
-            )
-            if score > best_score:
-                best_score, best_y = score, yy
+        y, score = slack(y)
+        if score > 0.0:
+            return witnessed(y)
+        if score > best_score:
+            best_score, best_y = score, y
     # coordinate ascent on the minimum slack, then random restarts
     step = 0.5
     while evaluations < budget and best_y is not None and step > 1e-6:
@@ -211,20 +205,9 @@ def daugavet_condition_probe(
             for sgn in (1.0, -1.0):
                 vals = list(best_y.values)
                 vals[i] += sgn * step
-                cand = StepFunction(grid, tuple(vals))
-                hit = qualify(cand)
-                if hit is not None:
-                    return ConditionProbeResult(
-                        True, hit, evaluations, "condition witnessed"
-                    )
-                ncand = primal(cand)
-                if ncand == 0.0:
-                    continue
-                cand = (1.0 / ncand) * cand
-                score = min(
-                    pairing(f, cand) - (1.0 - eps),
-                    primal(x + cand) - (2.0 - eps),
-                )
+                cand, score = slack(StepFunction(grid, tuple(vals)))
+                if score > 0.0:
+                    return witnessed(cand)
                 if score > best_score:
                     best_score, best_y, improved = score, cand, True
                 if evaluations >= budget:
@@ -234,10 +217,9 @@ def daugavet_condition_probe(
         if not improved:
             step /= 2.0
     while evaluations < budget:
-        y = StepFunction(grid, tuple(rng.standard_normal(n)))
-        hit = qualify(y)
-        if hit is not None:
-            return ConditionProbeResult(True, hit, evaluations, "condition witnessed")
+        y, score = slack(StepFunction(grid, tuple(rng.standard_normal(n))), scored=False)
+        if score > 0.0:
+            return witnessed(y)
     return ConditionProbeResult(
         False, None, evaluations, "not found within budget; inconclusive"
     )

@@ -17,8 +17,13 @@ from mospaces import (
     SumSpaceSpec,
     luxemburg_norm,
     modular,
+    pairing,
+    sum_dual_norm,
     unit_sphere_point,
+    wint_norm,
 )
+from mospaces.interpolation import _SLACK, _int_slice_center
+from mospaces.reports import record_from_samples
 
 INF = math.inf
 
@@ -253,6 +258,102 @@ def nonsquare_reference(field, witness, samples, seed):
             y = StepFunction(grid, tuple(v if m else 0.0 for v, m in zip(y.values, mask)))
         consider(y)
     return checked, best, worst
+
+
+def slice_reference(spec, cert, samples, seed):
+    """The slice-certificate verifier as three norm/pairing callbacks.
+
+    The sum case samples the dual slice through sum_dual_norm, the
+    intersection case the primal slice through wint_norm; same candidates in
+    the same draw order as verify_sum_certificate / verify_int_certificate.
+    """
+    if cert.kind == "sum-case":
+        x, f0, g = cert.x, cert.functional, cert.second_functional
+        return _verify_slice_bound(
+            spec.grid,
+            f0,
+            x,
+            norm=lambda h: sum_dual_norm(spec, h),
+            func=lambda h: pairing(h, x),
+            deviation=lambda h: sum_dual_norm(spec, h + g),
+            eps=cert.epsilon,
+            samples=samples,
+            seed=seed,
+        )
+    x, f = cert.x, cert.functional
+    return _verify_slice_bound(
+        spec.grid,
+        _int_slice_center(spec, cert),
+        f,
+        norm=lambda y: wint_norm(spec, y),
+        func=lambda y: pairing(f, y),
+        deviation=lambda y: wint_norm(spec, x + y),
+        eps=cert.epsilon,
+        samples=samples,
+        seed=seed,
+    )
+
+
+def _verify_slice_bound(
+    grid, center, extremal_seed, norm, func, deviation, eps, samples, seed
+):
+    rng = np.random.default_rng(seed)
+    bound = 2.0 - eps
+    n = len(grid)
+    max_observed = 0.0
+    worst = None
+    violations = 0
+    accepted = 0
+    drawn = 0
+
+    def consider(y):
+        nonlocal max_observed, worst, violations, accepted
+        nrm = norm(y)
+        if nrm == 0.0:
+            return
+        y = (1.0 / nrm) * y
+        if func(y) > 1.0 - eps:
+            accepted += 1
+            val = deviation(y)
+            if val > max_observed:
+                max_observed, worst = val, y.values
+            if val > bound + _SLACK:
+                violations += 1
+
+    for y in _adversarial_candidates(grid, extremal_seed, center):
+        drawn += 1
+        consider(y)
+    cap = 50 * samples + 1000
+    while accepted < samples and drawn < cap:
+        drawn += 1
+        if drawn % 7 == 0:
+            y = StepFunction(grid, tuple(rng.standard_normal(n)))
+        else:
+            t = rng.uniform(0.0, eps / 2.0)
+            noise = StepFunction(grid, tuple(rng.standard_normal(n)))
+            nrm = norm(noise)
+            if nrm == 0.0:
+                continue
+            y = (1.0 - t) * center + (t / nrm) * noise
+        consider(y)
+    return record_from_samples(
+        drawn, accepted, bound, max_observed, violations, seed, worst
+    )
+
+
+def _adversarial_candidates(grid, aligned_to, center):
+    yield center
+    yield -1.0 * center
+    n = len(grid)
+    for i in range(n):
+        vals = [0.0] * n
+        vals[i] = 1.0
+        yield StepFunction(grid, tuple(vals))
+        vals[i] = -1.0
+        yield StepFunction(grid, tuple(vals))
+    signs = tuple(1.0 if t >= 0 else -1.0 for t in aligned_to.values)
+    yield StepFunction(grid, signs)
+    yield StepFunction(grid, tuple(-s for s in signs))
 
 
 def half_ratio_scan(curve: OrliczCurve, lo, hi, steps=100_000):

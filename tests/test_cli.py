@@ -15,6 +15,7 @@ from mospaces.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFICATION,
+    MAX_SAMPLES,
     canonical_json,
     config_hash,
     curve_to_json,
@@ -495,6 +496,28 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         assert one_line_config_error(["verify", "--config", cfg, "--certificate", cert])
 
 
+def test_samples_above_the_ceiling_are_config_errors(tmp_path, capsys):
+    def outcome(argv):
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    for huge in (MAX_SAMPLES + 1, 3.4e38, 2**64):
+        cfg = write(tmp_path / "huge.json", dict(BASE, samples=huge))
+        code, (out, err) = outcome(["norm", "--config", cfg])
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+    base = write(tmp_path / "base.json", BASE)
+    for huge in (MAX_SAMPLES + 1, 2**64):
+        code, (out, err) = outcome(["norm", "--config", base, "--samples", str(huge)])
+        assert code == EXIT_CONFIG and err.count("\n") == 1
+    assert MAX_SAMPLES == 10**6
+    code, (out, _) = outcome(["norm", "--config", base, "--samples", str(MAX_SAMPLES)])
+    assert code == EXIT_OK and json.loads(out)["samples"] == MAX_SAMPLES
+    cfg = write(tmp_path / "max.json", dict(BASE, samples=float(MAX_SAMPLES)))
+    assert outcome(["norm", "--config", cfg])[0] == EXIT_OK
+
+
 def test_verify_rejects_intersection_constants_naming_no_cells(tmp_path, capsys):
     cfg = {
         "grid": {"cells": 2, "weight_seed": 0},
@@ -512,6 +535,26 @@ def test_verify_rejects_intersection_constants_naming_no_cells(tmp_path, capsys)
         assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_sum_certificate_without_second_functional_exits_cleanly(tmp_path, capsys):
+    cfg = {
+        "grid": {"weights": [1.0, 1.0]},
+        "space": {"kind": "weighted_sum", "v": [1.0, 1.0], "w": [1.0, 1.0]},
+        "samples": 50,
+    }
+    path = write(tmp_path / "c.json", cfg)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    report = json.loads(cert.read_text())
+    assert report["results"]["witness"]["type"] == "sum-case"
+    del report["results"]["witness"]["second_functional"]
+    hostile = write(tmp_path / "hostile.json", report)
+    capsys.readouterr()
+    code = main(["verify", "--config", path, "--certificate", hostile])
+    err = capsys.readouterr().err
+    assert code in (EXIT_CONFIG, EXIT_PRECONDITION)
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_entry_point_runs():
@@ -532,6 +575,8 @@ _JUNK = st.one_of(
     st.dictionaries(st.sampled_from(["a", "seed", "kind"]), st.integers(0, 3), max_size=2),
 )
 _POS = st.floats(0.25, 4.0)
+# integral sample counts above the ceiling, which would otherwise never finish
+_HUGE_SAMPLES = st.sampled_from([10**6 + 1, 3.4e38, 2**64])
 _SLOTS = (
     "grid",
     "ids",
@@ -653,7 +698,9 @@ def _config(draw):
                 st.builds(lambda s, c: {"seed": s, "scale": c}, st.integers(0, 9), _POS),
             ),
         ),
-        "samples": slot("samples", st.integers(0, 20)),
+        "samples": draw(
+            st.one_of(_JUNK, _HUGE_SAMPLES) if broken == "samples" else st.integers(0, 20)
+        ),
         "probes": probes,
     }
     for key, valid in (("seed", st.integers(0, 99)), ("tol", st.floats(1e-12, 1e-3))):

@@ -9,11 +9,14 @@ from mospaces import (
     FORM_LINF,
     IntSpaceSpec,
     MeasureGrid,
+    MusielakField,
     NOT_DAUGAVET,
+    PiecewiseLinear,
     PreconditionError,
     StepFunction,
     SumSpaceSpec,
     WitnessConstructionError,
+    classify,
     classify_int,
     classify_sum,
     int_dual_norm,
@@ -31,6 +34,7 @@ from helpers import (
     random_int_spec,
     random_sum_spec,
     random_x,
+    slice_reference,
     wsum_lp_oracle,
     wsum_ternary_oracle,
 )
@@ -301,3 +305,35 @@ def test_random_witnesses_verify():
             if icert is not None:
                 assert icert.verification.passed
                 done_int += 1
+
+
+# -- verifier against the callback reference ------------------------------------
+
+
+def _slice_case(name):
+    """(spec, certificate) for one verifier case, unverified."""
+    if name == "sum":
+        spec = SumSpaceSpec(MeasureGrid((1.0, 0.5, 0.8)), None, (1.3, 0.7, 1.1), (0.9, 1.2, 0.6))
+        return spec, witness_sum(spec)
+    if name == "classify-component":
+        pw = lambda b, s: PiecewiseLinear.closed((0.0, b), (s,))
+        g = MeasureGrid((0.3, 0.4, 0.35))
+        cert = classify(MusielakField(g, (pw(2.0, 1.0), pw(1.5, 1.3), pw(2.5, 0.8)))).witness
+        consts = cert.constants
+        gamma, w, v = frozenset(consts["gamma"]), tuple(consts["w"]), tuple(consts["v"])
+        return IntSpaceSpec(cert.x.grid, gamma, w, v), cert
+    gamma = {"c0", "c1", "c2"} if name == "gamma-proper" else None
+    g = MeasureGrid((0.7, 0.9, 1.1, 0.5))
+    spec = IntSpaceSpec(g, gamma, (1.2, 0.8, 1.0, 0.9), (0.9, 1.1, 0.7, 1.3))
+    cert = witness_int(spec)
+    assert cert.constants["case"] == name
+    return spec, cert
+
+
+@pytest.mark.parametrize("samples", [0, 1, 200])
+@pytest.mark.parametrize("case", ["sum", "gamma-proper", "gamma-full", "classify-component"])
+def test_slice_verifiers_match_the_callback_reference(case, samples):
+    spec, cert = _slice_case(case)
+    verify = verify_sum_certificate if cert.kind == "sum-case" else verify_int_certificate
+    for seed in (0, 5, 91):
+        assert verify(spec, cert, samples, seed) == slice_reference(spec, cert, samples, seed)

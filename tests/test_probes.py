@@ -3,6 +3,7 @@ import math
 import pytest
 
 from mospaces import (
+    ConditionProbeResult,
     IntSpaceSpec,
     Linear,
     MeasureGrid,
@@ -165,3 +166,41 @@ def test_roughness_on_l1_classified_field():
     assert math.isclose(primal(x), 1.0, rel_tol=1e-9)
     q = roughness_probe(primal, x, samples=40, seed=12)
     assert q >= 2.0 - 1e-6
+
+
+def _counting(norm):
+    def oracle(y):
+        oracle.calls += 1
+        return norm(y)
+
+    oracle.calls = 0
+    return oracle
+
+
+def test_daugavet_condition_probe_scores_each_candidate_once():
+    # at most |y| and |x + y| per scored candidate, plus the unit check of x;
+    # the results are the ones the probe gave when it normed every pool and
+    # ascent candidate twice
+    g = MeasureGrid((1.0, 1.0))
+    primal = _counting(
+        lambda y: math.sqrt(math.fsum(t * t * m / 2.0 for t, m in zip(y.values, g.weights)))
+    )
+    dual = lambda f: math.sqrt(math.fsum(2.0 * t * t * m for t, m in zip(f.values, g.weights)))
+    x = StepFunction(g, (math.sqrt(2.0), 0.0))
+    f = StepFunction(g, (0.0, 1.0 / math.sqrt(2.0)))
+    res = daugavet_condition_probe(primal, dual, x, f, eps=0.1, budget=40, seed=8)
+    assert res == ConditionProbeResult(
+        False, None, 40, "not found within budget; inconclusive"
+    )
+    assert primal.calls <= 1 + 2 * res.evaluations
+
+    g3 = MeasureGrid((1.0, 1.0, 1.0))
+    primal = _counting(lambda y: math.fsum(abs(t) ** 1.5 for t in y.values) ** (1 / 1.5))
+    dual = lambda f: math.fsum(abs(t) ** 3.0 for t in f.values) ** (1 / 3.0)
+    f = StepFunction(g3, (0.3, 1.0, -0.4))
+    f = (1.0 / dual(f)) * f
+    x = StepFunction(g3, (1.0, 0.0, 0.0))
+    res = daugavet_condition_probe(primal, dual, x, f, eps=0.15, budget=300, seed=3)
+    hit = StepFunction(g3, (0.5529338374831586, 0.6907698989773278, -0.060074835390510964))
+    assert res == ConditionProbeResult(True, hit, 52, "condition witnessed")
+    assert primal.calls <= 1 + 2 * res.evaluations
