@@ -13,6 +13,7 @@ failure, 4 verification violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -413,7 +414,7 @@ def cmd_verify(cfg: dict, args) -> dict:
                 epsilon=num(witness["epsilon"]),
                 second_functional=(
                     StepFunction(grid, tuple(num(t) for t in witness["second_functional"]))
-                    if "second_functional" in witness
+                    if wtype == "sum-case" or "second_functional" in witness
                     else None
                 ),
                 constants=witness.get("constants", {}),
@@ -538,8 +539,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error: ...`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {' '.join(message.split())}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mospaces",
         description="Norms, duals and Daugavet classification on finite measure grids",
     )

@@ -15,7 +15,10 @@ and a margin epsilon such that every slice member keeps |x+y| (or the dual
 sum) below 2 - epsilon; certificates are re-checked by seeded sampling.
 The dual unit ball of the sum space is the unit ball of the intersection
 space with reciprocal weights, so a sum certificate is checked as a primal
-slice of that space: every check evaluates the intersection norm.
+slice of that space: every check evaluates the intersection norm.  The
+sampler scores its candidates as numpy row blocks; each row is summed by
+one math.fsum over the scalar norm's terms, so its records equal those of
+the scalar norms bit for bit.  The public norms stay scalar.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import GridMismatchError, PreconditionError, VerificationError, WitnessConstructionError
-from .grid import CellSet, MeasureGrid, StepFunction, pairing
+from .grid import CellSet, MeasureGrid, StepFunction
 from .reports import (
     DAUGAVET,
     FORM_L1,
@@ -38,6 +41,7 @@ from .reports import (
 )
 
 _SLACK = 1e-12  # float allowance when comparing against certified bounds
+_BLOCK_CELLS = 1 << 14  # cells per row block in _verify_slice; bounds its memory
 
 
 def _validate_spec(spec):
@@ -465,47 +469,122 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     Draws deterministic extremal candidates first (the center, atoms, sign
     patterns), then center-blended and raw random points, and records the
     maximum of |point + y| against the bound 2 - eps.
+
+    Candidates are scored in row blocks of at most _BLOCK_CELLS cells.  Each
+    per-cell term is wint_norm's or pairing's product in the same operation
+    order, and each row's terms go through one math.fsum, which is correctly
+    rounded; so every norm, pairing and the record equal those of a loop
+    over one StepFunction per draw bit for bit.  Errors keep that loop's
+    order too: a candidate that is not finite raises StepFunction's error.
     """
     grid = spec.grid
+    _check(spec, center)  # the grid checks the scalar loop's first candidate meets
+    functional._check(center)
+    center._check(point)
+    n = len(grid)
     rng = np.random.default_rng(seed)
     bound = 2.0 - eps
-    n = len(grid)
+    w, mu = np.array(spec.w), np.array(grid.weights)
+    gamma = np.array([cid in spec.gamma for cid in grid.ids])
+    v = np.array(spec.v)[gamma]
+    f, x, c = (np.array(h.values) for h in (functional, point, center))
+    rows = max(1, _BLOCK_CELLS // n)
     max_observed = 0.0
     worst = None
     violations = 0
     accepted = 0
     drawn = 0
 
-    def consider(y):
-        nonlocal max_observed, worst, violations, accepted
-        nrm = wint_norm(spec, y)
-        if nrm == 0.0:
-            return
-        y = (1.0 / nrm) * y
-        if pairing(functional, y) > 1.0 - eps:
-            accepted += 1
-            val = wint_norm(spec, y + point)
-            if val > max_observed:
-                max_observed, worst = val, y.values
-            if val > bound + _SLACK:
-                violations += 1
+    def norm_parts(y):
+        """wint_norm's two parts for the rows of y: the L1 sum of row i, and the sups."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            l1 = np.abs(y) * w * mu
+            sup = (np.abs(y[:, gamma]) * v).max(axis=1, initial=0.0)
+        return _row_fsums(l1), sup.tolist()
 
-    for y in _adversarial_candidates(functional, center):
-        drawn += 1
-        consider(y)
-    cap = 50 * samples + 1000
-    while accepted < samples and drawn < cap:
-        drawn += 1
-        if drawn % 7 == 0:
-            y = StepFunction(grid, tuple(rng.standard_normal(n)))
-        else:
-            t = rng.uniform(0.0, eps / 2.0)
-            noise = StepFunction(grid, tuple(rng.standard_normal(n)))
-            nrm = wint_norm(spec, noise)
+    def norms(y):
+        """wint_norm of the rows of y up to the first whose fsum overflows, and that error."""
+        l1, sup = norm_parts(y)
+        out = []
+        try:
+            for i, s in enumerate(sup):
+                out.append(max(l1(i), s))
+        except OverflowError as exc:
+            return out, exc
+        return out, None
+
+    def consider(y, error=None):
+        """Normalise and score the rows of y in draw order, then raise ``error``."""
+        nonlocal max_observed, worst, violations, accepted
+        nrms, err = norms(y)
+        if err is not None:
+            y, error = y[: len(nrms)], err
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.array([1.0 / t if t else 0.0 for t in nrms]).reshape(-1, 1) * y
+            pair = _row_fsums(f * y * mu)
+            z = y + x
+        dev, dev_sup = norm_parts(z)
+        y_ok = np.isfinite(y).all(axis=1).tolist()
+        z_ok = np.isfinite(z).all(axis=1).tolist()
+        for i, nrm in enumerate(nrms):
             if nrm == 0.0:
                 continue
-            y = (1.0 - t) * center + (t / nrm) * noise
-        consider(y)
+            if not y_ok[i]:
+                raise _step_error(grid, y[i])
+            if pair(i) > 1.0 - eps:
+                accepted += 1
+                if not z_ok[i]:
+                    raise _step_error(grid, z[i])
+                val = max(dev(i), dev_sup[i])
+                if val > max_observed:
+                    max_observed, worst = val, tuple(y[i].tolist())
+                if val > bound + _SLACK:
+                    violations += 1
+        if error is not None:
+            raise error
+
+    total = 2 * n + 4
+    for start in range(0, total, rows):
+        drawn = min(start + rows, total)
+        consider(_adversarial_rows(f, c, start, drawn))
+    cap = 50 * samples + 1000
+    while accepted < samples and drawn < cap:
+        # a draw accepts at most one point, so the chunk's every draw is needed;
+        # each stage below cuts the chunk at its first failing row, keeping the
+        # scalar loop's error: consider() scores the rows before it, then raises
+        m = min(samples - accepted, cap - drawn, rows)
+        y = np.empty((m, n))
+        t = np.zeros(m)
+        blended = []
+        error = None
+        for i in range(m):
+            drawn += 1
+            try:
+                if drawn % 7:
+                    t[i] = rng.uniform(0.0, eps / 2.0)
+                    blended.append(i)
+                rng.standard_normal(out=y[i])
+            except (ValueError, OverflowError) as exc:
+                y, error = y[:i], exc
+                break
+        idx = np.array(blended, dtype=int)
+        nz, err = norms(y[idx])
+        if err is not None:
+            y, idx, error = y[: idx[len(nz)]], idx[: len(nz)], err
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = (1.0 - t[idx]).reshape(-1, 1) * c
+            tail = np.array(
+                [s / r if r else 0.0 for s, r in zip(t[idx].tolist(), nz)]
+            ).reshape(-1, 1) * y[idx]
+            mixed = head + tail
+        live = np.array(nz) != 0.0
+        mixed[~live] = 0.0  # a draw whose noise has norm 0 considers nothing
+        bad = np.flatnonzero(live & ~np.isfinite(mixed).all(axis=1))
+        if len(bad):
+            j = bad[0]
+            y, idx, error = y[: idx[j]], idx[:j], _step_error(grid, head[j], tail[j], mixed[j])
+        y[idx] = mixed[: len(idx)]
+        consider(y, error)
     return record_from_samples(
         drawn, accepted, bound, max_observed, violations, seed, worst
     )
@@ -551,18 +630,40 @@ def _int_slice_center(spec: IntSpaceSpec, cert: FailureCertificate):
     return StepFunction(grid, tuple(vals))
 
 
-def _adversarial_candidates(functional: StepFunction, center: StepFunction):
-    """Deterministic extremal candidates: the center, atoms, sign patterns."""
-    grid = functional.grid
-    yield center
-    yield -1.0 * center
-    n = len(grid)
-    for i in range(n):
-        vals = [0.0] * n
-        vals[i] = 1.0
-        yield StepFunction(grid, tuple(vals))
-        vals[i] = -1.0
-        yield StepFunction(grid, tuple(vals))
-    signs = tuple(1.0 if t >= 0 else -1.0 for t in functional.values)
-    yield StepFunction(grid, signs)
-    yield StepFunction(grid, tuple(-s for s in signs))
+def _adversarial_rows(functional, center, start, stop):
+    """Rows start:stop of the extremal candidates, as an array.
+
+    In order: the center, its negative, each atom then its negative, the
+    functional's sign pattern, its negative.
+    """
+    n = len(center)
+    signs = np.where(functional >= 0, 1.0, -1.0)
+    ends = (center, -1.0 * center, signs, -signs)
+    y = np.zeros((stop - start, n))
+    for r in range(start, stop):
+        if 2 <= r < 2 * n + 2:
+            y[r - start, (r - 2) // 2] = -1.0 if r % 2 else 1.0
+        else:
+            y[r - start] = ends[r if r < 2 else r - 2 * n]
+    return y
+
+
+def _row_fsums(terms):
+    """math.fsum of row i of ``terms``, as a function of i.
+
+    A row with at most one nonzero term sums to that term exactly, so
+    numpy's sum stands in for fsum there: the atom candidates.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        quick = terms.sum(axis=1).tolist()
+    sparse = (np.count_nonzero(terms, axis=1) <= 1).tolist()
+    return lambda i: quick[i] if sparse[i] else math.fsum(terms[i].tolist())
+
+
+def _step_error(grid, *rows):
+    """The error StepFunction raises for the first of ``rows`` with a non-finite value."""
+    for row in rows:
+        try:
+            StepFunction(grid, tuple(row.tolist()))
+        except ValueError as exc:
+            return exc

@@ -16,6 +16,7 @@ from mospaces.cli import (
     EXIT_PRECONDITION,
     EXIT_VERIFICATION,
     MAX_SAMPLES,
+    build_parser,
     canonical_json,
     config_hash,
     curve_to_json,
@@ -553,8 +554,52 @@ def test_verify_sum_certificate_without_second_functional_exits_cleanly(tmp_path
     capsys.readouterr()
     code = main(["verify", "--config", path, "--certificate", hostile])
     err = capsys.readouterr().err
-    assert code in (EXIT_CONFIG, EXIT_PRECONDITION)
+    assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_overflowing_sum_certificate_is_a_precondition_failure(tmp_path, capsys):
+    cfg = {
+        "grid": {"weights": [1.0, 0.6, 0.9]},
+        "space": {
+            "kind": "weighted_sum",
+            "v": [1e300, 2e300, 1.5e300],
+            "w": [1e300, 1.2e300, 0.8e300],
+        },
+        "samples": 5,
+    }
+    path = write(tmp_path / "c.json", cfg)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    report = json.loads(cert.read_text())
+    # the fixed dual element at DBL_MAX: g + h overflows on the first accepted h
+    report["results"]["witness"]["second_functional"][0] = sys.float_info.max
+    hostile = write(tmp_path / "hostile.json", report)
+    capsys.readouterr()
+    code = main(["verify", "--config", path, "--certificate", hostile])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert err == "precondition failure: step function values must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--config", "c.json", "--samples", "3.4e38"],
+        ["norm", "--config", "c.json", "--seed", "x"],
+        ["frobnicate", "--config", "c.json"],
+    ],
+)
+def test_bad_command_lines_exit_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_cli_entry_point_runs():

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from mospaces import (
     DAUGAVET,
     FORM_L1,
     FORM_LINF,
+    FailureCertificate,
     IntSpaceSpec,
     MeasureGrid,
     MusielakField,
@@ -30,6 +34,7 @@ from mospaces import (
     witness_sum,
     wsum_norm,
 )
+from mospaces.interpolation import _BLOCK_CELLS
 from helpers import (
     random_int_spec,
     random_sum_spec,
@@ -310,6 +315,15 @@ def test_random_witnesses_verify():
 # -- verifier against the callback reference ------------------------------------
 
 
+def _wide_case(n):
+    """A gamma-proper intersection certificate on n cells of random weights."""
+    rng = np.random.default_rng(0)
+    g = MeasureGrid(tuple(rng.uniform(0.5, 1.5, n)))
+    w, v = (tuple(rng.uniform(0.5, 1.5, n)) for _ in range(2))
+    spec = IntSpaceSpec(g, g.ids[: n // 2], w, v)
+    return spec, witness_int(spec)
+
+
 def _slice_case(name):
     """(spec, certificate) for one verifier case, unverified."""
     if name == "sum":
@@ -322,6 +336,26 @@ def _slice_case(name):
         consts = cert.constants
         gamma, w, v = frozenset(consts["gamma"]), tuple(consts["w"]), tuple(consts["v"])
         return IntSpaceSpec(cert.x.grid, gamma, w, v), cert
+    if name == "one-cell-grid-sum":
+        g = MeasureGrid((0.8,))
+        x, f0, second = (StepFunction(g, (t,)) for t in (1.2, 1.0, 0.7))
+        spec = SumSpaceSpec(g, None, (1.3,), (0.9,))
+        return spec, FailureCertificate("sum-case", x, f0, 0.2, second_functional=second)
+    if name == "one-cell-grid-int":
+        g = MeasureGrid((0.8,))
+        x, f = StepFunction(g, (0.5,)), StepFunction(g, (-1.1,))
+        consts = {"case": "gamma-full", "set_a1": ["c0"]}
+        spec = IntSpaceSpec(g, None, (1.3,), (0.9,))
+        return spec, FailureCertificate("intersection-case", x, f, 0.2, constants=consts)
+    if name == "one-cell-gamma":
+        g = MeasureGrid((0.7, 0.9, 1.1, 0.5, 0.6))
+        spec = IntSpaceSpec(g, {"c2"}, (1.2, 0.8, 1.0, 0.9, 1.1), (0.9, 1.1, 2.0, 1.3, 1.0))
+        return spec, witness_int(spec)
+    if name == "wide":
+        return _wide_case(256)
+    if name == "thin-slice":  # the scaled functional barely reaches 1 - eps
+        spec, cert = _slice_case("gamma-full")
+        return spec, replace(cert, epsilon=0.01001, functional=0.99 * cert.functional)
     gamma = {"c0", "c1", "c2"} if name == "gamma-proper" else None
     g = MeasureGrid((0.7, 0.9, 1.1, 0.5))
     spec = IntSpaceSpec(g, gamma, (1.2, 0.8, 1.0, 0.9), (0.9, 1.1, 0.7, 1.3))
@@ -331,9 +365,61 @@ def _slice_case(name):
 
 
 @pytest.mark.parametrize("samples", [0, 1, 200])
-@pytest.mark.parametrize("case", ["sum", "gamma-proper", "gamma-full", "classify-component"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "sum",
+        "gamma-proper",
+        "gamma-full",
+        "classify-component",
+        "one-cell-grid-sum",
+        "one-cell-grid-int",
+        "one-cell-gamma",
+        "wide",
+        "thin-slice",
+    ],
+)
 def test_slice_verifiers_match_the_callback_reference(case, samples):
     spec, cert = _slice_case(case)
     verify = verify_sum_certificate if cert.kind == "sum-case" else verify_int_certificate
     for seed in (0, 5, 91):
         assert verify(spec, cert, samples, seed) == slice_reference(spec, cert, samples, seed)
+
+
+def test_reference_cases_reach_the_block_and_cap_edges():
+    spec, cert = _slice_case("wide")
+    rec = verify_int_certificate(spec, cert, 200, 0)
+    rows = _BLOCK_CELLS // 256
+    random_draws = rec.samples_requested - (2 * 256 + 4)
+    assert random_draws > 2 * rows and random_draws % rows != 0  # stops inside a block
+    spec, cert = _slice_case("thin-slice")
+    rec = verify_int_certificate(spec, cert, 200, 0)
+    assert rec.samples_requested == 50 * 200 + 1000  # the cap ends the run
+    assert 0 < rec.samples_accepted < 200
+
+
+def test_row_block_verifier_raises_the_reference_error_on_overflow():
+    g = MeasureGrid((1.0, 0.6, 0.9))
+    spec = SumSpaceSpec(g, None, (1e300, 2e300, 1.5e300), (1e300, 1.2e300, 0.8e300))
+    cert = witness_sum(spec)
+    # g + h overflows at the first accepted dual-slice element h
+    second = (sys.float_info.max,) + cert.second_functional.values[1:]
+    cert = replace(cert, second_functional=StepFunction(g, second))
+    with pytest.raises(ValueError) as new:
+        verify_sum_certificate(spec, cert, 5, 3)
+    with pytest.raises(ValueError) as ref:
+        slice_reference(spec, cert, 5, 3)
+    assert str(new.value) == str(ref.value) == "step function values must be finite, got inf"
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_row_block_verifier_memory_stays_within_a_block(n):
+    spec, cert = _wide_case(n)
+    tracemalloc.start()
+    try:
+        rec = verify_int_certificate(spec, cert, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.samples_accepted == 200 and rec.passed
+    assert peak < 2 * 2**20
