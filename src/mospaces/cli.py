@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -52,7 +52,7 @@ from .interpolation import (
 )
 from .musielak import MusielakField, amemiya_norm, conjugate_field, luxemburg_norm, modular
 from .probes import Slice, daugavet_condition_probe, roughness_probe, slice_diameter_lb
-from .reports import FailureCertificate, NonsquareWitness
+from .reports import FailureCertificate, NonsquareWitness, VerificationRecord
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,6 +63,10 @@ EXIT_VERIFICATION = 4
 # requested sample, so an unchecked count such as 3.4e38 never finishes;
 # a count above this is a config error.
 MAX_SAMPLES = 10**6
+
+# Largest generated grid.  Its weights are drawn up front, so an unchecked
+# "cells": 1e13 asks numpy for tens of TiB; a larger count is a config error.
+MAX_CELLS = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -82,6 +86,8 @@ def jsonify(obj) -> Any:
         return sorted(str(v) for v in obj)
     if isinstance(obj, StepFunction):
         return [jsonify(float(v)) for v in obj.values]
+    if is_dataclass(obj):
+        return jsonify(vars(obj))
     return obj
 
 
@@ -157,6 +163,8 @@ def parse_grid(d: dict) -> MeasureGrid:
             weights = tuple(num(t) for t in d["weights"])
         else:
             n = int(d["cells"])
+            if n > MAX_CELLS:
+                raise ConfigError(f"grid cells must be at most {MAX_CELLS}, got {n!r}")
             rng = np.random.default_rng(int(d["weight_seed"]))
             lo, hi = (num(t) for t in d.get("weight_range", [0.5, 2.0]))
             weights = tuple(float(t) for t in rng.uniform(lo, hi, n))
@@ -173,7 +181,6 @@ _WEIGHTED_SPECS = {"weighted_sum": SumSpaceSpec, "weighted_intersection": IntSpa
 class SpaceConfig:
     """A parsed space: a gauge-norm ``field`` or a weighted interpolation ``spec``."""
 
-    kind: str
     grid: MeasureGrid
     field: Optional[MusielakField] = None
     spec: Union[SumSpaceSpec, IntSpaceSpec, None] = None
@@ -188,13 +195,13 @@ def parse_space(cfg: dict) -> SpaceConfig:
     try:
         if kind == "musielak":
             curves = tuple(parse_curve(c) for c in space["curves"])
-            return SpaceConfig(kind, grid, field=MusielakField(grid, curves))
+            return SpaceConfig(grid, field=MusielakField(grid, curves))
         if kind == "nakano":
             exps = tuple(num(p) for p in space["exponents"])
-            return SpaceConfig(kind, grid, field=MusielakField.nakano(grid, exps))
+            return SpaceConfig(grid, field=MusielakField.nakano(grid, exps))
         if kind == "orlicz":
             curve = parse_curve(space["curve"])
-            return SpaceConfig(kind, grid, field=MusielakField.constant(grid, curve))
+            return SpaceConfig(grid, field=MusielakField.constant(grid, curve))
         if kind in _WEIGHTED_SPECS:
             spec = _WEIGHTED_SPECS[kind](
                 grid=grid,
@@ -202,7 +209,7 @@ def parse_space(cfg: dict) -> SpaceConfig:
                 v=tuple(num(t) for t in space["v"]),
                 w=tuple(num(t) for t in space["w"]),
             )
-            return SpaceConfig(kind, grid, spec=spec)
+            return SpaceConfig(grid, spec=spec)
     except (KeyError, TypeError, ValueError, GridMismatchError, UnknownCellError) as exc:
         raise ConfigError(f"bad space spec: {exc}") from exc
     raise ConfigError(f"unknown space kind {kind!r}")
@@ -235,16 +242,21 @@ def parse_x(cfg: dict, grid: MeasureGrid) -> StepFunction:
             return StepFunction(
                 grid, tuple(float(t) for t in scale * rng.standard_normal(len(grid)))
             )
-        return StepFunction(grid, tuple(num(t) for t in x))
+        return _step(grid, x)
     except (KeyError, TypeError, ValueError, GridMismatchError) as exc:
         raise ConfigError(f"bad x spec: {exc}") from exc
+
+
+def _step(grid: MeasureGrid, values) -> StepFunction:
+    """A step function on ``grid`` from a JSON list of numbers and "inf" tokens."""
+    return StepFunction(grid, tuple(num(t) for t in values))
 
 
 # --------------------------------------------------------------------------
 # report assembly
 
 
-def make_report(command: str, cfg: dict, results: dict, args, elapsed_ms: float) -> dict:
+def make_report(command: str, cfg: dict, results, settings: dict, wall_time_ms: float) -> dict:
     return {
         "command": command,
         "config_hash": config_hash(cfg),
@@ -252,194 +264,94 @@ def make_report(command: str, cfg: dict, results: dict, args, elapsed_ms: float)
             "mospaces": __version__,
             "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         },
-        "seed": _seed(cfg, args),
-        "samples": _samples(cfg, args),
-        "tol": _tol(cfg, args),
-        "wall_time_ms": elapsed_ms if args.timing else 0.0,
+        **settings,
+        "wall_time_ms": wall_time_ms,
         "results": results,
     }
 
 
-def _seed(cfg, args):
-    return _integer_setting(cfg, args, "seed", 0, least=0)
-
-
-def _samples(cfg, args):
-    value = _integer_setting(cfg, args, "samples", 10000, least=0)
-    if value > MAX_SAMPLES:
-        raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {value!r}")
-    return value
-
-
-def _integer_setting(cfg, args, key, default, least=None):
-    """The command-line override of ``key``, else its config value, as an int."""
-    value = getattr(args, key)
-    if value is None:
-        value = cfg.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    bad = isinstance(value, bool) or not isinstance(value, int)
-    if bad or (least is not None and value < least):
-        what = "an integer" if least is None else f"an integer >= {least}"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _tol(cfg, args):
-    return args.tol if args.tol is not None else num(cfg.get("tol", 1e-10))
+def _settings(cfg: dict, args) -> dict:
+    """The run's seed, samples and tol: each command-line override, else its config value."""
+    settings = {}
+    for key, default in (("seed", 0), ("samples", 10000)):
+        value = getattr(args, key)
+        if value is None:
+            value = cfg.get(key, default)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigError(f"{key} must be an integer >= 0, got {value!r}")
+        settings[key] = value
+    if settings["samples"] > MAX_SAMPLES:
+        raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {settings['samples']!r}")
+    settings["tol"] = args.tol if args.tol is not None else num(cfg.get("tol", 1e-10))
+    return settings
 
 
 def _witness_to_json(witness) -> Optional[dict]:
+    """A witness's fields plus its type tag; a certificate also carries its grid."""
     if witness is None:
         return None
     if isinstance(witness, NonsquareWitness):
-        return {
-            "type": "nonsquare",
-            "x": jsonify(witness.x),
-            "delta": witness.delta,
-            "construction": jsonify(witness.construction),
-            "verification": _record_to_json(witness.verification),
-        }
-    if isinstance(witness, FailureCertificate):
-        out = {
-            "type": witness.kind,
-            "x": jsonify(witness.x),
-            "functional": jsonify(witness.functional),
-            "epsilon": witness.epsilon,
-            "constants": jsonify(witness.constants),
-            "verification": _record_to_json(witness.verification),
-            "grid_weights": jsonify(list(witness.x.grid.weights)),
-            "grid_ids": list(witness.x.grid.ids),
-        }
-        if witness.second_functional is not None:
-            out["second_functional"] = jsonify(witness.second_functional)
-        return out
-    raise ConfigError(f"cannot serialize witness {witness!r}")
+        return {"type": "nonsquare", **vars(witness)}
+    out = dict(vars(witness), grid_weights=witness.x.grid.weights, grid_ids=witness.x.grid.ids)
+    out["type"] = out.pop("kind")
+    if witness.second_functional is None:
+        del out["second_functional"]
+    return out
 
 
-def _record_to_json(record) -> Optional[dict]:
-    if record is None:
-        return None
-    return {
-        "samples_requested": record.samples_requested,
-        "samples_accepted": record.samples_accepted,
-        "acceptance_rate": record.acceptance_rate,
-        "bound": record.bound,
-        "max_observed": record.max_observed,
-        "violations": record.violations,
-        "seed": record.seed,
-        "worst_point": jsonify(record.worst_point),
-    }
+def _witness_from_json(obj, space: SpaceConfig) -> Union[NonsquareWitness, FailureCertificate]:
+    """The witness ``_witness_to_json`` wrote; a malformed one is a ConfigError.
 
-
-# --------------------------------------------------------------------------
-# commands
-
-
-def cmd_norm(cfg: dict, args) -> dict:
-    space = parse_space(cfg)
-    x = parse_x(cfg, space.grid)
-    tol = _tol(cfg, args)
-    results: dict[str, Any] = {"x": jsonify(x), "tolerance": tol}
-    if space.field is not None:
-        results["modular"] = jsonify(modular(space.field, x))
-        results["luxemburg"] = luxemburg_norm(space.field, x, tol=min(tol, 1e-10))
-        results["amemiya"] = amemiya_norm(space.field, x, tol=min(tol, 1e-10))
-    elif isinstance(space.spec, SumSpaceSpec):
-        results["sum_norm"] = wsum_norm(space.spec, x)
-        results["dual_norm"] = sum_dual_norm(space.spec, x)
-    else:
-        results["intersection_norm"] = wint_norm(space.spec, x)
-        results["dual_norm"] = int_dual_norm(space.spec, x)
-    return results
-
-
-def cmd_classify(cfg: dict, args) -> dict:
-    space = parse_space(cfg)
-    samples = _samples(cfg, args)
-    seed = _seed(cfg, args)
-    if space.field is not None:
-        report = classify(space.field, samples=samples, seed=seed)
-    elif isinstance(space.spec, SumSpaceSpec):
-        report = classify_sum(space.spec, samples=samples, seed=seed)
-    else:
-        report = classify_int(space.spec, samples=samples, seed=seed)
-    return {
-        "verdict": report.verdict,
-        "canonical_form": report.canonical_form,
-        "dual_form": report.dual_form,
-        "evidence": jsonify(report.evidence),
-        "witness": _witness_to_json(report.witness),
-        "explanation": report.explanation,
-    }
-
-
-def cmd_verify(cfg: dict, args) -> dict:
-    if not args.certificate:
-        raise ConfigError("verify needs --certificate <report.json>")
-    cert_report = _load_object(args.certificate, "certificate")
-    if cert_report.get("config_hash") != config_hash(cfg):
-        raise PreconditionError("certificate does not match this configuration")
-    results = cert_report.get("results", {})
-    if not isinstance(results, dict):
-        raise ConfigError("certificate results must be a JSON object")
-    witness = results.get("witness")
-    if witness is None:
-        raise PreconditionError("report carries no witness to verify")
-    if not isinstance(witness, dict):
+    A margin of at most 0 would make the bound 2 - margin hold at every point.
+    """
+    if not isinstance(obj, dict):
         raise ConfigError("certificate witness must be a JSON object")
-    samples = _samples(cfg, args)
-    seed = _seed(cfg, args)
-    space = parse_space(cfg)
-    wtype = witness.get("type")
+    wtype = obj.get("type")
     if wtype not in ("nonsquare", "sum-case", "intersection-case"):
         raise ConfigError(f"unknown witness type {wtype!r}")
     if wtype == "nonsquare" and space.field is None:
         raise PreconditionError("nonsquare witnesses need a gauge-norm space")
+    key = "delta" if wtype == "nonsquare" else "epsilon"
     try:
+        margin = num(obj[key])
+        if not 0.0 < margin < math.inf:
+            raise ConfigError(f"certificate {key} must be finite and positive, got {margin!r}")
+        record = _record_from_json(obj.get("verification"))
         if wtype == "nonsquare":
-            x = StepFunction(space.grid, tuple(num(t) for t in witness["x"]))
-            wit = NonsquareWitness(x=x, delta=num(witness["delta"]))
-        else:
-            grid = MeasureGrid(
-                tuple(num(t) for t in witness["grid_weights"]),
-                tuple(witness["grid_ids"]),
-            )
-            cert = FailureCertificate(
-                kind=wtype,
-                x=StepFunction(grid, tuple(num(t) for t in witness["x"])),
-                functional=StepFunction(
-                    grid, tuple(num(t) for t in witness["functional"])
-                ),
-                epsilon=num(witness["epsilon"]),
-                second_functional=(
-                    StepFunction(grid, tuple(num(t) for t in witness["second_functional"]))
-                    if wtype == "sum-case" or "second_functional" in witness
-                    else None
-                ),
-                constants=witness.get("constants", {}),
-            )
-            if not isinstance(cert.constants, dict):
-                raise TypeError("constants must be a JSON object")
-            if wtype == "intersection-case":
-                spec = _embedded_int_spec(space, grid, cert.constants)
-                _int_slice_center(spec, cert)  # reads the cells the constants name
+            x = _step(space.grid, obj["x"])
+            return NonsquareWitness(x, margin, obj.get("construction", {}), record)
+        grid = MeasureGrid(tuple(num(t) for t in obj["grid_weights"]), tuple(obj["grid_ids"]))
+        cert = FailureCertificate(
+            kind=wtype,
+            x=_step(grid, obj["x"]),
+            functional=_step(grid, obj["functional"]),
+            epsilon=margin,
+            second_functional=(
+                _step(grid, obj["second_functional"])
+                if wtype == "sum-case" or "second_functional" in obj
+                else None
+            ),
+            constants=obj.get("constants", {}),
+            verification=record,
+        )
+        if not isinstance(cert.constants, dict):
+            raise TypeError("constants must be a JSON object")
+        if wtype == "intersection-case":
+            # reads the cells the constants name
+            _int_slice_center(_embedded_int_spec(space, grid, cert.constants), cert)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad certificate witness: {exc!r}") from exc
-    if wtype == "nonsquare":
-        record = verify_nonsquare(space.field, wit, samples, seed)
-    elif wtype == "sum-case":
-        if not isinstance(space.spec, SumSpaceSpec) or space.spec.grid != grid:
-            raise PreconditionError("certificate grid does not match the space")
-        record = verify_sum_certificate(space.spec, cert, samples, seed)
-    else:
-        record = verify_int_certificate(spec, cert, samples, seed)
-    if record.violations:
-        raise VerificationError(
-            f"re-verification found {record.violations} violations "
-            f"(max {record.max_observed} against bound {record.bound})"
-        )
-    return {"verdict": "pass", "verification": _record_to_json(record)}
+    return cert
+
+
+def _record_from_json(obj) -> Optional[VerificationRecord]:
+    if obj is None:
+        return None
+    worst = obj["worst_point"]
+    worst = None if worst is None else tuple(num(t) for t in worst)
+    return VerificationRecord(**dict(obj, worst_point=worst))
 
 
 def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> IntSpaceSpec:
@@ -455,11 +367,70 @@ def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> I
     return IntSpaceSpec(grid, frozenset(gamma), tuple(num(t) for t in w), tuple(num(t) for t in v))
 
 
-def cmd_probe(cfg: dict, args) -> dict:
+# --------------------------------------------------------------------------
+# commands: each returns its results as domain objects, which main encodes
+
+
+def cmd_norm(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
-    samples = _samples(cfg, args)
-    seed = _seed(cfg, args)
-    tol = _tol(cfg, args)
+    x = parse_x(cfg, space.grid)
+    results: dict[str, Any] = {"x": x, "tolerance": tol}
+    if space.field is not None:
+        results["modular"] = modular(space.field, x)
+        results["luxemburg"] = luxemburg_norm(space.field, x, tol=min(tol, 1e-10))
+        results["amemiya"] = amemiya_norm(space.field, x, tol=min(tol, 1e-10))
+    elif isinstance(space.spec, SumSpaceSpec):
+        results["sum_norm"] = wsum_norm(space.spec, x)
+        results["dual_norm"] = sum_dual_norm(space.spec, x)
+    else:
+        results["intersection_norm"] = wint_norm(space.spec, x)
+        results["dual_norm"] = int_dual_norm(space.spec, x)
+    return results
+
+
+def cmd_classify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+    space = parse_space(cfg)
+    if space.field is not None:
+        report = classify(space.field, samples=samples, seed=seed)
+    elif isinstance(space.spec, SumSpaceSpec):
+        report = classify_sum(space.spec, samples=samples, seed=seed)
+    else:
+        report = classify_int(space.spec, samples=samples, seed=seed)
+    return dict(vars(report), witness=_witness_to_json(report.witness))
+
+
+def cmd_verify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+    if not args.certificate:
+        raise ConfigError("verify needs --certificate <report.json>")
+    cert_report = _load_object(args.certificate, "certificate")
+    if cert_report.get("config_hash") != config_hash(cfg):
+        raise PreconditionError("certificate does not match this configuration")
+    results = cert_report.get("results", {})
+    if not isinstance(results, dict):
+        raise ConfigError("certificate results must be a JSON object")
+    if results.get("witness") is None:
+        raise PreconditionError("report carries no witness to verify")
+    space = parse_space(cfg)
+    wit = _witness_from_json(results["witness"], space)
+    if isinstance(wit, NonsquareWitness):
+        record = verify_nonsquare(space.field, wit, samples, seed)
+    elif wit.kind == "sum-case":
+        if not isinstance(space.spec, SumSpaceSpec) or space.spec.grid != wit.x.grid:
+            raise PreconditionError("certificate grid does not match the space")
+        record = verify_sum_certificate(space.spec, wit, samples, seed)
+    else:
+        spec = _embedded_int_spec(space, wit.x.grid, wit.constants)
+        record = verify_int_certificate(spec, wit, samples, seed)
+    if record.violations:
+        raise VerificationError(
+            f"re-verification found {record.violations} violations "
+            f"(max {record.max_observed} against bound {record.bound})"
+        )
+    return {"verdict": "pass", "verification": record}
+
+
+def cmd_probe(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+    space = parse_space(cfg)
     if space.field is not None:
         primal = lambda y: luxemburg_norm(space.field, y, tol=min(tol, 1e-10))
         dual_field = conjugate_field(space.field)
@@ -471,7 +442,7 @@ def cmd_probe(cfg: dict, args) -> dict:
         primal = lambda y: wint_norm(space.spec, y)
         dual = lambda y: int_dual_norm(space.spec, y)
     def unit_vector(values, oracle, what):
-        y = StepFunction(space.grid, tuple(num(t) for t in values))
+        y = _step(space.grid, values)
         scale = oracle(y)
         if scale == 0.0:
             raise ConfigError(f"{what} must be nonzero")
@@ -504,14 +475,7 @@ def cmd_probe(cfg: dict, args) -> dict:
                 res = daugavet_condition_probe(
                     primal, dual, x, f, num(probe["eps"]), budget=samples, seed=seed + i
                 )
-                entry.update(
-                    {
-                        "found": res.found,
-                        "witness_direction": jsonify(res.witness_direction),
-                        "evaluations": res.evaluations,
-                        "note": res.note,
-                    }
-                )
+                entry.update(vars(res))
             else:
                 raise ConfigError(f"unknown probe type {kind!r}")
             out.append(entry)
@@ -520,7 +484,7 @@ def cmd_probe(cfg: dict, args) -> dict:
     return {"probes": out}
 
 
-def cmd_conjugate(cfg: dict, args) -> dict:
+def cmd_conjugate(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     if space.field is not None:
         dual = conjugate_field(space.field)
@@ -586,14 +550,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_object(args.config, "config")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    t0 = time.perf_counter()
-    try:
-        results = COMMANDS[args.command](cfg, args)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        report = make_report(args.command, cfg, results, args, elapsed_ms)
+        settings = _settings(cfg, args)
+        t0 = time.perf_counter()
+        results = COMMANDS[args.command](cfg, args, **settings)
+        wall_time_ms = (time.perf_counter() - t0) * 1000.0 if args.timing else 0.0
+        report = make_report(args.command, cfg, results, settings, wall_time_ms)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -607,6 +568,7 @@ def main(argv=None) -> int:
         GridMismatchError,
         UnknownCellError,
         ValueError,
+        OverflowError,
     ) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -216,9 +216,6 @@ class Linear(OrliczCurve):
             raise PreconditionError("inverse needs c >= 0")
         return c / self.slope if math.isfinite(c) else INF
 
-    def _half_ratio_sup(self, lo, hi):  # pragma: no cover - precondition fails
-        raise PreconditionError("linear curves have no half-point interval")
-
 
 @dataclass(frozen=True)
 class Indicator(OrliczCurve):
@@ -252,9 +249,6 @@ class Indicator(OrliczCurve):
         if c < 0:
             raise PreconditionError("inverse needs c >= 0")
         return self.bound
-
-    def _half_ratio_sup(self, lo, hi):  # pragma: no cover - precondition fails
-        raise PreconditionError("indicator curves have no half-point interval")
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,8 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     # alpha <= v and w <= beta on A; with a single cell both hold exactly
     q = mu_a * spec.v[i0] / spec.w[i0]
     eps = 0.5 * min(q / (1.0 + q) / c, (1.0 - b) / c)
+    if not eps > 0.0:
+        raise WitnessConstructionError(f"margin epsilon {eps!r} is not positive at these weights")
 
     cert = FailureCertificate(
         kind="sum-case",
@@ -435,6 +437,8 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             "integral_a1": i_1,
         }
 
+    if not eps > 0.0:
+        raise WitnessConstructionError(f"margin epsilon {eps!r} is not positive at these weights")
     cert = FailureCertificate(
         kind="intersection-case",
         x=x,
@@ -477,6 +481,8 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     over one StepFunction per draw bit for bit.  Errors keep that loop's
     order too: a candidate that is not finite raises StepFunction's error.
     """
+    if not 0.0 < eps < math.inf:
+        raise PreconditionError(f"slice margin must be finite and positive, got {eps!r}")
     grid = spec.grid
     _check(spec, center)  # the grid checks the scalar loop's first candidate meets
     functional._check(center)
@@ -559,14 +565,10 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         error = None
         for i in range(m):
             drawn += 1
-            try:
-                if drawn % 7:
-                    t[i] = rng.uniform(0.0, eps / 2.0)
-                    blended.append(i)
-                rng.standard_normal(out=y[i])
-            except (ValueError, OverflowError) as exc:
-                y, error = y[:i], exc
-                break
+            if drawn % 7:
+                t[i] = rng.uniform(0.0, eps / 2.0)
+                blended.append(i)
+            rng.standard_normal(out=y[i])
         idx = np.array(blended, dtype=int)
         nz, err = norms(y[idx])
         if err is not None:

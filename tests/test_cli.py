@@ -5,17 +5,22 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mospaces import classify, witness_int, witness_sum
 from mospaces.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFICATION,
+    MAX_CELLS,
     MAX_SAMPLES,
+    _witness_from_json,
+    _witness_to_json,
     build_parser,
     canonical_json,
     config_hash,
@@ -24,6 +29,7 @@ from mospaces.cli import (
     main,
     num,
     parse_curve,
+    parse_space,
 )
 
 
@@ -47,6 +53,19 @@ BASE = {
     "seed": 5,
     "samples": 300,
     "tol": 1e-10,
+}
+# not Daugavet: classify attaches a sum-case and an intersection-case certificate
+SUM_CFG = {
+    "grid": {"weights": [1.0, 1.0]},
+    "space": {"kind": "weighted_sum", "v": [1.0, 1.0], "w": [1.0, 1.0]},
+    "x": [1.0, -0.5],
+    "samples": 50,
+}
+INT_CFG = {
+    "grid": {"weights": [1.0, 1.0, 1.0, 1.0]},
+    "space": {"kind": "weighted_intersection", "w": [1.0] * 4, "v": [1.0] * 4},
+    "x": [1.0, -0.5, 0.0, 2.0],
+    "samples": 50,
 }
 
 
@@ -117,6 +136,88 @@ def test_config_round_trip_up_to_canonical_ordering():
     for cfg in configs:
         echoed = space_to_json(parse_space(cfg))
         assert canonical_json(echoed) == canonical_json(cfg)
+
+
+def test_witness_codec_round_trips():
+    builders = [
+        (BASE, lambda space: classify(space.field, samples=20, seed=1).witness),
+        (SUM_CFG, lambda space: witness_sum(space.spec, samples=20, seed=1)),
+        (INT_CFG, lambda space: witness_int(space.spec, samples=20, seed=1)),
+    ]
+    for cfg, build in builders:
+        space = parse_space(cfg)
+        witness = build(space)
+        assert witness.verification is not None
+        for wit in (witness, replace(witness, verification=None)):
+            assert _witness_from_json(jsonify(_witness_to_json(wit)), space) == wit
+
+
+_REPORT_KEYS = {"command", "config_hash", "versions", "seed", "samples", "tol"}
+_RECORD_KEYS = {
+    "samples_requested",
+    "samples_accepted",
+    "acceptance_rate",
+    "bound",
+    "max_observed",
+    "violations",
+    "seed",
+    "worst_point",
+}
+_CLASSIFY_KEYS = {"verdict", "canonical_form", "dual_form", "evidence", "witness", "explanation"}
+_CERT_KEYS = {"type", "x", "functional", "epsilon", "constants", "verification"}
+
+
+def test_reports_keep_their_json_form(tmp_path, capsys):
+    """Reports encode records by their fields; this pins every key they carry."""
+    path = tmp_path / "c.json"
+
+    def results(command, cfg, *extra):
+        write(path, cfg)
+        assert main([command, "--config", str(path), *extra]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == _REPORT_KEYS | {"wall_time_ms", "results"}
+        return report["results"]
+
+    nonsquare = results("classify", dict(BASE, samples=20))
+    assert set(nonsquare) == _CLASSIFY_KEYS
+    assert set(nonsquare["witness"]) == {"type", "x", "delta", "construction", "verification"}
+    assert set(nonsquare["witness"]["verification"]) == _RECORD_KEYS
+    sum_case = results("classify", SUM_CFG)["witness"]
+    assert set(sum_case) == _CERT_KEYS | {"grid_weights", "grid_ids", "second_functional"}
+    assert set(sum_case["verification"]) == _RECORD_KEYS
+    int_case = results("classify", INT_CFG)["witness"]
+    assert set(int_case) == _CERT_KEYS | {"grid_weights", "grid_ids"}
+    collapse = results("classify", dict(BASE, space={"kind": "nakano", "exponents": [1, 1]}))
+    assert set(collapse) == _CLASSIFY_KEYS and collapse["witness"] is None
+
+    cert = tmp_path / "cert.json"
+    write(path, INT_CFG)
+    assert main(["classify", "--config", str(path), "--out", str(cert)]) == EXIT_OK
+    verified = results("verify", INT_CFG, "--certificate", str(cert))
+    assert set(verified) == {"verdict", "verification"}
+    assert set(verified["verification"]) == _RECORD_KEYS
+
+    norm = {"x", "tolerance"}
+    assert set(results("norm", BASE)) == norm | {"modular", "luxemburg", "amemiya"}
+    assert set(results("norm", SUM_CFG)) == norm | {"sum_norm", "dual_norm"}
+    assert set(results("norm", INT_CFG)) == norm | {"intersection_norm", "dual_norm"}
+
+    probes = [
+        {"type": "slice_diameter", "functional": [1.0, 1.0], "eps": 0.1},
+        {"type": "roughness", "x": [1.0, 0.0]},
+        {"type": "daugavet_condition", "x": [1.0, 0.0], "functional": [1.0, 0.0], "eps": 0.1},
+    ]
+    entries = results("probe", dict(BASE, samples=20, probes=probes))
+    assert set(entries) == {"probes"}
+    probe = {"type", "one_sided"}
+    assert [set(e) for e in entries["probes"]] == [
+        probe | {"diameter_lower_bound"},
+        probe | {"roughness_lower_bound"},
+        probe | {"found", "witness_direction", "evaluations", "note"},
+    ]
+
+    assert set(results("conjugate", BASE)) == {"curves"}
+    assert set(results("conjugate", SUM_CFG)) == {"kind", "gamma", "v", "w"}
 
 
 # -- commands -----------------------------------------------------------------
@@ -473,6 +574,13 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     range_cfg = write(tmp_path / "range.json", dict(BASE, grid=unbounded_range))
     assert one_line_config_error(["norm", "--config", range_cfg])
 
+    # generated grids above MAX_CELLS are refused before their weights are drawn
+    assert MAX_CELLS == 10**6
+    for cells in (MAX_CELLS + 1, 1e13, 2**64):
+        huge_grid = {"cells": cells, "weight_seed": 1}
+        huge_grid = write(tmp_path / "cells.json", dict(BASE, grid=huge_grid))
+        assert one_line_config_error(["norm", "--config", huge_grid])
+
     for setting in ({"samples": None}, {"samples": -5}, {"seed": [1]}, {"seed": -1}):
         bad_setting = write(tmp_path / "setting.json", dict(BASE, **setting))
         assert one_line_config_error(["norm", "--config", bad_setting])
@@ -484,6 +592,10 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     )
     array_cert = write(tmp_path / "array-cert.json", [])
     assert one_line_config_error(["verify", "--config", cfg, "--certificate", array_cert])
+    # two faults, a hash mismatch (exit 3) and a bad setting: the setting is read first
+    other_cert = write(tmp_path / "other-cert.json", {"config_hash": "0" * 64, "results": {}})
+    two_faults = write(tmp_path / "two-faults.json", dict(BASE, samples=-1))
+    assert one_line_config_error(["verify", "--config", two_faults, "--certificate", other_cert])
 
     empty_scales = {"type": "roughness", "x": [1.0, 0.0], "scales": []}
     for probes in ([{"type": "roughness"}], [["roughness", [1.0, 0.0]]], 5, [empty_scales]):
@@ -582,6 +694,60 @@ def test_verify_overflowing_sum_certificate_is_a_precondition_failure(tmp_path, 
     assert err == "precondition failure: step function values must be finite, got inf\n"
 
 
+def test_overflow_in_a_verifier_norm_is_a_precondition_failure(tmp_path, capsys):
+    cfg = {
+        "grid": {"weights": [2.0, 2.0, 1.0, 2.0]},
+        "space": {
+            "kind": "weighted_intersection",
+            "w": [3e307, 1e-307, 1e-307, 3e307],
+            "v": [1e300, 3e307, 1e300, 3e307],
+        },
+        "samples": 50,
+    }
+    capsys.readouterr()
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "precondition failure: intermediate overflow in fsum\n"
+
+
+@pytest.mark.parametrize(
+    "cfg, key, margin",
+    [
+        (dict(BASE, samples=50), "delta", -1),
+        (dict(BASE, samples=50), "delta", 0),
+        (INT_CFG, "epsilon", 0),
+        (SUM_CFG, "epsilon", "inf"),
+        (SUM_CFG, "epsilon", -0.5),
+    ],
+)
+def test_verify_rejects_margins_that_are_not_finite_and_positive(
+    tmp_path, capsys, cfg, key, margin
+):
+    # at a margin of at most 0 the bound 2 - margin holds at every point
+    path = write(tmp_path / "c.json", cfg)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    report = json.loads(cert.read_text())
+    report["results"]["witness"][key] = margin
+    hostile = write(tmp_path / "hostile.json", report)
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: certificate {key} must be finite and positive, got {num(margin)!r}\n"
+
+
+@pytest.mark.parametrize("samples", [0, 50])
+def test_classify_attaches_no_witness_whose_margin_rounds_to_zero(tmp_path, capsys, samples):
+    cfg = {
+        "grid": {"weights": [1e8, 1e-8]},
+        "space": {"kind": "weighted_intersection", "w": [0.5, 1e-299], "v": [5e-301, 1e-300]},
+        "samples": samples,
+    }
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["verdict"] == "not-daugavet" and res["witness"] is None
+    assert res["explanation"].startswith("margin epsilon -0.0 is not positive")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -622,6 +788,8 @@ _JUNK = st.one_of(
 _POS = st.floats(0.25, 4.0)
 # integral sample counts above the ceiling, which would otherwise never finish
 _HUGE_SAMPLES = st.sampled_from([10**6 + 1, 3.4e38, 2**64])
+# generated grids above MAX_CELLS, which would otherwise allocate up to 72.8 TiB
+_HUGE_GRIDS = st.sampled_from([10**6 + 1, 1e13]).map(lambda c: {"cells": c, "weight_seed": 0})
 _SLOTS = (
     "grid",
     "ids",
@@ -717,7 +885,7 @@ def _config(draw):
         if draw(st.booleans()):
             space["gamma"] = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
     if broken == "grid":
-        grid = draw(_JUNK)
+        grid = draw(_HUGE_GRIDS if draw(st.booleans()) else _JUNK)
     elif broken != "weight_range" and draw(st.booleans()):
         grid = {"weights": draw(weights)}
     else:
@@ -753,8 +921,11 @@ def _config(draw):
             cfg[key] = slot(key, valid)
     hostile = None
     if broken == "certificate":
-        target = draw(st.sampled_from(["config_hash", "results", "witness", "witness key"]))
-        hostile = (target, draw(st.integers(0, 9)), draw(st.booleans()), draw(_JUNK))
+        if draw(st.booleans()):  # a delta or epsilon that leaves no margin, or no bound
+            hostile = ("margin", 0, False, draw(st.sampled_from([0, -1, "inf"])))
+        else:
+            target = draw(st.sampled_from(["config_hash", "results", "witness", "witness key"]))
+            hostile = (target, draw(st.integers(0, 9)), draw(st.booleans()), draw(_JUNK))
     return cfg, hostile
 
 
@@ -768,6 +939,7 @@ def _corrupt(cert: dict, hostile):
         "results": (cert, "results"),
         "witness": (results, "witness"),
         "witness key": (witness, sorted(witness)[index % len(witness)] if witness else None),
+        "margin": (witness, "delta" if witness and "delta" in witness else "epsilon"),
     }[target]
     if isinstance(owner, dict) and key is not None:
         if delete:
@@ -792,6 +964,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(case, command):
     corrupted where the example breaks the certificate.
     """
     cfg, hostile = case
+    if hostile is not None:
+        command = "verify"  # only verify reads the certificate
     contract = (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_VERIFICATION)
     with tempfile.TemporaryDirectory() as tmp:
         path = write(Path(tmp) / "c.json", cfg)

@@ -275,6 +275,29 @@ def test_witness_int_rejects_daugavet_space():
         witness_int(IntSpaceSpec(g, g.cell_set(), (1.0, 1.0), (1.0, 1.0)))
 
 
+def test_witness_int_refuses_a_margin_that_rounds_to_zero():
+    # c * I_A1 rounds just above one, so the admissible interval is empty
+    g = MeasureGrid((1e8, 1e-8))
+    spec = IntSpaceSpec(g, g.cell_set(), (0.5, 1e-299), (5e-301, 1e-300))
+    with pytest.raises(WitnessConstructionError, match="margin epsilon -0.0"):
+        witness_int(spec)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.0, -0.5, math.inf, math.nan])
+def test_slice_verifiers_reject_margins_that_are_not_finite_and_positive(eps):
+    # at eps <= 0 the bound 2 - eps would hold at every point
+    sum_spec = ones_spec()
+    g4 = MeasureGrid((1.0,) * 4)
+    int_spec = IntSpaceSpec(g4, g4.cell_set(), (1.0,) * 4, (1.0,) * 4)
+    for spec, make, verify in (
+        (sum_spec, witness_sum, verify_sum_certificate),
+        (int_spec, witness_int, verify_int_certificate),
+    ):
+        cert = replace(make(spec), epsilon=eps)
+        with pytest.raises(PreconditionError, match="slice margin"):
+            verify(spec, cert, samples=10, seed=0)
+
+
 def test_certificates_survive_fresh_seeds():
     spec = ones_spec(masses=(1.0, 0.5, 0.8))
     cert = witness_sum(spec, samples=400, seed=1)
