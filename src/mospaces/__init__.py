@@ -77,6 +77,7 @@ from .musielak import (
     weights,
 )
 from .probes import (
+    BlockOracle,
     ConditionProbeResult,
     Slice,
     daugavet_condition_probe,

@@ -302,8 +302,13 @@ def verify_nonsquare(
     evaluated; the record keeps the largest minimum observed, its direction
     and the number of directions above the bound.  The directions are solved
     as blocks of rows (unit sphere, then x+y and x-y) in chunks of
-    ``_BLOCK_CELLS`` cells.
+    ``_BLOCK_CELLS`` cells.  The margin delta must be finite and positive:
+    at most 0, the bound 2 - delta would hold at every direction.
     """
+    if not 0.0 < witness.delta < math.inf:
+        raise PreconditionError(
+            f"nonsquare margin must be finite and positive, got {witness.delta!r}"
+        )
     x = np.array(witness.x.values)
     bound = 2.0 - witness.delta
     directions = _nonsquare_directions(field, x, samples, np.random.default_rng(seed))

@@ -50,8 +50,15 @@ from .interpolation import (
     wint_norm,
     wsum_norm,
 )
-from .musielak import MusielakField, amemiya_norm, conjugate_field, luxemburg_norm, modular
-from .probes import Slice, daugavet_condition_probe, roughness_probe, slice_diameter_lb
+from .musielak import (
+    MusielakField,
+    amemiya_norm,
+    conjugate_field,
+    luxemburg_norm,
+    luxemburg_norms,
+    modular,
+)
+from .probes import BlockOracle, Slice, daugavet_condition_probe, roughness_probe, slice_diameter_lb
 from .reports import FailureCertificate, NonsquareWitness, VerificationRecord
 
 EXIT_OK = 0
@@ -431,16 +438,18 @@ def cmd_verify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
 
 def cmd_probe(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
-    if space.field is not None:
-        primal = lambda y: luxemburg_norm(space.field, y, tol=min(tol, 1e-10))
-        dual_field = conjugate_field(space.field)
-        dual = lambda y: amemiya_norm(dual_field, y, tol=min(tol, 1e-10))
-    elif isinstance(space.spec, SumSpaceSpec):
-        primal = lambda y: wsum_norm(space.spec, y)
-        dual = lambda y: sum_dual_norm(space.spec, y)
+    field, spec, tol = space.field, space.spec, min(tol, 1e-10)
+    if field is not None:  # only the Luxemburg oracle norms row blocks
+        primal = BlockOracle(
+            functools.partial(luxemburg_norm, field, tol=tol),
+            functools.partial(luxemburg_norms, field, tol=tol),
+        )
+        dual = functools.partial(amemiya_norm, conjugate_field(field), tol=tol)
+    elif isinstance(spec, SumSpaceSpec):
+        primal, dual = functools.partial(wsum_norm, spec), functools.partial(sum_dual_norm, spec)
     else:
-        primal = lambda y: wint_norm(space.spec, y)
-        dual = lambda y: int_dual_norm(space.spec, y)
+        primal, dual = functools.partial(wint_norm, spec), functools.partial(int_dual_norm, spec)
+
     def unit_vector(values, oracle, what):
         y = _step(space.grid, values)
         scale = oracle(y)

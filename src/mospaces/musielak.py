@@ -8,7 +8,11 @@ t -> rho(t|x|); every level-set scaling in the package goes through it.
 ``gauge_block`` runs the same loop on many rows in lockstep, evaluating
 all of them per step on a numpy form of the field compiled once per field;
 ``luxemburg_norms`` and ``unit_sphere_points`` are the row-batched
-``luxemburg_norm`` and ``unit_sphere_point``.  The per-cell loop stays the
+``luxemburg_norm`` and ``unit_sphere_point``.  The loop keeps each row's
+state (bracket ends, their closure values, the slope at the upper end) in
+arrays and moves every active row with one set of array operations, each
+the float operation of a scalar step, so a row's bracket is the same alone
+or in a block.  A one-row solve pays numpy's per-call overhead for that.  The per-cell loop stays the
 reference, and a block falls back to it for a row whose comparison with
 the level stays uncertain under the kernel's error bound.
 The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
@@ -219,86 +223,98 @@ def _check_start(hi: float):
         raise UnboundedNormError("the gauge scale underflows: the norm exceeds DBL_MAX")
 
 
-def _edge_brackets(rows: list, starts: list, feasible, rtol: float) -> list:
-    """Brackets of T for rows whose closure at their start bound is at most the level.
+def _larger(a, b):
+    """Python's max(a, b) per element: b where b > a, else a (NaN in a wins)."""
+    return np.where(b > a, b, a)
+
+
+def _smaller(a, b):
+    """Python's min(a, b) per element."""
+    return np.where(b < a, b, a)
+
+
+def _edge_brackets(rows: np.ndarray, starts: np.ndarray, feasible, rtol: float):
+    """Brackets (lo, hi) of T for rows whose closure at their start bound is at most the level.
 
     Then T is the start t up to rounding: the closure stays under the level
     up to the edge (past it the modular is infinite), or a single cell's
     bound is met exactly.  Steps of rtol (at least one ulp) away from t
     reach a feasible ``lo`` and an infeasible ``hi``; all rows step in
     lockstep, and ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k])
-    <= level for each k.
+    <= level for each k, as a boolean array.
     """
-    up = lambda u: max(u * (1.0 + rtol / 2.0), math.nextafter(u, INF))
-    down = lambda u: min(u * (1.0 - rtol / 4.0), math.nextafter(u, 0.0))
+    up = lambda u: _larger(u * (1.0 + rtol / 2.0), np.nextafter(u, INF))
+    down = lambda u: _smaller(u * (1.0 - rtol / 4.0), np.nextafter(u, 0.0))
     rising = feasible(rows, starts)  # a feasible start steps hi up, another steps lo down
-    lo = [t if ok else down(t) for t, ok in zip(starts, rising)]
-    hi = [up(t) for t in starts]
-    pending = list(range(len(rows)))
-    while pending:
-        probes = [hi[j] if rising[j] else lo[j] for j in pending]
-        stepping = []
-        for j, t, ok in zip(pending, probes, feasible([rows[j] for j in pending], probes)):
-            if rising[j] and ok:
-                lo[j], hi[j] = t, up(t)
-                stepping.append(j)
-            elif not rising[j] and not ok:
-                lo[j], hi[j] = down(t), t
-                stepping.append(j)
-        pending = stepping
-    return list(zip(lo, hi))
+    lo, hi = np.where(rising, starts, down(starts)), up(starts)
+    pending = np.arange(len(rows))
+    while pending.size:
+        r = rising[pending]
+        ts = np.where(r, hi[pending], lo[pending])
+        ok = feasible(rows[pending], ts)
+        ups, downs = r & ok, ~r & ~ok
+        j, t = pending[ups], ts[ups]
+        lo[j], hi[j] = t, up(t)
+        j, t = pending[downs], ts[downs]
+        lo[j], hi[j] = down(t), t
+        pending = pending[ups | downs]
+    return lo, hi
 
 
-def _newton(starts, settle, feasible, level: float, rtol: float) -> list:
+def _newton(starts: np.ndarray, settle, feasible, level: float, rtol: float):
     """The gauge loop: Newton steps from above on the closure, rows in lockstep.
 
     ``starts[i]`` bounds row i's T from above.  ``settle(rows, ts)``
-    evaluates the closure r and t*r' at ts[k] for row rows[k] and returns
-    points (k, t, r, s) whose side of ``level`` is certain: t itself, or
-    t*(1 - rtol/4) below and t*(1 + rtol/4) above the level, which closes
-    the bracket.  ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k])
-    <= level for each k.  Returns one bracket (lo, hi) per row.
+    evaluates the closure r and t*r' at ts[k] for row rows[k] and returns,
+    per k, arrays (t_lo, r_lo, t_hi, r_hi, s_hi) of the points it certifies:
+    t_lo with r(t_lo) = r_lo at most ``level`` (t_lo = 0 when none) and t_hi
+    with r(t_hi) = r_hi above it and t_hi*r'(t_hi) = s_hi (t_hi = inf when
+    none).  That is ts[k] itself, or t*(1 - rtol/4) below and
+    t*(1 + rtol/4) above the level, which closes the bracket.
+    ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k]) <= level for
+    each k.  The state of the active rows lives in arrays, and each step
+    updates all of them at once with the float operations of a one-row
+    step, so a row's bracket does not depend on the rows solved with it.
+    Returns arrays (lo, hi), one bracket per row.
     """
-    out = [None] * len(starts)
-    # per row: lo, r(lo), hi, r(hi), hi*r'(hi), and the step back from hi
-    # when both steps stall (doubles each time)
-    states = [[0.0, 0.0, INF, INF, INF, rtol / 2.0] for _ in starts]
-    rows, ts = list(range(len(starts))), list(starts)
-    for _ in range(_MAX_DOUBLINGS):
-        for k, t, r, s in settle(rows, ts):
-            st = states[rows[k]]
-            if r > level:
-                if t < st[2]:
-                    st[2], st[3], st[4] = t, r, s
-            elif t > st[0]:
-                st[0], st[1] = t, r
-        stepping, ts, edge = [], [], []
-        for i in rows:
-            st = states[i]
-            lo, r_lo, hi, r_hi, s_hi, back = st
-            if hi == INF:  # the closure at the start bound is at most the level
-                edge.append(i)
-                continue
-            if hi - lo <= rtol * lo or math.nextafter(lo, INF) >= hi:
-                out[i] = (lo, hi)
-                continue
-            t = lo + (hi - lo) * (level - r_lo) / (r_hi - r_lo)  # chord: r(t) <= level
-            if hi - t > rtol * t:  # chord still loose: tangent root, r >= level there
-                t = max(hi * (1.0 - (r_hi - level) / s_hi), lo * (1.0 + rtol / 2.0))
-            if not lo < t < hi:  # rounding stalled both steps
-                t = max(0.5 * (lo + hi), hi * (1.0 - back))
-                st[5] = 2.0 * back
-                if t >= hi:  # subnormal hi: rtol is below its ulp
-                    t = 0.5 * (lo + hi)
-            stepping.append(i)
-            ts.append(t)
-        if edge:
-            brackets = _edge_brackets(edge, [starts[i] for i in edge], feasible, rtol)
-            for i, bracket in zip(edge, brackets):
-                out[i] = bracket
-        if not stepping:
-            return out
-        rows = stepping
+    n = len(starts)
+    lo, hi = np.zeros(n), np.full(n, INF)  # the brackets returned
+    # per active row: lo, r(lo), hi, r(hi), hi*r'(hi), and the step back from
+    # hi when both steps stall (doubles each time)
+    rows = np.arange(n)
+    l, rl, h, rh, sh = np.zeros(n), np.zeros(n), np.full(n, INF), np.full(n, INF), np.full(n, INF)
+    back = np.full(n, rtol / 2.0)
+    ts = starts
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_DOUBLINGS):
+            tl, rtl, th, rth, sth = settle(rows, ts)
+            up, down = th < h, tl > l
+            h, rh, sh = np.where(up, th, h), np.where(up, rth, rh), np.where(up, sth, sh)
+            l, rl = np.where(down, tl, l), np.where(down, rtl, rl)
+            edge = h == INF  # the closure at the start bound is at most the level
+            stop = edge | (h - l <= rtol * l) | (np.nextafter(l, INF) >= h)
+            if stop.any():
+                done = rows[stop]
+                lo[done], hi[done] = l[stop], h[stop]
+                if edge.any():
+                    e = rows[edge]
+                    lo[e], hi[e] = _edge_brackets(e, starts[e], feasible, rtol)
+                go = ~stop
+                rows, l, rl, h, rh, sh, back = (v[go] for v in (rows, l, rl, h, rh, sh, back))
+                if not rows.size:
+                    return lo, hi
+            t = l + (h - l) * (level - rl) / (rh - rl)  # chord: r(t) <= level
+            # while the chord is loose, the tangent root, where r >= level
+            tangent = _larger(h * (1.0 - (rh - level) / sh), l * (1.0 + rtol / 2.0))
+            t = np.where(h - t > rtol * t, tangent, t)
+            stalled = ~((l < t) & (t < h))  # rounding stalled both steps
+            if stalled.any():
+                mid = 0.5 * (l + h)
+                t_back = _larger(mid, h * (1.0 - back))
+                # a subnormal hi has an ulp above rtol
+                t = np.where(stalled, np.where(t_back >= h, mid, t_back), t)
+                back = np.where(stalled, 2.0 * back, back)
+            ts = t
     raise MospacesError("gauge solver did not converge")  # pragma: no cover
 
 
@@ -327,14 +343,19 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
         raise PreconditionError("the gauge of the zero function is unbounded")
     _check_start(hi)
     closure = _closure(field, ax)
-    ((lo, hi),) = _newton(
-        [hi],
-        lambda rows, ts: [(0, ts[0], *closure(ts[0]))],
-        lambda rows, ts: [_scaled_modular(field, ax, t) <= level for t in ts],
-        level,
-        rtol,
-    )
-    return lo, hi
+
+    def settle(rows, ts):
+        t = float(ts[0])
+        r, s = closure(t)
+        if r > level:
+            return np.array([[0.0], [0.0], [t], [r], [s]])
+        return np.array([[t], [r], [INF], [INF], [INF]])
+
+    def feasible(rows, ts):
+        return np.array([_scaled_modular(field, ax, t) <= level for t in ts.tolist()])
+
+    lo, hi = _newton(np.array([hi]), settle, feasible, level, rtol)
+    return float(lo[0]), float(hi[0])
 
 
 def _knot_table(curve: OrliczCurve):
@@ -492,39 +513,40 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
     _check_start(float(starts.max()))
     _check_start(float(starts.min()))
 
-    def settle(idx, ts):
-        sub, t = rows[idx], np.array(ts)
+    def settle(idx, t):
+        sub = rows[idx]
         r, s = kernel.closure(sub, t)
-        sure = kernel.side(r, level) != 0
-        points = list(
-            zip(np.flatnonzero(sure).tolist(), t[sure].tolist(), r[sure].tolist(), s[sure].tolist())
-        )
-        unsure = np.flatnonzero(~sure)
+        side = kernel.side(r, level)
+        t_lo, r_lo = np.where(side < 0, t, 0.0), r.copy()
+        t_hi, r_hi, s_hi = np.where(side > 0, t, INF), r, s
+        unsure = np.flatnonzero(side == 0)
         if unsure.size:
             m = unsure.size
             tn = np.concatenate((t[unsure] * (1.0 - rtol / 4.0), t[unsure] * (1.0 + rtol / 4.0)))
             rn, sn = kernel.closure(np.concatenate((sub[unsure], sub[unsure])), tn)
             siden = kernel.side(rn, level)
             closed = (siden[:m] < 0) & (siden[m:] > 0)
-            both = np.concatenate((unsure[closed], unsure[closed]))
-            pair = np.concatenate((closed, closed))
-            points += zip(both.tolist(), tn[pair].tolist(), rn[pair].tolist(), sn[pair].tolist())
-            unsure = unsure[~closed]
-        for k in unsure.tolist():  # the per-cell fsum decides
-            points.append((k, ts[k], *_closure(field, sub[k].tolist())(ts[k])))
-        return points
+            k = unsure[closed]
+            t_lo[k], r_lo[k] = tn[:m][closed], rn[:m][closed]
+            t_hi[k], r_hi[k], s_hi[k] = tn[m:][closed], rn[m:][closed], sn[m:][closed]
+            for k in unsure[~closed].tolist():  # the per-cell fsum decides
+                r_k, s_k = _closure(field, sub[k].tolist())(float(t[k]))
+                if r_k > level:
+                    t_hi[k], r_hi[k], s_hi[k] = t[k], r_k, s_k
+                else:
+                    t_lo[k], r_lo[k] = t[k], r_k
+        return t_lo, r_lo, t_hi, r_hi, s_hi
 
-    def feasible(idx, ts):
+    def feasible(idx, t):
         # below the domain edge and off blow-up ends the closure is the modular
-        sub, t = rows[idx], np.array(ts)
+        sub = rows[idx]
         side = np.where(kernel.beyond(sub, t), 1, kernel.side(kernel.closure(sub, t)[0], level))
-        ok = (side < 0).tolist()
+        ok = side < 0
         for k in np.flatnonzero(side == 0).tolist():
-            ok[k] = _scaled_modular(field, sub[k].tolist(), ts[k]) <= level
+            ok[k] = _scaled_modular(field, sub[k].tolist(), float(t[k])) <= level
         return ok
 
-    lo, hi = np.array(_newton(starts.tolist(), settle, feasible, level, rtol)).T
-    return lo, hi
+    return _newton(starts, settle, feasible, level, rtol)
 
 
 def _norm_of_scale(hi: float) -> float:
@@ -549,7 +571,12 @@ def luxemburg_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12) ->
 
 
 def luxemburg_norms(field: MusielakField, xs, tol: float = 1e-12) -> np.ndarray:
-    """``luxemburg_norm`` of each row of ``xs`` (rows x cells), as one block."""
+    """``luxemburg_norm`` of each row of ``xs`` (rows x cells), as one block.
+
+    Every row runs on the compiled kernel, also below ``_KERNEL_CELLS``
+    cells, where ``luxemburg_norm`` evaluates cell by cell; both are lower
+    bounds within ``tol`` of the norm but may differ in the last digits.
+    """
     ax = np.abs(np.asarray(xs, dtype=float))
     out = np.zeros(len(ax))
     nonzero = ax.any(axis=1)

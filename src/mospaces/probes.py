@@ -6,6 +6,16 @@ quotients as the best value over sampled directions and scales, and the
 slice-condition search reports failure as inconclusive rather than as a
 negative.  Norms enter only through oracles (callables on step functions),
 so the probes run unchanged against gauge norms, weighted norms or duals.
+
+An oracle that also has ``rows(ndarray) -> ndarray`` (such as a
+``BlockOracle``) norms every row of a (rows x cells) array of cell values
+at once.  ``roughness_probe`` and ``slice_diameter_lb`` know many of their
+points before they norm them, so they build them as row blocks of at most
+``_BLOCK_CELLS`` cells, with the float operations of the step-function
+arithmetic, and hand each block to ``rows``; an oracle without ``rows`` is
+called once per row on the same values, so it gives the one-point loop's
+result exactly.  ``daugavet_condition_probe`` is a sequential search and
+calls the oracle one point at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +33,22 @@ from .grid import MeasureGrid, StepFunction, pairing
 NormOracle = Callable[[StepFunction], float]
 
 _ARCHIVE = 48  # slice points kept for pairwise distance checks
+_BLOCK_CELLS = 1 << 14  # cells per row block the probes norm at once; bounds their memory
+
+
+@dataclass(frozen=True)
+class BlockOracle:
+    """A norm oracle that also norms row blocks.
+
+    ``norm`` norms one step function; ``rows`` takes a (rows x cells) array
+    of cell values and returns the norm of each row.
+    """
+
+    norm: NormOracle
+    rows: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, y: StepFunction) -> float:
+        return self.norm(y)
 
 
 @dataclass(frozen=True)
@@ -55,6 +81,69 @@ def _aligned_candidates(grid: MeasureGrid, f: StepFunction):
     yield f
 
 
+def _norms(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarray:
+    """The oracle's norm of each row: one ``rows`` call when it has one, else a loop."""
+    block = getattr(oracle, "rows", None)
+    if block is not None:
+        return np.asarray(block(rows), dtype=float)
+    return np.array([oracle(StepFunction(grid, tuple(r))) for r in rows.tolist()])
+
+
+def _finite(rows: np.ndarray) -> np.ndarray:
+    """StepFunction's value check on a row block."""
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        raise ValueError(f"step function values must be finite, got {rows[bad][0]}")
+    return rows
+
+
+def _best_of(best: float, values: np.ndarray) -> float:
+    """What ``if v > best: best = v`` over ``values`` leaves (NaN never wins)."""
+    hits = values[values > best]
+    return float(hits.max()) if hits.size else best
+
+
+def _blocks(parts, size: int):
+    """The rows of the row arrays ``parts``, regrouped into blocks of ``size`` rows.
+
+    The last block may be shorter.
+    """
+    buf, have = [], 0
+    for part in parts:
+        while len(part):
+            take = part[: size - have]
+            buf.append(take)
+            have += len(take)
+            part = part[len(take) :]
+            if have == size:
+                yield np.concatenate(buf)
+                buf, have = [], 0
+    if buf:
+        yield np.concatenate(buf)
+
+
+def _atom_rows(values: np.ndarray, n: int, size: int):
+    """Row i carries values[i] on cell i % n and 0 elsewhere, in blocks of ``size`` rows."""
+    for a in range(0, len(values), size):
+        i = np.arange(a, min(a + size, len(values)))
+        block = np.zeros((len(i), n))
+        block[np.arange(len(i)), i % n] = values[i]
+        yield block
+
+
+def _draws(rng: np.random.Generator, count: int, n: int, size: int):
+    """``count`` standard normal rows of length n, in blocks of ``size`` rows.
+
+    The rows are the ones ``count`` calls of ``rng.standard_normal(n)`` give.
+    """
+    for a in range(0, count, size):
+        yield rng.standard_normal((min(size, count - a), n))
+
+
+def _signs(values: np.ndarray) -> np.ndarray:
+    return np.where(values >= 0, 1.0, -1.0)
+
+
 def slice_diameter_lb(
     primal: NormOracle,
     dual: NormOracle,
@@ -67,7 +156,10 @@ def slice_diameter_lb(
     Draws extremal candidates aligned with the functional first, then
     rejection-samples the ball; distances are checked against a bounded
     archive of accepted points.  Raises when the slice stays empty within
-    the budget.
+    the budget.  Candidates are normed in row blocks, in the draw order of
+    one ``rng.standard_normal(n)`` per candidate, and each pairing is one
+    ``math.fsum`` over the terms of ``pairing``; the distances from each
+    admitted point to the archive are normed in row blocks as well.
     """
     f = s.functional
     if abs(dual(f) - 1.0) > 1e-9:
@@ -75,26 +167,31 @@ def slice_diameter_lb(
     grid = f.grid
     rng = np.random.default_rng(seed)
     n = len(grid)
-    aligned = list(_aligned_candidates(grid, f))
-    draws = (
-        StepFunction(grid, tuple(rng.standard_normal(n)))
-        for _ in range(samples - len(aligned))
-    )
-    archive: list[StepFunction] = []
+    size = max(1, _BLOCK_CELLS // n)
+    fv, w = np.array(f.values), np.array(grid.weights)
+    signs = _signs(fv)
+    aligned = itertools.chain(_atom_rows(signs, n, size), [np.stack((signs, fv))])
+    candidates = itertools.chain(aligned, _draws(rng, samples - (n + 2), n, size))
+    archive = np.empty((_ARCHIVE, n))
+    kept = 0
+
+    def distances():
+        nonlocal kept
+        for ys in _blocks(candidates, size):
+            ny = _norms(primal, grid, ys)
+            nonzero = ny != 0.0
+            ys = _finite((1.0 / ny[nonzero])[:, None] * ys[nonzero])
+            for y, terms in zip(ys, ((fv * ys) * w).tolist()):
+                if math.fsum(terms) > 1.0 - s.eps:
+                    yield y - archive[:kept]
+                    if kept < _ARCHIVE:
+                        archive[kept] = y
+                        kept += 1
+
     best = 0.0
-    for y in itertools.chain(aligned, draws):
-        ny = primal(y)
-        if ny == 0.0:
-            continue
-        y = (1.0 / ny) * y
-        if pairing(f, y) > 1.0 - s.eps:
-            for z in archive:
-                d = primal(y - z)
-                if d > best:
-                    best = d
-            if len(archive) < _ARCHIVE:
-                archive.append(y)
-    if not archive:
+    for ds in _blocks(distances(), size):
+        best = _best_of(best, _norms(primal, grid, _finite(ds)))
+    if not kept:
         raise PreconditionError("slice empty at this sample budget (eps too small)")
     if best > 2.0 + 1e-9:
         raise PreconditionError(f"found slice points {best} apart; not a unit ball")
@@ -112,33 +209,42 @@ def roughness_probe(
 
     Directions mix coordinate atoms, the sign pattern of x and random
     draws; each is tested at every scale.  A lower bound on the local
-    roughness: values near 2 certify near-octahedral behaviour.
+    roughness: values near 2 certify near-octahedral behaviour.  Every
+    scale must be finite and positive.  The directions, then x + t*h and
+    x - t*h at each scale t, are normed in row blocks of at most
+    ``_BLOCK_CELLS`` cells, each row the StepFunction arithmetic of a
+    one-direction loop.
     """
+    if not all(0.0 < t < math.inf for t in h_scales):
+        raise PreconditionError("scales must be finite and positive")
     if abs(norm(x) - 1.0) > 1e-8:
         raise PreconditionError("roughness probe needs a unit vector")
     grid = x.grid
     rng = np.random.default_rng(seed)
     n = len(grid)
-    dirs = []
-    for i in range(n):
-        dirs.append(StepFunction.atom(grid, grid.ids[i]))
-        dirs.append(StepFunction.atom(grid, grid.ids[i], -1.0))
-    dirs.append(StepFunction(grid, tuple(1.0 if v >= 0 else -1.0 for v in x.values)))
-    while len(dirs) < samples:
-        dirs.append(StepFunction(grid, tuple(rng.standard_normal(n))))
+    size = max(1, _BLOCK_CELLS // n)
+    xv = np.array(x.values)
+    scales = np.array(h_scales, dtype=float)
+    per_dir = max(1, size // (2 * max(1, len(scales))))  # directions per block
+    per_scale = max(1, size // (2 * per_dir))  # scales per block
+    directions = itertools.chain(
+        _atom_rows(np.repeat([1.0, -1.0], n), n, per_dir),  # every +e_i, then every -e_i
+        [_signs(xv)[None, :]],
+        _draws(rng, samples - (2 * n + 1), n, per_dir),
+    )
     best = 0.0
-    for h0 in dirs:
-        nh = norm(h0)
-        if nh == 0.0:
+    for hs in _blocks(directions, per_dir):
+        nh = _norms(norm, grid, hs)
+        nonzero = nh != 0.0
+        hs = _finite((1.0 / nh[nonzero])[:, None] * hs[nonzero])
+        if not len(hs):
             continue
-        h0 = (1.0 / nh) * h0
-        for t in h_scales:
-            if t <= 0.0:
-                raise PreconditionError("scales must be positive")
-            h = t * h0
-            q = (norm(x + h) + norm(x - h) - 2.0) / t
-            if q > best:
-                best = q
+        for a in range(0, len(scales), per_scale):
+            ts = scales[a : a + per_scale, None, None]
+            steps = ts * hs
+            rows = _finite(np.concatenate((xv + steps, xv - steps)).reshape(-1, n))
+            plus, minus = _norms(norm, grid, rows).reshape(2, len(ts), len(hs))
+            best = _best_of(best, (plus + minus - 2.0) / ts[:, :, 0])
     return best
 
 

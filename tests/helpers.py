@@ -1,6 +1,8 @@
 """Shared random generators and independent brute-force oracles for tests."""
 
+import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -13,6 +15,8 @@ from mospaces import (
     OrliczCurve,
     PiecewiseLinear,
     Power,
+    PreconditionError,
+    Slice,
     StepFunction,
     SumSpaceSpec,
     luxemburg_norm,
@@ -23,6 +27,7 @@ from mospaces import (
     wint_norm,
 )
 from mospaces.interpolation import _SLACK, _int_slice_center
+from mospaces.probes import _ARCHIVE, NormOracle, _aligned_candidates
 from mospaces.reports import record_from_samples
 
 INF = math.inf
@@ -354,6 +359,90 @@ def _adversarial_candidates(grid, aligned_to, center):
     signs = tuple(1.0 if t >= 0 else -1.0 for t in aligned_to.values)
     yield StepFunction(grid, signs)
     yield StepFunction(grid, tuple(-s for s in signs))
+
+
+def slice_diameter_reference(
+    primal: NormOracle,
+    dual: NormOracle,
+    s: Slice,
+    samples: int = 2000,
+    seed: int = 0,
+) -> float:
+    """probes.slice_diameter_lb one candidate and one distance at a time.
+
+    The scalar loop the block probe replaced, kept as its reference: same
+    candidates in the same draw order, one oracle call per norm.
+    """
+    f = s.functional
+    if abs(dual(f) - 1.0) > 1e-9:
+        raise PreconditionError("slice functional must have dual norm 1")
+    grid = f.grid
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    aligned = list(_aligned_candidates(grid, f))
+    draws = (
+        StepFunction(grid, tuple(rng.standard_normal(n)))
+        for _ in range(samples - len(aligned))
+    )
+    archive: list[StepFunction] = []
+    best = 0.0
+    for y in itertools.chain(aligned, draws):
+        ny = primal(y)
+        if ny == 0.0:
+            continue
+        y = (1.0 / ny) * y
+        if pairing(f, y) > 1.0 - s.eps:
+            for z in archive:
+                d = primal(y - z)
+                if d > best:
+                    best = d
+            if len(archive) < _ARCHIVE:
+                archive.append(y)
+    if not archive:
+        raise PreconditionError("slice empty at this sample budget (eps too small)")
+    if best > 2.0 + 1e-9:
+        raise PreconditionError(f"found slice points {best} apart; not a unit ball")
+    return best
+
+
+def roughness_reference(
+    norm: NormOracle,
+    x: StepFunction,
+    h_scales: Sequence[float] = (0.5, 0.1, 0.02, 0.004),
+    samples: int = 500,
+    seed: int = 0,
+) -> float:
+    """probes.roughness_probe one direction and one scale at a time.
+
+    The scalar loop the block probe replaced, kept as its reference; the
+    quotient is the best (|x+h| + |x-h| - 2|x|) / |h| found at x.
+    """
+    if abs(norm(x) - 1.0) > 1e-8:
+        raise PreconditionError("roughness probe needs a unit vector")
+    grid = x.grid
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    dirs = []
+    for i in range(n):
+        dirs.append(StepFunction.atom(grid, grid.ids[i]))
+        dirs.append(StepFunction.atom(grid, grid.ids[i], -1.0))
+    dirs.append(StepFunction(grid, tuple(1.0 if v >= 0 else -1.0 for v in x.values)))
+    while len(dirs) < samples:
+        dirs.append(StepFunction(grid, tuple(rng.standard_normal(n))))
+    best = 0.0
+    for h0 in dirs:
+        nh = norm(h0)
+        if nh == 0.0:
+            continue
+        h0 = (1.0 / nh) * h0
+        for t in h_scales:
+            if t <= 0.0:
+                raise PreconditionError("scales must be positive")
+            h = t * h0
+            q = (norm(x + h) + norm(x - h) - 2.0) / t
+            if q > best:
+                best = q
+    return best
 
 
 def half_ratio_scan(curve: OrliczCurve, lo, hi, steps=100_000):

@@ -321,6 +321,15 @@ def test_verify_rejects_tampered_delta():
     assert record.samples_requested == 500
 
 
+@pytest.mark.parametrize("delta", [-1.0, 0.0, math.inf, math.nan])
+def test_verify_nonsquare_rejects_margins_that_are_not_finite_and_positive(delta):
+    # delta -1 made the bound 3.0, which every direction met: 0 violations
+    f = MusielakField.nakano(unit_grid(), [2, 2])
+    wit = build_nonsquare_witness(f)
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        verify_nonsquare(f, NonsquareWitness(wit.x, delta, wit.construction), samples=50, seed=0)
+
+
 def test_classify_raises_when_its_witness_fails_verification(monkeypatch):
     import importlib
 

@@ -609,6 +609,16 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         assert one_line_config_error(["verify", "--config", cfg, "--certificate", cert])
 
 
+@pytest.mark.parametrize("scales", [["inf"], [math.nan], [-1], [0], [0.5, -1]])
+def test_roughness_scales_must_be_finite_and_positive(tmp_path, capsys, scales):
+    probe = {"type": "roughness", "x": [1.0, 0.0], "scales": scales}
+    cfg = write(tmp_path / "probe.json", dict(BASE, probes=[probe]))
+    capsys.readouterr()
+    assert main(["probe", "--config", cfg]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "scales must be finite and positive" in err
+
+
 def test_samples_above_the_ceiling_are_config_errors(tmp_path, capsys):
     def outcome(argv):
         capsys.readouterr()

@@ -679,6 +679,57 @@ def test_gauge_block_rejects_zero_rows():
         gauge_block(f, [[1.0, 0.0], [0.0, 0.0]])
 
 
+@st.composite
+def _extreme_block(draw):
+    """A field of 1-4 cells with p near 1 and blow-up ends, and rows of magnitudes near 1e+-300."""
+    n = draw(st.integers(1, 4))
+    curves = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["near-one", "power", "blow-up", "closed", "linear", "indicator"]))
+        if kind == "near-one":
+            curves.append(Power(draw(st.floats(1.0, 1.001, exclude_min=True, exclude_max=True))))
+        elif kind == "power":
+            curves.append(Power(draw(st.floats(1.5, 4.0))))
+        elif kind in ("blow-up", "closed"):
+            knots, slopes = (0.0, draw(st.floats(0.25, 3.0))), (draw(st.floats(0.1, 2.0)),)
+            if kind == "blow-up":
+                curves.append(PiecewiseLinear(knots, slopes, INF))
+            else:
+                curves.append(PiecewiseLinear.closed(knots, slopes))
+        elif kind == "linear":
+            curves.append(Linear(draw(st.floats(0.2, 3.0))))
+        else:
+            curves.append(Indicator(draw(st.floats(0.2, 3.0))))
+    grid = MeasureGrid(tuple(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))))
+    value = st.builds(
+        lambda m, e, sign: sign * m * e,
+        st.floats(0.5, 2.0),
+        st.sampled_from([0.0, 1e-300, 1e-150, 1.0, 1e150, 1e300]),
+        st.sampled_from([1.0, -1.0]),
+    )
+    row = st.lists(value, min_size=n, max_size=n).filter(lambda r: any(r))
+    return MusielakField(grid, tuple(curves)), draw(st.lists(row, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_extreme_block())
+def test_array_valued_gauge_loop_on_extreme_inputs(case):
+    # a row's bracket does not depend on the rows solved with it, holds T
+    # with the one-row per-cell solve, and keeps lo feasible
+    f, rows = case
+    ax = np.abs(np.array(rows))
+    lo, hi = gauge_block(f, ax)
+    for values, a, l, h in zip(rows, ax, lo.tolist(), hi.tolist()):
+        one_lo, one_hi = gauge_block(f, [a])
+        assert (one_lo[0], one_hi[0]) == (l, h)
+        x = StepFunction(f.grid, tuple(values))
+        assert modular(f, l * x) <= 1.0
+        l1, h1 = gauge(f, a.tolist())
+        assert l <= h1 and l1 <= h
+        lux, ame = luxemburg_norm(f, x), amemiya_norm(f, x)
+        assert lux <= ame <= (2.0 + 1e-8) * lux
+
+
 def test_row_batched_norms_match_scalar_ones():
     rng = np.random.default_rng(67)
     for _ in range(20):

@@ -1,8 +1,12 @@
+import functools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mospaces import (
+    BlockOracle,
     ConditionProbeResult,
     IntSpaceSpec,
     Linear,
@@ -11,7 +15,9 @@ from mospaces import (
     PreconditionError,
     Slice,
     StepFunction,
+    amemiya_norm,
     classify,
+    conjugate_field,
     daugavet_condition_probe,
     int_dual_norm,
     luxemburg_norm,
@@ -21,7 +27,10 @@ from mospaces import (
     wint_norm,
     witness_int,
 )
+from mospaces.musielak import luxemburg_norms
 from mospaces.reports import FORM_L1
+
+from helpers import random_field, random_x, roughness_reference, slice_diameter_reference
 
 
 def l1_oracles(grid, w=None):
@@ -204,3 +213,86 @@ def test_daugavet_condition_probe_scores_each_candidate_once():
     hit = StepFunction(g3, (0.5529338374831586, 0.6907698989773278, -0.060074835390510964))
     assert res == ConditionProbeResult(True, hit, 52, "condition witnessed")
     assert primal.calls <= 1 + 2 * res.evaluations
+
+
+# -- row-block probes against the one-point loops ----------------------------
+
+
+def _luxemburg_oracles(f):
+    """(block Luxemburg oracle, the same norm as a plain callable)."""
+    one = functools.partial(luxemburg_norm, f)
+    return BlockOracle(one, functools.partial(luxemburg_norms, f)), one
+
+
+def _unit(norm, y):
+    return (1.0 / norm(y)) * y
+
+
+def _slice_case(rng, f, dual):
+    """A dual-norm-one functional peaked on one cell, so the slice is not empty."""
+    vals = rng.uniform(-0.2, 0.2, len(f.grid)) / len(f.grid)
+    vals[int(rng.integers(0, len(f.grid)))] = 3.0
+    return Slice(_unit(dual, StepFunction(f.grid, tuple(vals))), 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 200])
+def test_block_probes_match_the_scalar_references(n):
+    rng = np.random.default_rng(71 + n)
+    scales = (0.5, 0.1, 0.02, 0.004) if n < 200 else (0.004,)
+    for k in range(3 if n < 200 else 1):
+        f = random_field(rng, n=n)
+        block, plain = _luxemburg_oracles(f)
+        x = _unit(plain, random_x(rng, f.grid))
+        want = roughness_reference(plain, x, scales, samples=60, seed=k)
+        assert roughness_probe(plain, x, scales, samples=60, seed=k) == want
+        assert abs(roughness_probe(block, x, scales, samples=60, seed=k) - want) <= 1e-9
+
+        dual = functools.partial(amemiya_norm, conjugate_field(f))
+        s = _slice_case(rng, f, dual)
+        samples = n + 30 if n < 200 else n + 6
+        want = slice_diameter_reference(plain, dual, s, samples, seed=k)
+        assert slice_diameter_lb(plain, dual, s, samples, seed=k) == want
+        assert abs(slice_diameter_lb(block, dual, s, samples, seed=k) - want) <= 1e-9
+
+
+def test_probe_rows_match_one_row_luxemburg_norms():
+    # the rows the roughness probe builds, x + t*h and x - t*h, normed as a
+    # block and one at a time
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 5, 8, 16, 200):
+        f = random_field(rng, n=n)
+        x = random_x(rng, f.grid)
+        hs = rng.standard_normal((6, n))
+        rows = np.concatenate([x.values + t * hs for t in (0.5, 0.004)] + [x.values - 0.1 * hs])
+        got = luxemburg_norms(f, rows)
+        for row, g in zip(rows, got.tolist()):
+            want = luxemburg_norm(f, StepFunction(f.grid, tuple(row)))
+            assert abs(g - want) <= 2.5e-12 * want
+
+
+def test_roughness_scales_are_checked_before_any_norm():
+    g = MeasureGrid((1.0, 1.0))
+    primal = _counting(l1_oracles(g)[0])
+    x = StepFunction(g, (1.0, 0.0))
+    for scales in ((0.5, math.nan), (math.inf,), (0.1, -1.0), (0.0,)):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            roughness_probe(primal, x, scales, samples=20)
+    assert primal.calls == 0
+
+
+def test_roughness_probe_memory_stays_within_a_block():
+    # 2n + 1 = 4097 directions at n = 2048: all at once they would take 64 MiB;
+    # a cheap row oracle leaves the probe's own blocks to measure
+    rng = np.random.default_rng(79)
+    g = MeasureGrid(tuple(float(w) for w in rng.uniform(0.5, 2.0, 2048)))
+    w = np.array(g.weights)
+    oracle = BlockOracle(lambda y: weighted_l1_norm(y, (1.0,) * len(g)), lambda ys: np.abs(ys) @ w)
+    x = _unit(oracle, StepFunction(g, tuple(rng.standard_normal(len(g)))))
+    tracemalloc.start()
+    try:
+        q = roughness_probe(oracle, x, (0.5, 0.1, 0.02, 0.004), samples=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q > 1.99  # L1 is rough everywhere
+    assert peak < 2 * 2**20
