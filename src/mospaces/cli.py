@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -104,16 +105,93 @@ def num(value) -> float:
     if value == "-inf":
         return -math.inf
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(
+                "expected a number or 'inf', got an integer out of float range"
+            ) from None
     raise ConfigError(f"expected a number or 'inf', got {value!r}")
+
+
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def nums(tokens) -> tuple:
+    """``num`` of each token of a JSON list.
+
+    A list of plain ints and floats, perhaps ending in "inf", converts in one
+    pass; any other token (and an int beyond the float range) takes the
+    per-token path, which raises what ``num`` raises.
+    """
+    if type(tokens) is list:
+        body = tokens[:-1] if tokens and tokens[-1] == "inf" else tokens
+        if _PLAIN_NUMBERS.issuperset(map(type, body)):
+            try:
+                return tuple(map(float, tokens))  # float("inf") is the trailing token
+            except OverflowError:
+                pass
+    return tuple(num(t) for t in tokens)
+
+
+def _listed(value, what: str) -> tuple:
+    """A JSON list of ids as a tuple; a string or an object is no list of ids."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def canonical_json(obj) -> str:
     return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
 
 
+_JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None)})
+_CONTAINERS = frozenset({dict, list, tuple})
+
+
+def _plain_json(obj) -> bool:
+    """Whether ``obj`` is built of exact JSON types, with str keys only.
+
+    Such an object encodes as ``jsonify`` leaves it, but for non-finite
+    floats.  Checked one nesting level at a time, each level's items in
+    C-level passes.
+    """
+    if type(obj) not in _JSON_TYPES:
+        return False
+    level = [obj] if type(obj) in _CONTAINERS else []
+    while level:
+        dicts = [o for o in level if type(o) is dict]
+        if not {str}.issuperset(map(type, itertools.chain.from_iterable(dicts))):
+            return False
+        items = list(
+            itertools.chain(
+                itertools.chain.from_iterable(map(dict.values, dicts)),
+                itertools.chain.from_iterable(o for o in level if type(o) is not dict),
+            )
+        )
+        kinds = set(map(type, items))
+        if not _JSON_TYPES.issuperset(kinds):
+            return False
+        level = [o for o in items if type(o) in _CONTAINERS] if kinds & _CONTAINERS else []
+    return True
+
+
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
+    """sha256 of the canonical JSON: sorted keys, compact, "inf" tokens.
+
+    A config as ``json.load`` gives it encodes directly; ``allow_nan=False``
+    sends one with a non-finite float, and ``_plain_json`` anything else,
+    through ``canonical_json``, so the bytes are the same either way.
+    """
+    text = None
+    if _plain_json(cfg):
+        try:
+            text = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            pass
+    if text is None:
+        text = canonical_json(cfg)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +208,8 @@ def parse_curve(d: dict) -> OrliczCurve:
         if family == "indicator":
             return Indicator(num(d["bound"]))
         if family == "piecewise":
-            bp = tuple(num(t) for t in d["breakpoints"])
-            sl = tuple(num(t) for t in d["slopes"])
+            bp = nums(d["breakpoints"])
+            sl = nums(d["slopes"])
             if not bp:
                 raise ValueError("a piecewise curve needs breakpoints")
             if math.isinf(bp[-1]):
@@ -167,7 +245,7 @@ def curve_to_json(curve: OrliczCurve) -> dict:
 def parse_grid(d: dict) -> MeasureGrid:
     try:
         if "weights" in d:
-            weights = tuple(num(t) for t in d["weights"])
+            weights = nums(d["weights"])
         else:
             n = int(d["cells"])
             if n > MAX_CELLS:
@@ -175,7 +253,7 @@ def parse_grid(d: dict) -> MeasureGrid:
             rng = np.random.default_rng(int(d["weight_seed"]))
             lo, hi = (num(t) for t in d.get("weight_range", [0.5, 2.0]))
             weights = tuple(float(t) for t in rng.uniform(lo, hi, n))
-        ids = tuple(d["ids"]) if "ids" in d else ()
+        ids = _listed(d["ids"], "grid ids") if "ids" in d else ()
         return MeasureGrid(weights, ids)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
@@ -204,7 +282,7 @@ def parse_space(cfg: dict) -> SpaceConfig:
             curves = tuple(parse_curve(c) for c in space["curves"])
             return SpaceConfig(grid, field=MusielakField(grid, curves))
         if kind == "nakano":
-            exps = tuple(num(p) for p in space["exponents"])
+            exps = nums(space["exponents"])
             return SpaceConfig(grid, field=MusielakField.nakano(grid, exps))
         if kind == "orlicz":
             curve = parse_curve(space["curve"])
@@ -212,9 +290,13 @@ def parse_space(cfg: dict) -> SpaceConfig:
         if kind in _WEIGHTED_SPECS:
             spec = _WEIGHTED_SPECS[kind](
                 grid=grid,
-                gamma=frozenset(space["gamma"]) if "gamma" in space else grid.cell_set(),
-                v=tuple(num(t) for t in space["v"]),
-                w=tuple(num(t) for t in space["w"]),
+                gamma=(
+                    frozenset(_listed(space["gamma"], "gamma"))
+                    if "gamma" in space
+                    else grid.cell_set()
+                ),
+                v=nums(space["v"]),
+                w=nums(space["w"]),
             )
             return SpaceConfig(grid, spec=spec)
     except (KeyError, TypeError, ValueError, GridMismatchError, UnknownCellError) as exc:
@@ -256,7 +338,7 @@ def parse_x(cfg: dict, grid: MeasureGrid) -> StepFunction:
 
 def _step(grid: MeasureGrid, values) -> StepFunction:
     """A step function on ``grid`` from a JSON list of numbers and "inf" tokens."""
-    return StepFunction(grid, tuple(num(t) for t in values))
+    return StepFunction(grid, nums(values))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +411,7 @@ def _witness_from_json(obj, space: SpaceConfig) -> Union[NonsquareWitness, Failu
         if wtype == "nonsquare":
             x = _step(space.grid, obj["x"])
             return NonsquareWitness(x, margin, obj.get("construction", {}), record)
-        grid = MeasureGrid(tuple(num(t) for t in obj["grid_weights"]), tuple(obj["grid_ids"]))
+        grid = MeasureGrid(nums(obj["grid_weights"]), _listed(obj["grid_ids"], "grid ids"))
         cert = FailureCertificate(
             kind=wtype,
             x=_step(grid, obj["x"]),
@@ -357,7 +439,7 @@ def _record_from_json(obj) -> Optional[VerificationRecord]:
     if obj is None:
         return None
     worst = obj["worst_point"]
-    worst = None if worst is None else tuple(num(t) for t in worst)
+    worst = None if worst is None else nums(worst)
     return VerificationRecord(**dict(obj, worst_point=worst))
 
 
@@ -371,7 +453,7 @@ def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> I
         raise PreconditionError(
             "certificate lives on a component space but carries no spec for it"
         )
-    return IntSpaceSpec(grid, frozenset(gamma), tuple(num(t) for t in w), tuple(num(t) for t in v))
+    return IntSpaceSpec(grid, frozenset(_listed(gamma, "gamma")), nums(w), nums(v))
 
 
 # --------------------------------------------------------------------------
@@ -472,7 +554,7 @@ def cmd_probe(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
                 )
             elif kind == "roughness":
                 x = unit_vector(probe["x"], primal, "probe point")
-                scales = tuple(num(t) for t in probe.get("scales", [0.5, 0.1, 0.02, 0.004]))
+                scales = nums(probe.get("scales", [0.5, 0.1, 0.02, 0.004]))
                 if not scales:
                     raise ConfigError(f"probe {i}: roughness scales must not be empty")
                 entry["roughness_lower_bound"] = roughness_probe(
@@ -548,7 +630,7 @@ def _load_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an int of over 4300 digits
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")

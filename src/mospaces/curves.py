@@ -17,6 +17,7 @@ replaces the stored ``inf`` with the left limit.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -267,24 +268,22 @@ class PiecewiseLinear(OrliczCurve):
     end_value: float | None = None
 
     def __post_init__(self):
-        bp = tuple(float(u) for u in self.breakpoints)
-        sl = tuple(float(s) for s in self.slopes)
+        bp = tuple(map(float, self.breakpoints))
+        sl = tuple(map(float, self.slopes))
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
         if len(bp) != len(sl) + 1 or not sl:
             raise ValueError("need one slope per segment")
         if bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        for a, b in zip(bp, bp[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must increase strictly")
-        if any(math.isinf(u) for u in bp[:-1]):
+        if not all(map(operator.lt, bp, bp[1:])):
+            raise ValueError("breakpoints must increase strictly")
+        if any(map(math.isinf, bp[:-1])):
             raise ValueError("only the final breakpoint may be infinite")
-        if sl[0] < 0 or any(not math.isfinite(s) for s in sl):
+        if sl[0] < 0 or not all(map(math.isfinite, sl)):
             raise ValueError("slopes must be finite and nonnegative")
-        for s, t in zip(sl, sl[1:]):
-            if not s < t:
-                raise ValueError("slopes must increase strictly")
+        if not all(map(operator.lt, sl, sl[1:])):
+            raise ValueError("slopes must increase strictly")
         if math.isinf(bp[-1]):
             if self.end_value is not None:
                 raise ValueError("unbounded domain takes no end value")
@@ -304,24 +303,27 @@ class PiecewiseLinear(OrliczCurve):
     @staticmethod
     def closed(breakpoints, slopes) -> "PiecewiseLinear":
         """Bounded-domain curve carrying its left limit at the end."""
-        bp = tuple(float(u) for u in breakpoints)
-        sl = tuple(float(s) for s in slopes)
-        end = math.fsum(s * (b - a) for s, a, b in zip(sl, bp, bp[1:]))  # post-init checks counts
-        return PiecewiseLinear(bp, sl, end)
+        bp = tuple(map(float, breakpoints))
+        sl = tuple(map(float, slopes))
+        return PiecewiseLinear(bp, sl, math.fsum(_rises(bp, sl)))  # post-init checks counts
 
     def _left_limit(self) -> float:
-        return math.fsum(
-            s * (self.breakpoints[j + 1] - self.breakpoints[j])
-            for j, s in enumerate(self.slopes)
-        )
+        return math.fsum(_rises(self.breakpoints, self.slopes))
 
     @cached_property
     def _knot_values(self) -> tuple[float, ...]:
-        """phi at each breakpoint, with the left limit at a finite end."""
-        vals = [0.0]
-        for j, s in enumerate(self.slopes):
-            u0, u1 = self.breakpoints[j], self.breakpoints[j + 1]
-            vals.append(vals[-1] + s * (u1 - u0) if math.isfinite(u1) else INF)
+        """phi at each breakpoint, with the left limit at a finite end.
+
+        Summed left to right over the finite segments; an infinite last
+        breakpoint carries inf, so 0 * inf never arises.
+        """
+        bp = self.breakpoints
+        vals, v = [0.0], 0.0
+        for s, u0, u1 in zip(self.slopes, bp, bp[1:] if math.isfinite(bp[-1]) else bp[1:-1]):
+            v += s * (u1 - u0)
+            vals.append(v)
+        if len(vals) < len(bp):
+            vals.append(INF)
         return tuple(vals)
 
     def value(self, u):
@@ -400,6 +402,11 @@ class PiecewiseLinear(OrliczCurve):
                 continue
             best = max(best, 2.0 * self.value(u / 2.0) / den)
         return best
+
+
+def _rises(breakpoints, slopes):
+    """s_j * (u_j - u_{j-1}) for each segment, stopping at the shorter input."""
+    return map(operator.mul, slopes, map(operator.sub, breakpoints[1:], breakpoints))
 
 
 @lru_cache(maxsize=4096)

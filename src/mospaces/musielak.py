@@ -34,6 +34,7 @@ to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_left
@@ -390,14 +391,16 @@ class _FieldKernel:
         self.p = np.array([field.curves[i].p for i in power])
         self.weights, self.power_w, self.knot_w = weights, weights[power], weights[knotted]
         tables = [_knot_table(field.curves[i]) for i in knotted]
-        width = max((len(t[0]) for t in tables), default=1)
-        table = np.full((3, len(tables), width), [[[INF]], [[0.0]], [[0.0]]])
-        for j, (knots, values, slopes, _, _) in enumerate(tables):
-            table[:, j, : len(knots)] = knots, values, slopes
+        knots, values, slopes, b, vb = zip(*tables) if tables else ((),) * 5
+        counts = np.fromiter(map(len, knots), np.intp, len(knots))
+        width = int(counts.max(initial=1))
+        table = np.full((3, len(knots), width), [[[INF]], [[0.0]], [[0.0]]])
+        filled = np.arange(width) < counts[:, None]  # row-major: each row's knots in order
+        for row, cells in zip(table, (knots, values, slopes)):
+            row[filled] = list(itertools.chain.from_iterable(cells))
         self.knots, self.values, self.slopes = table  # one row per knot cell
-        self.cols = np.arange(len(tables))
-        self.b = np.array([t[3] for t in tables])
-        self.vb = np.array([t[4] for t in tables])
+        self.cols = np.arange(len(knots))
+        self.b, self.vb = np.array(b), np.array(vb)
         # the modular is infinite at b itself on a blow-up end
         self.blowup = np.isfinite(self.b) & np.array(
             [math.isinf(field.cell_params[i].value_at_b) for i in knotted], dtype=bool
@@ -410,7 +413,7 @@ class _FieldKernel:
         self.cell_b = np.full(n, INF)
         self.cell_b[self.knotted] = self.b
         tail = ~np.isfinite(self.b)
-        last = self.cols[tail], np.array([len(t[0]) - 1 for t in tables], dtype=np.intp)[tail]
+        last = self.cols[tail], counts[tail] - 1
         knot, value, slope = self.knots[last], self.values[last], self.slopes[last]
         cells = self.knotted[tail]
         self.tail_from = np.full(n, INF)

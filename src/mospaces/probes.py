@@ -207,9 +207,12 @@ def roughness_probe(
 ) -> float:
     """Best roughness quotient (|x+h| + |x-h| - 2|x|) / |h| found at x.
 
-    Directions mix coordinate atoms, the sign pattern of x and random
-    draws; each is tested at every scale.  A lower bound on the local
-    roughness: values near 2 certify near-octahedral behaviour.  Every
+    Directions mix the coordinate atoms e_i, the sign pattern of x and
+    random draws; each is tested at every scale.  The atoms -e_i are left
+    out: x + t*(-h) is x - t*h exactly, so they repeat the quotients of
+    e_i.  The draws still start after 2n + 1 directions, as if they were
+    tried.  A lower bound on the local roughness: values near 2 certify
+    near-octahedral behaviour.  Every
     scale must be finite and positive.  The directions, then x + t*h and
     x - t*h at each scale t, are normed in row blocks of at most
     ``_BLOCK_CELLS`` cells, each row the StepFunction arithmetic of a
@@ -228,7 +231,7 @@ def roughness_probe(
     per_dir = max(1, size // (2 * max(1, len(scales))))  # directions per block
     per_scale = max(1, size // (2 * per_dir))  # scales per block
     directions = itertools.chain(
-        _atom_rows(np.repeat([1.0, -1.0], n), n, per_dir),  # every +e_i, then every -e_i
+        _atom_rows(np.ones(n), n, per_dir),
         [_signs(xv)[None, :]],
         _draws(rng, samples - (2 * n + 1), n, per_dir),
     )
@@ -260,8 +263,11 @@ def daugavet_condition_probe(
     """Search for a unit y with f(y) > 1 - eps and |x + y| > 2 - eps.
 
     Success supports the slice condition at (x, f, eps); running out of
-    budget is inconclusive and labelled as such.
+    budget is inconclusive and labelled as such.  ``eps`` must be finite
+    and positive, checked before any norm.
     """
+    if not 0.0 < eps < math.inf:  # NaN compares false
+        raise PreconditionError("eps must be finite and positive")
     if abs(primal(x) - 1.0) > 1e-8:
         raise PreconditionError("probe needs a unit point")
     if abs(dual(f) - 1.0) > 1e-8:

@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from mospaces import (
+    ConfigError,
     Indicator,
     IntSpaceSpec,
     Linear,
@@ -26,6 +27,7 @@ from mospaces import (
     unit_sphere_point,
     wint_norm,
 )
+from mospaces.cli import num
 from mospaces.interpolation import _SLACK, _int_slice_center
 from mospaces.probes import _ARCHIVE, NormOracle, _aligned_candidates
 from mospaces.reports import record_from_samples
@@ -443,6 +445,58 @@ def roughness_reference(
             if q > best:
                 best = q
     return best
+
+
+def piecewise_reference(spec: dict):
+    """A piecewise curve spec parsed one token at a time and checked one pair at a time.
+
+    The parse the bulk passes of ``cli.parse_curve`` and
+    ``PiecewiseLinear`` replaced, kept as their reference: returns
+    (breakpoints, slopes, end value) or raises the CLI's ConfigError.
+    """
+    try:
+        bp = tuple(num(t) for t in spec["breakpoints"])
+        sl = tuple(num(t) for t in spec["slopes"])
+        if not bp:
+            raise ValueError("a piecewise curve needs breakpoints")
+        ev = None if math.isinf(bp[-1]) else spec.get("end_value")
+        if ev is not None:
+            ev = num(ev)
+        elif math.isfinite(bp[-1]):
+            ev = math.fsum(s * (b - a) for s, a, b in zip(sl, bp, bp[1:]))
+        if len(bp) != len(sl) + 1 or not sl:
+            raise ValueError("need one slope per segment")
+        if bp[0] != 0.0:
+            raise ValueError("breakpoints must start at 0")
+        for a, b in zip(bp, bp[1:]):
+            if not a < b:
+                raise ValueError("breakpoints must increase strictly")
+        if any(math.isinf(u) for u in bp[:-1]):
+            raise ValueError("only the final breakpoint may be infinite")
+        if sl[0] < 0 or any(not math.isfinite(s) for s in sl):
+            raise ValueError("slopes must be finite and nonnegative")
+        for s, t in zip(sl, sl[1:]):
+            if not s < t:
+                raise ValueError("slopes must increase strictly")
+        if math.isinf(bp[-1]):
+            if sl == (0.0,):
+                raise ValueError("curve is identically zero")
+        else:
+            left = math.fsum(s * (bp[j + 1] - bp[j]) for j, s in enumerate(sl))
+            if not (ev == left or math.isinf(ev)):
+                raise ValueError("end value must be the left limit (or inf for a blow-up)")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad curve spec {spec!r}: {exc}") from exc
+    return bp, sl, ev
+
+
+def knot_values_reference(curve: PiecewiseLinear) -> tuple:
+    """phi at each breakpoint, summed segment by segment: ``_knot_values``' reference."""
+    vals = [0.0]
+    for j, s in enumerate(curve.slopes):
+        u0, u1 = curve.breakpoints[j], curve.breakpoints[j + 1]
+        vals.append(vals[-1] + s * (u1 - u0) if math.isfinite(u1) else INF)
+    return tuple(vals)
 
 
 def half_ratio_scan(curve: OrliczCurve, lo, hi, steps=100_000):

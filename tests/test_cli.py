@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mospaces import classify, witness_int, witness_sum
+from mospaces import ConfigError, MeasureGrid, StepFunction, classify, witness_int, witness_sum
 from mospaces.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -19,6 +20,7 @@ from mospaces.cli import (
     EXIT_VERIFICATION,
     MAX_CELLS,
     MAX_SAMPLES,
+    _plain_json,
     _witness_from_json,
     _witness_to_json,
     build_parser,
@@ -31,6 +33,8 @@ from mospaces.cli import (
     parse_curve,
     parse_space,
 )
+
+from helpers import knot_values_reference, piecewise_reference
 
 
 def run_cli(args):
@@ -783,6 +787,172 @@ def test_cli_entry_point_runs():
     assert proc.returncode == EXIT_CONFIG
 
 
+# -- bulk hashing and parsing against their per-token references -----------------
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["inf", "-inf", "NaN", "1.5", ""]),
+)
+_STR_KEYS = st.sampled_from(["a", "b", "inf", "1", "9", "10", "True", "null"])
+# keys json.dumps would write but sort by value, or spell differently, than str(k)
+_ODD_KEYS = st.one_of(
+    st.integers(-20, 20), st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=True)
+)
+_ODD_LEAVES = st.one_of(
+    _SCALARS,
+    st.frozensets(st.integers(0, 9) | st.text(max_size=2), max_size=3),
+    st.sets(st.integers(0, 9), max_size=3),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3).map(
+        lambda v: StepFunction(MeasureGrid((1.0,) * len(v)), tuple(v))
+    ),
+    st.just(MeasureGrid((1.0, 2.0))),
+)
+# as json.load gives it back: Infinity and NaN literals become non-finite floats
+_LOADED = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STR_KEYS, kids, max_size=4),
+    max_leaves=16,
+).map(lambda obj: json.loads(json.dumps(obj)))
+_ODD = st.recursive(
+    _ODD_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_STR_KEYS | _ODD_KEYS, kids, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.one_of(_LOADED, _ODD))
+def test_config_hash_is_the_sha256_of_the_canonical_json(cfg):
+    want = _outcome(lambda c: hashlib.sha256(canonical_json(c).encode()).hexdigest(), cfg)
+    assert _outcome(config_hash, cfg) == want
+
+
+def test_loaded_configs_take_the_direct_encoding():
+    loaded = json.loads(json.dumps({"a": [1, 2.5, {"b": "inf", "c": None}], "d": True}))
+    assert _plain_json(loaded) and _plain_json([]) and _plain_json(3.0)
+    for odd in ({1: 2}, {"a": [{True: 1}]}, ({1.5: 1},), {"a": {1, 2}}, [[{"a": [{None: 0}]}]]):
+        assert not _plain_json(odd)
+
+
+_HOSTILE_TOKENS = st.sampled_from(
+    [True, False, None, "1.5", "0", "-inf", "inf", "nan", [1.0], [], 10**400, -(10**400), math.nan,
+     math.inf, -0.0, 0, 2**70]
+)
+
+
+@st.composite
+def _piecewise_spec(draw):
+    """A piecewise curve spec, valid or broken in its token lists or end value."""
+    k = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.floats(0.01, 9.0), min_size=k - 1, max_size=k - 1, unique=True)))
+    bp = [draw(st.sampled_from([0, 0.0]))] + cuts + [draw(st.sampled_from(["inf", 10.0, 10, 1e308]))]
+    slopes = [draw(st.sampled_from([0, 0.0, 0.5, 1e308]))]
+    for _ in range(k - 1):
+        slopes.append(slopes[-1] + draw(st.floats(0.01, 3.0)))
+    spec = {"family": "piecewise", "breakpoints": bp, "slopes": slopes}
+    for key in draw(st.lists(st.sampled_from(["breakpoints", "slopes"]), max_size=2)):
+        tokens = spec[key]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_HOSTILE_TOKENS)
+    if draw(st.booleans()):
+        spec[draw(st.sampled_from(["breakpoints", "slopes"]))] = draw(
+            st.sampled_from(["ab", "", {"a": 1}, 5, (0.0, 1.0), [], [0.0, 1.0, 2.0]])
+        )
+    if draw(st.booleans()):
+        spec["end_value"] = draw(st.one_of(st.sampled_from(["inf", 3.0, 10**400]), _HOSTILE_TOKENS))
+    return spec
+
+
+def _parsed(spec):
+    curve = parse_curve(spec)
+    assert curve._knot_values == knot_values_reference(curve)
+    return repr((curve.breakpoints, curve.slopes, curve.end_value))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_piecewise_spec())
+def test_bulk_piecewise_parse_matches_the_per_token_reference(spec):
+    want = _outcome(lambda s: repr(piecewise_reference(s)), spec)
+    assert _outcome(_parsed, spec) == want
+    assert "\n" not in want[1]
+
+
+def test_integers_beyond_the_float_range_are_config_errors(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="out of float range"):
+        num(10**400)
+    pwl = {"family": "piecewise", "breakpoints": [0.0, 10**400, "inf"], "slopes": [1.0, 2.0]}
+    for body in (
+        dict(BASE, space={"kind": "orlicz", "curve": pwl}),
+        dict(BASE, space={"kind": "orlicz", "curve": {"family": "power", "p": 10**400}}),
+        dict(BASE, space={"kind": "nakano", "exponents": [2, 10**400]}),
+        dict(BASE, grid={"weights": [1.0, 10**400]}),
+        dict(BASE, x=[-(10**400), 0.0]),
+        dict(BASE, tol=10**400),
+    ):
+        cfg = write(tmp_path / "huge.json", body)
+        capsys.readouterr()
+        assert main(["norm", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "out of float range" in err, err
+
+
+def test_unreadable_files_are_config_errors(tmp_path, capsys):
+    # an int of more than 4300 digits and bytes that are not UTF-8 fail inside
+    # json.load with a ValueError that is no JSONDecodeError
+    huge = tmp_path / "huge-literal.json"
+    huge.write_text(json.dumps(dict(BASE, x=[0.0, 0.0]))[:-1] + ', "tol": 1' + "0" * 5000 + "}")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    cfg = write(tmp_path / "base.json", BASE)
+    for argv in (
+        ["norm", "--config", str(huge)],
+        ["norm", "--config", str(binary)],
+        ["verify", "--config", cfg, "--certificate", str(binary)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read" in err, err
+
+
+@pytest.mark.parametrize("where", ["ids", "gamma"])
+@pytest.mark.parametrize("value", ["ab", {"a": 0, "b": 1}])
+def test_id_lists_must_be_lists(tmp_path, capsys, where, value):
+    grid = {"weights": [1.0, 1.0], "ids": ["a", "b"]}
+    space = {"kind": "weighted_sum", "v": [1.0, 1.0], "w": [1.0, 1.0], "gamma": ["a"]}
+    (grid if where == "ids" else space)[where] = value
+    cfg = write(tmp_path / "ids.json", dict(SUM_CFG, grid=grid, space=space))
+    capsys.readouterr()
+    assert main(["norm", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be a list" in err, err
+
+
+@pytest.mark.parametrize("eps", ["inf", math.nan, 0, -1.0])
+def test_condition_probe_eps_must_be_finite_and_positive(tmp_path, capsys, eps):
+    probe = {"type": "daugavet_condition", "x": [1.0, 0.0], "functional": [1.0, 0.0], "eps": eps}
+    cfg = write(tmp_path / "probe.json", dict(BASE, probes=[probe]))
+    capsys.readouterr()
+    assert main(["probe", "--config", cfg]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "eps must be finite and positive" in err
+
+
 # -- config fuzzing -------------------------------------------------------------
 
 # values no config key expects; each example puts them into at most one slot
@@ -791,7 +961,8 @@ _JUNK = st.one_of(
     st.booleans(),
     st.integers(-5, 5),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["", "abc", "inf", "-inf"]),
+    st.sampled_from(["", "ab", "abc", "inf", "-inf"]),
+    st.sampled_from([10**400, -(10**400)]),  # ints beyond the float range
     st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.sampled_from(["a", "seed", "kind"]), st.integers(0, 3), max_size=2),
 )

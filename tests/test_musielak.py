@@ -730,6 +730,22 @@ def test_array_valued_gauge_loop_on_extreme_inputs(case):
         assert lux <= ame <= (2.0 + 1e-8) * lux
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_extreme_block())
+def test_sup_oracle_agrees_with_both_gauge_norms_on_extreme_inputs(case):
+    # the oracle's point is feasible, so its value is at most the Orlicz norm,
+    # which Amemiya bounds from above; once it has converged it is that norm,
+    # which bounds the Luxemburg norm from above
+    f, rows = case
+    for values in rows:
+        x = StepFunction(f.grid, tuple(values))
+        oracle = orlicz_norm_sup_oracle(f, x)
+        lux, ame = luxemburg_norm(f, x), amemiya_norm(f, x)
+        assert oracle.value <= ame * (1.0 + 1e-9)
+        if oracle.converged:
+            assert lux <= oracle.value * (1.0 + 1e-9)
+
+
 def test_row_batched_norms_match_scalar_ones():
     rng = np.random.default_rng(67)
     for _ in range(20):

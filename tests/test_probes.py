@@ -280,8 +280,31 @@ def test_roughness_scales_are_checked_before_any_norm():
     assert primal.calls == 0
 
 
+def test_roughness_norms_each_atom_direction_once():
+    # -e_i repeats the quotients of e_i, so only e_i is tried; the draws still
+    # start after 2n + 1 directions, so the result is the reference's
+    g = MeasureGrid((1.0, 2.0, 0.5))
+    primal = _counting(l1_oracles(g)[0])
+    x = StepFunction(g, (1.0, 0.0, 0.0))
+    scales = (0.5, 0.1)
+    q = roughness_probe(primal, x, scales, samples=2 * 3 + 1 + 4, seed=2)
+    # |x|, then per direction (3 atoms, the sign pattern, 4 draws) |h| and |x +- t h|
+    assert primal.calls == 1 + (3 + 1 + 4) * (1 + 2 * len(scales))
+    assert q == roughness_reference(l1_oracles(g)[0], x, scales, samples=11, seed=2)
+
+
+def test_condition_probe_eps_is_checked_before_any_norm():
+    g = MeasureGrid((1.0, 1.0))
+    primal, dual = (_counting(o) for o in l1_oracles(g))
+    x, f = StepFunction(g, (1.0, 0.0)), StepFunction(g, (1.0, 1.0))
+    for eps in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            daugavet_condition_probe(primal, dual, x, f, eps, budget=20)
+    assert primal.calls == dual.calls == 0
+
+
 def test_roughness_probe_memory_stays_within_a_block():
-    # 2n + 1 = 4097 directions at n = 2048: all at once they would take 64 MiB;
+    # n + 1 = 2049 directions at n = 2048: all at once they would take 32 MiB;
     # a cheap row oracle leaves the probe's own blocks to measure
     rng = np.random.default_rng(79)
     g = MeasureGrid(tuple(float(w) for w in rng.uniform(0.5, 2.0, 2048)))
