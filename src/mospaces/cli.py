@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, is_dataclass
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -344,11 +344,13 @@ def _step(grid: MeasureGrid, values) -> StepFunction:
 # --------------------------------------------------------------------------
 # report assembly
 
+Digest = Callable[[], str]  # the config hash, computed on the first call
 
-def make_report(command: str, cfg: dict, results, settings: dict, wall_time_ms: float) -> dict:
+
+def make_report(command: str, digest: Digest, results, settings: dict, wall_time_ms: float) -> dict:
     return {
         "command": command,
-        "config_hash": config_hash(cfg),
+        "config_hash": digest(),
         "versions": {
             "mospaces": __version__,
             "python": f"{sys.version_info.major}.{sys.version_info.minor}",
@@ -360,7 +362,11 @@ def make_report(command: str, cfg: dict, results, settings: dict, wall_time_ms: 
 
 
 def _settings(cfg: dict, args) -> dict:
-    """The run's seed, samples and tol: each command-line override, else its config value."""
+    """The run's seed, samples and tol: each command-line override, else its config value.
+
+    A NaN tol is refused; zero and negative ones reach the solvers, which
+    raise them to four ulps.
+    """
     settings = {}
     for key, default in (("seed", 0), ("samples", 10000)):
         value = getattr(args, key)
@@ -373,7 +379,10 @@ def _settings(cfg: dict, args) -> dict:
         settings[key] = value
     if settings["samples"] > MAX_SAMPLES:
         raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {settings['samples']!r}")
-    settings["tol"] = args.tol if args.tol is not None else num(cfg.get("tol", 1e-10))
+    tol = args.tol if args.tol is not None else num(cfg.get("tol", 1e-10))
+    if math.isnan(tol):
+        raise ConfigError("tol must be a number or 'inf', got nan")
+    settings["tol"] = tol
     return settings
 
 
@@ -457,10 +466,11 @@ def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> I
 
 
 # --------------------------------------------------------------------------
-# commands: each returns its results as domain objects, which main encodes
+# commands: each takes the config, a function returning its hash and the run
+# settings, and returns its results as domain objects, which main encodes
 
 
-def cmd_norm(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+def cmd_norm(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     x = parse_x(cfg, space.grid)
     results: dict[str, Any] = {"x": x, "tolerance": tol}
@@ -477,7 +487,7 @@ def cmd_norm(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     return results
 
 
-def cmd_classify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+def cmd_classify(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     if space.field is not None:
         report = classify(space.field, samples=samples, seed=seed)
@@ -488,11 +498,11 @@ def cmd_classify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     return dict(vars(report), witness=_witness_to_json(report.witness))
 
 
-def cmd_verify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+def cmd_verify(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     if not args.certificate:
         raise ConfigError("verify needs --certificate <report.json>")
     cert_report = _load_object(args.certificate, "certificate")
-    if cert_report.get("config_hash") != config_hash(cfg):
+    if cert_report.get("config_hash") != digest():
         raise PreconditionError("certificate does not match this configuration")
     results = cert_report.get("results", {})
     if not isinstance(results, dict):
@@ -518,7 +528,7 @@ def cmd_verify(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     return {"verdict": "pass", "verification": record}
 
 
-def cmd_probe(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     field, spec, tol = space.field, space.spec, min(tol, 1e-10)
     if field is not None:  # only the Luxemburg oracle norms row blocks
@@ -575,7 +585,7 @@ def cmd_probe(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
     return {"probes": out}
 
 
-def cmd_conjugate(cfg: dict, args, seed: int, samples: int, tol: float) -> dict:
+def cmd_conjugate(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     if space.field is not None:
         dual = conjugate_field(space.field)
@@ -642,10 +652,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_object(args.config, "config")
         settings = _settings(cfg, args)
+        # one hash per op, taken where it is first needed: verify's match or the report
+        digest = functools.cache(functools.partial(config_hash, cfg))
         t0 = time.perf_counter()
-        results = COMMANDS[args.command](cfg, args, **settings)
+        results = COMMANDS[args.command](cfg, args, digest, **settings)
         wall_time_ms = (time.perf_counter() - t0) * 1000.0 if args.timing else 0.0
-        report = make_report(args.command, cfg, results, settings, wall_time_ms)
+        report = make_report(args.command, digest, results, settings, wall_time_ms)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

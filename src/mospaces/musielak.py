@@ -12,17 +12,15 @@ all of them per step on a numpy form of the field compiled once per field;
 state (bracket ends, their closure values, the slope at the upper end) in
 arrays and moves every active row with one set of array operations, each
 the float operation of a scalar step, so a row's bracket is the same alone
-or in a block.  A one-row solve pays numpy's per-call overhead for that.  The per-cell loop stays the
-reference, and a block falls back to it for a row whose comparison with
-the level stays uncertain under the kernel's error bound.
+or in a block; ``gauge`` is the one-row block.  The per-cell loop stays
+the reference, and a block falls back to it for a row whose comparison
+with the level stays uncertain under the kernel's error bound.
 The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
 bracketed root of its optimality condition, split by tangent intersections
 with a bisection safeguard, and stops once h at an evaluated k is within
 the tolerance of a lower bound from the tangents at the bracket's ends.
 Its value is an upper bound of the infimum, so Luxemburg <= Amemiya holds
-by construction.  A one-row solve of either norm evaluates the per-cell
-loop below ``_KERNEL_CELLS`` cells and the compiled kernel from there on,
-where one kernel call costs less than a pass over the cells.
+by construction.  It evaluates the modular on the compiled kernel too.
 A supremum-form oracle over the modular unit ball cross-checks the
 Amemiya route through the Koethe duality.
 
@@ -51,10 +49,6 @@ _MAX_DOUBLINGS = 4096
 _MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest gauge bracket asked for
 _BISECT_STEPS = 200
 _SPHERE_RTOL = 1e-13  # gauge bracket width of the unit-sphere scaling
-# from this row length on, one compiled-kernel call costs less than the
-# per-cell loop (one-row crossover measured on a 2-core Xeon VM: 96-128
-# cells for Amemiya, about 128 for Luxemburg)
-_KERNEL_CELLS = 128
 _DBL_MAX = sys.float_info.max
 
 
@@ -156,17 +150,9 @@ def modular(field: MusielakField, x: StepFunction) -> float:
 def modular_of_bounds(field: MusielakField, cells=None) -> float:
     """Modular of the domain-end function b_M (restricted to ``cells``)."""
     keep = field.grid.cell_set(cells)
-    terms = []
-    for cid, prm, crv, w in zip(
-        field.grid.ids, field.cell_params, field.curves, field.grid.weights
-    ):
-        if cid not in keep:
-            continue
-        t = crv.value(prm.b)  # inf for unbounded domains by convention
-        if math.isinf(t):
-            return INF
-        terms.append(t * w)
-    return math.fsum(terms)
+    # value(0) is 0 in every family, and value(inf) is inf
+    ends = [prm.b if cid in keep else 0.0 for cid, prm in zip(field.grid.ids, field.cell_params)]
+    return _scaled_modular(field, ends, 1.0)
 
 
 def _closure_left_slope(curve: OrliczCurve, u: float) -> float:
@@ -331,31 +317,10 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
     undershoot T and solve a piecewise-linear piece exactly, while the chord
     through the feasible end never overshoots it.  The start is the domain
     edge or the tightest single-cell bound, whichever is smaller (the caps
-    of ``_start_caps``).  ``gauge_block`` runs the same loop on many rows.
-    A row of ``_KERNEL_CELLS`` cells or more is solved by ``gauge_block``;
-    a shorter one is evaluated by the per-cell closure.
+    of ``_start_caps``).  It is ``gauge_block`` on the one row ``ax``, so a
+    row gets the same bracket alone or in a block.
     """
-    if len(ax) >= _KERNEL_CELLS:
-        lo, hi = gauge_block(field, [ax], level, rtol)
-        return float(lo[0]), float(hi[0])
-    rtol = max(_MIN_RTOL, rtol)  # NaN compares false, so it is raised too
-    hi = min((c / v for v, c in zip(ax, _start_caps(field, level)) if v > 0.0), default=None)
-    if hi is None:
-        raise PreconditionError("the gauge of the zero function is unbounded")
-    _check_start(hi)
-    closure = _closure(field, ax)
-
-    def settle(rows, ts):
-        t = float(ts[0])
-        r, s = closure(t)
-        if r > level:
-            return np.array([[0.0], [0.0], [t], [r], [s]])
-        return np.array([[t], [r], [INF], [INF], [INF]])
-
-    def feasible(rows, ts):
-        return np.array([_scaled_modular(field, ax, t) <= level for t in ts.tolist()])
-
-    lo, hi = _newton(np.array([hi]), settle, feasible, level, rtol)
+    lo, hi = gauge_block(field, [ax], level, rtol)
     return float(lo[0]), float(hi[0])
 
 
@@ -380,7 +345,8 @@ class _FieldKernel:
     is piecewise linear.  On those cells ``closure`` reproduces the per-cell
     ``value_closed`` bit for bit; numpy's power may differ from Python's
     ``**`` by a few ulps, and its row sums are not fsum, which the error
-    bound ``rel``/``abs`` of ``side`` covers.
+    bound ``rel``/``abs`` of ``side`` covers.  Its methods run under the
+    caller's ``np.errstate``, entered once per solve.
     """
 
     def __init__(self, field: MusielakField):
@@ -400,6 +366,10 @@ class _FieldKernel:
             row[filled] = list(itertools.chain.from_iterable(cells))
         self.knots, self.values, self.slopes = table  # one row per knot cell
         self.cols = np.arange(len(knots))
+        # a knot cell's entry j sits at offset + j of the flattened tables
+        self.offsets = self.cols * width
+        self.flat_knots, self.flat_values, self.flat_slopes = (a.ravel() for a in table)
+        self.inner_knots = [np.ascontiguousarray(k) for k in self.knots.T[1:]]
         self.b, self.vb = np.array(b), np.array(vb)
         # the modular is infinite at b itself on a blow-up end
         self.blowup = np.isfinite(self.b) & np.array(
@@ -430,34 +400,36 @@ class _FieldKernel:
 
     def closure(self, rows: np.ndarray, t: np.ndarray):
         """Closed modular r and t*r' at t[k] of rows[k] (rows x cells, nonnegative)."""
-        n_rows = len(t)
-        terms = np.zeros((n_rows, 1 << self.depth))
+        terms = np.zeros((len(t), 1 << self.depth))
         scale = t[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+        s = 0.0
+        n_power = self.power.size
+        if n_power:
             up = np.power(scale * rows[:, self.power], self.p)
-            terms[:, : len(self.power)] = up / self.p * self.power_w
+            terms[:, :n_power] = up / self.p * self.power_w
             s = (up * self.power_w).sum(axis=1)
+        if self.knotted.size:
             u = np.minimum(scale * rows[:, self.knotted], self.b)
-            piece = np.zeros(u.shape, dtype=np.intp)
-            for knot in self.knots.T[1:]:
-                piece += u > knot  # left slopes: u in (knot_j, knot_j+1] is piece j
-            slope = self.slopes[self.cols, piece]
-            value = self.values[self.cols, piece] + slope * (u - self.knots[self.cols, piece])
+            at = np.empty(u.shape, dtype=np.intp)
+            at[...] = self.offsets
+            for knot in self.inner_knots:
+                at += u > knot  # left slopes: u in (knot_j, knot_j+1] is piece j
+            slope = self.flat_slopes.take(at)
+            value = self.flat_values.take(at) + slope * (u - self.flat_knots.take(at))
             value = np.where(u == self.b, self.vb, value)
-            terms[:, len(self.power) : len(self.power) + len(self.knotted)] = value * self.knot_w
-            s += (slope * u * self.knot_w).sum(axis=1)
-            for _ in range(self.depth):
-                half = terms.shape[1] // 2
-                terms = terms[:, :half] + terms[:, half:]
+            terms[:, n_power : n_power + self.knotted.size] = value * self.knot_w
+            s = s + (slope * u * self.knot_w).sum(axis=1)
+        for _ in range(self.depth):
+            half = terms.shape[1] // 2
+            terms = terms[:, :half] + terms[:, half:]
         return terms[:, 0], s
 
     def side(self, r: np.ndarray, level: float) -> np.ndarray:
         """Per kernel value r: 1 where the per-cell fsum ``_closure`` is
         certainly above ``level``, -1 where it is certainly at most ``level``,
         0 where the error bound leaves it open."""
-        with np.errstate(invalid="ignore"):
-            above = r * (1.0 - self.rel) - self.abs > level
-            below = r * (1.0 + self.rel) + self.abs <= level
+        above = r * (1.0 - self.rel) - self.abs > level
+        below = r * (1.0 + self.rel) + self.abs <= level
         return above.astype(np.int8) - below.astype(np.int8)
 
     def beyond(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -477,13 +449,12 @@ class _FieldKernel:
         """
         live = ax > 0.0
         v = ax[live]
-        with np.errstate(over="ignore"):
-            k_sup = float((self.cell_b[live] / v).min())
-            start = self.tail_from[live]
-            if not np.isfinite(start).all():
-                return k_sup, None
-            k_lin = float((start / v).max())
-            products = self.weights[live] * v * self.tail_slope[live]
+        k_sup = float((self.cell_b[live] / v).min())
+        start = self.tail_from[live]
+        if not np.isfinite(start).all():
+            return k_sup, None
+        k_lin = float((start / v).max())
+        products = self.weights[live] * v * self.tail_slope[live]
         try:
             limit = math.fsum(products.tolist())
         except OverflowError:  # the sum passes DBL_MAX
@@ -511,7 +482,7 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
         raise PreconditionError("the gauge of the zero function is unbounded")
     rtol = max(_MIN_RTOL, rtol)
     kernel = field._kernel
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts = np.where(rows > 0.0, np.array(_start_caps(field, level)) / rows, INF).min(axis=1)
     _check_start(float(starts.max()))
     _check_start(float(starts.min()))
@@ -576,9 +547,7 @@ def luxemburg_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12) ->
 def luxemburg_norms(field: MusielakField, xs, tol: float = 1e-12) -> np.ndarray:
     """``luxemburg_norm`` of each row of ``xs`` (rows x cells), as one block.
 
-    Every row runs on the compiled kernel, also below ``_KERNEL_CELLS``
-    cells, where ``luxemburg_norm`` evaluates cell by cell; both are lower
-    bounds within ``tol`` of the norm but may differ in the last digits.
+    Each row's norm is ``luxemburg_norm``'s of that row, bit for bit.
     """
     ax = np.abs(np.asarray(xs, dtype=float))
     out = np.zeros(len(ax))
@@ -634,51 +603,26 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
     computed it), the closed value at k_sup when the minimum sits on the
     edge, or the limit sum w_i |x_i| s_i (s_i the final slopes, rounded up
     by the kernel's bound) when every supporting cell is linear from some
-    knot on and g stays below 1.  A row of ``_KERNEL_CELLS`` cells or more
-    is evaluated by the compiled kernel, a shorter one cell by cell.  Where
-    the objective overflows before a bracket is found, the search restarts
-    from the gauge scale; a norm above DBL_MAX raises
-    ``UnboundedNormError``.
+    knot on and g stays below 1.  Where the objective overflows before a
+    bracket is found, the search restarts from the gauge scale; a norm
+    above DBL_MAX raises ``UnboundedNormError``.
     """
     _check(field, x)
     if x.is_zero():
         return 0.0
-    ax = [abs(v) for v in x.values]
-    evaluator = _kernel_evaluator if len(ax) >= _KERNEL_CELLS else _cell_evaluator
-    return _amemiya(field, ax, tol, evaluator(field, ax))[0]
+    return _amemiya(field, [abs(v) for v in x.values], tol)[0]
 
 
-def _cell_evaluator(field: MusielakField, ax):
-    """k -> (r(k), k*r'(k), an upper bound of r(k)) by the per-cell closure."""
-    closure = _closure(field, ax)
-
-    def evaluate(k: float):
-        r, s = closure(k)
-        return r, s, r
-
-    return evaluate
-
-
-def _kernel_evaluator(field: MusielakField, ax):
-    """The same on the compiled kernel, r rounded up by its error bound."""
-    kernel, row = field._kernel, np.array([ax], dtype=float)
-
-    def evaluate(k: float):
-        r, s = kernel.closure(row, np.array([k]))
-        r, s = float(r[0]), float(s[0])
-        return r, s, r * (1.0 + kernel.rel) + kernel.abs
-
-    return evaluate
-
-
-def _amemiya(field: MusielakField, ax, tol: float, evaluate) -> tuple[float, float, int]:
-    """The search of ``amemiya_norm`` on |x| = ``ax`` with the one-row ``evaluate``.
+@np.errstate(over="ignore", invalid="ignore")  # entered once per solve
+def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
+    """The search of ``amemiya_norm`` on |x| = ``ax``, evaluated on the kernel.
 
     Returns (value, lower bound of the infimum, evaluations).
     """
     tol = max(_MIN_RTOL, tol)  # NaN compares false, so it is raised too
     kernel = field._kernel
     row = np.array(ax, dtype=float)
+    rows = row[None, :]
     edge, tail = kernel.edges(row)  # k_sup: a minimiser lies at or below it
     if tail is not None:
         k_lin, limit, g_inf = tail
@@ -692,7 +636,9 @@ def _amemiya(field: MusielakField, ax, tol: float, evaluate) -> tuple[float, flo
     k = top if math.isfinite(edge) else min(1.0 / float(row.max()), top)
     best, evals, grow, width, restarted = INF, 0, 2.0, INF, False
     for _ in range(_MAX_DOUBLINGS):
-        r, s, r_up = evaluate(k)
+        r, s = kernel.closure(rows, np.array([k]))
+        r, s = float(r[0]), float(s[0])
+        r_up = r * (1.0 + kernel.rel) + kernel.abs  # the kernel's r rounded up
         evals += 1
         best = min(best, (1.0 + r_up) / k)
         if math.isfinite(r) and s - r <= 1.0:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -141,6 +142,43 @@ def d_param_scan(curve: OrliczCurve, u_max=20.0, steps=200_000):
         if abs(half - fu / 2.0) <= 1e-12 * (1.0 + fu):
             best = float(u)
     return best
+
+
+def exact_value(curve: OrliczCurve, u: float):
+    """phi(u) as an exact ``Fraction`` for a linear, indicator or piecewise-linear
+    curve, or inf where u lies outside the domain (past b, or at a blow-up end).
+
+    A closed end takes the exact left limit, the value the stored
+    ``end_value`` rounds.
+    """
+    if math.isinf(u):
+        return INF
+    if isinstance(curve, Linear):
+        return Fraction(curve.slope) * Fraction(u)
+    if isinstance(curve, Indicator):
+        return Fraction(0) if u <= curve.bound else INF
+    if isinstance(curve, PiecewiseLinear):
+        bp, b = curve.breakpoints, curve.breakpoints[-1]
+        if u > b or (u == b and math.isinf(curve.end_value)):
+            return INF
+        total = Fraction(0)
+        for s, u0, u1 in zip(curve.slopes, bp, bp[1:]):
+            if u <= u0:
+                break
+            total += Fraction(s) * (Fraction(min(u, u1)) - Fraction(u0))
+        return total
+    raise TypeError(f"no exact value for {curve!r}")
+
+
+def exact_modular(field, values):
+    """sum of mass * phi(|v|) over the cells in exact rationals (inf outside the domain)."""
+    total = Fraction(0)
+    for v, curve, w in zip(values, field.curves, field.grid.weights):
+        phi = exact_value(curve, abs(v))
+        if phi == INF:
+            return INF
+        total += Fraction(w) * phi
+    return total
 
 
 def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):

@@ -282,14 +282,25 @@ def test_norm_command_tolerance_zero(tmp_path, capsys):
     ],
 )
 def test_norm_command_raises_degenerate_tolerances_to_a_floor(tmp_path, capsys, space):
-    # a NaN, zero or negative tol reaches both solvers; each raises it to four ulps
+    # a zero or negative tol reaches both solvers; each raises it to four ulps
     cfg = dict(BASE, grid={"weights": [1.0, 2.0]}, x=[1.0, -0.5], space=space)
-    runs = [(dict(cfg, tol=math.nan), []), (cfg, ["--tol", "0"]), (cfg, ["--tol", "-1"])]
+    runs = [(dict(cfg, tol=0), []), (cfg, ["--tol", "0"]), (cfg, ["--tol", "-1"])]
     for body, extra in runs:
         path = write(tmp_path / "c.json", body)
         assert main(["norm", "--config", path, *extra]) == EXIT_OK
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["luxemburg"] <= res["amemiya"] <= 2.0 * res["luxemburg"]
+
+
+@pytest.mark.parametrize("command", ["norm", "classify", "probe", "conjugate"])
+def test_nan_tolerance_is_a_config_error(tmp_path, capsys, command):
+    # a NaN tol would be echoed into the report as a bare NaN token, which is not JSON
+    nan_cfg = write(tmp_path / "nan.json", dict(BASE, tol=math.nan))
+    for argv in (["--config", nan_cfg], ["--config", write(tmp_path / "c.json", BASE), "--tol", "nan"]):
+        assert main([command, *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: tol must be")
+        assert captured.err.count("\n") == 1
 
 
 def test_norm_command_zero(tmp_path, capsys):
@@ -497,6 +508,18 @@ def test_verification_records_carry_the_worst_point(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--certificate", str(report_path)]) == EXIT_OK
     again = json.loads(capsys.readouterr().out)["results"]["verification"]
     assert again["worst_point"] == record["worst_point"]
+
+
+def test_verify_hashes_the_config_once(tmp_path, capsys, monkeypatch):
+    # the hash that matches the certificate is the report's
+    cfg = write(tmp_path / "c.json", dict(BASE, x=[1.0, 0.5], samples=60))
+    report_path = tmp_path / "report.json"
+    assert main(["classify", "--config", cfg, "--out", str(report_path)]) == EXIT_OK
+    hashed = []
+    monkeypatch.setattr("mospaces.cli.config_hash", lambda c: hashed.append(c) or config_hash(c))
+    assert main(["verify", "--config", cfg, "--certificate", str(report_path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(hashed) == 1 and report["config_hash"] == config_hash(hashed[0])
 
 
 def test_norm_command_above_dbl_max(tmp_path, capsys):
@@ -1097,9 +1120,13 @@ def _config(draw):
         ),
         "probes": probes,
     }
-    for key, valid in (("seed", st.integers(0, 99)), ("tol", st.floats(1e-12, 1e-3))):
+    # a NaN tol, half the time it is broken: a report that echoed it would not be JSON
+    for key, valid, junk in (
+        ("seed", st.integers(0, 99), _JUNK),
+        ("tol", st.floats(1e-12, 1e-3), st.just(math.nan) | _JUNK),
+    ):
         if broken == key or draw(st.booleans()):
-            cfg[key] = slot(key, valid)
+            cfg[key] = draw(junk if broken == key else valid)
     hostile = None
     if broken == "certificate":
         if draw(st.booleans()):  # a delta or epsilon that leaves no margin, or no bound
@@ -1129,10 +1156,16 @@ def _corrupt(cert: dict, hostile):
             owner[key] = junk
 
 
+def _refuse_constant(token):
+    raise ValueError(f"the report holds {token}, which is not JSON")
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if code == EXIT_OK and "--out" not in argv:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)  # no NaN or Infinity literal
     return code, err.getvalue()
 
 
