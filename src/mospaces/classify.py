@@ -52,7 +52,7 @@ from .reports import (
 )
 
 
-_RTOL = 1e-14  # relative bracket width of the witness constants
+_RTOL = 1e-14  # bracket width of the witness constants; gauge raises it to its floor (~3e-14)
 _BLOCK_CELLS = 1 << 16  # cells per block solve in verify_nonsquare: bounds its memory
 
 

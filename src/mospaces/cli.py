@@ -13,6 +13,7 @@ failure, 4 verification violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -181,16 +182,18 @@ def config_hash(cfg: dict) -> str:
 
     A config as ``json.load`` gives it encodes directly; ``allow_nan=False``
     sends one with a non-finite float, and ``_plain_json`` anything else,
-    through ``canonical_json``, so the bytes are the same either way.
+    through ``canonical_json``, so the bytes are the same either way.  A
+    config nested too deeply for the encoders' recursion is a ConfigError.
     """
     text = None
-    if _plain_json(cfg):
-        try:
-            text = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        except ValueError:
-            pass
-    if text is None:
-        text = canonical_json(cfg)
+    try:
+        if _plain_json(cfg):
+            with contextlib.suppress(ValueError):
+                text = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        if text is None:
+            text = canonical_json(cfg)
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to hash") from None
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -365,7 +368,8 @@ def _settings(cfg: dict, args) -> dict:
     """The run's seed, samples and tol: each command-line override, else its config value.
 
     A NaN tol is refused; zero and negative ones reach the solvers, which
-    raise them to four ulps.
+    raise them to their floors: the gauge's, set by the compiled kernel's
+    error bound, and four ulps for Amemiya.
     """
     settings = {}
     for key, default in (("seed", 0), ("samples", 10000)):
@@ -640,7 +644,7 @@ def _load_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an int of over 4300 digits
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge ints
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")

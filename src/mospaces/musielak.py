@@ -12,9 +12,9 @@ all of them per step on a numpy form of the field compiled once per field;
 state (bracket ends, their closure values, the slope at the upper end) in
 arrays and moves every active row with one set of array operations, each
 the float operation of a scalar step, so a row's bracket is the same alone
-or in a block; ``gauge`` is the one-row block.  The per-cell loop stays
-the reference, and a block falls back to it for a row whose comparison
-with the level stays uncertain under the kernel's error bound.
+or in a block; ``gauge`` is the one-row block.  Every comparison with the
+level is decided on the kernel, whose error bound floors the bracket
+width; the per-cell ``modular`` stays the reference.
 The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
 bracketed root of its optimality condition, split by tangent intersections
 with a bisection safeguard, and stops once h at an evaluated k is within
@@ -35,8 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -46,10 +46,11 @@ from .errors import GridMismatchError, MospacesError, PreconditionError, Unbound
 from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
 
 _MAX_DOUBLINGS = 4096
-_MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest gauge bracket asked for
+_MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest Amemiya tolerance asked for
 _BISECT_STEPS = 200
 _SPHERE_RTOL = 1e-13  # gauge bracket width of the unit-sphere scaling
 _DBL_MAX = sys.float_info.max
+_DBL_MIN = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,11 @@ def _check(field: MusielakField, x: StepFunction):
         raise GridMismatchError("step function not defined on the field's grid")
 
 
-def _scaled_modular(field: MusielakField, ax, k: float) -> float:
-    """Modular of k * |x| given precomputed absolute values."""
+def _scaled_modular(field: MusielakField, ax) -> float:
+    """Modular of |x| given precomputed absolute values."""
     terms = []
     for v, crv, w in zip(ax, field.curves, field.grid.weights):
-        t = crv.value(k * v)
+        t = crv.value(v)
         if math.isinf(t):
             return INF
         terms.append(t * w)
@@ -144,7 +145,7 @@ def _scaled_modular(field: MusielakField, ax, k: float) -> float:
 def modular(field: MusielakField, x: StepFunction) -> float:
     """Sum over cells of curve(|x|) * mass, with infinity propagation."""
     _check(field, x)
-    return _scaled_modular(field, [abs(v) for v in x.values], 1.0)
+    return _scaled_modular(field, [abs(v) for v in x.values])
 
 
 def modular_of_bounds(field: MusielakField, cells=None) -> float:
@@ -152,41 +153,7 @@ def modular_of_bounds(field: MusielakField, cells=None) -> float:
     keep = field.grid.cell_set(cells)
     # value(0) is 0 in every family, and value(inf) is inf
     ends = [prm.b if cid in keep else 0.0 for cid, prm in zip(field.grid.ids, field.cell_params)]
-    return _scaled_modular(field, ends, 1.0)
-
-
-def _closure_left_slope(curve: OrliczCurve, u: float) -> float:
-    """Left derivative of the curve's closure at u (right derivative at 0)."""
-    if u == 0.0:
-        return curve.right_derivative(0.0)
-    if isinstance(curve, PiecewiseLinear):  # a blow-up end keeps the last slope
-        return curve.slopes[bisect_left(curve.breakpoints, u) - 1]
-    return curve.left_derivative(u)
-
-
-def _closure(field: MusielakField, ax):
-    """t -> (closed modular of t*ax, t times its left slope), cell by cell.
-
-    The fsum reference the block kernel is checked against; valid for t up
-    to the domain edge.
-    """
-    live = [
-        (v, crv, crv.value_closed, w, prm.b)
-        for v, crv, w, prm in zip(ax, field.curves, field.grid.weights, field.cell_params)
-        if v > 0.0
-    ]
-
-    def closure(t: float):
-        vals, slopes = [], []
-        for v, crv, value_closed, w, b in live:
-            u = t * v
-            if u > b:
-                u = b
-            vals.append(value_closed(u) * w)
-            slopes.append(_closure_left_slope(crv, u) * u * w)  # v*w alone may overflow
-        return math.fsum(vals), math.fsum(slopes)
-
-    return closure
+    return _scaled_modular(field, ends)
 
 
 def _start_caps(field: MusielakField, level: float) -> tuple[float, ...]:
@@ -215,40 +182,36 @@ def _larger(a, b):
     return np.where(b > a, b, a)
 
 
-def _smaller(a, b):
-    """Python's min(a, b) per element."""
-    return np.where(b < a, b, a)
+def _step(t: np.ndarray, by: float) -> np.ndarray:
+    """t*(1 + by): over an ulp from a normal t (|by| >= 2*rel, 32 ulps); from a
+    subnormal t, whose coarse ulps could take back the step, rounded away."""
+    moved = t * (1.0 + by)
+    if t.min(initial=INF) < _DBL_MIN:
+        short = (t < _DBL_MIN) & (np.abs(moved - t) / t < abs(by))
+        moved = np.where(short, np.nextafter(moved, 0.0 if by < 0.0 else INF), moved)
+    return moved
 
 
-def _edge_brackets(rows: np.ndarray, starts: np.ndarray, feasible, rtol: float):
-    """Brackets (lo, hi) of T for rows whose closure at their start bound is at most the level.
+def _edge_brackets(rows: np.ndarray, starts: np.ndarray, certain, rtol: float):
+    """Brackets (lo, hi) of T for rows whose closure at their start bound is below the level.
 
     Then T is the start t up to rounding: the closure stays under the level
     up to the edge (past it the modular is infinite), or a single cell's
-    bound is met exactly.  Steps of rtol (at least one ulp) away from t
-    reach a feasible ``lo`` and an infeasible ``hi``; all rows step in
-    lockstep, and ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k])
-    <= level for each k, as a boolean array.
+    bound is met exactly.  ``certain(rows, ts)`` is -1 where ts[k] is
+    certainly feasible for row rows[k] and 1 where it certainly is not.
+    ``lo`` (the start) steps down by rtol/4 and ``hi`` up by rtol/2 until
+    each is certain: once, unless the start is subnormal.
     """
-    up = lambda u: _larger(u * (1.0 + rtol / 2.0), np.nextafter(u, INF))
-    down = lambda u: _smaller(u * (1.0 - rtol / 4.0), np.nextafter(u, 0.0))
-    rising = feasible(rows, starts)  # a feasible start steps hi up, another steps lo down
-    lo, hi = np.where(rising, starts, down(starts)), up(starts)
-    pending = np.arange(len(rows))
-    while pending.size:
-        r = rising[pending]
-        ts = np.where(r, hi[pending], lo[pending])
-        ok = feasible(rows[pending], ts)
-        ups, downs = r & ok, ~r & ~ok
-        j, t = pending[ups], ts[ups]
-        lo[j], hi[j] = t, up(t)
-        j, t = pending[downs], ts[downs]
-        lo[j], hi[j] = down(t), t
-        pending = pending[ups | downs]
+    lo, hi = starts.copy(), _step(starts, rtol / 2.0)
+    for t, want, by in ((lo, -1, -rtol / 4.0), (hi, 1, rtol / 2.0)):
+        pending = np.arange(len(rows))
+        while pending.size:
+            pending = pending[certain(rows[pending], t[pending]) != want]
+            t[pending] = _step(t[pending], by)
     return lo, hi
 
 
-def _newton(starts: np.ndarray, settle, feasible, level: float, rtol: float):
+def _newton(starts: np.ndarray, settle, certain, level: float, rtol: float):
     """The gauge loop: Newton steps from above on the closure, rows in lockstep.
 
     ``starts[i]`` bounds row i's T from above.  ``settle(rows, ts)``
@@ -256,13 +219,12 @@ def _newton(starts: np.ndarray, settle, feasible, level: float, rtol: float):
     per k, arrays (t_lo, r_lo, t_hi, r_hi, s_hi) of the points it certifies:
     t_lo with r(t_lo) = r_lo at most ``level`` (t_lo = 0 when none) and t_hi
     with r(t_hi) = r_hi above it and t_hi*r'(t_hi) = s_hi (t_hi = inf when
-    none).  That is ts[k] itself, or t*(1 - rtol/4) below and
-    t*(1 + rtol/4) above the level, which closes the bracket.
-    ``feasible(rows, ts)`` tests modular(ts[k] * row rows[k]) <= level for
-    each k.  The state of the active rows lives in arrays, and each step
-    updates all of them at once with the float operations of a one-row
-    step, so a row's bracket does not depend on the rows solved with it.
-    Returns arrays (lo, hi), one bracket per row.
+    none).  That is ts[k] itself, or a step of rtol/4 below and above it,
+    which closes the bracket.  ``certain`` is ``_edge_brackets``'s.  The
+    state of the active rows lives in arrays, and each step updates all of
+    them at once with the float operations of a one-row step, so a row's
+    bracket does not depend on the rows solved with it.  Returns arrays
+    (lo, hi) with the width of ``gauge``, one bracket per row.
     """
     n = len(starts)
     lo, hi = np.zeros(n), np.full(n, INF)  # the brackets returned
@@ -279,13 +241,13 @@ def _newton(starts: np.ndarray, settle, feasible, level: float, rtol: float):
             h, rh, sh = np.where(up, th, h), np.where(up, rth, rh), np.where(up, sth, sh)
             l, rl = np.where(down, tl, l), np.where(down, rtl, rl)
             edge = h == INF  # the closure at the start bound is at most the level
-            stop = edge | (h - l <= rtol * l) | (np.nextafter(l, INF) >= h)
+            stop = edge | (h - l <= rtol * l) | (np.nextafter(np.nextafter(l, INF), INF) >= h)
             if stop.any():
                 done = rows[stop]
                 lo[done], hi[done] = l[stop], h[stop]
                 if edge.any():
                     e = rows[edge]
-                    lo[e], hi[e] = _edge_brackets(e, starts[e], feasible, rtol)
+                    lo[e], hi[e] = _edge_brackets(e, starts[e], certain, rtol)
                 go = ~stop
                 rows, l, rl, h, rh, sh, back = (v[go] for v in (rows, l, rl, h, rh, sh, back))
                 if not rows.size:
@@ -310,15 +272,17 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
 
     ``ax`` holds nonnegative cell values, not all zero, and ``level`` is
     positive.  Guarantees modular(lo*ax) <= level, hi >= T and
-    hi - lo <= rtol*lo (or no float lies strictly between lo and hi); an
-    ``rtol`` below four ulps, such as zero, a negative value or NaN, is
-    raised to four ulps.  r(t) = modular(t*ax) is convex and nondecreasing,
-    so Newton steps on its closure from above (left slopes) never
-    undershoot T and solve a piecewise-linear piece exactly, while the chord
-    through the feasible end never overshoots it.  The start is the domain
-    edge or the tightest single-cell bound, whichever is smaller (the caps
-    of ``_start_caps``).  It is ``gauge_block`` on the one row ``ax``, so a
-    row gets the same bracket alone or in a block.
+    hi - lo <= max(rtol, floor)*lo, or at most one float strictly between
+    lo and hi.  The floor, the kernel's ``floor(level)``, follows from its
+    error bound ``rel``/``abs`` and is below 1e-13 on grids of up to a
+    million cells; a smaller rtol (zero, negative, NaN) is raised to it.
+    r(t) = modular(t*ax) is convex and nondecreasing, so Newton steps on its
+    closure from above (left slopes) never undershoot T and solve a
+    piecewise-linear piece exactly, while the chord through the feasible end
+    never overshoots it.  The start is the domain edge or the tightest
+    single-cell bound, whichever is smaller (the caps of ``_start_caps``).
+    It is ``gauge_block`` on the one row ``ax``, so a row gets the same
+    bracket alone or in a block.
     """
     lo, hi = gauge_block(field, [ax], level, rtol)
     return float(lo[0]), float(hi[0])
@@ -345,8 +309,8 @@ class _FieldKernel:
     is piecewise linear.  On those cells ``closure`` reproduces the per-cell
     ``value_closed`` bit for bit; numpy's power may differ from Python's
     ``**`` by a few ulps, and its row sums are not fsum, which the error
-    bound ``rel``/``abs`` of ``side`` covers.  Its methods run under the
-    caller's ``np.errstate``, entered once per solve.
+    bound ``rel``/``abs`` of ``side`` covers with room to spare.  Its
+    methods run under the caller's ``np.errstate``, entered once per solve.
     """
 
     def __init__(self, field: MusielakField):
@@ -365,49 +329,67 @@ class _FieldKernel:
         for row, cells in zip(table, (knots, values, slopes)):
             row[filled] = list(itertools.chain.from_iterable(cells))
         self.knots, self.values, self.slopes = table  # one row per knot cell
+        # w*(slope*knot - phi(knot)) per entry: the cell's u*phi'(u) - phi(u)
+        # on the piece from that knot on (the padding's inf knots count as 0)
+        at_knots = np.where(filled, self.knots, 0.0)
+        gaps = (self.slopes * at_knots - self.values) * self.knot_w[:, None]
         self.cols = np.arange(len(knots))
         # a knot cell's entry j sits at offset + j of the flattened tables
         self.offsets = self.cols * width
-        self.flat_knots, self.flat_values, self.flat_slopes = (a.ravel() for a in table)
+        self.flat_knots, self.flat_values, self.flat_slopes, self.flat_gaps = (
+            a.ravel() for a in (*table, gaps)
+        )
         self.inner_knots = [np.ascontiguousarray(k) for k in self.knots.T[1:]]
         self.b, self.vb = np.array(b), np.array(vb)
         # the modular is infinite at b itself on a blow-up end
         self.blowup = np.isfinite(self.b) & np.array(
             [math.isinf(field.cell_params[i].value_at_b) for i in knotted], dtype=bool
         )
+        self.power_gap = (self.p - 1.0) / self.p * self.power_w  # of u*phi'(u) - phi(u)
         # per cell in grid order: the domain end, and for cells linear from
         # some knot on (unbounded linear and piecewise-linear cells) that knot,
-        # the final slope and the cell's share w*(slope*knot - phi(knot)) of
-        # the limit of k*r'(k) - r(k)
+        # the final slope and the cell's share of the limit of k*r'(k) - r(k)
         n = len(weights)
         self.cell_b = np.full(n, INF)
         self.cell_b[self.knotted] = self.b
         tail = ~np.isfinite(self.b)
         last = self.cols[tail], counts[tail] - 1
-        knot, value, slope = self.knots[last], self.values[last], self.slopes[last]
         cells = self.knotted[tail]
         self.tail_from = np.full(n, INF)
-        self.tail_from[cells] = knot
+        self.tail_from[cells] = self.knots[last]
         self.tail_slope = np.zeros(n)
-        self.tail_slope[cells] = slope
+        self.tail_slope[cells] = self.slopes[last]
         self.tail_gap = np.zeros(n)
-        self.tail_gap[cells] = weights[cells] * (slope * knot - value)
+        self.tail_gap[cells] = gaps[last]
         self.depth = (n - 1).bit_length()  # of the pairwise row sum
-        # relative error of r against the per-cell fsum: the pairwise sum,
-        # a few ulps of power per cell, and the rounding of the bound itself
+        # relative error of r: the pairwise sum, a few ulps of power per cell,
+        # and the rounding of the bound itself
         self.rel = (self.depth + 16) * 2.0**-52
-        self.abs = (4.0 * float(weights.sum()) + n) * math.ulp(0.0)  # subnormal powers
+        # (4*mass + n) ulps of 0 for subnormal powers; scaled so the sum cannot overflow
+        self.abs = 4.0 * float((weights * 2.0**-64).sum()) * 2.0**-1010 + n * math.ulp(0.0)
 
-    def closure(self, rows: np.ndarray, t: np.ndarray):
-        """Closed modular r and t*r' at t[k] of rows[k] (rows x cells, nonnegative)."""
+    def floor(self, level: float) -> float:
+        """The tightest gauge ``rtol`` at ``level``.  A quarter of it moves a
+        convex r with r(0) = 0 near the level by twice the error bound, which
+        holds with room to spare: one step from an open point lands on a certain side."""
+        return 8.0 * (self.rel + self.abs / level)
+
+    def closure(self, rows: np.ndarray, t: np.ndarray, gap: bool = False):
+        """Closed modular r, t*r' and g = t*r' - r at t[k] of rows[k] (rows x cells, nonnegative).
+
+        g (None unless ``gap``) sums the per-cell terms w*(u*phi'(u) - phi(u)),
+        each nonnegative, so it does not cancel where r and t*r' are large.
+        """
         terms = np.zeros((len(t), 1 << self.depth))
         scale = t[:, None]
-        s = 0.0
+        s, g = 0.0, 0.0 if gap else None
         n_power = self.power.size
         if n_power:
             up = np.power(scale * rows[:, self.power], self.p)
             terms[:, :n_power] = up / self.p * self.power_w
             s = (up * self.power_w).sum(axis=1)
+            if gap:
+                g = (up * self.power_gap).sum(axis=1)
         if self.knotted.size:
             u = np.minimum(scale * rows[:, self.knotted], self.b)
             at = np.empty(u.shape, dtype=np.intp)
@@ -419,13 +401,15 @@ class _FieldKernel:
             value = np.where(u == self.b, self.vb, value)
             terms[:, n_power : n_power + self.knotted.size] = value * self.knot_w
             s = s + (slope * u * self.knot_w).sum(axis=1)
+            if gap:
+                g = g + self.flat_gaps.take(at).sum(axis=1)
         for _ in range(self.depth):
             half = terms.shape[1] // 2
             terms = terms[:, :half] + terms[:, half:]
-        return terms[:, 0], s
+        return terms[:, 0], s, g
 
     def side(self, r: np.ndarray, level: float) -> np.ndarray:
-        """Per kernel value r: 1 where the per-cell fsum ``_closure`` is
+        """Per kernel value r: 1 where the modular it approximates is
         certainly above ``level``, -1 where it is certainly at most ``level``,
         0 where the error bound leaves it open."""
         above = r * (1.0 - self.rel) - self.abs > level
@@ -440,16 +424,21 @@ class _FieldKernel:
     def edges(self, ax: np.ndarray):
         """(k_sup, tail) of the row ``ax`` for the Amemiya search.
 
-        k_sup = min b_i/|x_i| over the support (inf when every supporting
-        cell has an unbounded domain).  ``tail`` is None unless every
-        supporting cell is linear from some knot on; then it is (k_lin,
-        limit, g_inf): past k_lin the modular is affine in k, h(k) tends to
-        limit = sum w_i |x_i| s_i (s_i the final slopes), and
+        k_sup is the largest float k with k*|x_i| <= b_i on the support (inf
+        when every supporting cell has an unbounded domain).  ``tail`` is
+        None unless every supporting cell is linear from some knot on; then
+        it is (k_lin, limit, g_inf): past k_lin the modular is affine in k,
+        h(k) tends to limit = sum w_i |x_i| s_i (s_i the final slopes), and
         k*r'(k) - r(k) equals g_inf.
         """
         live = ax > 0.0
-        v = ax[live]
-        k_sup = float((self.cell_b[live] / v).min())
+        v, b = ax[live], self.cell_b[live]
+        k_sup = float((b / v).min())
+        if math.isfinite(k_sup):  # below the rounded quotient until k_sup*|x_i| <= b_i exactly
+            near = np.isfinite(b) & (k_sup * v >= b)
+            exact = [(Fraction(x), Fraction(e)) for x, e in zip(v[near].tolist(), b[near].tolist())]
+            while any(Fraction(k_sup) * x > e for x, e in exact):
+                k_sup = math.nextafter(k_sup, 0.0)
         start = self.tail_from[live]
         if not np.isfinite(start).all():
             return k_sup, None
@@ -470,18 +459,15 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
     ``modular``.  The rows run the loop of ``gauge`` in lockstep; each step
     evaluates all of them with one call of the field's compiled kernel.  A
     comparison with the level counts only where the kernel's error bound
-    makes it certain.  Where it does not, the kernel settles
-    t*(1 - rtol/4) below and t*(1 + rtol/4) above the level instead, which
-    closes the bracket; failing that, the row falls back to the per-cell
-    closure at t.  Rows whose T sits at a domain edge step out with kernel
-    feasibility tests, and with the scalar modular only where the error
-    bound leaves the test open.
+    makes it certain.  Where it does not, a step of rtol/4 (at least one
+    ulp) each way settles below and above the level, which closes the
+    bracket; a step past the domain edge counts as above it.
     """
     rows = np.asarray(rows, dtype=float)
     if not rows.any(axis=1).all():
         raise PreconditionError("the gauge of the zero function is unbounded")
-    rtol = max(_MIN_RTOL, rtol)
     kernel = field._kernel
+    rtol = max(kernel.floor(level), rtol)  # NaN compares false, so it is raised too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts = np.where(rows > 0.0, np.array(_start_caps(field, level)) / rows, INF).min(axis=1)
     _check_start(float(starts.max()))
@@ -489,38 +475,31 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
 
     def settle(idx, t):
         sub = rows[idx]
-        r, s = kernel.closure(sub, t)
+        r, s, _ = kernel.closure(sub, t)
         side = kernel.side(r, level)
         t_lo, r_lo = np.where(side < 0, t, 0.0), r.copy()
         t_hi, r_hi, s_hi = np.where(side > 0, t, INF), r, s
         unsure = np.flatnonzero(side == 0)
         if unsure.size:
-            m = unsure.size
-            tn = np.concatenate((t[unsure] * (1.0 - rtol / 4.0), t[unsure] * (1.0 + rtol / 4.0)))
-            rn, sn = kernel.closure(np.concatenate((sub[unsure], sub[unsure])), tn)
+            m, near = unsure.size, sub[unsure]
+            tn = np.concatenate((_step(t[unsure], -rtol / 4.0), _step(t[unsure], rtol / 4.0)))
+            rn, sn, _ = kernel.closure(np.concatenate((near, near)), tn)
             siden = kernel.side(rn, level)
-            closed = (siden[:m] < 0) & (siden[m:] > 0)
-            k = unsure[closed]
-            t_lo[k], r_lo[k] = tn[:m][closed], rn[:m][closed]
-            t_hi[k], r_hi[k], s_hi[k] = tn[m:][closed], rn[m:][closed], sn[m:][closed]
-            for k in unsure[~closed].tolist():  # the per-cell fsum decides
-                r_k, s_k = _closure(field, sub[k].tolist())(float(t[k]))
-                if r_k > level:
-                    t_hi[k], r_hi[k], s_hi[k] = t[k], r_k, s_k
-                else:
-                    t_lo[k], r_lo[k] = t[k], r_k
+            below, above = siden[:m] < 0, siden[m:] > 0
+            if not above.all():  # a step past the domain edge is above the level too
+                above |= kernel.beyond(near, tn[m:])
+            k = unsure[below]
+            t_lo[k], r_lo[k] = tn[:m][below], rn[:m][below]
+            k = unsure[above]
+            t_hi[k], r_hi[k], s_hi[k] = tn[m:][above], rn[m:][above], sn[m:][above]
         return t_lo, r_lo, t_hi, r_hi, s_hi
 
-    def feasible(idx, t):
+    def certain(idx, t):
         # below the domain edge and off blow-up ends the closure is the modular
         sub = rows[idx]
-        side = np.where(kernel.beyond(sub, t), 1, kernel.side(kernel.closure(sub, t)[0], level))
-        ok = side < 0
-        for k in np.flatnonzero(side == 0).tolist():
-            ok[k] = _scaled_modular(field, sub[k].tolist(), float(t[k])) <= level
-        return ok
+        return np.where(kernel.beyond(sub, t), 1, kernel.side(kernel.closure(sub, t)[0], level))
 
-    return _newton(starts, settle, feasible, level, rtol)
+    return _newton(starts, settle, certain, level, rtol)
 
 
 def _norm_of_scale(hi: float) -> float:
@@ -586,7 +565,8 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
     """inf over k > 0 of h(k) = (1 + modular(k x)) / k, from above.
 
     With r(k) = modular(k|x|) and g(k) = k*r'(k) - r(k), which is
-    nondecreasing, h has slope (g(k) - 1)/k**2: a minimiser k* satisfies
+    nondecreasing (the kernel sums it cell by cell, so it does not cancel
+    where r is large), h has slope (g(k) - 1)/k**2: a minimiser k* satisfies
     g(k*-) <= 1 <= g(k*+), or sits at the domain edge k_sup.  The search
     keeps a bracket with g <= 1 at its lower end and g > 1 at its upper end,
     splits it where the tangents of 1 + r at the two ends meet (exact when
@@ -599,11 +579,12 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
     NaN, is raised to four ulps.
 
     The result is an upper bound of the infimum: h at an evaluated k (with
-    r rounded up by the compiled kernel's error bound where the kernel
-    computed it), the closed value at k_sup when the minimum sits on the
-    edge, or the limit sum w_i |x_i| s_i (s_i the final slopes, rounded up
-    by the kernel's bound) when every supporting cell is linear from some
-    knot on and g stays below 1.  Where the objective overflows before a
+    r rounded up by the compiled kernel's error bound and the quotient
+    rounded up, ``_objective_up``), the closed value at k_sup when the
+    minimum sits on the edge (k_sup*|x_i| stays in the domain), or the
+    limit sum w_i |x_i| s_i (s_i the final slopes, rounded up by the
+    kernel's bound) when every supporting cell is linear from some knot on
+    and g stays below 1.  Where the objective overflows before a
     bracket is found, the search restarts from the gauge scale; a norm
     above DBL_MAX raises ``UnboundedNormError``.
     """
@@ -611,6 +592,18 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
     if x.is_zero():
         return 0.0
     return _amemiya(field, [abs(v) for v in x.values], tol)[0]
+
+
+def _objective_up(r: float, k: float) -> float:
+    """(1 + r)/k' rounded up (an exact check), k' = k*(1 - 2**-53): each normal
+    fl(k*|x_i|) is at least k'*|x_i|, so where r bounds the modular at those
+    floats, this bounds h(k') from above."""
+    q = (1.0 + r) / k
+    if math.isfinite(q):
+        exact = (1 + Fraction(r)) * 2**53
+        while Fraction(q) * Fraction(k) * (2**53 - 1) < exact:
+            q = math.nextafter(q, INF)
+    return q
 
 
 @np.errstate(over="ignore", invalid="ignore")  # entered once per solve
@@ -624,6 +617,8 @@ def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
     row = np.array(ax, dtype=float)
     rows = row[None, :]
     edge, tail = kernel.edges(row)  # k_sup: a minimiser lies at or below it
+    if edge == 0.0:  # every h(k) is at least 1/k_sup
+        raise UnboundedNormError("the Amemiya edge underflows: the norm exceeds DBL_MAX")
     if tail is not None:
         k_lin, limit, g_inf = tail
         if g_inf <= 1.0:  # g stays below 1, so h falls to its limit
@@ -632,22 +627,22 @@ def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
             return limit * (1.0 + kernel.rel), limit, 0
         edge = k_lin  # past k_lin g is g_inf > 1, so a minimiser lies at or below it
     top = min(edge, _DBL_MAX)
-    lo = hi = None  # (k, r, k*r'): g(lo) <= 1 < g(hi), or r overflows at hi
+    lo = hi = None  # (k, r, k*r', g): g(lo) <= 1 < g(hi), or r overflows at hi
     k = top if math.isfinite(edge) else min(1.0 / float(row.max()), top)
-    best, evals, grow, width, restarted = INF, 0, 2.0, INF, False
+    best, arg, evals, grow, width, restarted = INF, (INF, 1.0), 0, 2.0, INF, False
     for _ in range(_MAX_DOUBLINGS):
-        r, s = kernel.closure(rows, np.array([k]))
-        r, s = float(r[0]), float(s[0])
-        r_up = r * (1.0 + kernel.rel) + kernel.abs  # the kernel's r rounded up
+        r, s, g = (float(v[0]) for v in kernel.closure(rows, np.array([k]), gap=True))
         evals += 1
-        best = min(best, (1.0 + r_up) / k)
-        if math.isfinite(r) and s - r <= 1.0:
-            lo = (k, r, s)
+        r_up = r * (1.0 + kernel.rel) + kernel.abs  # the kernel's r rounded up
+        if (1.0 + r_up) / k < best:  # rounded up once, on return
+            best, arg = (1.0 + r_up) / k, (r_up, k)
+        if math.isfinite(r) and g <= 1.0:
+            lo = (k, r, s, g)
         else:
-            hi = (k, r, s)
+            hi = (k, r, s, g)
         if hi is None:  # h falls up to k
             if k >= top:  # the minimum sits at the edge
-                return best, (1.0 + r) / k, evals
+                return _objective_up(*arg), (1.0 + r) / k, evals
             k, grow = min(k * grow, top), grow * grow
             continue
         if lo is None:
@@ -665,15 +660,15 @@ def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
                     "the Amemiya objective overflows: the norm is near DBL_MAX"
                 )
             continue
-        (ka, ra, sa), (kb, rb, sb) = lo, hi
-        ga, da = sa - ra, sa / ka
+        (ka, ra, sa, ga), (kb, rb, sb, gb) = lo, hi
+        da = sa / ka
         bound = da + (1.0 - ga) / kb  # tangent of 1 + r at ka, over [ka, kb]
         tangent = math.isfinite(rb)
         if tangent:
-            gb, db = sb - rb, sb / kb
+            db = sb / kb
             bound = max(bound, db + (1.0 - gb) / ka)
         if best - bound <= tol * best or math.nextafter(ka, INF) >= kb:
-            return best, bound, evals
+            return _objective_up(*arg), bound, evals
         k = INF
         if tangent and math.log(kb) - math.log(ka) <= 0.5 * width and db > da:
             k = (gb - ga) / (db - da)  # where the tangents at ka and kb meet

@@ -144,30 +144,37 @@ def d_param_scan(curve: OrliczCurve, u_max=20.0, steps=200_000):
     return best
 
 
+def _pieces(curve: OrliczCurve):
+    """(breakpoints, slopes, blow-up end) of a linear, indicator or piecewise-linear curve."""
+    if isinstance(curve, Linear):
+        return (0.0, INF), (curve.slope,), False
+    if isinstance(curve, Indicator):
+        return (0.0, curve.bound), (0.0,), False
+    if isinstance(curve, PiecewiseLinear):
+        return curve.breakpoints, curve.slopes, math.isinf(curve.end_value or 0.0)
+    raise TypeError(f"no exact value for {curve!r}")
+
+
+def _closed(breakpoints, slopes, u: Fraction) -> Fraction:
+    """The closure of a knotted curve at a rational u up to its end: a closed end
+    takes the exact left limit, the value the stored ``end_value`` rounds."""
+    total = Fraction(0)
+    for s, u0, u1 in zip(slopes, breakpoints, breakpoints[1:]):
+        if u <= u0:
+            break
+        total += Fraction(s) * ((u if math.isinf(u1) else min(u, Fraction(u1))) - Fraction(u0))
+    return total
+
+
 def exact_value(curve: OrliczCurve, u: float):
     """phi(u) as an exact ``Fraction`` for a linear, indicator or piecewise-linear
-    curve, or inf where u lies outside the domain (past b, or at a blow-up end).
-
-    A closed end takes the exact left limit, the value the stored
-    ``end_value`` rounds.
-    """
+    curve, or inf where u lies outside the domain (past b, or at a blow-up end)."""
     if math.isinf(u):
         return INF
-    if isinstance(curve, Linear):
-        return Fraction(curve.slope) * Fraction(u)
-    if isinstance(curve, Indicator):
-        return Fraction(0) if u <= curve.bound else INF
-    if isinstance(curve, PiecewiseLinear):
-        bp, b = curve.breakpoints, curve.breakpoints[-1]
-        if u > b or (u == b and math.isinf(curve.end_value)):
-            return INF
-        total = Fraction(0)
-        for s, u0, u1 in zip(curve.slopes, bp, bp[1:]):
-            if u <= u0:
-                break
-            total += Fraction(s) * (Fraction(min(u, u1)) - Fraction(u0))
-        return total
-    raise TypeError(f"no exact value for {curve!r}")
+    bp, slopes, blowup = _pieces(curve)
+    if u > bp[-1] or (u == bp[-1] and blowup):
+        return INF
+    return _closed(bp, slopes, Fraction(u))
 
 
 def exact_modular(field, values):
@@ -179,6 +186,54 @@ def exact_modular(field, values):
             return INF
         total += Fraction(w) * phi
     return total
+
+
+def _exact_scan(field, values):
+    """The closed modular t -> rho(t|x|) of a knotted field, exactly, with the
+    points where it bends: (rho, kinks below the edge, edge or None, final slope).
+
+    rho is affine between consecutive kinks, and past the last one up to the
+    edge; with no edge it grows at the final slope sum w_i |x_i| s_i.
+    """
+    live = [
+        (Fraction(abs(v)), *_pieces(c)[:2], Fraction(w))
+        for v, c, w in zip(values, field.curves, field.grid.weights)
+        if v != 0.0
+    ]
+
+    def rho(t):
+        return sum(w * _closed(bp, sl, t * v) for v, bp, sl, w in live)
+
+    ends = [Fraction(bp[-1]) / v for v, bp, _, _ in live if math.isfinite(bp[-1])]
+    edge = min(ends, default=None)
+    kinks = {Fraction(u) / v for v, bp, _, _ in live for u in bp[1:-1]}
+    kinks = sorted(k for k in kinks if edge is None or k < edge)
+    slope = sum(w * v * Fraction(sl[-1]) for v, _, sl, w in live)
+    return rho, kinks, edge, slope
+
+
+def exact_luxemburg(field, values) -> Fraction:
+    """The Luxemburg norm 1/T, T = sup{t : rho(t|x|) <= 1}, of a knotted field, exactly."""
+    rho, kinks, edge, slope = _exact_scan(field, values)
+    t0 = r0 = Fraction(0)
+    for t in kinks + ([edge] if edge is not None else []):
+        r = rho(t)
+        if r > 1:  # rho crosses 1 on the affine piece [t0, t]
+            return 1 / (t0 + (1 - r0) * (t - t0) / (r - r0))
+        t0, r0 = t, r
+    return 1 / (t0 if edge is not None else t0 + (1 - r0) / slope)
+
+
+def exact_amemiya(field, values) -> Fraction:
+    """inf over k > 0 of (1 + rho(k|x|))/k for a knotted field, exactly.
+
+    h is monotone between kinks, so the infimum is the minimum over the kinks,
+    the closed edge and, with no edge, the linear-tail limit: the final slope.
+    """
+    rho, kinks, edge, slope = _exact_scan(field, values)
+    points = kinks + ([edge] if edge is not None else [])
+    heights = [(1 + rho(k)) / k for k in points]
+    return min(heights + ([slope] if edge is None else []))
 
 
 def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):

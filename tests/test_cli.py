@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import signal
 import subprocess
 import sys
 import tempfile
@@ -45,8 +46,19 @@ def run_cli(args):
     )
 
 
+class _Nested:
+    """Stands for a list nested 1,000 deep, which ``json.dumps`` would recurse too far to write."""
+
+    @staticmethod
+    def mark(obj):
+        if not isinstance(obj, _Nested):
+            raise TypeError(f"{obj!r} is not JSON")
+        return "<nested>"
+
+
 def write(path, obj):
-    path.write_text(json.dumps(obj))
+    text = json.dumps(obj, default=_Nested.mark)
+    path.write_text(text.replace('"<nested>"', "[" * 1000 + "]" * 1000))
     return str(path)
 
 
@@ -282,7 +294,7 @@ def test_norm_command_tolerance_zero(tmp_path, capsys):
     ],
 )
 def test_norm_command_raises_degenerate_tolerances_to_a_floor(tmp_path, capsys, space):
-    # a zero or negative tol reaches both solvers; each raises it to four ulps
+    # a zero or negative tol reaches both solvers; each raises it to its floor
     cfg = dict(BASE, grid={"weights": [1.0, 2.0]}, x=[1.0, -0.5], space=space)
     runs = [(dict(cfg, tol=0), []), (cfg, ["--tol", "0"]), (cfg, ["--tol", "-1"])]
     for body, extra in runs:
@@ -628,6 +640,15 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     for probes in ([{"type": "roughness"}], [["roughness", [1.0, 0.0]]], 5, [empty_scales]):
         probe_cfg = write(tmp_path / "probe.json", dict(BASE, probes=probes))
         assert one_line_config_error(["probe", "--config", probe_cfg])
+
+    # nesting too deep for json.load, and a NaN too deep for the hash's encoders
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert one_line_config_error(["norm", "--config", str(deep)])
+    nested = math.nan
+    for _ in range(500):
+        nested = [nested]
+    assert one_line_config_error(["norm", "--config", write(tmp_path / "nan.json", dict(BASE, a=nested))])
 
     no_grid = {"type": "sum-case", "x": [1.0, 0.0], "functional": [1.0, 0.0], "epsilon": 0.5}
     for results in ({"witness": {"type": "nonsquare"}}, 5, {"witness": [1]}, {"witness": no_grid}):
@@ -988,6 +1009,7 @@ _JUNK = st.one_of(
     st.sampled_from([10**400, -(10**400)]),  # ints beyond the float range
     st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.sampled_from(["a", "seed", "kind"]), st.integers(0, 3), max_size=2),
+    st.just(_Nested()),  # loads under hypothesis's raised recursion limit; no slot takes it
 )
 _POS = st.floats(0.25, 4.0)
 # integral sample counts above the ceiling, which would otherwise never finish
@@ -1160,10 +1182,27 @@ def _refuse_constant(token):
     raise ValueError(f"the report holds {token}, which is not JSON")
 
 
+_CPU_LIMIT_S = 30.0  # of one main call; a hang fails the test instead of stalling the suite
+
+
+class _CpuLimit(BaseException):
+    """Raised out of ``main`` when it spends its CPU-time budget (main catches no BaseException)."""
+
+
+def _spent(signum, frame):
+    raise _CpuLimit(f"main spent {_CPU_LIMIT_S} s of CPU time")
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    handler = signal.signal(signal.SIGPROF, _spent)
+    timer = signal.setitimer(signal.ITIMER_PROF, _CPU_LIMIT_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF, handler)
     if code == EXIT_OK and "--out" not in argv:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)  # no NaN or Infinity literal
     return code, err.getvalue()

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from mospaces import (
     unit_sphere_point,
     weights,
 )
+from mospaces import musielak
+from mospaces.cli import MAX_CELLS
 from mospaces.musielak import (
     _amemiya,
     gauge,
@@ -37,7 +40,15 @@ from mospaces.musielak import (
     luxemburg_norms,
     unit_sphere_points,
 )
-from helpers import amemiya_golden, exact_modular, gauge_bisect, random_field, random_x
+from helpers import (
+    amemiya_golden,
+    exact_amemiya,
+    exact_luxemburg,
+    exact_modular,
+    gauge_bisect,
+    random_field,
+    random_x,
+)
 
 INF = math.inf
 
@@ -231,6 +242,20 @@ def test_amemiya_linear_tails():
         x = random_x(rng, f.grid)
         if not x.is_zero():
             assert_amemiya(f, x, reference=amemiya_golden(f, x))
+
+
+def test_amemiya_decides_its_bracket_on_g_summed_cell_by_cell():
+    # the search starts at k_sup = 1e20, where r and k*r' are near 2e20 and
+    # their difference is rounding noise; g summed cell by cell is exactly 2,
+    # so the minimum is found at the kink k = 1, h(1) = 1 + 1e-20
+    g = MeasureGrid((1.0, 1.0))
+    tail = PiecewiseLinear((0.0, 1.0, INF), (0.0, 2.0))
+    f = MusielakField(g, (tail, PiecewiseLinear.closed((0.0, 1.0), (1.0,))))
+    x = StepFunction(g, (1.0, 1e-20))
+    value = assert_amemiya(f, x)
+    assert exact_amemiya(f, x.values) <= value <= 1.0 + 1e-15
+    assert orlicz_norm_sup_oracle(f, x).value == 1.0
+    assert value <= 2.0 * luxemburg_norm(f, x)
 
 
 @pytest.mark.parametrize("p", [1.0000001, 1.0004, 1.001])
@@ -474,11 +499,20 @@ def test_unit_sphere_point_lands_on_sphere():
 # -- gauge solver ------------------------------------------------------------
 
 
+def assert_width(f, lo, hi, level, rtol):
+    """hi - lo <= max(rtol, floor)*lo, or at most one float strictly between lo and hi.
+
+    An rtol below the kernel's floor (zero, negative, NaN) is raised to it.
+    """
+    width = max(f._kernel.floor(level), rtol)
+    assert hi - lo <= width * lo or math.nextafter(math.nextafter(lo, INF), INF) >= hi
+    return width
+
+
 def assert_gauge_bracket(f, x, level, rtol):
     lo, hi = gauge(f, [abs(v) for v in x.values], level, rtol)
     assert 0.0 < lo <= hi
-    # an rtol below four ulps (zero, negative, NaN) is raised to four ulps
-    assert hi - lo <= max(4.0 * math.ulp(1.0), rtol) * lo or math.nextafter(lo, INF) >= hi
+    assert_width(f, lo, hi, level, rtol)
     assert modular(f, lo * x) <= level
     assert modular(f, hi * x) > level  # hence hi >= T
     return lo, hi
@@ -510,6 +544,17 @@ def test_gauge_matches_reference_bisection(level):
         assert math.isclose(lo, ref_lo, rel_tol=1e-11)
 
 
+def test_gauge_floor_stays_below_every_tolerance_the_package_asks_for():
+    # the floor grows with the depth of the kernel's pairwise sum; on the
+    # largest grid a config may generate it stays below the unit-sphere
+    # rtol 1e-13, so the sphere (1e-13), verify (1e-11) and norm (<= 1e-10)
+    # solves are never widened
+    floor = MusielakField.constant(MeasureGrid((1.0,) * MAX_CELLS), Power(2.0))._kernel.floor(1.0)
+    assert 6e-14 < floor < 1e-13
+    one = MusielakField.constant(unit_grid(1), Linear(1.0))._kernel
+    assert one.floor(1.0) == 8.0 * (one.rel + one.abs) and 2e-14 < one.floor(1.0) < 3e-14
+
+
 def test_gauge_rejects_zero_values_and_overflowing_scale():
     f = MusielakField.constant(unit_grid(), Power(2.0))
     with pytest.raises(PreconditionError):
@@ -533,6 +578,18 @@ def test_gauge_subnormal_scale(curve):
     for rtol in (0.0, 1e-12):
         lo, hi = assert_gauge_bracket(f, x, 1.0, rtol)
         assert lo < 1e-300
+
+
+def test_gauge_steps_round_away_from_a_subnormal_point():
+    # T is near 8.27e-310, where one ulp of t is 6e-15 of it, below rtol/4:
+    # a step rounded to nearest came back one ulp short of certain, and the
+    # solve evaluated the same t until it gave up
+    g = MeasureGrid((2.905473379126212,))
+    f = MusielakField(g, (PiecewiseLinear.closed((0.0, 0.5870752237126398), (0.872333675306596,)),))
+    x = StepFunction(g, (1.4307485092220898e308,))
+    lo, hi = assert_gauge_bracket(f, x, 0.3, 0.0)
+    assert lo < 1e-308
+    assert_exactly_feasible(f, lo, x.values, 0.3)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
@@ -599,6 +656,22 @@ def test_norm_above_dbl_max_raises():
         luxemburg_norms(f, [x.values])
 
 
+def test_norms_of_huge_masses_and_of_an_edge_below_the_float_range():
+    # a mass sum past DBL_MAX leaves the kernel's error bound finite
+    g = MeasureGrid((1e308, 1e308))
+    f = MusielakField.constant(g, Linear(1.0))
+    x = StepFunction(g, (1e-300, 1e-300))
+    assert math.isfinite(f._kernel.abs)
+    assert math.isclose(luxemburg_norm(f, x), 2e8, rel_tol=1e-12)
+    assert math.isclose(amemiya_norm(f, x), 2e8, rel_tol=1e-12)
+    # k_sup = 1e-300/1e300 rounds to 0: both norms exceed DBL_MAX
+    g1 = MeasureGrid((1.0,))
+    tiny = MusielakField.constant(g1, Indicator(1e-300))
+    for norm in (luxemburg_norm, amemiya_norm):
+        with pytest.raises(UnboundedNormError, match="exceeds DBL_MAX"):
+            norm(tiny, StepFunction(g1, (1e300,)))
+
+
 def test_amemiya_restarts_where_the_objective_overflows():
     # modular(x) overflows at k = 1 although the norm is finite
     g = MeasureGrid((0.5, 2.0))
@@ -628,10 +701,9 @@ def _block_rows(rng, f, count):
 
 def assert_block_matches_rows(f, xs, level, rtol):
     lo, hi = gauge_block(f, [[abs(v) for v in x.values] for x in xs], level, rtol)
-    width = max(4.0 * math.ulp(1.0), rtol)
     for x, l, h in zip(xs, lo.tolist(), hi.tolist()):
         assert 0.0 < l <= h
-        assert h - l <= width * l or math.nextafter(l, INF) >= h
+        width = assert_width(f, l, h, level, rtol)
         assert modular(f, l * x) <= level
         assert modular(f, h * x) > level
         l1, h1 = gauge(f, [abs(v) for v in x.values], level, rtol)
@@ -674,11 +746,13 @@ def test_gauge_block_rejects_zero_rows():
 
 @st.composite
 def _extreme_block(draw):
-    """A field of 1-4 cells with p near 1 and blow-up ends, and rows of magnitudes near 1e+-300."""
+    """A field of 1-4 cells with p near 1, blow-up ends and linear tails, and rows of
+    magnitudes near 1e+-300."""
     n = draw(st.integers(1, 4))
     curves = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["near-one", "power", "blow-up", "closed", "linear", "indicator"]))
+        kinds = ["near-one", "power", "blow-up", "closed", "unbounded", "linear", "indicator"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "near-one":
             curves.append(Power(draw(st.floats(1.0, 1.001, exclude_min=True, exclude_max=True))))
         elif kind == "power":
@@ -689,6 +763,10 @@ def _extreme_block(draw):
                 curves.append(PiecewiseLinear(knots, slopes, INF))
             else:
                 curves.append(PiecewiseLinear.closed(knots, slopes))
+        elif kind == "unbounded":  # linear from a knot on, perhaps flat before it
+            s0 = draw(st.sampled_from([0.0, 0.5]))
+            knots, slopes = (0.0, draw(st.floats(0.25, 3.0)), INF), (s0, s0 + draw(st.floats(0.1, 2.0)))
+            curves.append(PiecewiseLinear(knots, slopes))
         elif kind == "linear":
             curves.append(Linear(draw(st.floats(0.2, 3.0))))
         else:
@@ -767,14 +845,16 @@ def _knotted_curve(draw):
 
 @st.composite
 def _knotted_case(draw):
-    """A knotted field of 1-6 cells, rows of magnitudes up to 1e+-300 and a level."""
+    """A knotted field of 1-6 cells, rows of magnitudes up to 1e+307 and down to
+    1e-300, and a level."""
     n = draw(st.integers(1, 6))
     curves = tuple(draw(_knotted_curve()) for _ in range(n))
     grid = MeasureGrid(tuple(draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))))
     value = st.builds(
         lambda m, e, sign: sign * m * e,
         st.floats(0.5, 2.0),
-        st.sampled_from([0.0, 1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300]),
+        # near 1e307 the scale T can be subnormal, where the kernel's steps are coarse
+        st.sampled_from([0.0, 1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300, 1e307]),
         st.sampled_from([1.0, -1.0]),
     )
     rows = st.lists(st.lists(value, min_size=n, max_size=n).filter(any), min_size=1, max_size=4)
@@ -787,15 +867,7 @@ def assert_exactly_feasible(f, lo, ax, level):
     assert exact_modular(f, point) <= Fraction(level), (f.curves, f.grid.weights, ax, lo, level)
 
 
-@pytest.mark.parametrize(
-    "rtol",
-    [
-        1e-12,
-        # below the kernel's error band the per-cell fallback of gauge_block
-        # decides, comparing the float fsum with the level without a margin
-        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason="per-cell fallback")),
-    ],
-)
+@pytest.mark.parametrize("rtol", [1e-12, 0.0])
 @settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(case=_knotted_case())
 def test_gauge_lo_is_exactly_feasible_on_knotted_fields(rtol, case):
@@ -824,3 +896,46 @@ def test_row_batched_norms_match_scalar_ones():
         for y, u in zip(ys, unit_sphere_points(f, [y.values for y in ys])):
             assert modular(f, StepFunction(f.grid, tuple(u.tolist()))) <= 1.0
             assert tuple(u.tolist()) == unit_sphere_point(f, y).values
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(case=_knotted_case())
+def test_norms_are_one_sided_against_the_exact_references(case):
+    # no slack: Luxemburg never above the exact norm, Amemiya never below
+    # the exact infimum, whatever the tolerance
+    f, rows, _ = case
+    for values in rows:
+        x = StepFunction(f.grid, tuple(values))
+        lux, ame = exact_luxemburg(f, values), exact_amemiya(f, values)
+        for tol in (0.0, 1e-14, 1e-12):
+            try:
+                assert luxemburg_norm(f, x, tol) <= lux, (f, values, tol)
+                assert amemiya_norm(f, x, tol) >= ame, (f, values, tol)
+            except UnboundedNormError:  # only for a norm near DBL_MAX
+                assert ame > 1e307
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(case=st.one_of(_knotted_case().map(lambda c: c[:2]), _extreme_block()))
+def test_gauge_solvers_never_call_the_per_cell_modular(case):
+    # every comparison with the level is decided on the compiled kernel
+    f, rows = case
+    xs = [StepFunction(f.grid, tuple(values)) for values in rows]
+    ax = np.abs(np.array(rows))
+    refuse = AssertionError("the per-cell modular was called")
+
+    def solve(solver, *args):
+        try:
+            solver(*args)
+        except UnboundedNormError:  # a norm past DBL_MAX, found by the kernel solve
+            pass
+
+    with mock.patch.object(musielak, "_scaled_modular", side_effect=refuse):
+        solve(gauge_block, f, ax, 0.3, 0.0)
+        solve(luxemburg_norms, f, rows, 0.0)
+        solve(unit_sphere_points, f, rows)
+        for x, a in zip(xs, ax.tolist()):
+            solve(gauge, f, a, 1.05, 0.0)
+            solve(luxemburg_norm, f, x, 0.0)
+            solve(unit_sphere_point, f, x)
+            solve(amemiya_norm, f, x, 0.0)
