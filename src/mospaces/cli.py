@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, is_dataclass
@@ -62,6 +63,7 @@ from .musielak import (
 )
 from .probes import BlockOracle, Slice, daugavet_condition_probe, roughness_probe, slice_diameter_lb
 from .reports import FailureCertificate, NonsquareWitness, VerificationRecord
+from .table import FAMILIES, NUMBERS, PIECEWISE, CurveTable, InvalidCell
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,11 +103,12 @@ def jsonify(obj) -> Any:
 
 
 def num(value) -> float:
+    """A JSON number or an "inf"/"-inf" token as a float; a boolean is no number."""
     if value == "inf":
         return math.inf
     if value == "-inf":
         return -math.inf
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:  # an int beyond the float range
@@ -116,6 +119,7 @@ def num(value) -> float:
 
 
 _PLAIN_NUMBERS = frozenset({int, float})
+_END_TOKENS = _PLAIN_NUMBERS | {type(None)}
 
 
 def nums(tokens) -> tuple:
@@ -226,6 +230,59 @@ def parse_curve(d: dict) -> OrliczCurve:
         raise ConfigError(f"bad curve spec {d!r}: {exc}") from exc
 
 
+def _flat_numbers(lists) -> Optional[np.ndarray]:
+    """The tokens of the JSON lists ``lists``, flattened to floats as ``nums``
+    converts them, or None unless each list holds plain ints and floats,
+    perhaps ending in "inf"."""
+    if not {list}.issuperset(map(type, lists)):
+        return None
+    bodies = (t[:-1] if t and t[-1] == "inf" else t for t in lists)
+    if not _PLAIN_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(bodies))):
+        return None
+    try:
+        return np.fromiter(itertools.chain.from_iterable(lists), float)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def _curve_table(specs) -> Optional[CurveTable]:
+    """The columns of a list of curve specs, or None unless every spec is a
+    plain dict of plain numbers: ints, floats and "inf" as a last breakpoint
+    or as an end value.
+
+    Such a list parses in bulk passes, each number converted as ``num``
+    converts it; the table checks them as the curve constructors do and
+    raises ``InvalidCell`` at the first cell they would refuse.  A boolean
+    is no plain number, so it takes the per-cell path, where ``num`` refuses it.
+    """
+    if type(specs) is not list or not {dict}.issuperset(map(type, specs)):
+        return None
+    try:  # a missing key, or an unhashable family, takes the per-cell path
+        codes = list(map(FAMILIES.get, map(operator.itemgetter("family"), specs), itertools.repeat(-1)))
+        family = np.array(codes, dtype=np.int8)
+        number = np.full(len(specs), math.nan)
+        for code, key in NUMBERS.items():
+            cells = family == code
+            if cells.any():
+                values = list(map(operator.itemgetter(key), itertools.compress(specs, cells.tolist())))
+                if not _PLAIN_NUMBERS.issuperset(map(type, values)):
+                    return None
+                number[cells] = np.array(values, dtype=float)
+        pw = list(itertools.compress(specs, (family == PIECEWISE).tolist()))
+        bps = list(map(operator.itemgetter("breakpoints"), pw))
+        sls = list(map(operator.itemgetter("slopes"), pw))
+        ends = list(map(dict.get, pw, itertools.repeat("end_value")))
+        if not _END_TOKENS.issuperset(type(e) for e in ends if e != "inf"):
+            return None
+        ends = [e if e is None else float(e) for e in ends]
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an int beyond the float range
+        return None
+    bp, sl = _flat_numbers(bps), _flat_numbers(sls)
+    if bp is None or sl is None:
+        return None
+    return CurveTable(family, number, bp, list(map(len, bps)), sl, list(map(len, sls)), ends)
+
+
 def curve_to_json(curve: OrliczCurve) -> dict:
     if isinstance(curve, Power):
         return {"family": "power", "p": curve.p}
@@ -282,7 +339,15 @@ def parse_space(cfg: dict) -> SpaceConfig:
     kind = space["kind"]
     try:
         if kind == "musielak":
-            curves = tuple(parse_curve(c) for c in space["curves"])
+            specs = space["curves"]
+            try:
+                table = _curve_table(specs)
+            except InvalidCell as exc:
+                parse_curve(specs[exc.index])  # raises that cell's own message
+                raise
+            if table is not None:
+                return SpaceConfig(grid, field=MusielakField.of_table(grid, table))
+            curves = tuple(parse_curve(c) for c in specs)
             return SpaceConfig(grid, field=MusielakField(grid, curves))
         if kind == "nakano":
             exps = nums(space["exponents"])

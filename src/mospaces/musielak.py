@@ -1,8 +1,15 @@
 """Musielak-Orlicz space engine on a finite grid.
 
-A ``MusielakField`` assigns one Orlicz curve per grid cell.  The modular of
-a step function is the weighted sum of curve values; the gauge norm
-(Luxemburg) is the scaling that brings the modular to one.  ``gauge``
+A ``MusielakField`` assigns one Orlicz curve per grid cell.  Its compiled
+form is a column table (``table.CurveTable``): family codes, numbers,
+flattened breakpoints and slopes, and the knot table derived from them.
+The parser builds the table straight from a config's curve list, and the
+modular, the start caps and the kernel below read only the table; the
+per-cell curve objects (``curves``) are built only when a structural or
+scalar path asks for them.
+
+The modular of a step function is the weighted sum of curve values; the
+gauge norm (Luxemburg) is the scaling that brings the modular to one.  ``gauge``
 solves rho(t|x|) = level by Newton steps from above on the convex map
 t -> rho(t|x|); every level-set scaling in the package goes through it.
 ``gauge_block`` runs the same loop on many rows in lockstep, evaluating
@@ -14,7 +21,7 @@ arrays and moves every active row with one set of array operations, each
 the float operation of a scalar step, so a row's bracket is the same alone
 or in a block; ``gauge`` is the one-row block.  Every comparison with the
 level is decided on the kernel, whose error bound floors the bracket
-width; the per-cell ``modular`` stays the reference.
+width; the per-cell ``_scaled_modular`` stays the reference.
 The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
 bracketed root of its optimality condition, split by tangent intersections
 with a bisection safeguard, and stops once h at an evaluated k is within
@@ -32,11 +39,9 @@ to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +49,7 @@ import numpy as np
 from .curves import INF, CurveParams, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
 from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
+from .table import CurveTable
 
 _MAX_DOUBLINGS = 4096
 _MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest Amemiya tolerance asked for
@@ -53,19 +59,45 @@ _DBL_MAX = sys.float_info.max
 _DBL_MIN = sys.float_info.min  # the smallest normal float
 
 
-@dataclass(frozen=True)
 class MusielakField:
-    grid: MeasureGrid
-    curves: tuple[OrliczCurve, ...]
+    """One Orlicz curve per grid cell.
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
-        if len(self.curves) != len(self.grid):
+    The curves are held as a ``CurveTable``, the compiled form the modular
+    and the gauge solvers read.  ``curves``, the per-cell objects the
+    structural and scalar paths read, are built from the table on first use,
+    unless the field was made from them.
+    """
+
+    def __init__(self, grid: MeasureGrid, curves):
+        curves = tuple(curves)
+        if len(curves) != len(grid):
             raise GridMismatchError("need one curve per grid cell")
+        self.grid = grid
+        self.table = CurveTable.of_curves(curves)
+        self.__dict__["curves"] = curves  # the cached property's value
+
+    @classmethod
+    def of_table(cls, grid: MeasureGrid, table: CurveTable) -> "MusielakField":
+        if table.n != len(grid):
+            raise GridMismatchError("need one curve per grid cell")
+        field = cls.__new__(cls)
+        field.grid, field.table = grid, table
+        return field
+
+    def __repr__(self):
+        return f"MusielakField(grid={self.grid!r}, curves={self.curves!r})"
+
+    @cached_property
+    def curves(self) -> tuple[OrliczCurve, ...]:
+        return self.table.curves()
 
     @cached_property
     def cell_params(self) -> tuple[CurveParams, ...]:
         return tuple(c.params() for c in self.curves)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return np.array(self.grid.weights)
 
     @cached_property
     def _caps_by_level(self) -> dict:
@@ -73,7 +105,7 @@ class MusielakField:
 
     @cached_property
     def _kernel(self) -> "_FieldKernel":
-        return _FieldKernel(self)
+        return _FieldKernel(self.table, self._weights)
 
     @staticmethod
     def constant(grid: MeasureGrid, curve: OrliczCurve) -> "MusielakField":
@@ -143,9 +175,17 @@ def _scaled_modular(field: MusielakField, ax) -> float:
 
 
 def modular(field: MusielakField, x: StepFunction) -> float:
-    """Sum over cells of curve(|x|) * mass, with infinity propagation."""
+    """Sum over cells of curve(|x|) * mass, with infinity propagation.
+
+    Evaluated on the field's table with each cell's float operations and
+    summed by one fsum in grid order: ``_scaled_modular`` bit for bit.
+    """
     _check(field, x)
-    return _scaled_modular(field, [abs(v) for v in x.values])
+    terms = field.table.value(np.abs(np.array(x.values)))
+    if np.isinf(terms).any():
+        return INF
+    with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
+        return math.fsum((terms * field._weights).tolist())
 
 
 def modular_of_bounds(field: MusielakField, cells=None) -> float:
@@ -156,17 +196,17 @@ def modular_of_bounds(field: MusielakField, cells=None) -> float:
     return _scaled_modular(field, ends)
 
 
-def _start_caps(field: MusielakField, level: float) -> tuple[float, ...]:
+def _start_caps(field: MusielakField, level: float) -> np.ndarray:
     """Per cell, min(b, inverse_upper(level / w)): no t above cap/|x_i| is feasible.
 
-    Computed once per field and level.
+    Computed on the table once per field and level.
     """
     caps = field._caps_by_level.get(level)
     if caps is None:
-        caps = field._caps_by_level[level] = tuple(
-            min(prm.b, crv.inverse_upper(level / w))
-            for crv, w, prm in zip(field.curves, field.grid.weights, field.cell_params)
-        )
+        with np.errstate(divide="ignore", over="ignore"):
+            u = field.table.inverse_upper(level / field._weights)
+        b = field.table.cell_b
+        caps = field._caps_by_level[level] = np.where(u < b, u, b)  # Python's min(b, u)
     return caps
 
 
@@ -288,70 +328,45 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
     return float(lo[0]), float(hi[0])
 
 
-def _knot_table(curve: OrliczCurve):
-    """(left knots, knot values, slopes from each knot, b, closed value at b)."""
-    if isinstance(curve, Linear):
-        return (0.0,), (0.0,), (curve.slope,), INF, INF
-    if isinstance(curve, Indicator):
-        return (0.0,), (0.0,), (0.0,), curve.bound, 0.0
-    if isinstance(curve, PiecewiseLinear):
-        b = curve.breakpoints[-1]
-        vb = curve.value_closed(b) if math.isfinite(b) else INF
-        return curve.breakpoints[:-1], curve._knot_values[:-1], curve.slopes, b, vb
-    raise TypeError(f"not a piecewise-linear curve: {curve!r}")
-
-
 class _FieldKernel:
     """A field compiled to struct-of-arrays form for row-batched evaluation.
 
-    Power cells keep their exponents.  Linear, indicator and piecewise-linear
-    cells share one knot table padded with inf, because the closure of each
-    is piecewise linear.  On those cells ``closure`` reproduces the per-cell
-    ``value_closed`` bit for bit; numpy's power may differ from Python's
-    ``**`` by a few ulps, and its row sums are not fsum, which the error
-    bound ``rel``/``abs`` of ``side`` covers with room to spare.  Its
-    methods run under the caller's ``np.errstate``, entered once per solve.
+    It reads the field's ``CurveTable``, the compiled form the parser builds
+    from a config's columns; the field's ``curves`` are built only when a
+    scalar path asks for them, never for the kernel.  Power cells keep
+    their exponents, and linear, indicator and piecewise-linear cells share
+    the table's knot table padded with inf, because the closure of each is
+    piecewise linear.  On those cells ``closure`` reproduces the per-cell ``value_closed`` bit
+    for bit; numpy's power may differ from Python's ``**`` by a few ulps,
+    and its row sums are not fsum, which the error bound ``rel``/``abs`` of
+    ``side`` covers with room to spare.  Its methods run under the caller's
+    ``np.errstate``, entered once per solve.
     """
 
-    def __init__(self, field: MusielakField):
-        weights = np.array(field.grid.weights)
-        power = [i for i, c in enumerate(field.curves) if isinstance(c, Power)]
-        knotted = [i for i, c in enumerate(field.curves) if not isinstance(c, Power)]
-        self.power, self.knotted = np.array(power, dtype=np.intp), np.array(knotted, dtype=np.intp)
-        self.p = np.array([field.curves[i].p for i in power])
+    def __init__(self, table: CurveTable, weights: np.ndarray):
+        power, knotted = table.power, table.knotted
+        self.power, self.knotted, self.p = power, knotted, table.p
         self.weights, self.power_w, self.knot_w = weights, weights[power], weights[knotted]
-        tables = [_knot_table(field.curves[i]) for i in knotted]
-        knots, values, slopes, b, vb = zip(*tables) if tables else ((),) * 5
-        counts = np.fromiter(map(len, knots), np.intp, len(knots))
-        width = int(counts.max(initial=1))
-        table = np.full((3, len(knots), width), [[[INF]], [[0.0]], [[0.0]]])
-        filled = np.arange(width) < counts[:, None]  # row-major: each row's knots in order
-        for row, cells in zip(table, (knots, values, slopes)):
-            row[filled] = list(itertools.chain.from_iterable(cells))
-        self.knots, self.values, self.slopes = table  # one row per knot cell
+        self.knots, self.values, self.slopes = table.knots, table.values, table.slopes
+        counts, width = table.counts, table.knots.shape[1]
         # w*(slope*knot - phi(knot)) per entry: the cell's u*phi'(u) - phi(u)
         # on the piece from that knot on (the padding's inf knots count as 0)
-        at_knots = np.where(filled, self.knots, 0.0)
+        at_knots = np.where(table.filled, self.knots, 0.0)
         gaps = (self.slopes * at_knots - self.values) * self.knot_w[:, None]
-        self.cols = np.arange(len(knots))
+        self.cols = np.arange(len(knotted))
         # a knot cell's entry j sits at offset + j of the flattened tables
         self.offsets = self.cols * width
         self.flat_knots, self.flat_values, self.flat_slopes, self.flat_gaps = (
-            a.ravel() for a in (*table, gaps)
+            a.ravel() for a in (self.knots, self.values, self.slopes, gaps)
         )
         self.inner_knots = [np.ascontiguousarray(k) for k in self.knots.T[1:]]
-        self.b, self.vb = np.array(b), np.array(vb)
-        # the modular is infinite at b itself on a blow-up end
-        self.blowup = np.isfinite(self.b) & np.array(
-            [math.isinf(field.cell_params[i].value_at_b) for i in knotted], dtype=bool
-        )
+        self.b, self.vb, self.blowup = table.b, table.closed, table.blowup
         self.power_gap = (self.p - 1.0) / self.p * self.power_w  # of u*phi'(u) - phi(u)
         # per cell in grid order: the domain end, and for cells linear from
         # some knot on (unbounded linear and piecewise-linear cells) that knot,
         # the final slope and the cell's share of the limit of k*r'(k) - r(k)
         n = len(weights)
-        self.cell_b = np.full(n, INF)
-        self.cell_b[self.knotted] = self.b
+        self.cell_b = table.cell_b
         tail = ~np.isfinite(self.b)
         last = self.cols[tail], counts[tail] - 1
         cells = self.knotted[tail]
@@ -436,8 +451,8 @@ class _FieldKernel:
         k_sup = float((b / v).min())
         if math.isfinite(k_sup):  # below the rounded quotient until k_sup*|x_i| <= b_i exactly
             near = np.isfinite(b) & (k_sup * v >= b)
-            exact = [(Fraction(x), Fraction(e)) for x, e in zip(v[near].tolist(), b[near].tolist())]
-            while any(Fraction(k_sup) * x > e for x, e in exact):
+            pairs = list(zip(v[near].tolist(), b[near].tolist()))
+            while any(_exceeds(k_sup, x, e) for x, e in pairs):
                 k_sup = math.nextafter(k_sup, 0.0)
         start = self.tail_from[live]
         if not np.isfinite(start).all():
@@ -594,14 +609,30 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
     return _amemiya(field, [abs(v) for v in x.values], tol)[0]
 
 
+def _exceeds(k: float, x: float, e: float) -> bool:
+    """k*x > e exactly, for finite nonnegative floats, compared in integers."""
+    km, kd = k.as_integer_ratio()
+    xm, xd = x.as_integer_ratio()
+    em, ed = e.as_integer_ratio()
+    return km * xm * ed > em * kd * xd
+
+
+def _short(q: float, k: float, r: float) -> bool:
+    """q*k*(1 - 2**-53) < 1 + r exactly, for finite floats with q, k >= 0,
+    compared in integers."""
+    qm, qd = q.as_integer_ratio()
+    km, kd = k.as_integer_ratio()
+    rm, rd = r.as_integer_ratio()
+    return qm * km * (2**53 - 1) * rd < (rd + rm) * qd * kd * 2**53
+
+
 def _objective_up(r: float, k: float) -> float:
     """(1 + r)/k' rounded up (an exact check), k' = k*(1 - 2**-53): each normal
     fl(k*|x_i|) is at least k'*|x_i|, so where r bounds the modular at those
     floats, this bounds h(k') from above."""
     q = (1.0 + r) / k
     if math.isfinite(q):
-        exact = (1 + Fraction(r)) * 2**53
-        while Fraction(q) * Fraction(k) * (2**53 - 1) < exact:
+        while _short(q, k, r):
             q = math.nextafter(q, INF)
     return q
 

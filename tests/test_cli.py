@@ -955,6 +955,40 @@ def test_integers_beyond_the_float_range_are_config_errors(tmp_path, capsys):
         assert err.count("\n") == 1 and "out of float range" in err, err
 
 
+_ONE_CELL = {"grid": {"weights": [1.0]}, "space": {"kind": "musielak", "curves": [{"family": "power", "p": 2}]}, "x": [0.5]}
+
+
+def _with_curve(curve):
+    return dict(_ONE_CELL, space={"kind": "musielak", "curves": [curve]})
+
+
+@pytest.mark.parametrize(
+    "body, token",
+    [
+        (_with_curve({"family": "power", "p": True}), True),
+        (_with_curve({"family": "linear", "slope": True}), True),
+        (_with_curve({"family": "indicator", "bound": True}), True),
+        (_with_curve({"family": "piecewise", "breakpoints": [0, 1], "slopes": [1], "end_value": True}), True),
+        (_with_curve({"family": "piecewise", "breakpoints": [0, True, "inf"], "slopes": [1, 2]}), True),
+        (dict(_ONE_CELL, grid={"weights": [True]}), True),
+        (dict(_ONE_CELL, x=[False]), False),
+        (dict(_ONE_CELL, tol=True), True),
+    ],
+    ids=["p", "slope", "bound", "end_value", "breakpoint", "weight", "x", "tol"],
+)
+def test_a_json_boolean_is_no_number(tmp_path, capsys, body, token):
+    cfg = write(tmp_path / "bool.json", body)
+    assert main(["norm", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: expected a number or 'inf', got {token!r}\n"
+
+
+def test_num_refuses_booleans():
+    for token in (True, False):
+        with pytest.raises(ConfigError, match="expected a number"):
+            num(token)
+    assert num(1) == 1.0 and num(0.5) == 0.5
+
+
 def test_unreadable_files_are_config_errors(tmp_path, capsys):
     # an int of more than 4300 digits and bytes that are not UTF-8 fail inside
     # json.load with a ValueError that is no JSONDecodeError

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -256,6 +257,41 @@ def test_amemiya_decides_its_bracket_on_g_summed_cell_by_cell():
     assert exact_amemiya(f, x.values) <= value <= 1.0 + 1e-15
     assert orlicz_norm_sup_oracle(f, x).value == 1.0
     assert value <= 2.0 * luxemburg_norm(f, x)
+
+
+_DBL_MAX = sys.float_info.max
+_EDGES = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0,
+          math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.nextafter(_DBL_MAX, 0.0), _DBL_MAX]
+_EXTREME = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(0.0, 1e-300),  # subnormals among them
+    st.floats(1e300, _DBL_MAX),
+    st.floats(0.0, _DBL_MAX),
+)
+
+
+def _near(value, ulps):
+    """``value`` moved by ``ulps`` floats, staying finite and nonnegative."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, _DBL_MAX if ulps > 0 else 0.0)
+    return value
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None, database=None)
+@given(_EXTREME, _EXTREME, _EXTREME, st.integers(-2, 2), st.booleans())
+def test_exact_checks_in_integers_decide_as_fractions(k, x, e, ulps, near):
+    # Amemiya's two exact checks, k*x > e and q*k*(1 - 2**-53) < 1 + r, decided
+    # on as_integer_ratio integers; drawn at and next to the boundary too
+    if near and math.isfinite(k * x):
+        e = _near(k * x, ulps)
+    assert musielak._exceeds(k, x, e) == (Fraction(k) * Fraction(x) > Fraction(e))
+    r = e
+    q = (1.0 + r) / k if k > 0.0 else x
+    if near and math.isfinite(q):
+        q = _near(q, ulps)
+    if math.isfinite(q):
+        want = Fraction(q) * Fraction(k) * (2**53 - 1) < (1 + Fraction(r)) * 2**53
+        assert musielak._short(q, k, r) == want
 
 
 @pytest.mark.parametrize("p", [1.0000001, 1.0004, 1.001])
