@@ -13,7 +13,6 @@ failure, 4 verification violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -122,21 +121,30 @@ _PLAIN_NUMBERS = frozenset({int, float})
 _END_TOKENS = _PLAIN_NUMBERS | {type(None)}
 
 
+def _flat_numbers(lists) -> Optional[np.ndarray]:
+    """The tokens of the JSON lists ``lists``, flattened to floats as ``num``
+    converts them, or None unless each list holds plain ints and floats,
+    perhaps ending in "inf"."""
+    if not {list}.issuperset(map(type, lists)):
+        return None
+    bodies = (t[:-1] if t and t[-1] == "inf" else t for t in lists)
+    if not _PLAIN_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(bodies))):
+        return None
+    try:
+        return np.fromiter(itertools.chain.from_iterable(lists), float)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def nums(tokens) -> tuple:
     """``num`` of each token of a JSON list.
 
     A list of plain ints and floats, perhaps ending in "inf", converts in one
-    pass; any other token (and an int beyond the float range) takes the
-    per-token path, which raises what ``num`` raises.
+    pass through ``_flat_numbers``; any other token (and an int beyond the
+    float range) takes the per-token path, which raises what ``num`` raises.
     """
-    if type(tokens) is list:
-        body = tokens[:-1] if tokens and tokens[-1] == "inf" else tokens
-        if _PLAIN_NUMBERS.issuperset(map(type, body)):
-            try:
-                return tuple(map(float, tokens))  # float("inf") is the trailing token
-            except OverflowError:
-                pass
-    return tuple(num(t) for t in tokens)
+    flat = _flat_numbers([tokens])
+    return tuple(num(t) for t in tokens) if flat is None else tuple(flat.tolist())
 
 
 def _listed(value, what: str) -> tuple:
@@ -150,51 +158,19 @@ def canonical_json(obj) -> str:
     return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
 
 
-_JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None)})
-_CONTAINERS = frozenset({dict, list, tuple})
-
-
-def _plain_json(obj) -> bool:
-    """Whether ``obj`` is built of exact JSON types, with str keys only.
-
-    Such an object encodes as ``jsonify`` leaves it, but for non-finite
-    floats.  Checked one nesting level at a time, each level's items in
-    C-level passes.
-    """
-    if type(obj) not in _JSON_TYPES:
-        return False
-    level = [obj] if type(obj) in _CONTAINERS else []
-    while level:
-        dicts = [o for o in level if type(o) is dict]
-        if not {str}.issuperset(map(type, itertools.chain.from_iterable(dicts))):
-            return False
-        items = list(
-            itertools.chain(
-                itertools.chain.from_iterable(map(dict.values, dicts)),
-                itertools.chain.from_iterable(o for o in level if type(o) is not dict),
-            )
-        )
-        kinds = set(map(type, items))
-        if not _JSON_TYPES.issuperset(kinds):
-            return False
-        level = [o for o in items if type(o) in _CONTAINERS] if kinds & _CONTAINERS else []
-    return True
-
-
 def config_hash(cfg: dict) -> str:
     """sha256 of the canonical JSON: sorted keys, compact, "inf" tokens.
 
-    A config as ``json.load`` gives it encodes directly; ``allow_nan=False``
-    sends one with a non-finite float, and ``_plain_json`` anything else,
-    through ``canonical_json``, so the bytes are the same either way.  A
-    config nested too deeply for the encoders' recursion is a ConfigError.
+    ``cfg`` is a config as ``json.load`` gives it, which encodes as it is;
+    only a non-finite float (an ``Infinity`` or ``NaN`` literal), which
+    ``allow_nan=False`` refuses, goes through ``canonical_json``, so the
+    bytes are the same either way.  A config nested too deeply for the
+    encoders' recursion is a ConfigError.
     """
-    text = None
     try:
-        if _plain_json(cfg):
-            with contextlib.suppress(ValueError):
-                text = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        if text is None:
+        try:
+            text = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError:  # a non-finite float
             text = canonical_json(cfg)
     except RecursionError:
         raise ConfigError("config is nested too deeply to hash") from None
@@ -228,21 +204,6 @@ def parse_curve(d: dict) -> OrliczCurve:
         raise ConfigError(f"unknown curve family {family!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad curve spec {d!r}: {exc}") from exc
-
-
-def _flat_numbers(lists) -> Optional[np.ndarray]:
-    """The tokens of the JSON lists ``lists``, flattened to floats as ``nums``
-    converts them, or None unless each list holds plain ints and floats,
-    perhaps ending in "inf"."""
-    if not {list}.issuperset(map(type, lists)):
-        return None
-    bodies = (t[:-1] if t and t[-1] == "inf" else t for t in lists)
-    if not _PLAIN_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(bodies))):
-        return None
-    try:
-        return np.fromiter(itertools.chain.from_iterable(lists), float)
-    except OverflowError:  # an int beyond the float range
-        return None
 
 
 def _curve_table(specs) -> Optional[CurveTable]:

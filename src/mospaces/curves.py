@@ -295,7 +295,7 @@ class PiecewiseLinear(OrliczCurve):
             ev = float(self.end_value)
             object.__setattr__(self, "end_value", ev)
             left = self._left_limit()
-            if not (ev == left or math.isinf(ev)):
+            if not (ev == left or ev == INF):
                 raise ValueError(
                     "end value must be the left limit (or inf for a blow-up)"
                 )

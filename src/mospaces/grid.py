@@ -9,6 +9,7 @@ many times and share them freely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,13 +26,13 @@ class MeasureGrid:
     ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(map(float, self.weights))
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise ValueError("grid needs at least one cell")
-        for w in weights:
-            if not (w > 0.0 and math.isfinite(w)):
-                raise ValueError(f"cell weights must be positive and finite, got {w}")
+        if not (all(map(math.isfinite, weights)) and min(weights) > 0.0):
+            w = next(w for w in weights if not (w > 0.0 and math.isfinite(w)))
+            raise ValueError(f"cell weights must be positive and finite, got {w}")
         ids = self.ids or tuple(f"c{i}" for i in range(len(weights)))
         object.__setattr__(self, "ids", tuple(ids))
         if len(self.ids) != len(weights):
@@ -83,13 +84,13 @@ class StepFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if len(values) != len(self.grid):
             raise GridMismatchError("value count must equal cell count")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError(f"step function values must be finite, got {v}")
+        if not all(map(math.isfinite, values)):
+            v = next(itertools.filterfalse(math.isfinite, values))
+            raise ValueError(f"step function values must be finite, got {v}")
 
     @staticmethod
     def zero(grid: MeasureGrid) -> "StepFunction":

@@ -232,81 +232,6 @@ def _step(t: np.ndarray, by: float) -> np.ndarray:
     return moved
 
 
-def _edge_brackets(rows: np.ndarray, starts: np.ndarray, certain, rtol: float):
-    """Brackets (lo, hi) of T for rows whose closure at their start bound is below the level.
-
-    Then T is the start t up to rounding: the closure stays under the level
-    up to the edge (past it the modular is infinite), or a single cell's
-    bound is met exactly.  ``certain(rows, ts)`` is -1 where ts[k] is
-    certainly feasible for row rows[k] and 1 where it certainly is not.
-    ``lo`` (the start) steps down by rtol/4 and ``hi`` up by rtol/2 until
-    each is certain: once, unless the start is subnormal.
-    """
-    lo, hi = starts.copy(), _step(starts, rtol / 2.0)
-    for t, want, by in ((lo, -1, -rtol / 4.0), (hi, 1, rtol / 2.0)):
-        pending = np.arange(len(rows))
-        while pending.size:
-            pending = pending[certain(rows[pending], t[pending]) != want]
-            t[pending] = _step(t[pending], by)
-    return lo, hi
-
-
-def _newton(starts: np.ndarray, settle, certain, level: float, rtol: float):
-    """The gauge loop: Newton steps from above on the closure, rows in lockstep.
-
-    ``starts[i]`` bounds row i's T from above.  ``settle(rows, ts)``
-    evaluates the closure r and t*r' at ts[k] for row rows[k] and returns,
-    per k, arrays (t_lo, r_lo, t_hi, r_hi, s_hi) of the points it certifies:
-    t_lo with r(t_lo) = r_lo at most ``level`` (t_lo = 0 when none) and t_hi
-    with r(t_hi) = r_hi above it and t_hi*r'(t_hi) = s_hi (t_hi = inf when
-    none).  That is ts[k] itself, or a step of rtol/4 below and above it,
-    which closes the bracket.  ``certain`` is ``_edge_brackets``'s.  The
-    state of the active rows lives in arrays, and each step updates all of
-    them at once with the float operations of a one-row step, so a row's
-    bracket does not depend on the rows solved with it.  Returns arrays
-    (lo, hi) with the width of ``gauge``, one bracket per row.
-    """
-    n = len(starts)
-    lo, hi = np.zeros(n), np.full(n, INF)  # the brackets returned
-    # per active row: lo, r(lo), hi, r(hi), hi*r'(hi), and the step back from
-    # hi when both steps stall (doubles each time)
-    rows = np.arange(n)
-    l, rl, h, rh, sh = np.zeros(n), np.zeros(n), np.full(n, INF), np.full(n, INF), np.full(n, INF)
-    back = np.full(n, rtol / 2.0)
-    ts = starts
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_DOUBLINGS):
-            tl, rtl, th, rth, sth = settle(rows, ts)
-            up, down = th < h, tl > l
-            h, rh, sh = np.where(up, th, h), np.where(up, rth, rh), np.where(up, sth, sh)
-            l, rl = np.where(down, tl, l), np.where(down, rtl, rl)
-            edge = h == INF  # the closure at the start bound is at most the level
-            stop = edge | (h - l <= rtol * l) | (np.nextafter(np.nextafter(l, INF), INF) >= h)
-            if stop.any():
-                done = rows[stop]
-                lo[done], hi[done] = l[stop], h[stop]
-                if edge.any():
-                    e = rows[edge]
-                    lo[e], hi[e] = _edge_brackets(e, starts[e], certain, rtol)
-                go = ~stop
-                rows, l, rl, h, rh, sh, back = (v[go] for v in (rows, l, rl, h, rh, sh, back))
-                if not rows.size:
-                    return lo, hi
-            t = l + (h - l) * (level - rl) / (rh - rl)  # chord: r(t) <= level
-            # while the chord is loose, the tangent root, where r >= level
-            tangent = _larger(h * (1.0 - (rh - level) / sh), l * (1.0 + rtol / 2.0))
-            t = np.where(h - t > rtol * t, tangent, t)
-            stalled = ~((l < t) & (t < h))  # rounding stalled both steps
-            if stalled.any():
-                mid = 0.5 * (l + h)
-                t_back = _larger(mid, h * (1.0 - back))
-                # a subnormal hi has an ulp above rtol
-                t = np.where(stalled, np.where(t_back >= h, mid, t_back), t)
-                back = np.where(stalled, 2.0 * back, back)
-            ts = t
-    raise MospacesError("gauge solver did not converge")  # pragma: no cover
-
-
 def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> tuple[float, float]:
     """Bracket (lo, hi) of T = sup{t >= 0 : modular(t*ax) <= level}.
 
@@ -352,7 +277,9 @@ class _FieldKernel:
         # w*(slope*knot - phi(knot)) per entry: the cell's u*phi'(u) - phi(u)
         # on the piece from that knot on (the padding's inf knots count as 0)
         at_knots = np.where(table.filled, self.knots, 0.0)
-        gaps = (self.slopes * at_knots - self.values) * self.knot_w[:, None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            gaps = (self.slopes * at_knots - self.values) * self.knot_w[:, None]
+        gaps[np.isnan(gaps)] = INF  # inf - inf: slope*knot overflowed, and the gap with it
         self.cols = np.arange(len(knotted))
         # a knot cell's entry j sits at offset + j of the flattened tables
         self.offsets = self.cols * width
@@ -466,17 +393,75 @@ class _FieldKernel:
         return k_sup, (k_lin, limit, math.fsum(self.tail_gap[live].tolist()))
 
 
+def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, level: float, rtol: float):
+    """The points one gauge step certifies for row k of ``rows`` at t[k].
+
+    Evaluates the closure r and t*r' and returns, per row, arrays (t_lo,
+    r_lo, t_hi, r_hi, s_hi): t_lo with r(t_lo) = r_lo at most ``level``
+    (t_lo = 0 when none) and t_hi with r(t_hi) = r_hi above it and
+    t_hi*r'(t_hi) = s_hi (t_hi = inf when none).  That is t[k] itself, or,
+    where the kernel's error bound leaves t[k] open, a step of rtol/4 (at
+    least one ulp) below and above it, which closes the bracket; a step past
+    the domain edge counts as above the level.
+    """
+    r, s, _ = kernel.closure(rows, t)
+    side = kernel.side(r, level)
+    t_lo, r_lo = np.where(side < 0, t, 0.0), r.copy()
+    t_hi, r_hi, s_hi = np.where(side > 0, t, INF), r, s
+    unsure = np.flatnonzero(side == 0)
+    if unsure.size:
+        m, near = unsure.size, rows[unsure]
+        tn = np.concatenate((_step(t[unsure], -rtol / 4.0), _step(t[unsure], rtol / 4.0)))
+        rn, sn, _ = kernel.closure(np.concatenate((near, near)), tn)
+        siden = kernel.side(rn, level)
+        below, above = siden[:m] < 0, siden[m:] > 0
+        if not above.all():  # a step past the domain edge is above the level too
+            above |= kernel.beyond(near, tn[m:])
+        k = unsure[below]
+        t_lo[k], r_lo[k] = tn[:m][below], rn[:m][below]
+        k = unsure[above]
+        t_hi[k], r_hi[k], s_hi[k] = tn[m:][above], rn[m:][above], sn[m:][above]
+    return t_lo, r_lo, t_hi, r_hi, s_hi
+
+
+def _certain(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, level: float) -> np.ndarray:
+    """-1 where t[k] is certainly feasible for row k of ``rows``, 1 where it
+    certainly is not, 0 where the kernel's error bound leaves it open."""
+    # below the domain edge and off blow-up ends the closure is the modular
+    return np.where(kernel.beyond(rows, t), 1, kernel.side(kernel.closure(rows, t)[0], level))
+
+
+def _edge_brackets(kernel: _FieldKernel, rows: np.ndarray, starts: np.ndarray, level: float, rtol: float):
+    """Brackets (lo, hi) of T for rows whose closure at their start bound is below the level.
+
+    Then T is the start t up to rounding: the closure stays under the level
+    up to the edge (past it the modular is infinite), or a single cell's
+    bound is met exactly.  ``lo`` (the start) steps down by rtol/4 and
+    ``hi`` up by rtol/2 until ``_certain`` puts each on its side: once,
+    unless the start is subnormal.
+    """
+    lo, hi = starts.copy(), _step(starts, rtol / 2.0)
+    for t, want, by in ((lo, -1, -rtol / 4.0), (hi, 1, rtol / 2.0)):
+        pending = np.arange(len(rows))
+        while pending.size:
+            pending = pending[_certain(kernel, rows[pending], t[pending], level) != want]
+            t[pending] = _step(t[pending], by)
+    return lo, hi
+
+
 def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e-12):
     """``gauge`` for every row of ``rows`` at once: arrays (lo, hi).
 
     ``rows`` holds nonnegative cell values (rows x cells), no row all zero.
     Each row gets the guarantees of ``gauge`` against the scalar
-    ``modular``.  The rows run the loop of ``gauge`` in lockstep; each step
-    evaluates all of them with one call of the field's compiled kernel.  A
-    comparison with the level counts only where the kernel's error bound
-    makes it certain.  Where it does not, a step of rtol/4 (at least one
-    ulp) each way settles below and above the level, which closes the
-    bracket; a step past the domain edge counts as above it.
+    ``modular``.  The rows take Newton steps from above on the closure in
+    lockstep, from their start bounds (the caps of ``_start_caps``); each
+    step evaluates all active rows with one call of the field's compiled
+    kernel (``_settle``).  A comparison with the level counts only where the
+    kernel's error bound makes it certain.  The state of the active rows
+    lives in arrays, and each step updates all of them at once with the
+    float operations of a one-row step, so a row's bracket does not depend
+    on the rows solved with it.
     """
     rows = np.asarray(rows, dtype=float)
     if not rows.any(axis=1).all():
@@ -485,36 +470,46 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
     rtol = max(kernel.floor(level), rtol)  # NaN compares false, so it is raised too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts = np.where(rows > 0.0, np.array(_start_caps(field, level)) / rows, INF).min(axis=1)
-    _check_start(float(starts.max()))
-    _check_start(float(starts.min()))
-
-    def settle(idx, t):
-        sub = rows[idx]
-        r, s, _ = kernel.closure(sub, t)
-        side = kernel.side(r, level)
-        t_lo, r_lo = np.where(side < 0, t, 0.0), r.copy()
-        t_hi, r_hi, s_hi = np.where(side > 0, t, INF), r, s
-        unsure = np.flatnonzero(side == 0)
-        if unsure.size:
-            m, near = unsure.size, sub[unsure]
-            tn = np.concatenate((_step(t[unsure], -rtol / 4.0), _step(t[unsure], rtol / 4.0)))
-            rn, sn, _ = kernel.closure(np.concatenate((near, near)), tn)
-            siden = kernel.side(rn, level)
-            below, above = siden[:m] < 0, siden[m:] > 0
-            if not above.all():  # a step past the domain edge is above the level too
-                above |= kernel.beyond(near, tn[m:])
-            k = unsure[below]
-            t_lo[k], r_lo[k] = tn[:m][below], rn[:m][below]
-            k = unsure[above]
-            t_hi[k], r_hi[k], s_hi[k] = tn[m:][above], rn[m:][above], sn[m:][above]
-        return t_lo, r_lo, t_hi, r_hi, s_hi
-
-    def certain(idx, t):
-        # below the domain edge and off blow-up ends the closure is the modular
-        sub = rows[idx]
-        return np.where(kernel.beyond(sub, t), 1, kernel.side(kernel.closure(sub, t)[0], level))
-
-    return _newton(starts, settle, certain, level, rtol)
+        _check_start(float(starts.max()))
+        _check_start(float(starts.min()))
+        n = len(starts)
+        lo, hi = np.zeros(n), np.full(n, INF)  # the brackets returned
+        # per active row: its index, lo, r(lo), hi, r(hi), hi*r'(hi), and the
+        # step back from hi when both steps stall (doubles each time)
+        live = np.arange(n)
+        l, rl, h, rh, sh = np.zeros(n), np.zeros(n), np.full(n, INF), np.full(n, INF), np.full(n, INF)
+        back = np.full(n, rtol / 2.0)
+        ts = starts
+        for _ in range(_MAX_DOUBLINGS):
+            tl, rtl, th, rth, sth = _settle(kernel, rows[live], ts, level, rtol)
+            up, down = th < h, tl > l
+            h, rh, sh = np.where(up, th, h), np.where(up, rth, rh), np.where(up, sth, sh)
+            l, rl = np.where(down, tl, l), np.where(down, rtl, rl)
+            edge = h == INF  # the closure at the start bound is at most the level
+            stop = edge | (h - l <= rtol * l) | (np.nextafter(np.nextafter(l, INF), INF) >= h)
+            if stop.any():
+                done = live[stop]
+                lo[done], hi[done] = l[stop], h[stop]
+                if edge.any():
+                    e = live[edge]
+                    lo[e], hi[e] = _edge_brackets(kernel, rows[e], starts[e], level, rtol)
+                go = ~stop
+                live, l, rl, h, rh, sh, back = (v[go] for v in (live, l, rl, h, rh, sh, back))
+                if not live.size:
+                    return lo, hi
+            t = l + (h - l) * (level - rl) / (rh - rl)  # chord: r(t) <= level
+            # while the chord is loose, the tangent root, where r >= level
+            tangent = _larger(h * (1.0 - (rh - level) / sh), l * (1.0 + rtol / 2.0))
+            t = np.where(h - t > rtol * t, tangent, t)
+            stalled = ~((l < t) & (t < h))  # rounding stalled both steps
+            if stalled.any():
+                mid = 0.5 * (l + h)
+                t_back = _larger(mid, h * (1.0 - back))
+                # a subnormal hi has an ulp above rtol
+                t = np.where(stalled, np.where(t_back >= h, mid, t_back), t)
+                back = np.where(stalled, 2.0 * back, back)
+            ts = t
+    raise MospacesError("gauge solver did not converge")  # pragma: no cover
 
 
 def _norm_of_scale(hi: float) -> float:

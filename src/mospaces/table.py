@@ -98,13 +98,13 @@ def _check_piecewise(bp, bp_len, sl, sl_len, given, end):
         fault |= unbounded & (k == 1) & (sl[sstart] == 0.0)  # identically zero
         rises = sl * (bp[at + 1] - bp[at])  # as _rises: s_j * (u_j - u_{j-1})
     # a bounded cell's left limit, one fsum, is its end value unless one is
-    # given; a given one must be the limit or infinite.  A NaN fsum (one that
+    # given; a given one must be the limit or +inf.  A NaN fsum (one that
     # raised, or one over a cell refused above) refuses the cell.
     bounded = np.flatnonzero(~unbounded)
     sums = _fsums(rises[np.repeat(~unbounded, k)], k[bounded])
     cells = shaped[bounded]
     e, g = end[cells], given[cells]
-    fault[bounded] |= np.isnan(sums) | (g & ~((e == sums) | np.isinf(e)))
+    fault[bounded] |= np.isnan(sums) | (g & ~((e == sums) | (e == INF)))
     limits[cells] = sums
     bad[shaped] = fault
     return bad, limits

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mospaces import ConfigError, MeasureGrid, StepFunction, classify, witness_int, witness_sum
+from mospaces import ConfigError, classify, witness_int, witness_sum
 from mospaces.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -21,7 +22,7 @@ from mospaces.cli import (
     EXIT_VERIFICATION,
     MAX_CELLS,
     MAX_SAMPLES,
-    _plain_json,
+    _load_object,
     _witness_from_json,
     _witness_to_json,
     build_parser,
@@ -33,7 +34,9 @@ from mospaces.cli import (
     num,
     parse_curve,
     parse_space,
+    parse_x,
 )
+from mospaces.musielak import orlicz_norm_sup_oracle
 
 from helpers import knot_values_reference, piecewise_reference
 
@@ -47,18 +50,21 @@ def run_cli(args):
 
 
 class _Nested:
-    """Stands for a list nested 1,000 deep, which ``json.dumps`` would recurse too far to write."""
+    """Stands for a list nested ``depth`` deep, which ``json.dumps`` would recurse too far to write."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
 
     @staticmethod
     def mark(obj):
         if not isinstance(obj, _Nested):
             raise TypeError(f"{obj!r} is not JSON")
-        return "<nested>"
+        return f"<nested {obj.depth}>"
 
 
 def write(path, obj):
     text = json.dumps(obj, default=_Nested.mark)
-    path.write_text(text.replace('"<nested>"', "[" * 1000 + "]" * 1000))
+    path.write_text(re.sub(r'"<nested (\d+)>"', lambda m: "[" * int(m[1]) + "]" * int(m[1]), text))
     return str(path)
 
 
@@ -842,34 +848,12 @@ _SCALARS = st.one_of(
     st.sampled_from(["inf", "-inf", "NaN", "1.5", ""]),
 )
 _STR_KEYS = st.sampled_from(["a", "b", "inf", "1", "9", "10", "True", "null"])
-# keys json.dumps would write but sort by value, or spell differently, than str(k)
-_ODD_KEYS = st.one_of(
-    st.integers(-20, 20), st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=True)
-)
-_ODD_LEAVES = st.one_of(
-    _SCALARS,
-    st.frozensets(st.integers(0, 9) | st.text(max_size=2), max_size=3),
-    st.sets(st.integers(0, 9), max_size=3),
-    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3).map(
-        lambda v: StepFunction(MeasureGrid((1.0,) * len(v)), tuple(v))
-    ),
-    st.just(MeasureGrid((1.0, 2.0))),
-)
 # as json.load gives it back: Infinity and NaN literals become non-finite floats
 _LOADED = st.recursive(
     _SCALARS,
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STR_KEYS, kids, max_size=4),
     max_leaves=16,
 ).map(lambda obj: json.loads(json.dumps(obj)))
-_ODD = st.recursive(
-    _ODD_LEAVES,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=3).map(tuple),
-        st.dictionaries(_STR_KEYS | _ODD_KEYS, kids, max_size=4),
-    ),
-    max_leaves=16,
-)
 
 
 def _outcome(f, *args):
@@ -881,17 +865,10 @@ def _outcome(f, *args):
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(st.one_of(_LOADED, _ODD))
+@given(_LOADED)
 def test_config_hash_is_the_sha256_of_the_canonical_json(cfg):
     want = _outcome(lambda c: hashlib.sha256(canonical_json(c).encode()).hexdigest(), cfg)
     assert _outcome(config_hash, cfg) == want
-
-
-def test_loaded_configs_take_the_direct_encoding():
-    loaded = json.loads(json.dumps({"a": [1, 2.5, {"b": "inf", "c": None}], "d": True}))
-    assert _plain_json(loaded) and _plain_json([]) and _plain_json(3.0)
-    for odd in ({1: 2}, {"a": [{True: 1}]}, ({1.5: 1},), {"a": {1, 2}}, [[{"a": [{None: 0}]}]]):
-        assert not _plain_json(odd)
 
 
 _HOSTILE_TOKENS = st.sampled_from(
@@ -989,6 +966,52 @@ def test_num_refuses_booleans():
     assert num(1) == 1.0 and num(0.5) == 0.5
 
 
+def _end_value_config(end: str) -> str:
+    """A bounded piecewise cell whose end value is the JSON text ``end``, and a power cell."""
+    curve = {"family": "piecewise", "breakpoints": [0, 1.0], "slopes": [1.0], "end_value": "<end>"}
+    body = {
+        "grid": {"weights": [1, 1]},
+        "space": {"kind": "musielak", "curves": [curve, {"family": "power", "p": 2}]},
+        "x": [0.5, 0.5],
+    }
+    return json.dumps(body).replace('"<end>"', end)
+
+
+@pytest.mark.parametrize("end", ['"-inf"', "-1e400"])  # json.load reads -1e400 as -inf
+def test_a_negative_infinite_end_value_is_a_config_error(tmp_path, capsys, end):
+    cfg = tmp_path / "end.json"
+    cfg.write_text(_end_value_config(end))
+    assert main(["norm", "--config", str(cfg)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: bad curve spec") and "end value must be the left limit" in err
+
+
+def test_a_knot_gap_past_the_float_range_warns_nothing(tmp_path, capsys):
+    """slope*knot overflows at the last knot, so the kernel's gap there is
+    inf - inf unless it is stored as +inf; the run prints no warning."""
+    body = {
+        "grid": {"weights": [1, 1]},
+        "space": {
+            "kind": "musielak",
+            "curves": [
+                {"family": "piecewise", "breakpoints": [0, 1e-300, 1e300, "inf"], "slopes": [1.0, 1e10, 1e250]},
+                {"family": "power", "p": 2},
+            ],
+        },
+        "x": [0.5, 0.5],
+    }
+    cfg = write(tmp_path / "gap.json", body)
+    assert main(["norm", "--config", cfg]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    space = parse_space(body)
+    x = parse_x(body, space.grid)
+    assert space.field._kernel.flat_gaps.max() == math.inf
+    want = orlicz_norm_sup_oracle(space.field, x).value
+    assert json.loads(out)["results"]["amemiya"] == pytest.approx(want, rel=1e-8)
+
+
 def test_unreadable_files_are_config_errors(tmp_path, capsys):
     # an int of more than 4300 digits and bytes that are not UTF-8 fail inside
     # json.load with a ValueError that is no JSONDecodeError
@@ -1033,6 +1056,7 @@ def test_condition_probe_eps_must_be_finite_and_positive(tmp_path, capsys, eps):
 
 # -- config fuzzing -------------------------------------------------------------
 
+_LOADS_DEEP, _TOO_DEEP = 1_000, 10_000  # nesting depths of the junk lists
 # values no config key expects; each example puts them into at most one slot
 _JUNK = st.one_of(
     st.none(),
@@ -1043,7 +1067,10 @@ _JUNK = st.one_of(
     st.sampled_from([10**400, -(10**400)]),  # ints beyond the float range
     st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.sampled_from(["a", "seed", "kind"]), st.integers(0, 3), max_size=2),
-    st.just(_Nested()),  # loads under hypothesis's raised recursion limit; no slot takes it
+    # loads under hypothesis's raised recursion limit, and no slot takes it
+    st.just(_Nested(_LOADS_DEEP)),
+    # too deep to load even under that limit: the loader's RecursionError
+    st.just(_Nested(_TOO_DEEP)),
 )
 _POS = st.floats(0.25, 4.0)
 # integral sample counts above the ceiling, which would otherwise never finish
@@ -1240,6 +1267,21 @@ def _run_in_process(argv):
     if code == EXIT_OK and "--out" not in argv:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)  # no NaN or Infinity literal
     return code, err.getvalue()
+
+
+@settings(max_examples=1, deadline=None, database=None)
+@given(st.just(None))
+def test_the_junk_lists_load_or_not_under_the_fuzzers_recursion_limit(_):
+    with tempfile.TemporaryDirectory() as tmp:
+        shallow = write(Path(tmp) / "shallow.json", {"x": _Nested(_LOADS_DEEP)})
+        x, depth = _load_object(shallow, "config")["x"], 1
+        while x:
+            x, depth = x[0], depth + 1
+        assert depth == _LOADS_DEEP
+        deep = write(Path(tmp) / "deep.json", {"x": _Nested(_TOO_DEEP)})
+        with pytest.raises(ConfigError, match="cannot read config") as exc:
+            _load_object(deep, "config")
+    assert isinstance(exc.value.__cause__, RecursionError)
 
 
 @settings(max_examples=250, derandomize=True, deadline=None, database=None)

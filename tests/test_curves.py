@@ -90,6 +90,12 @@ def test_curve_params_validation():
         CurveParams(2.0, 1.0, 3.0, 0.0)
 
 
+def test_only_plus_inf_marks_a_blow_up_end():
+    assert PiecewiseLinear((0.0, 1.0), (1.0,), INF).end_value == INF
+    with pytest.raises(ValueError, match="end value must be the left limit"):
+        PiecewiseLinear((0.0, 1.0), (1.0,), -INF)
+
+
 # -- conjugation -------------------------------------------------------------
 
 

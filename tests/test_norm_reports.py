@@ -107,11 +107,15 @@ PINNED = {
 }
 
 
-def _report_digest(path) -> str:
+def _report_digest(path, command="norm", args=()):
+    """The digest of ``command``'s report on the config at ``path``; None
+    when ``args`` send the report to a file."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["norm", "--config", str(path)]) == EXIT_OK
+        assert main([command, "--config", str(path), *args]) == EXIT_OK
     text = out.getvalue()
+    if "--out" in args:
+        return None
     report = json.loads(text)
     versions = report.pop("versions")
     rest = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -281,6 +281,7 @@ def _mutations():
         ("piecewise", lambda s: s.update(breakpoints=[0, "inf"], slopes=[0])),  # identically zero
         ("piecewise", lambda s: s.update(breakpoints=[0, 1.0, 2.0], slopes=[1.0, 2.0], end_value=2.5)),
         ("piecewise", lambda s: s.update(breakpoints=[0, 1.0, 2.0], slopes=[1.0, 2.0], end_value=math.nan)),
+        ("piecewise", lambda s: s.update(breakpoints=[0, 1.0, 2.0], slopes=[1.0, 2.0], end_value=-INF)),
         ("piecewise", lambda s: s.update(breakpoints=[0, 1e308, 1.7e308], slopes=[1.0, 2.0])),  # fsum overflows
         ("piecewise", lambda s: s.update(breakpoints=[0, 1e308, 1.7e308], slopes=[1.0, 2.0], end_value="inf")),
         ("piecewise", _slopes(lambda sl: sl.append(float(sl[-1]) + 1.0))),  # one slope too many
