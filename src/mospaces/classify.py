@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .musielak import (
     unit_sphere_points,
     weights,
 )
+from .probes import _blocks
 from .reports import (
     DAUGAVET,
     FORM_INTERSECTION,
@@ -263,34 +263,43 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     return NonsquareWitness(x=x, delta=delta, construction=record)
 
 
-def _nonsquare_directions(field: MusielakField, x: np.ndarray, samples: int, rng):
-    """Nonzero test directions in draw order.
+def _nonsquare_directions(field: MusielakField, x: np.ndarray, samples: int, rng, chunk: int):
+    """Nonzero test directions in draw order, as blocks of ``chunk`` rows.
 
     Adversarial ones first (x, -x, the atoms, the sign pattern of x and its
     alternating flip, the bounded profile), then seeded normal draws, a
     quarter of them masked to about half the cells, until ``samples``
-    directions are out.
+    directions are out.  The last block may be shorter.  At most ``chunk``
+    rows are built or drawn at a time; zero rows are dropped and the
+    shortfall drawn next.
     """
     n = len(x)
     signs = np.where(x >= 0.0, 1.0, -1.0)
     bounded = [min(p.b, 1.0) if math.isfinite(p.b) else 1.0 for p in field.cell_params]
-    adversarial = chain(
-        (x, -1.0 * x),
-        (np.eye(1, n, i)[0] for i in range(n)),
-        (signs, np.where(np.arange(n) % 2 == 0, signs, -signs), np.array(bounded)),
-    )
-    count = 0
-    for y in adversarial:
-        if y.any():
-            count += 1
+    ends = np.array((x, -1.0 * x, signs, np.where(np.arange(n) % 2 == 0, signs, -signs), bounded))
+
+    def nonzero_rows():
+        count = 0
+        for a in range(0, n + 5, chunk):
+            r = np.arange(a, min(a + chunk, n + 5))
+            atom = (2 <= r) & (r < n + 2)  # rows 2..n+1 are the atoms, in cell order
+            y = ends[np.where(r < 2, r, np.where(atom, 0, r - n))]
+            y[atom] = 0.0
+            y[atom, r[atom] - 2] = 1.0
+            y = y[np.count_nonzero(y, axis=1) > 0]
+            count += len(y)
             yield y
-    while count < samples:
-        y = rng.standard_normal(n)
-        if rng.uniform() < 0.25:
-            y = np.where(rng.uniform(size=n) < 0.5, y, 0.0)
-        if y.any():
-            count += 1
+        while count < samples:
+            y = np.empty((min(chunk, samples - count), n))
+            for row in y:
+                rng.standard_normal(out=row)
+                if rng.random() < 0.25:
+                    row[rng.random(n) >= 0.5] = 0.0
+            y = y[np.count_nonzero(y, axis=1) > 0]
+            count += len(y)
             yield y
+
+    return _blocks(nonzero_rows(), chunk)
 
 
 def verify_nonsquare(
@@ -311,13 +320,13 @@ def verify_nonsquare(
         )
     x = np.array(witness.x.values)
     bound = 2.0 - witness.delta
-    directions = _nonsquare_directions(field, x, samples, np.random.default_rng(seed))
     chunk = max(1, _BLOCK_CELLS // len(x))
+    directions = _nonsquare_directions(field, x, samples, np.random.default_rng(seed), chunk)
     max_observed = 0.0
     worst = None
     checked = violations = 0
-    while block := list(islice(directions, chunk)):
-        ys = unit_sphere_points(field, np.array(block))
+    for block in directions:
+        ys = unit_sphere_points(field, block)
         vals = np.minimum(
             luxemburg_norms(field, x + ys, tol=1e-11), luxemburg_norms(field, x - ys, tol=1e-11)
         )

@@ -16,9 +16,10 @@ sum) below 2 - epsilon; certificates are re-checked by seeded sampling.
 The dual unit ball of the sum space is the unit ball of the intersection
 space with reciprocal weights, so a sum certificate is checked as a primal
 slice of that space: every check evaluates the intersection norm.  The
-sampler scores its candidates as numpy row blocks; each row is summed by
-one math.fsum over the scalar norm's terms, so its records equal those of
-the scalar norms bit for bit.  The public norms stay scalar.
+sampler scores its candidates as numpy row blocks.  Each row's sum is
+either settled by a certified bound on numpy's row sum (``RowSums``) or
+taken by one math.fsum over the scalar norm's terms, so its records equal
+those of the scalar norms bit for bit.  The public norms stay scalar.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .reports import (
 
 _SLACK = 1e-12  # float allowance when comparing against certified bounds
 _BLOCK_CELLS = 1 << 14  # cells per row block in _verify_slice; bounds its memory
+_TINY, _HUGE = 2.0**-960, 2.0**960  # absolute row sums where RowSums' bounds hold
 
 
 def _validate_spec(spec):
@@ -476,10 +478,17 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
 
     Candidates are scored in row blocks of at most _BLOCK_CELLS cells.  Each
     per-cell term is wint_norm's or pairing's product in the same operation
-    order, and each row's terms go through one math.fsum, which is correctly
-    rounded; so every norm, pairing and the record equal those of a loop
-    over one StepFunction per draw bit for bit.  Errors keep that loop's
-    order too: a candidate that is not finite raises StepFunction's error.
+    order, and each row sum a comparison needs is math.fsum's correctly
+    rounded value, or a certified bound on it (``RowSums``) where the bound
+    alone decides the comparison: a norm is the sup part where the L1 sum
+    is certainly below it, a pairing is in or out of the slice where its
+    bounds lie on one side of 1 - eps, and a deviation is skipped where its
+    upper bound is at most both the running maximum and the violation
+    level, so it could neither be recorded nor counted.  So every norm,
+    pairing and the record equal those of a loop over one StepFunction per
+    draw bit for bit.  Errors keep that loop's order too: a candidate that
+    is not finite raises StepFunction's error, and a row whose bounds do
+    not hold is summed by fsum where that loop sums it, raising its error.
     """
     if not 0.0 < eps < math.inf:
         raise PreconditionError(f"slice margin must be finite and positive, got {eps!r}")
@@ -490,6 +499,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     n = len(grid)
     rng = np.random.default_rng(seed)
     bound = 2.0 - eps
+    limit = bound + _SLACK
     w, mu = np.array(spec.w), np.array(grid.weights)
     gamma = np.array([cid in spec.gamma for cid in grid.ids])
     v = np.array(spec.v)[gamma]
@@ -502,11 +512,16 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     drawn = 0
 
     def norm_parts(y):
-        """wint_norm's two parts for the rows of y: the L1 sum of row i, and the sups."""
+        """wint_norm's two parts for the rows of y: the L1 row sums, and the sups."""
         with np.errstate(over="ignore", invalid="ignore"):
-            l1 = np.abs(y) * w * mu
-            sup = (np.abs(y[:, gamma]) * v).max(axis=1, initial=0.0)
-        return _row_fsums(l1), sup.tolist()
+            # products in place: a fresh block-sized array costs more than the product
+            ay = np.abs(y)
+            on_gamma = ay[:, gamma]
+            on_gamma *= v
+            sup = on_gamma.max(axis=1, initial=0.0)
+            ay *= w
+            ay *= mu
+        return RowSums(ay), sup.tolist()
 
     def norms(y):
         """wint_norm of the rows of y up to the first whose fsum overflows, and that error."""
@@ -514,7 +529,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         out = []
         try:
             for i, s in enumerate(sup):
-                out.append(max(l1(i), s))
+                out.append(l1.max_with(i, s))
         except OverflowError as exc:
             return out, exc
         return out, None
@@ -526,8 +541,10 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         if err is not None:
             y, error = y[: len(nrms)], err
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.array([1.0 / t if t else 0.0 for t in nrms]).reshape(-1, 1) * y
-            pair = _row_fsums(f * y * mu)
+            y *= np.array([1.0 / t if t else 0.0 for t in nrms]).reshape(-1, 1)
+            terms = f * y
+            terms *= mu
+            pair = RowSums(terms)
             z = y + x
         dev, dev_sup = norm_parts(z)
         y_ok = np.isfinite(y).all(axis=1).tolist()
@@ -537,14 +554,16 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
                 continue
             if not y_ok[i]:
                 raise _step_error(grid, y[i])
-            if pair(i) > 1.0 - eps:
+            if pair.exceeds(i, 1.0 - eps):
                 accepted += 1
                 if not z_ok[i]:
                     raise _step_error(grid, z[i])
-                val = max(dev(i), dev_sup[i])
+                if max(dev.upper[i], dev_sup[i]) <= min(max_observed, limit):
+                    continue  # neither recorded nor counted, whatever its exact value
+                val = dev.max_with(i, dev_sup[i])
                 if val > max_observed:
                     max_observed, worst = val, tuple(y[i].tolist())
-                if val > bound + _SLACK:
+                if val > limit:
                     violations += 1
         if error is not None:
             raise error
@@ -554,6 +573,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         drawn = min(start + rows, total)
         consider(_adversarial_rows(f, c, start, drawn))
     cap = 50 * samples + 1000
+    half = eps / 2.0
     while accepted < samples and drawn < cap:
         # a draw accepts at most one point, so the chunk's every draw is needed;
         # each stage below cuts the chunk at its first failing row, keeping the
@@ -566,18 +586,19 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         for i in range(m):
             drawn += 1
             if drawn % 7:
-                t[i] = rng.uniform(0.0, eps / 2.0)
+                t[i] = rng.random() * half  # rng.uniform(0.0, half), bit for bit
                 blended.append(i)
             rng.standard_normal(out=y[i])
         idx = np.array(blended, dtype=int)
-        nz, err = norms(y[idx])
+        tail = y[idx]
+        nz, err = norms(tail)
         if err is not None:
-            y, idx, error = y[: idx[len(nz)]], idx[: len(nz)], err
+            y, idx, tail, error = y[: idx[len(nz)]], idx[: len(nz)], tail[: len(nz)], err
         with np.errstate(over="ignore", invalid="ignore"):
             head = (1.0 - t[idx]).reshape(-1, 1) * c
-            tail = np.array(
+            tail *= np.array(
                 [s / r if r else 0.0 for s, r in zip(t[idx].tolist(), nz)]
-            ).reshape(-1, 1) * y[idx]
+            ).reshape(-1, 1)
             mixed = head + tail
         live = np.array(nz) != 0.0
         mixed[~live] = 0.0  # a draw whose noise has norm 0 considers nothing
@@ -650,16 +671,53 @@ def _adversarial_rows(functional, center, start, stop):
     return y
 
 
-def _row_fsums(terms):
-    """math.fsum of row i of ``terms``, as a function of i.
+class RowSums:
+    """math.fsum of each row of a block of terms, and certified bounds on it.
 
-    A row with at most one nonzero term sums to that term exactly, so
-    numpy's sum stands in for fsum there: the atom candidates.
+    A row of n terms t with exact sum S: numpy's row sum q adds them in
+    some order of n - 1 floating-point additions, so
+    |q - S| <= gamma(n - 1) * sum|t|, with gamma(k) = k*u / (1 - k*u) and
+    u = 2**-53, whatever the order; an addition whose result is subnormal
+    is exact, so the bound holds through underflow (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. 4.4).  numpy's sum A of
+    |t| is at least (1 - gamma(n - 1)) * sum|t|, so E = 4*(n + 1)*u*A,
+    rounded, is more than gamma(n - 1) * sum|t| while A lies in
+    [2**-960, 2**960]: E is then a normal number, and no partial sum of
+    either row sum can overflow.  Rounding is monotone and fsum is S
+    correctly rounded, so fsum lies in [fl(q - E), fl(q + E)]; those are
+    the lists ``lower`` and ``upper``.  A row with A outside that range (a
+    zero row, a non-finite term, a sum near or past DBL_MAX, a total below
+    2**-960) gets -inf and inf, so every comparison falls to fsum, which
+    raises its errors where the caller asks for the row.  A row with at
+    most one nonzero term sums to q exactly, so fsum is never called for it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        quick = terms.sum(axis=1).tolist()
-    sparse = (np.count_nonzero(terms, axis=1) <= 1).tolist()
-    return lambda i: quick[i] if sparse[i] else math.fsum(terms[i].tolist())
+
+    def __init__(self, terms):
+        n = terms.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = terms.sum(axis=1)
+            a = np.abs(terms).sum(axis=1)
+            err = (4.0 * (n + 1) * 2.0**-53) * a
+            safe = (a >= _TINY) & (a <= _HUGE)
+            self.lower = np.where(safe, q - err, -np.inf).tolist()
+            self.upper = np.where(safe, q + err, np.inf).tolist()
+        self._quick = q.tolist()
+        self._sparse = (np.count_nonzero(terms, axis=1) <= 1).tolist()
+        self._terms = terms
+
+    def exact(self, i):
+        """math.fsum of row i."""
+        return self._quick[i] if self._sparse[i] else math.fsum(self._terms[i].tolist())
+
+    def exceeds(self, i, level):
+        """math.fsum of row i > ``level``, summing only where the bounds leave it open."""
+        if self.lower[i] > level:
+            return True
+        return self.upper[i] > level and self.exact(i) > level
+
+    def max_with(self, i, s):
+        """max(math.fsum of row i, s), summing only where s might not be the max."""
+        return s if self.upper[i] < s else max(self.exact(i), s)
 
 
 def _step_error(grid, *rows):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .grid import MeasureGrid, StepFunction, pairing
+from .interpolation import RowSums
 
 NormOracle = Callable[[StepFunction], float]
 
@@ -157,9 +158,11 @@ def slice_diameter_lb(
     rejection-samples the ball; distances are checked against a bounded
     archive of accepted points.  Raises when the slice stays empty within
     the budget.  Candidates are normed in row blocks, in the draw order of
-    one ``rng.standard_normal(n)`` per candidate, and each pairing is one
-    ``math.fsum`` over the terms of ``pairing``; the distances from each
-    admitted point to the archive are normed in row blocks as well.
+    one ``rng.standard_normal(n)`` per candidate.  Each candidate is
+    admitted as ``pairing``'s ``math.fsum`` over the same terms would
+    admit it: by the certified bounds of ``RowSums`` where they decide, by
+    that fsum where they do not.  The distances from each admitted point
+    to the archive are normed in row blocks as well.
     """
     f = s.functional
     if abs(dual(f) - 1.0) > 1e-9:
@@ -181,8 +184,9 @@ def slice_diameter_lb(
             ny = _norms(primal, grid, ys)
             nonzero = ny != 0.0
             ys = _finite((1.0 / ny[nonzero])[:, None] * ys[nonzero])
-            for y, terms in zip(ys, ((fv * ys) * w).tolist()):
-                if math.fsum(terms) > 1.0 - s.eps:
+            pairs = RowSums((fv * ys) * w)
+            for i, y in enumerate(ys):
+                if pairs.exceeds(i, 1.0 - s.eps):
                     yield y - archive[:kept]
                     if kept < _ARCHIVE:
                         archive[kept] = y

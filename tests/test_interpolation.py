@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -5,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mospaces import (
     DAUGAVET,
@@ -34,7 +36,7 @@ from mospaces import (
     witness_sum,
     wsum_norm,
 )
-from mospaces.interpolation import _BLOCK_CELLS
+from mospaces.interpolation import _BLOCK_CELLS, RowSums
 from helpers import (
     random_int_spec,
     random_sum_spec,
@@ -446,3 +448,125 @@ def test_row_block_verifier_memory_stays_within_a_block(n):
         tracemalloc.stop()
     assert rec.samples_accepted == 200 and rec.passed
     assert peak < 2 * 2**20
+
+
+def test_row_block_verifier_raises_the_reference_overflow_where_sup_dominates():
+    # the first candidate, f0, has an L1 sum past DBL_MAX (fsum overflows) and
+    # an infinite sup, which dominates: a skipped L1 sum would hide the error
+    g = MeasureGrid((1.0, 1.0))
+    spec = SumSpaceSpec(g, None, (0.01, 0.01), (1.0, 1.0))
+    x, f0, second = (StepFunction(g, vals) for vals in ((1.0, 0.0), (1e308, 1e308), (-0.5, 0.0)))
+    cert = FailureCertificate("sum-case", x, f0, 0.2, second_functional=second)
+    with pytest.raises(OverflowError) as new:
+        verify_sum_certificate(spec, cert, 5, 3)
+    with pytest.raises(OverflowError) as ref:
+        slice_reference(spec, cert, 5, 3)
+    assert str(new.value) == str(ref.value) == "intermediate overflow in fsum"
+
+
+def test_slice_verifier_sums_fewer_than_half_its_candidates_exactly(monkeypatch):
+    spec, cert = _slice_case("wide")
+    calls = []
+
+    def fsum(terms, _fsum=math.fsum):
+        calls.append(1)
+        return _fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", fsum)
+    rec = verify_int_certificate(spec, cert, 200, 0)
+    monkeypatch.undo()
+    assert rec == slice_reference(spec, cert, 200, 0)
+    assert 0 < len(calls) < rec.samples_requested / 2
+
+
+# -- certified row sums -----------------------------------------------------------
+
+_LEVEL = 1.0 - 0.1  # a slice's 1 - eps
+_ROW_KINDS = ("normal", "cancel", "level", "subnormal", "huge", "nonfinite", "sparse")
+
+
+def _term_row(rng, kind, n):
+    """One row of n terms of the given kind."""
+    if kind == "normal":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+    if kind == "cancel":  # pairs t, -t that sum to exactly 0, and at most one tiny term
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-8, 8)
+        row = np.concatenate((half, -half, rng.standard_normal(n % 2) * 1e-30))
+    elif kind == "level":  # exact sum at _LEVEL or one ulp to either side, plus cancelling pairs
+        target = _around(_LEVEL)[rng.integers(3)]
+        half = rng.standard_normal((n - 1) // 2) * 10.0 ** rng.uniform(-3, 3)
+        row = np.concatenate(([target], half, -half, np.zeros(1 - n % 2)))
+    elif kind == "subnormal":  # subnormal multiples of 2**-1074, some beside normal terms
+        row = rng.integers(-(2**30), 2**30, n) * 5e-324
+        normal = rng.standard_normal(n) * 2.0 ** rng.integers(-1000, -940)
+        row = row + (rng.random(n) < 0.5) * normal
+    elif kind == "huge":  # absolute sums near 2**960 and up to past DBL_MAX, half of one sign
+        row = rng.standard_normal(n) * 2.0 ** float(rng.integers(940, 1023))
+        row = np.abs(row) if rng.random() < 0.5 else row
+    elif kind == "nonfinite":
+        row = rng.standard_normal(n)
+        row[rng.integers(0, n, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+    else:  # at most one nonzero term, of any size
+        row = np.zeros(n)
+        row[rng.integers(0, n)] = rng.choice([0.0, 1.5, -5e-324, 1e308, -np.inf, np.nan])
+    rng.shuffle(row)
+    return row
+
+
+@st.composite
+def _term_blocks(draw):
+    """1 to 3 rows of n terms, n from 1 to 2**14, each of a drawn kind."""
+    sizes = (st.integers(1, 9), st.sampled_from([63, 64, 257, 2**14]), st.integers(1, 2**14))
+    n = draw(st.one_of(*sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=3))
+    return np.stack([_term_row(rng, kind, n) for kind in kinds])
+
+
+def _around(t):
+    """t and its neighbouring floats."""
+    return [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_term_blocks())
+@example(np.array([[1e308, 1e308, 0.5], [np.inf, 1.0, -np.inf], [0.5, 0.25, 0.15]]))
+@example(np.array([[_LEVEL, 2.0**-1074, -(2.0**-1074)], [2.0**-950, -(2.0**-950), 0.0]]))
+def test_row_sum_decisions_agree_with_fsum(terms):
+    sums = RowSums(terms)
+    for i, row in enumerate(terms.tolist()):
+        try:
+            ref = math.fsum(row)
+        except (OverflowError, ValueError) as exc:  # every decision raises fsum's error
+            assert (sums.lower[i], sums.upper[i]) == (-math.inf, math.inf)
+            exact = functools.partial(sums.exact, i)
+            exceeds = functools.partial(sums.exceeds, i, _LEVEL)
+            for decide in (exact, exceeds, functools.partial(sums.max_with, i, 0.0)):
+                with pytest.raises(type(exc)) as got:
+                    decide()
+                assert str(got.value) == str(exc)
+            continue
+        assert _same(sums.exact(i), ref)
+        if math.isfinite(ref):
+            assert sums.lower[i] <= ref <= sums.upper[i]
+        levels = [0.0, math.inf, *_around(_LEVEL)]
+        if math.isfinite(ref):
+            levels += _around(ref)
+        for level in map(float, levels):
+            assert sums.exceeds(i, level) == (ref > level)
+            assert _same(sums.max_with(i, level), max(ref, level))
+
+
+def test_row_sum_bounds_decide_without_fsum(monkeypatch):
+    rng = np.random.default_rng(3)
+    terms = rng.standard_normal((50, 64)) * 0.01
+    sums = RowSums(terms)
+    refs = [math.fsum(row) for row in terms.tolist()]
+    monkeypatch.setattr(math, "fsum", None)  # any call fails
+    for i, ref in enumerate(refs):
+        assert sums.exceeds(i, ref + 1.0) is False and sums.exceeds(i, ref - 1.0) is True
+        assert sums.max_with(i, abs(ref) + 1.0) == abs(ref) + 1.0

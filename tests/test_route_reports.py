@@ -5,11 +5,15 @@ the other ways a config is read: a ``nakano`` exponent list with "inf"
 tokens before its end (per-token number parsing), an ``orlicz`` curve, the
 weighted sum and intersection specs, probes, the conjugate field, and a
 config file written with an ``Infinity`` literal, which the config hash
-encodes through ``jsonify``.  Each config is a literal, and the sha256 of
-each report without its ``versions`` block is pinned.
+encodes through ``jsonify``.  Each config is a literal or comes from a
+fixed-seed generator, and the sha256 of each report without its
+``versions`` block is pinned.  The two n = 64 interpolation configs draw
+600 slice samples each, so their ``classify`` and ``verify`` reports pin
+the slice sampler's records.
 """
 
 import json
+import random
 
 import pytest
 
@@ -32,7 +36,50 @@ NAKANO = {
     "seed": 11,
     "samples": 300,
 }
+
+
+def _r(x):
+    return round(x, 4)
+
+
+def _sum_64():
+    """A weighted sum space at n = 64 whose v/w integral lies in (1.5, 4]: a sum certificate."""
+    rng = random.Random("pinned-route/sum-64")
+    mass = [_r(rng.uniform(0.5, 2.0)) for _ in range(64)]
+    w = [_r(rng.uniform(1.0, 3.0)) for _ in range(64)]
+    target = rng.uniform(1.5, 4.0) / 64
+    v = [_r(target * w[i] / mass[i] * rng.uniform(0.8, 1.2)) for i in range(64)]
+    return {
+        "grid": {"weights": mass},
+        "space": {"kind": "weighted_sum", "v": v, "w": w},
+        "seed": 19,
+        "samples": 600,
+    }
+
+
+def _int_proper_64():
+    """An intersection space at n = 64 with gamma half the grid: a gamma-proper certificate."""
+    rng = random.Random("pinned-route/int-proper-64")
+    mass = [_r(rng.uniform(0.5, 2.0)) for _ in range(64)]
+    gamma = sorted(rng.sample(range(64), 32))
+    w = [_r(rng.uniform(0.2, 1.0)) for _ in range(64)]
+    v = [_r(rng.uniform(1.0, 3.0) * w[i] * mass[i]) for i in range(64)]
+    return {
+        "grid": {"weights": mass},
+        "space": {
+            "kind": "weighted_intersection",
+            "gamma": [f"c{i}" for i in gamma],
+            "w": w,
+            "v": v,
+        },
+        "seed": 23,
+        "samples": 600,
+    }
+
+
 CONFIGS = {
+    "sum-64": _sum_64(),
+    "int-proper-64": _int_proper_64(),
     "nakano": NAKANO,
     "orlicz": {
         "grid": {"weights": WEIGHTS},
@@ -77,6 +124,14 @@ CONFIGS = {
 
 # (command, config): sha256 of the report without "versions"
 PINNED = {
+    ("classify", "sum-64"):
+        "47a404f15c2a9051738f635049ea334c3fcac04a45a5befb9167825d96ac09f3",
+    ("verify", "sum-64"):
+        "283d6af0b1ce6fb39f3c6c3ef79dddef9296fe2bad1184260c800f33aad386ad",
+    ("classify", "int-proper-64"):
+        "c514d37673ff705529f5df548432397071586da2cee36212da3c884b792087d7",
+    ("verify", "int-proper-64"):
+        "54277a8bc70248883931b2453c9655ec1b7ec6701239ac732acb5657c1692143",
     ("classify", "nakano"):
         "c3288b38ae0df86c2e6a8a288f672c13fec0ea09c8b82f71aa8b9a0a1e879b23",
     ("verify", "nakano"):
