@@ -53,7 +53,8 @@ from .reports import (
 
 
 _RTOL = 1e-14  # bracket width of the witness constants; gauge raises it to its floor (~3e-14)
-_BLOCK_CELLS = 1 << 16  # cells per block solve in verify_nonsquare: bounds its memory
+_BLOCK_CELLS = 1 << 16  # cells per block of rows (the setup walk, verify_nonsquare): bounds their memory
+_WALK = np.ldexp(1.0, -np.arange(1, 81))  # t = 1/2, 1/4, ..., 2**-80: the setup walk
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,36 @@ class NonsquareSetup:
     sigma1: float
 
 
+def _flat_terms(field: MusielakField, u, cells) -> np.ndarray:
+    """curve(u) * mass per cell of the profile u on ``cells``, 0 elsewhere: one row per height in u."""
+    on = np.zeros(len(field.grid), dtype=bool)
+    on[cells] = True
+    with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
+        return field.table.value(np.where(on, np.reshape(u, (-1, 1)), 0.0)) * field._weights
+
+
 def _flat_modular(field: MusielakField, u: float, cells) -> float:
     """Modular of the profile equal to u on ``cells`` and 0 elsewhere."""
-    return math.fsum(field.curves[i].value(u) * field.grid.weights[i] for i in cells)
+    return math.fsum(_flat_terms(field, u, cells)[0].tolist())
 
 
-def _interval_point(L: float, R: float, t: float) -> float:
-    """Map t in (0,1) into (L, R), handling an infinite right end."""
+def _interval_point(L: float, R: float, t):
+    """Map t in (0,1) (a number or an array) into (L, R), handling an infinite right end."""
     if math.isfinite(R):
         return L + t * (R - L)
-    return L + t / (1.0 - t)  # strictly increasing, unbounded
+    return L + t / (1.0 - t) * max(L, 1.0)  # increasing, unbounded, and never rounded away at a large L
+
+
+def _first_fitting(field: MusielakField, L: float, R: float, work) -> float | None:
+    """The first t of the walk whose flat profile at ``_interval_point(L, R, t)`` on
+    ``work`` has modular at most one, or None, evaluated in blocks of rows."""
+    per = max(1, _BLOCK_CELLS // len(field.grid))  # rows per block: all 80 up to 819 cells
+    for ts in np.split(_WALK, range(per, len(_WALK), per)):
+        rows = _flat_terms(field, _interval_point(L, R, ts), work).tolist()
+        for t, row in zip(ts.tolist(), rows):
+            if math.fsum(row) <= 1.0:
+                return t
+    return None
 
 
 def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
@@ -83,24 +104,17 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
     the constant-a profile fits under one, then certifies the halving-ratio
     bound sigma1 < 1 on [a, b].
     """
-    prm = field.cell_params
     grid = field.grid
-    work = [i for i, p in enumerate(prm) if p.d < p.b]
+    d, b_end = field.table.cell_d.tolist(), field.table.cell_b.tolist()
+    work = [i for i in range(len(grid)) if d[i] < b_end[i]]
     if not work:
         raise PreconditionError("no cell has d < b")
 
     while True:
-        L = max(prm[i].d for i in work)
-        R = min(prm[i].b for i in work)
+        L = max(d[i] for i in work)
+        R = min(b_end[i] for i in work)
         if L < R:
-            # walk t upward until the constant-a modular fits under 1
-            t_feas = None
-            t = 0.5
-            for _ in range(80):
-                if _flat_modular(field, _interval_point(L, R, t), work) <= 1.0:
-                    t_feas = t
-                    break
-                t /= 2.0
+            t_feas = _first_fitting(field, L, R, work)
             if t_feas is not None:
                 a = _interval_point(L, R, t_feas / 2.0)
                 b = _interval_point(L, R, t_feas * 0.75)
@@ -117,7 +131,7 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
                 "near its linearity region"
             )
         # drop the most constraining cell: largest d, then largest mass
-        work.remove(max(work, key=lambda i: (prm[i].d, grid.weights[i])))
+        work.remove(max(work, key=lambda i: (d[i], grid.weights[i])))
 
 
 def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
@@ -129,17 +143,17 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     deterministic and recorded for audit.
     """
     rho_b = modular_of_bounds(field)
-    prm = field.cell_params
+    ends = field.table.cell_b
     grid = field.grid
     idx = grid.index
     if rho_b <= 1.0:
         raise PreconditionError("space collapses to the weighted sup norm")
-    if all(p.d >= p.b for p in prm):
+    if not (field.table.cell_d < ends).any():
         raise PreconditionError("no cell has d < b")
     setup = find_nonsquare_setup(field)
     a, b = setup.a, setup.b
     carrier = [idx[cid] for cid in setup.cells]
-    s_cells = [i for i in range(len(grid)) if math.isinf(prm[i].b)]
+    s_cells = np.flatnonzero(np.isinf(ends)).tolist()
     x_vals = [0.0] * len(grid)
     record = {
         "carrier": list(setup.cells),
@@ -155,9 +169,8 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
             non_s = [i for i in carrier if i not in s_cells]
             if non_s:
                 carrier = non_s
-            elif len(carrier) >= 2:
-                dropped = max(carrier, key=lambda i: field.curves[i].value(a) * grid.weights[i])
-                carrier = [i for i in carrier if i != dropped]
+            elif len(carrier) >= 2:  # drop the (first) cell of largest curve(a) * mass
+                del carrier[int(np.argmax(_flat_terms(field, a, carrier)[0][carrier]))]
             else:
                 exact_fill = True
         if not exact_fill:
@@ -168,9 +181,8 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
                 raise WitnessConstructionError("carrier modular exceeds one")
             d0 = 0.0
             if residual > 0.0:
-                d0 = field.curves[top_up].inverse_upper(
-                    residual / grid.weights[top_up]
-                )
+                with np.errstate(over="ignore"):  # residual/mass past DBL_MAX is inf, as in Python
+                    d0 = float(field.table.inverse_upper(residual / field._weights)[top_up])
                 x_vals[top_up] = d0
             record.update({"mode": "flat-top-up", "top_up_cell": grid.ids[top_up], "d0": d0})
         else:
@@ -181,18 +193,14 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     else:
         # every domain bounded: the complement must carry modular above one
         while carrier:
-            comp = [i for i in range(len(grid)) if i not in carrier]
-            comp_rho = modular_of_bounds(field, [grid.ids[i] for i in comp])
-            if comp_rho > 1.0:
+            if modular_of_bounds(field, [c for i, c in enumerate(grid.ids) if i not in carrier]) > 1.0:
                 break
-            dropped = max(carrier, key=lambda i: field.curves[i].value(a) * grid.weights[i])
-            carrier = [i for i in carrier if i != dropped]
+            del carrier[int(np.argmax(_flat_terms(field, a, carrier)[0][carrier]))]  # as above
         if not carrier:
             raise WitnessConstructionError(
                 "cannot keep modular above one outside the carrier set"
             )
-        comp = [i for i in range(len(grid)) if i not in carrier]
-        comp_bounds = [0.0 if i in carrier else p.b for i, p in enumerate(prm)]
+        comp_bounds = [0.0 if i in carrier else e for i, e in enumerate(ends.tolist())]
         comp_profile = StepFunction(grid, tuple(comp_bounds))
 
         c1 = None
@@ -212,8 +220,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
             # largest scale of the domain ends whose modular fits the residual
             scale = gauge(field, comp_bounds, residual, _RTOL)[0]
             c2 = c1 / scale - 1.0
-            for i in comp:
-                x_vals[i] = scale * prm[i].b
+            x_vals = [scale * e for e in comp_bounds]  # 0 on the carrier, set to a below
             record.update({"mode": "bounded-top-up", "c1": c1, "c2": c2, "scale": scale})
         else:
             record.update({"mode": "bounded-no-top-up"})
@@ -231,9 +238,10 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     # cap interval contains [a, b], so sigma2 alone covers both uses
     sigma2 = 0.0
     caps = {}
+    with np.errstate(over="ignore"):  # 1/mass past DBL_MAX is inf, as in Python
+        u_star = field.table.inverse_upper(1.0 / field._weights).tolist()
     for i in carrier:
-        u_star = field.curves[i].inverse_upper(1.0 / grid.weights[i])
-        cap = max(b, u_star)
+        cap = max(b, u_star[i])
         caps[grid.ids[i]] = cap
         sigma2 = max(sigma2, field.curves[i]._half_ratio_sup(a, cap))
     if not sigma2 < 1.0:
@@ -275,7 +283,7 @@ def _nonsquare_directions(field: MusielakField, x: np.ndarray, samples: int, rng
     """
     n = len(x)
     signs = np.where(x >= 0.0, 1.0, -1.0)
-    bounded = [min(p.b, 1.0) if math.isfinite(p.b) else 1.0 for p in field.cell_params]
+    bounded = np.minimum(field.table.cell_b, 1.0)
     ends = np.array((x, -1.0 * x, signs, np.where(np.arange(n) % 2 == 0, signs, -signs), bounded))
 
     def nonzero_rows():
@@ -430,11 +438,9 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         "omega_1inf": grid.measure(part.omega_1inf),
         "remainder": grid.measure(part.remainder),
     }
-    ratio_int = math.fsum(
-        wp.w.values[i] * field.cell_params[i].b * grid.weights[i]
-        for i, cid in enumerate(grid.ids)
-        if cid in part.omega_1inf
-    )
+    linear_to_b = [i for i, cid in enumerate(grid.ids) if cid in part.omega_1inf]
+    ends = field.table.cell_b.tolist()
+    ratio_int = math.fsum(wp.w.values[i] * ends[i] * grid.weights[i] for i in linear_to_b)
     if part.omega_1:
         ratio_int = INF  # unbounded domains make the comparison integral blow up
     evidence = {
@@ -486,11 +492,8 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         )
     # internal cross-check: on linear-up-to-b cells the comparison integral
     # equals the modular of the closed domain ends
-    check = math.fsum(
-        field.curves[i].value_closed(field.cell_params[i].b) * grid.weights[i]
-        for i, cid in enumerate(grid.ids)
-        if cid in part.omega_1inf
-    )
+    closed = field.table.per_cell(field.table.closed, INF).tolist()
+    check = math.fsum(closed[i] * grid.weights[i] for i in linear_to_b)
     if math.isfinite(ratio_int) and abs(check - ratio_int) > 1e-9 * max(1.0, ratio_int):
         raise VerificationError(
             f"weight bookkeeping broken: {check} vs {ratio_int}"

@@ -4,9 +4,9 @@ A ``MusielakField`` assigns one Orlicz curve per grid cell.  Its compiled
 form is a column table (``table.CurveTable``): family codes, numbers,
 flattened breakpoints and slopes, and the knot table derived from them.
 The parser builds the table straight from a config's curve list, and the
-modular, the start caps and the kernel below read only the table; the
-per-cell curve objects (``curves``) are built only when a structural or
-scalar path asks for them.
+modular, the start caps, the kernel and the structural split below read
+only the table; the per-cell curve objects (``curves``) are built only for
+conjugates, derivatives, halving ratios and the sup oracle.
 
 The modular of a step function is the weighted sum of curve values; the
 gauge norm (Luxemburg) is the scaling that brings the modular to one.  ``gauge``
@@ -21,7 +21,7 @@ arrays and moves every active row with one set of array operations, each
 the float operation of a scalar step, so a row's bracket is the same alone
 or in a block; ``gauge`` is the one-row block.  Every comparison with the
 level is decided on the kernel, whose error bound floors the bracket
-width; the per-cell ``_scaled_modular`` stays the reference.
+width; ``modular`` (one fsum of the table's values) is the reference.
 The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
 bracketed root of its optimality condition, split by tangent intersections
 with a bisection safeguard, and stops once h at an evaluated k is within
@@ -39,6 +39,7 @@ to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import INF, CurveParams, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
+from .curves import INF, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
 from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
 from .table import CurveTable
@@ -62,10 +63,10 @@ _DBL_MIN = sys.float_info.min  # the smallest normal float
 class MusielakField:
     """One Orlicz curve per grid cell.
 
-    The curves are held as a ``CurveTable``, the compiled form the modular
-    and the gauge solvers read.  ``curves``, the per-cell objects the
-    structural and scalar paths read, are built from the table on first use,
-    unless the field was made from them.
+    The curves are held as a ``CurveTable``, the compiled form the modular,
+    the gauge solvers and the structural split read.  ``curves``, the
+    per-cell objects, are built from the table on first use, unless the
+    field was made from them.
     """
 
     def __init__(self, grid: MeasureGrid, curves):
@@ -90,10 +91,6 @@ class MusielakField:
     @cached_property
     def curves(self) -> tuple[OrliczCurve, ...]:
         return self.table.curves()
-
-    @cached_property
-    def cell_params(self) -> tuple[CurveParams, ...]:
-        return tuple(c.params() for c in self.curves)
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -163,37 +160,28 @@ def _check(field: MusielakField, x: StepFunction):
         raise GridMismatchError("step function not defined on the field's grid")
 
 
-def _scaled_modular(field: MusielakField, ax) -> float:
-    """Modular of |x| given precomputed absolute values."""
-    terms = []
-    for v, crv, w in zip(ax, field.curves, field.grid.weights):
-        t = crv.value(v)
-        if math.isinf(t):
-            return INF
-        terms.append(t * w)
-    return math.fsum(terms)
-
-
-def modular(field: MusielakField, x: StepFunction) -> float:
-    """Sum over cells of curve(|x|) * mass, with infinity propagation.
-
-    Evaluated on the field's table with each cell's float operations and
-    summed by one fsum in grid order: ``_scaled_modular`` bit for bit.
-    """
-    _check(field, x)
-    terms = field.table.value(np.abs(np.array(x.values)))
+def _modular_of(field: MusielakField, u: np.ndarray) -> float:
+    """The modular at nonnegative cell values u (inf allowed): inf if a
+    curve value is, else the products curve(u_i) * mass_i summed by one
+    fsum in grid order, each term the float operations of the curves."""
+    terms = field.table.value(u)
     if np.isinf(terms).any():
         return INF
     with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
         return math.fsum((terms * field._weights).tolist())
 
 
+def modular(field: MusielakField, x: StepFunction) -> float:
+    """Sum over cells of curve(|x|) * mass, with infinity propagation."""
+    _check(field, x)
+    return _modular_of(field, np.abs(np.array(x.values)))
+
+
 def modular_of_bounds(field: MusielakField, cells=None) -> float:
     """Modular of the domain-end function b_M (restricted to ``cells``)."""
     keep = field.grid.cell_set(cells)
-    # value(0) is 0 in every family, and value(inf) is inf
-    ends = [prm.b if cid in keep else 0.0 for cid, prm in zip(field.grid.ids, field.cell_params)]
-    return _scaled_modular(field, ends)
+    inside = np.array([cid in keep for cid in field.grid.ids])
+    return _modular_of(field, np.where(inside, field.table.cell_b, 0.0))
 
 
 def _start_caps(field: MusielakField, level: float) -> np.ndarray:
@@ -294,15 +282,10 @@ class _FieldKernel:
         # the final slope and the cell's share of the limit of k*r'(k) - r(k)
         n = len(weights)
         self.cell_b = table.cell_b
-        tail = ~np.isfinite(self.b)
-        last = self.cols[tail], counts[tail] - 1
-        cells = self.knotted[tail]
-        self.tail_from = np.full(n, INF)
-        self.tail_from[cells] = self.knots[last]
-        self.tail_slope = np.zeros(n)
-        self.tail_slope[cells] = self.slopes[last]
-        self.tail_gap = np.zeros(n)
-        self.tail_gap[cells] = gaps[last]
+        tail, last = np.isinf(self.b), (self.cols, counts - 1)
+        self.tail_from = table.per_cell(np.where(tail, self.knots[last], INF), INF)
+        self.tail_slope = table.per_cell(np.where(tail, self.slopes[last], 0.0), 0.0)
+        self.tail_gap = table.per_cell(np.where(tail, gaps[last], 0.0), 0.0)
         self.depth = (n - 1).bit_length()  # of the pairwise row sum
         # relative error of r: the pairwise sum, a few ulps of power per cell,
         # and the rounding of the bound itself
@@ -835,16 +818,13 @@ def orlicz_norm_sup_oracle(field: MusielakField, x: StepFunction) -> SupOracleRe
 
 
 def partition(field: MusielakField) -> Partition:
-    """Cellwise split by the cached structural parameters."""
-    o_inf, o_1, o_1i, rem = set(), set(), set(), set()
-    for cid, p in zip(field.grid.ids, field.cell_params):
-        if p.a == p.b:
-            o_inf.add(cid)
-        elif p.d == p.b:
-            (o_1 if math.isinf(p.b) else o_1i).add(cid)
-        else:
-            rem.add(cid)
-    return Partition(frozenset(o_inf), frozenset(o_1), frozenset(o_1i), frozenset(rem))
+    """Cellwise split by the table's structural columns a <= d <= b."""
+    t = field.table
+    zero = t.cell_a == t.cell_b
+    linear = ~zero & (t.cell_d == t.cell_b)
+    bounded = np.isfinite(t.cell_b)
+    masks = (zero, linear & ~bounded, linear & bounded, ~zero & ~linear)
+    return Partition(*(frozenset(itertools.compress(field.grid.ids, m.tolist())) for m in masks))
 
 
 def weights(field: MusielakField) -> WeightPair:
@@ -855,16 +835,15 @@ def weights(field: MusielakField) -> WeightPair:
     """
     part = partition(field)
     linear_cells = part.omega_1 | part.omega_1inf
-    v_vals, w_vals = [], []
-    for cid, crv, p in zip(field.grid.ids, field.curves, field.cell_params):
-        v_vals.append(1.0 / p.b if math.isfinite(p.b) else 0.0)
-        w_vals.append(crv.right_derivative(0.0) if cid in linear_cells else 0.0)
+    with np.errstate(over="ignore"):  # 1/b past DBL_MAX is inf, as in Python
+        v_vals = (1.0 / field.table.cell_b).tolist()
+    slopes = field.table.per_cell(field.table.slopes[:, 0], 0.0).tolist()
+    w_vals = [s if cid in linear_cells else 0.0 for cid, s in zip(field.grid.ids, slopes)]
+    for cid, crv, w in zip(field.grid.ids, field.curves, w_vals):
         if cid not in part.remainder:
             a_conj = conjugate(crv).params().a
-            if a_conj != w_vals[-1]:
-                raise MospacesError(
-                    f"slope weight {w_vals[-1]} disagrees with conjugate zero {a_conj}"
-                )
+            if a_conj != w:
+                raise MospacesError(f"slope weight {w} disagrees with conjugate zero {a_conj}")
     return WeightPair(
         StepFunction(field.grid, tuple(v_vals)),
         StepFunction(field.grid, tuple(w_vals)),
@@ -902,7 +881,7 @@ def decomposition_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12
 
 def finite_elements_nontrivial(field: MusielakField) -> bool:
     """True when some cell has an unbounded domain."""
-    return any(math.isinf(p.b) for p in field.cell_params)
+    return bool(np.isinf(field.table.cell_b).any())
 
 
 def bounded_level_sets(field: MusielakField, u: float) -> list[CellSet]:
@@ -911,13 +890,12 @@ def bounded_level_sets(field: MusielakField, u: float) -> list[CellSet]:
     On a finite grid the ascending exhaustion degenerates to one set,
     returned as a single-element list.
     """
-    if u < 0:
-        raise PreconditionError("height must be nonnegative")
-    cells = frozenset(
-        cid
-        for cid, p, crv in zip(field.grid.ids, field.cell_params, field.curves)
-        if math.isinf(p.b) and math.isfinite(crv.value(u))
-    )
-    if not cells:
+    if not u >= 0.0:  # NaN too
+        raise PreconditionError(f"height must be a nonnegative number, got {u!r}")
+    unbounded = np.isinf(field.table.cell_b)
+    if not unbounded.any():
         raise PreconditionError("no cell has an unbounded domain")
-    return [cells]
+    finite = unbounded & np.isfinite(field.table.value(np.full(len(field.grid), float(u))))
+    if not finite.any():
+        raise PreconditionError(f"no unbounded-domain cell stays finite at height {u!r}")
+    return [frozenset(itertools.compress(field.grid.ids, finite.tolist()))]

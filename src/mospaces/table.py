@@ -13,10 +13,12 @@ knots, the value at each and the slope from each), and per such cell the
 domain end ``b``, the closed value there and the stored one.  Knot values
 are summed left to right and each finite end's left limit is one fsum, as
 ``PiecewiseLinear`` computes them, so every number is the curve object's
-bit for bit.  ``value`` and ``inverse_upper`` evaluate the curves on the
-table with the float operations of the curve methods; power cells use
-Python's ``**`` per cell, because numpy's power can differ from it in the
-last bits.  The curve objects themselves are built only by ``curves``.
+bit for bit.  Per cell in grid order it holds the zero, linearity and
+domain ends a, d, b of ``OrliczCurve.params``.  ``value`` (on one profile
+or a block of rows) and ``inverse_upper`` evaluate the curves on the table
+with the float operations of the curve methods; power cells use Python's
+``**`` per cell, because numpy's power can differ from it in the last bits.
+The curve objects themselves are built only by ``curves``.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ class CurveTable:
     into runs of ``bp_len``, their slopes ``sl`` cut into runs of ``sl_len``
     and their end values ``end`` (None where absent: a bounded cell then
     closes at its left limit, as ``PiecewiseLinear.closed``; an unbounded
-    cell ignores it).
+    cell ignores it).  The compiled columns include the structural numbers
+    ``cell_a``, ``cell_d`` and ``cell_b`` per cell in grid order.
     """
 
     def __init__(self, family, number, bp, bp_len, sl, sl_len, end):
@@ -215,9 +218,19 @@ class CurveTable:
         stored[pw] = np.where(bounded, end, INF)
         self.b, self.closed, self.stored = b, closed, stored
         self.blowup = np.isfinite(b) & np.isinf(stored)  # the modular is infinite at b itself
-        self.cell_b = np.full(self.n, INF)  # the domain end per cell in grid order
-        self.cell_b[self.knotted] = b
+        # the linearity end is the first inner knot, or b for a one-piece
+        # cell; a flat first piece makes it the zero end too
+        d = np.minimum(knots[:, 1], b) if width > 1 else b
+        a = np.where(slopes[:, 0] == 0.0, d, 0.0)
+        self.cell_a, self.cell_d = self.per_cell(a, 0.0), self.per_cell(d, 0.0)
+        self.cell_b = self.per_cell(b, INF)
         self._ends = np.where(bounded, end, math.nan)  # NaN: the curve keeps no end value
+
+    def per_cell(self, column: np.ndarray, power: float) -> np.ndarray:
+        """A column of the knotted cells in grid order, ``power`` on the power cells."""
+        out = np.full(self.n, power)
+        out[self.knotted] = column
+        return out
 
     def curves(self) -> tuple[OrliczCurve, ...]:
         """The curve objects, one per cell."""
@@ -239,17 +252,21 @@ class CurveTable:
         return tuple(out)
 
     def value(self, u: np.ndarray) -> np.ndarray:
-        """phi_i(u_i) per cell (u nonnegative and finite), as the curves' ``value``."""
-        out = np.empty(self.n)
+        """phi_i(u_i) per cell of a profile u (n,) or of each row of a block
+        (rows, n), u nonnegative (inf allowed), as the curves' ``value``."""
+        u = np.asarray(u, dtype=float)
+        out = np.empty(u.shape)
         if self.power.size:
-            out[self.power] = [_pow(v, p) / p for v, p in zip(u[self.power].tolist(), self._p)]
+            up = u[..., self.power]
+            pairs = zip(up.ravel().tolist(), itertools.cycle(self._p))
+            out[..., self.power] = np.reshape([_pow(v, p) / p for v, p in pairs], up.shape)
         if self.knotted.size:
-            uk = u[self.knotted]
-            rows = np.arange(len(uk))
-            j = (self.knots[:, 1:] <= uk[:, None]).sum(axis=1)  # u in [knot_j, knot_j+1)
-            with np.errstate(over="ignore"):
-                v = self.values[rows, j] + self.slopes[rows, j] * (uk - self.knots[rows, j])
-            out[self.knotted] = np.where(uk < self.b, v, np.where(uk == self.b, self.stored, INF))
+            uk = u[..., self.knotted]
+            cells = np.arange(len(self.knotted))
+            j = (self.knots[:, 1:] <= uk[..., None]).sum(axis=-1)  # u in [knot_j, knot_j+1)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at u = inf
+                v = self.values[cells, j] + self.slopes[cells, j] * (uk - self.knots[cells, j])
+            out[..., self.knotted] = np.where(uk < self.b, v, np.where(uk == self.b, self.stored, INF))
         return out
 
     def inverse_upper(self, c: np.ndarray) -> np.ndarray:

@@ -236,6 +236,47 @@ def exact_amemiya(field, values) -> Fraction:
     return min(heights + ([slope] if edge is None else []))
 
 
+def scaled_modular(field, ax) -> float:
+    """The modular at nonnegative cell values ``ax``, one ``curve.value`` per
+    cell: inf at the first infinite value, else one fsum of value * mass."""
+    terms = []
+    for v, crv, w in zip(ax, field.curves, field.grid.weights):
+        t = crv.value(v)
+        if math.isinf(t):
+            return INF
+        terms.append(t * w)
+    return math.fsum(terms)
+
+
+def partition_reference(field):
+    """(omega_inf, omega_1, omega_1inf, remainder) from each ``curve.params()``."""
+    parts = (set(), set(), set(), set())
+    for cid, crv in zip(field.grid.ids, field.curves):
+        p = crv.params()
+        k = 0 if p.a == p.b else (1 if math.isinf(p.b) else 2) if p.d == p.b else 3
+        parts[k].add(cid)
+    return tuple(map(frozenset, parts))
+
+
+def weights_reference(field):
+    """(v, w) per cell: 1/b (0 on an unbounded domain), and the slope at 0 on
+    the linear cells (omega_1 and omega_1inf), 0 elsewhere."""
+    _, o_1, o_1i, _ = partition_reference(field)
+    v = [1.0 / c.params().b if math.isfinite(c.params().b) else 0.0 for c in field.curves]
+    w = [
+        c.right_derivative(0.0) if cid in o_1 | o_1i else 0.0
+        for cid, c in zip(field.grid.ids, field.curves)
+    ]
+    return v, w
+
+
+def modular_of_bounds_reference(field, cells=None):
+    """``scaled_modular`` of the domain ends b on ``cells`` (all when None), 0 elsewhere."""
+    keep = set(field.grid.ids if cells is None else cells)
+    ends = [c.params().b if cid in keep else 0.0 for cid, c in zip(field.grid.ids, field.curves)]
+    return scaled_modular(field, ends)
+
+
 def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):
     """Bracket of sup{t >= 0 : modular(t*x) <= level}: doubling, then bisection."""
 
@@ -273,7 +314,7 @@ def amemiya_golden(field, x: StepFunction, tol=1e-10):
         return INF if math.isinf(m) else (1.0 + m) / k
 
     k_sup = INF
-    for v, prm in zip(x.values, field.cell_params):
+    for v, prm in zip(x.values, (c.params() for c in field.curves)):
         if v != 0.0 and math.isfinite(prm.b):
             k_sup = min(k_sup, prm.b / abs(v))
     edge = INF
@@ -317,6 +358,33 @@ def amemiya_golden(field, x: StepFunction, tol=1e-10):
     return min(best, edge)
 
 
+def nonsquare_setup_reference(field):
+    """``find_nonsquare_setup`` one point and one ``curve.value`` at a time, from
+    each ``curve.params()``: (cells, a, b, sigma1), or None where no interval is usable."""
+    prm = [c.params() for c in field.curves]
+    w = field.grid.weights
+    work = [i for i, p in enumerate(prm) if p.d < p.b]
+
+    def point(L, R, t):
+        return L + t * (R - L) if math.isfinite(R) else L + t / (1.0 - t) * max(L, 1.0)
+
+    while work:
+        L, R = max(prm[i].d for i in work), min(prm[i].b for i in work)
+        t = 0.5
+        for _ in range(80 if L < R else 0):
+            if math.fsum(field.curves[i].value(point(L, R, t)) * w[i] for i in work) <= 1.0:
+                a, b = point(L, R, t / 2.0), point(L, R, t * 0.75)
+                sigma1 = max(field.curves[i]._half_ratio_sup(a, b) for i in work)
+                if sigma1 < 1.0:
+                    return tuple(field.grid.ids[i] for i in work), a, b, sigma1
+                break
+            t /= 2.0
+        if len(work) == 1:
+            return None
+        work.remove(max(work, key=lambda i: (prm[i].d, w[i])))
+    return None
+
+
 def nonsquare_reference(field, witness, samples, seed):
     """verify_nonsquare one direction at a time through the scalar solvers.
 
@@ -348,7 +416,7 @@ def nonsquare_reference(field, witness, samples, seed):
     consider(StepFunction(grid, tuple(s if i % 2 == 0 else -s for i, s in enumerate(signs))))
     consider(
         StepFunction(
-            grid, tuple(min(p.b, 1.0) if math.isfinite(p.b) else 1.0 for p in field.cell_params)
+            grid, tuple(min(c.params().b, 1.0) for c in field.curves)
         )
     )
     while checked < samples:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from mospaces import (
     Power,
     PreconditionError,
     StepFunction,
+    WitnessConstructionError,
     amemiya_norm,
     build_nonsquare_witness,
     classify,
@@ -33,7 +35,7 @@ from mospaces import (
     verify_nonsquare,
     weights,
 )
-from helpers import nonsquare_reference, random_field, random_x
+from helpers import nonsquare_reference, nonsquare_setup_reference, random_field, random_x
 
 INF = math.inf
 
@@ -241,8 +243,41 @@ def test_setup_finds_common_interval():
     setup = find_nonsquare_setup(f)
     assert setup.sigma1 < 1.0
     for cid in setup.cells:
-        p = f.cell_params[g.index[cid]]
+        p = f.curves[g.index[cid]].params()
         assert p.d < setup.a < setup.b < p.b
+
+
+def test_setup_walk_reaches_past_a_large_linearity_end():
+    # with d = 1e16 an absolute offset t/(1-t) rounds away, leaving a = b = d
+    g = MeasureGrid((1e-20,))
+    f = MusielakField(g, (PiecewiseLinear((0.0, 1e16, INF), (1.0, 2.0), None),))
+    setup = find_nonsquare_setup(f)
+    assert 1e16 < setup.a < setup.b and setup.sigma1 < 1.0
+    rep = classify(f, samples=200, seed=5)
+    assert rep.verdict == NOT_DAUGAVET and rep.explanation is None
+    c = rep.witness.construction
+    assert 1e16 < c["a"] < c["b"]
+    assert rep.witness.verification.passed
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+def test_setup_walk_equals_the_per_cell_walk(monkeypatch, rows_per_block):
+    # heavy masses push the walk deep toward L; small blocks split it
+    rng = np.random.default_rng(23)
+    module = importlib.import_module("mospaces.classify")
+    for k in range(80):
+        base = random_field(rng, n=int(rng.integers(1, 7)))
+        masses = tuple(w * 10.0 ** int(rng.integers(0, 12)) for w in base.grid.weights)
+        f = MusielakField(MeasureGrid(masses), base.curves)
+        if rows_per_block:
+            monkeypatch.setattr(module, "_BLOCK_CELLS", rows_per_block * len(f.grid))
+        want = nonsquare_setup_reference(f)
+        try:
+            s = find_nonsquare_setup(f)
+            got = (s.cells, s.a, s.b, s.sigma1)
+        except (PreconditionError, WitnessConstructionError):
+            got = None
+        assert got == want, (k, f)
 
 
 def test_witness_power_two_respects_parallelogram():

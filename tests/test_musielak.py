@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import sys
@@ -517,8 +518,15 @@ def test_bounded_level_sets():
     assert bounded_level_sets(f, 5.0) == [frozenset({"c0", "c1"})]
     f2 = MusielakField(g, (Power(2.0), Indicator(1.0)))
     assert bounded_level_sets(f2, 5.0) == [frozenset({"c0"})]
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="no cell has an unbounded domain"):
         bounded_level_sets(MusielakField.constant(g, Indicator(1.0)), 5.0)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        bounded_level_sets(f2, math.nan)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        bounded_level_sets(f2, -1.0)
+    for u in (1e300, math.inf):  # c0 has an unbounded domain, but its curve is infinite there
+        with pytest.raises(PreconditionError, match="no unbounded-domain cell stays finite"):
+            bounded_level_sets(f2, u)
 
 
 def test_unit_sphere_point_lands_on_sphere():
@@ -954,11 +962,11 @@ def test_norms_are_one_sided_against_the_exact_references(case):
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(case=st.one_of(_knotted_case().map(lambda c: c[:2]), _extreme_block()))
 def test_gauge_solvers_never_call_the_per_cell_modular(case):
-    # every comparison with the level is decided on the compiled kernel
+    # every comparison with the level is decided on the compiled kernel: no curve's value is read
     f, rows = case
     xs = [StepFunction(f.grid, tuple(values)) for values in rows]
     ax = np.abs(np.array(rows))
-    refuse = AssertionError("the per-cell modular was called")
+    refuse = AssertionError("a curve's value was called")
 
     def solve(solver, *args):
         try:
@@ -966,7 +974,9 @@ def test_gauge_solvers_never_call_the_per_cell_modular(case):
         except UnboundedNormError:  # a norm past DBL_MAX, found by the kernel solve
             pass
 
-    with mock.patch.object(musielak, "_scaled_modular", side_effect=refuse):
+    with contextlib.ExitStack() as stack:
+        for family in (Power, Linear, Indicator, PiecewiseLinear):
+            stack.enter_context(mock.patch.object(family, "value", side_effect=refuse))
         solve(gauge_block, f, ax, 0.3, 0.0)
         solve(luxemburg_norms, f, rows, 0.0)
         solve(unit_sphere_points, f, rows)

@@ -3,8 +3,9 @@
 ``cli.parse_space`` turns a list of plain curve specs straight into a
 ``CurveTable``; the reference is one ``parse_curve`` per cell and a field
 made from the curve objects.  The table also stands in for the per-cell
-``_knot_table``, ``inverse_upper`` loop and ``_scaled_modular`` the solvers
-used to read, so those are checked against the curve objects here too.
+``_knot_table``, ``inverse_upper`` loop, modular and ``params`` the solvers
+and the structural split used to read, so those are checked against the
+curve objects here too.
 """
 
 import contextlib
@@ -23,18 +24,32 @@ from mospaces import (
     GridMismatchError,
     Indicator,
     Linear,
+    MeasureGrid,
     MusielakField,
     PiecewiseLinear,
     Power,
     StepFunction,
     UnknownCellError,
+    bounded_level_sets,
+    finite_elements_nontrivial,
     modular,
+    modular_of_bounds,
+    partition,
+    weights,
 )
 from mospaces import musielak
+from mospaces.classify import _nonsquare_directions
 from mospaces.cli import EXIT_OK, _curve_table, main, parse_curve, parse_grid, parse_space
 from mospaces.table import InvalidCell
 
-from helpers import knot_values_reference
+from helpers import (
+    knot_values_reference,
+    modular_of_bounds_reference,
+    partition_reference,
+    random_field,
+    scaled_modular,
+    weights_reference,
+)
 from test_norm_reports import PINNED, _config
 
 INF = math.inf
@@ -182,8 +197,11 @@ def _first_refused(specs):
 
 def _check_against_curves(field, ref):
     """The table of ``field`` reads as the curve objects of ``ref`` do."""
-    table, curves, prms = field.table, ref.curves, ref.cell_params
+    table, curves = field.table, ref.curves
+    prms = [c.params() for c in curves]
     w = ref.grid.weights
+    for column, key in ((table.cell_a, "a"), (table.cell_d, "d"), (table.cell_b, "b")):
+        assert _same(column, np.array([getattr(p, key) for p in prms])), key
     for row, i in enumerate(table.knotted.tolist()):
         knots, values, slopes, b, vb = _knot_row(curves[i])
         k = len(knots)
@@ -217,11 +235,12 @@ def test_columnar_parse_equals_the_per_cell_parse(seed, n):
         assert _same(musielak._start_caps(field, level), musielak._start_caps(ref, level))
     for ax in _points(seed, ref):
         x = StepFunction(ref.grid, tuple(ax.tolist()))
-        want_rho = _outcome(lambda: repr(musielak._scaled_modular(ref, ax.tolist())))  # the reference
+        want_rho = _outcome(lambda: repr(scaled_modular(ref, ax.tolist())))  # the reference
         assert _outcome(lambda: repr(modular(field, x))) == want_rho
         assert _outcome(lambda: repr(modular(ref, x))) == want_rho
     assert repr(field.curves) == repr(ref.curves)
-    assert field.curves == ref.curves and field.cell_params == ref.cell_params
+    assert field.curves == ref.curves
+    assert [c.params() for c in field.curves] == [c.params() for c in ref.curves]
     _check_against_curves(field, ref)
 
 
@@ -362,3 +381,59 @@ def test_the_norm_path_builds_no_curve_object(tmp_path, monkeypatch, flavour):
     path.write_text(json.dumps(_config(flavour)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["norm", "--config", str(path)]) == EXIT_OK
+
+
+# -- the structural columns ------------------------------------------------------
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 5, 17)))
+def test_the_structure_layer_reads_only_the_table(seed, n):
+    cfg = _cfg(seed, n)
+    got = _outcome(parse_space, cfg)
+    if got[0] != "ok":
+        return
+    field, ref = got[1].field, _reference_space(cfg)
+    part = partition(field)
+    assert (part.omega_inf, part.omega_1, part.omega_1inf, part.remainder) == partition_reference(ref)
+    half = field.grid.ids[::2]
+    for cells in (None, half):
+        want = _outcome(lambda: repr(modular_of_bounds_reference(ref, cells)))
+        assert _outcome(lambda: repr(modular_of_bounds(field, cells))) == want
+    assert finite_elements_nontrivial(field) == any(math.isinf(c.params().b) for c in ref.curves)
+    for u in (0.0, 1.0, 1e300, INF):
+        _outcome(bounded_level_sets, field, u)
+    x = np.linspace(-1.0, 1.0, n)
+    rows = list(_nonsquare_directions(field, x, n + 8, np.random.default_rng(seed), 4))
+    bounded = [min(c.params().b, 1.0) for c in ref.curves]
+    assert _same(np.concatenate(rows)[n + 4], np.array(bounded))  # the bounded profile
+    assert "curves" not in vars(field)  # no curve object built
+
+
+_EDGE_CURVES = (
+    PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.5), INF),  # flat first piece, blow-up end
+    PiecewiseLinear((0.0, 2.0), (0.0,), 0.0),  # one flat piece: indicator type
+    PiecewiseLinear((0.0, 2.0), (1.0,), INF),  # linear up to a blow-up end
+    PiecewiseLinear((0.0, 0.5, INF), (0.0, 1.0), None),  # flat first piece, unbounded
+    Indicator(0.5),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_structure_from_the_table_equals_the_per_curve_references(seed):
+    rng = np.random.default_rng(seed)
+    base = random_field(rng, n=int(rng.integers(1, 8)), dyadic=bool(rng.integers(2)))
+    extra = [_EDGE_CURVES[k] for k in rng.integers(len(_EDGE_CURVES), size=int(rng.integers(0, 3)))]
+    curves = list(base.curves) + extra
+    rng.shuffle(curves)
+    weights_ = tuple(float(w) for w in rng.uniform(0.1, 3.0, len(curves)))
+    f = MusielakField(MeasureGrid(weights_), curves)
+    part = partition(f)
+    assert (part.omega_inf, part.omega_1, part.omega_1inf, part.remainder) == partition_reference(f)
+    wp = weights(f)
+    v, w = weights_reference(f)
+    assert _same(np.array(wp.v.values), np.array(v)) and _same(np.array(wp.w.values), np.array(w))
+    sub = [cid for cid in f.grid.ids if rng.random() < 0.5]
+    for cells in (None, sub):
+        assert repr(modular_of_bounds(f, cells)) == repr(modular_of_bounds_reference(f, cells))
