@@ -22,6 +22,10 @@ the float operation of a scalar step, so a row's bracket is the same alone
 or in a block; ``gauge`` is the one-row block.  Every comparison with the
 level is decided on the kernel, whose error bound floors the bracket
 width; ``modular`` (one fsum of the table's values) is the reference.
+Where the kernel leaves a point open, steps of a quarter of the tolerance
+to either side settle it; convexity of the modular bounds the kernel's
+value there from the one already computed, and the steps are evaluated
+only where that bound does not decide them.
 The dual-flavoured Amemiya norm minimises h(k) = (1+rho(k|x|))/k by a
 bracketed root of its optimality condition, split by tangent intersections
 with a bisection safeguard, and stops once h at an evaluated k is within
@@ -234,8 +238,12 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
     piecewise-linear piece exactly, while the chord through the feasible end
     never overshoots it.  The start is the domain edge or the tightest
     single-cell bound, whichever is smaller (the caps of ``_start_caps``).
-    It is ``gauge_block`` on the one row ``ax``, so a row gets the same
-    bracket alone or in a block.
+    A point the kernel's error bound leaves open is settled by steps of
+    rtol/4 to either side (``_settle``), decided from the value already
+    computed, as r(u)/u does not decrease, wherever that is certain, and
+    evaluated otherwise; at rtol 1e-12 and above and with every t*|x_i|
+    normal, each step evaluates the closure once.  It is ``gauge_block`` on
+    the one row ``ax``, so a row gets the same bracket alone or in a block.
     """
     lo, hi = gauge_block(field, [ax], level, rtol)
     return float(lo[0]), float(hi[0])
@@ -376,16 +384,48 @@ class _FieldKernel:
         return k_sup, (k_lin, limit, math.fsum(self.tail_gap[live].tolist()))
 
 
-def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, level: float, rtol: float):
+def _closed(l: np.ndarray, h: np.ndarray, rtol: float) -> np.ndarray:
+    """Brackets (l, h) narrow enough to return: within rtol of l, or at most
+    one float strictly between l and h."""
+    return (h - l <= rtol * l) | (np.nextafter(np.nextafter(l, INF), INF) >= h)
+
+
+def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, l, h, level: float, rtol: float):
     """The points one gauge step certifies for row k of ``rows`` at t[k].
 
     Evaluates the closure r and t*r' and returns, per row, arrays (t_lo,
     r_lo, t_hi, r_hi, s_hi): t_lo with r(t_lo) = r_lo at most ``level``
     (t_lo = 0 when none) and t_hi with r(t_hi) = r_hi above it and
     t_hi*r'(t_hi) = s_hi (t_hi = inf when none).  That is t[k] itself, or,
-    where the kernel's error bound leaves t[k] open, a step of rtol/4 (at
-    least one ulp) below and above it, which closes the bracket; a step past
-    the domain edge counts as above the level.
+    where the kernel's error bound leaves t[k] open, the steps d = t(1 -
+    rtol/4) below and e = t(1 + rtol/4) above it (at least one ulp), which
+    close the bracket; a step past the domain edge counts as above the level.
+
+    An open row's steps are evaluated only where ``_convex_sides`` cannot
+    decide both from the value r~ at t, or where the row's bracket (l, h)
+    so far, with them, would not close (``_closed``).  A row decided so
+    stops, so its r_lo, r_hi and s_hi (left at t's) are not read again; its
+    bracket is the one the evaluated steps give.  The bound: let R(t) be
+    the exact closed modular at the float point fl(t*x_i), which the kernel
+    approximates with |r~ - R| <= rel*R + abs.  Each cell's closure is
+    convex on its closed domain and 0 at 0, so phi(a) <= (a/b)*phi(b) for
+    0 <= a <= b in the domain.  With t normal, every nonzero fl(d*x_i)
+    normal (each product then errs by under 2u, u = 2**-53) and every
+    fl(t*x_i) in its domain, that gives R(d) <= (d/t)(1+2u)/(1-2u)*R(t) and,
+    unless some fl(e*x_i) leaves its domain (then e is above anyway),
+    R(e) >= (e/t)(1-2u)/(1+2u)*R(t).  With R(t) <= (r~ + abs)/(1 - rel) and
+    r~(d) <= (1 + rel)*R(d) + abs, the test of ``side`` at d is at most
+    (1+u)**2 (1+rel)**2 (1+2u)/((1-2u)(1-rel)) (d/t)(r~ + abs) + (3 + 2*rel)*abs
+    (two more roundings in it, and 2**-1075 <= abs/2 for each that falls
+    below the normal range); ``(r~ + abs)*(d/t)*(1 + c) + 4*abs``, five
+    roundings, is at least (1-u)**5 (1+c) (d/t)(r~ + abs) + 4(1-u)*abs.
+    So c = 3*rel + 2**-49 >= 3*rel + 11u (plus second-order terms far
+    below 5u) makes ``side`` say below at d wherever that test is at most
+    the level; the mirror image holds for ``(r~ - abs)*(e/t)*(1 - c) -
+    4*abs > level`` at e.  The test's own values stay normal: the bound is
+    used for rtol <= 2 (so d >= t/2) and level in [2**-1000, 2**1000], and
+    rtol >= ``floor(level)`` makes abs <= level/4, so an open r~ exceeds
+    level/2.
     """
     r, s, _ = kernel.closure(rows, t)
     side = kernel.side(r, level)
@@ -393,25 +433,50 @@ def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, level: float,
     t_hi, r_hi, s_hi = np.where(side > 0, t, INF), r, s
     unsure = np.flatnonzero(side == 0)
     if unsure.size:
+        tk, lk, hk = t[unsure], l[unsure], h[unsure]
+        down, up = _step(tk, -rtol / 4.0), _step(tk, rtol / 4.0)
+        known = _convex_sides(kernel, rows[unsure], tk, r[unsure], down, up, level, rtol)
+        known &= _closed(_larger(lk, down), np.where(up < hk, up, hk), rtol)
+        k = unsure[known]
+        t_lo[k], t_hi[k] = down[known], up[known]
+        unsure, down, up = unsure[~known], down[~known], up[~known]
+    if unsure.size:
         m, near = unsure.size, rows[unsure]
-        tn = np.concatenate((_step(t[unsure], -rtol / 4.0), _step(t[unsure], rtol / 4.0)))
+        tn = np.concatenate((down, up))
         rn, sn, _ = kernel.closure(np.concatenate((near, near)), tn)
         siden = kernel.side(rn, level)
         below, above = siden[:m] < 0, siden[m:] > 0
         if not above.all():  # a step past the domain edge is above the level too
-            above |= kernel.beyond(near, tn[m:])
+            above |= kernel.beyond(near, up)
         k = unsure[below]
-        t_lo[k], r_lo[k] = tn[:m][below], rn[:m][below]
+        t_lo[k], r_lo[k] = down[below], rn[:m][below]
         k = unsure[above]
-        t_hi[k], r_hi[k], s_hi[k] = tn[m:][above], rn[m:][above], sn[m:][above]
+        t_hi[k], r_hi[k], s_hi[k] = up[above], rn[m:][above], sn[m:][above]
     return t_lo, r_lo, t_hi, r_hi, s_hi
+
+
+def _convex_sides(kernel: _FieldKernel, rows, t, r, down, up, level: float, rtol: float):
+    """Rows k whose steps down[k] < t[k] < up[k] the kernel value r[k] at t[k]
+    decides: ``side`` would put down[k] below the level and up[k] above it
+    (or past the domain edge).  The proof is in ``_settle``."""
+    if not (rtol <= 2.0 and 2.0**-1000 <= level <= 2.0**1000):
+        return np.zeros(len(t), dtype=bool)
+    a, c = kernel.abs, 3.0 * kernel.rel + 2.0**-49
+    low = np.where(rows > 0.0, down[:, None] * rows, INF).min(axis=1)
+    inside = (t[:, None] * rows[:, kernel.knotted] <= kernel.b).all(axis=1)
+    below = (r + a) * (down / t) * (1.0 + c) + 4.0 * a <= level
+    above = (r - a) * (up / t) * (1.0 - c) - 4.0 * a > level
+    return (t >= _DBL_MIN) & (low >= _DBL_MIN) & inside & below & above
 
 
 def _certain(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, level: float) -> np.ndarray:
     """-1 where t[k] is certainly feasible for row k of ``rows``, 1 where it
     certainly is not, 0 where the kernel's error bound leaves it open."""
-    # below the domain edge and off blow-up ends the closure is the modular
-    return np.where(kernel.beyond(rows, t), 1, kernel.side(kernel.closure(rows, t)[0], level))
+    out = kernel.beyond(rows, t).astype(np.int8)
+    inside = np.flatnonzero(out == 0)
+    if inside.size:  # below the domain edge and off blow-up ends the closure is the modular
+        out[inside] = kernel.side(kernel.closure(rows[inside], t[inside])[0], level)
+    return out
 
 
 def _edge_brackets(kernel: _FieldKernel, rows: np.ndarray, starts: np.ndarray, level: float, rtol: float):
@@ -464,12 +529,12 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
         back = np.full(n, rtol / 2.0)
         ts = starts
         for _ in range(_MAX_DOUBLINGS):
-            tl, rtl, th, rth, sth = _settle(kernel, rows[live], ts, level, rtol)
+            tl, rtl, th, rth, sth = _settle(kernel, rows[live], ts, l, h, level, rtol)
             up, down = th < h, tl > l
             h, rh, sh = np.where(up, th, h), np.where(up, rth, rh), np.where(up, sth, sh)
             l, rl = np.where(down, tl, l), np.where(down, rtl, rl)
             edge = h == INF  # the closure at the start bound is at most the level
-            stop = edge | (h - l <= rtol * l) | (np.nextafter(np.nextafter(l, INF), INF) >= h)
+            stop = edge | _closed(l, h, rtol)
             if stop.any():
                 done = live[stop]
                 lo[done], hi[done] = l[stop], h[stop]
@@ -526,7 +591,12 @@ def luxemburg_norms(field: MusielakField, xs, tol: float = 1e-12) -> np.ndarray:
     nonzero = ax.any(axis=1)
     if nonzero.any():
         hi = gauge_block(field, ax[nonzero], 1.0, tol)[1]
-        out[nonzero] = [_norm_of_scale(h) for h in hi.tolist()]
+        with np.errstate(divide="ignore", over="ignore"):
+            norms = 1.0 / hi
+        unbounded = np.isinf(norms)
+        if unbounded.any():  # raises at the first such row
+            _norm_of_scale(float(hi[unbounded.argmax()]))
+        out[nonzero] = norms
     return out
 
 

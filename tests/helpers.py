@@ -28,6 +28,7 @@ from mospaces import (
     unit_sphere_point,
     wint_norm,
 )
+from mospaces import musielak
 from mospaces.cli import num
 from mospaces.interpolation import _SLACK, _int_slice_center
 from mospaces.probes import _ARCHIVE, NormOracle, _aligned_candidates
@@ -275,6 +276,30 @@ def modular_of_bounds_reference(field, cells=None):
     keep = set(field.grid.ids if cells is None else cells)
     ends = [c.params().b if cid in keep else 0.0 for cid, c in zip(field.grid.ids, field.curves)]
     return scaled_modular(field, ends)
+
+
+def settle_reference(kernel, rows, t, l, h, level, rtol):
+    """``musielak._settle`` evaluating both steps of every open row: where the
+    kernel's error bound leaves t open, the closure is evaluated at
+    t(1 - rtol/4) and t(1 + rtol/4) whatever the bracket (l, h) so far."""
+    r, s, _ = kernel.closure(rows, t)
+    side = kernel.side(r, level)
+    t_lo, r_lo = np.where(side < 0, t, 0.0), r.copy()
+    t_hi, r_hi, s_hi = np.where(side > 0, t, INF), r, s
+    unsure = np.flatnonzero(side == 0)
+    if unsure.size:
+        m, near, step = unsure.size, rows[unsure], musielak._step
+        tn = np.concatenate((step(t[unsure], -rtol / 4.0), step(t[unsure], rtol / 4.0)))
+        rn, sn, _ = kernel.closure(np.concatenate((near, near)), tn)
+        siden = kernel.side(rn, level)
+        below, above = siden[:m] < 0, siden[m:] > 0
+        if not above.all():  # a step past the domain edge is above the level too
+            above |= kernel.beyond(near, tn[m:])
+        k = unsure[below]
+        t_lo[k], r_lo[k] = tn[:m][below], rn[:m][below]
+        k = unsure[above]
+        t_hi[k], r_hi[k], s_hi[k] = tn[m:][above], rn[m:][above], sn[m:][above]
+    return t_lo, r_lo, t_hi, r_hi, s_hi
 
 
 def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):

@@ -1,5 +1,6 @@
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mospaces import (
     Power,
     PreconditionError,
     StepFunction,
+    UnboundedNormError,
     WitnessConstructionError,
     amemiya_norm,
     build_nonsquare_witness,
@@ -35,6 +37,7 @@ from mospaces import (
     verify_nonsquare,
     weights,
 )
+from mospaces import musielak
 from helpers import nonsquare_reference, nonsquare_setup_reference, random_field, random_x
 
 INF = math.inf
@@ -416,6 +419,54 @@ def test_verify_nonsquare_matches_scalar_reference(field, mode):
         assert rec.samples_requested == rec.samples_accepted == checked
         assert math.isclose(rec.max_observed, best, rel_tol=1e-10)
         assert len(rec.worst_point) == len(worst)
+
+
+def _power_witness():
+    f = MusielakField.constant(MeasureGrid((0.7, 1.3, 0.9)), Power(2.5))
+    return f, build_nonsquare_witness(f)
+
+
+def test_verify_nonsquare_solves_x_plus_y_and_x_minus_y_as_one_block(monkeypatch):
+    # per block of directions: the unit-sphere solve, then x+y and x-y in one
+    # solve; the block size does not change the record
+    module = importlib.import_module("mospaces.classify")
+    f, wit = _power_witness()
+    want = verify_nonsquare(f, wit, samples=60, seed=5)
+    monkeypatch.setattr(module, "_BLOCK_CELLS", 2 * 3 * 8)  # 8 directions per block
+    blocks = mock.patch.object(module, "unit_sphere_points", wraps=module.unit_sphere_points)
+    solves = mock.patch.object(musielak, "gauge_block", wraps=musielak.gauge_block)
+    with blocks as b, solves as s:
+        got = verify_nonsquare(f, wit, samples=60, seed=5)
+    assert b.call_count == 8
+    assert s.call_count == 2 * b.call_count
+    assert got == want
+
+
+@pytest.mark.parametrize("raising, want", [(("plus", "minus"), "plus"), (("minus",), "minus")])
+def test_verify_nonsquare_raises_what_the_separate_solves_raise(monkeypatch, raising, want):
+    # where the joint solve of x+y and x-y raises, x+y and then x-y are solved
+    # alone, and the first error raised is the one reported
+    module = importlib.import_module("mospaces.classify")
+    f, wit = _power_witness()
+    x, spheres = np.array(wit.x.values), []
+
+    def unit(field, ys):
+        spheres.append(musielak.unit_sphere_points(field, ys))
+        return spheres[-1]
+
+    def norms(field, xs, tol):
+        ys = spheres[-1]
+        if len(xs) == 2 * len(ys):
+            raise UnboundedNormError("joint")
+        for name in raising:
+            if np.array_equal(xs, {"plus": x + ys, "minus": x - ys}[name]):
+                raise UnboundedNormError(name)
+        return musielak.luxemburg_norms(field, xs, tol)
+
+    monkeypatch.setattr(module, "unit_sphere_points", unit)
+    monkeypatch.setattr(module, "luxemburg_norms", norms)
+    with pytest.raises(UnboundedNormError, match=f"^{want}$"):
+        verify_nonsquare(f, wit, samples=20, seed=5)
 
 
 # -- search probe ---------------------------------------------------------------

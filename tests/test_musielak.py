@@ -13,6 +13,7 @@ from mospaces import (
     Indicator,
     Linear,
     MeasureGrid,
+    MospacesError,
     MusielakField,
     PiecewiseLinear,
     Power,
@@ -50,6 +51,7 @@ from helpers import (
     gauge_bisect,
     random_field,
     random_x,
+    settle_reference,
 )
 
 INF = math.inf
@@ -985,3 +987,154 @@ def test_gauge_solvers_never_call_the_per_cell_modular(case):
             solve(luxemburg_norm, f, x, 0.0)
             solve(unit_sphere_point, f, x)
             solve(amemiya_norm, f, x, 0.0)
+
+
+# -- open gauge steps decided by convexity ---------------------------------------
+
+
+@st.composite
+def _settle_case(draw):
+    """A field of 1-11 power and knotted cells (blow-up, closed and unbounded
+    ends) with masses up to 1e+-200, rows of magnitudes 1e-200 to 1e307 (the
+    largest put the scale below the normal range), a level and a tolerance."""
+    n = draw(st.integers(1, 11))
+    curves = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["power", "near-one", "knotted", "knotted"]))
+        if kind == "power":
+            curves.append(Power(draw(st.floats(1.05, 5.0))))
+        elif kind == "near-one":
+            curves.append(Power(draw(st.floats(1.0, 1.001, exclude_min=True))))
+        else:
+            curves.append(draw(_knotted_curve()))
+    scale = st.sampled_from([1e-200, 1.0, 1.0, 1e200])
+    mass = st.builds(lambda m, e: m * e, st.floats(0.1, 4.0), scale)
+    grid = MeasureGrid(tuple(draw(st.lists(mass, min_size=n, max_size=n))))
+    value = st.builds(
+        lambda m, e: m * e,
+        st.floats(0.5, 2.0),
+        st.sampled_from([0.0, 1e-200, 1e-5, 1.0, 1.0, 1e5, 1e200, 1e307]),
+    )
+    rows = st.lists(st.lists(value, min_size=n, max_size=n).filter(any), min_size=1, max_size=6)
+    level = draw(st.sampled_from([1.0, 0.37]))
+    rtol = draw(st.sampled_from([0.0, 1e-13, 1e-12, 1e-10]))
+    return MusielakField(grid, tuple(curves)), np.array(draw(rows)), level, rtol
+
+
+def _brackets_or_error(f, rows, level, rtol):
+    try:
+        lo, hi = gauge_block(f, rows, level, rtol)
+    except MospacesError as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in lo.tolist()], [v.hex() for v in hi.tolist()]
+
+
+def _settle_edge_cases():
+    """Open steps at a bounded end, at a blow-up end and at a subnormal scale."""
+    g1, g2 = MeasureGrid((1.0,)), MeasureGrid((1.0, 1.0))
+    closed = PiecewiseLinear.closed((0.0, 1.0), (1.0,))  # the closure is 1 at its end
+    blow = PiecewiseLinear((0.0, 1.0), (1.0,), INF)
+    return [
+        (MusielakField(g1, (closed,)), [[1.0], [2.0], [0.5]]),
+        (MusielakField(g1, (blow,)), [[1.0], [3.0]]),
+        (MusielakField(g2, (closed, Power(2.0))), [[1.0, 1e-9], [1.0, 0.0], [0.0, 1.0]]),
+        (MusielakField(g2, (Linear(1.0), Linear(3.0))), [[1e307, 1e307], [1e300, 3e307]]),
+    ]
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-13, 1e-10, 2.0, 3.0])
+@pytest.mark.parametrize("level", [1.0, 0.37])
+def test_settle_bound_keeps_the_brackets_at_ends_and_subnormal_scales(level, rtol):
+    # at rtol 2 the quarter steps span the tolerance to the last rounding, and
+    # at 3 they span more: no bracket closes, and the solver gives up
+    for f, rows in _settle_edge_cases()[: 1 if rtol > 2.0 else None]:
+        got = _brackets_or_error(f, np.array(rows), level, rtol)
+        with mock.patch.object(musielak, "_settle", settle_reference):
+            assert _brackets_or_error(f, np.array(rows), level, rtol) == got, (f, rows)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 2.0])
+@pytest.mark.parametrize("level", [1.0, 0.37])
+def test_settle_bound_leaves_subnormal_products_to_the_kernel(level, rtol):
+    # the scale t is normal but t*x is subnormal: at level 1 the closure at the
+    # start is the level exactly, and steps of 1e-10 round back to the same
+    # product, so neither step is below or above it
+    f = MusielakField(MeasureGrid((2.0**50,)), (Linear(2.0**1000),))
+    rows = np.array([[2.0**-100], [3 * 2.0**-100]])
+    got = _brackets_or_error(f, rows, level, rtol)
+    with mock.patch.object(musielak, "_settle", settle_reference):
+        assert _brackets_or_error(f, rows, level, rtol) == got
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=_settle_case())
+def test_settle_bound_gives_the_brackets_of_evaluated_steps(case):
+    # deciding an open step's quarter steps by convexity, and evaluating
+    # them, give the same brackets bit for bit and the same errors
+    f, rows, level, rtol = case
+    got = _brackets_or_error(f, rows, level, rtol)
+    with mock.patch.object(musielak, "_settle", settle_reference):
+        assert _brackets_or_error(f, rows, level, rtol) == got
+
+
+def _closure_calls():
+    """The kernel's closure, patched to count its calls and keep their arguments."""
+    closure = musielak._FieldKernel.closure
+    return mock.patch.object(musielak._FieldKernel, "closure", autospec=True, side_effect=closure)
+
+
+def test_a_converging_gauge_evaluates_the_closure_once_per_step():
+    # at rtol 1e-11 the quarter steps around the last, open point are far
+    # outside the kernel's error bound, so convexity decides them; the
+    # reference evaluates them in a second closure call
+    rng = np.random.default_rng(71)
+    g = MeasureGrid(tuple(float(w) for w in rng.uniform(0.1, 3.0, 16)))
+    f = MusielakField(g, tuple(Power(float(p)) for p in rng.uniform(1.05, 5.0, 16)))
+    rows = np.abs(rng.standard_normal((30, 16))).tolist()
+
+    def calls(settle):
+        steps = mock.patch.object(musielak, "_settle", wraps=settle)
+        counts, brackets = [], []
+        for row in rows:
+            with _closure_calls() as c, steps as s:
+                brackets.append(gauge(f, row, 1.0, 1e-11))
+            counts.append((c.call_count, s.call_count))
+        return counts, brackets
+
+    counts, brackets = calls(musielak._settle)
+    assert all(c == s for c, s in counts)
+    reference, same = calls(settle_reference)
+    assert same == brackets
+    assert sum(c for c, _ in reference) > sum(c for c, _ in counts)
+
+
+def test_edge_checks_evaluate_only_rows_inside_the_domain():
+    # a row past the domain edge is above the level with no closure evaluation
+    g = MeasureGrid((1.0, 1.0))
+    f = MusielakField(g, (PiecewiseLinear.closed((0.0, 1.0), (0.25,)), Indicator(2.0)))
+    kernel = f._kernel
+    rows = np.array([[1.0, 1.0], [2.0, 0.0], [0.5, 1.0], [0.0, 3.0]])
+    t = np.array([1.0, 1.0, 1.5, 1.0])
+    beyond = kernel.beyond(rows, t)
+    assert beyond.tolist() == [False, True, False, True]
+    want = np.where(beyond, 1, kernel.side(kernel.closure(rows, t)[0], 1.0))
+    with _closure_calls() as c:
+        assert musielak._certain(kernel, rows, t, 1.0).tolist() == want.tolist()
+    (_, seen, _), _ = c.call_args
+    assert seen.tolist() == rows[~beyond].tolist()
+
+
+def test_row_batched_norms_raise_at_an_unbounded_row_as_the_scalar_norm():
+    # the second row's gauge scale is subnormal, so its norm 1/hi overflows
+    g = MeasureGrid((1e10, 3e9))
+    f = MusielakField.constant(g, Linear(1.0))
+    rows = [(1.0, -2.0), (1e300, -7e299), (0.0, 0.0)]
+    with pytest.raises(UnboundedNormError) as scalar:
+        luxemburg_norm(f, StepFunction(g, rows[1]))
+    with pytest.raises(UnboundedNormError) as block:
+        luxemburg_norms(f, rows)
+    assert str(block.value) == str(scalar.value)
+    assert luxemburg_norms(f, [rows[0], rows[2]]).tolist() == [
+        luxemburg_norm(f, StepFunction(g, rows[0])),
+        0.0,
+    ]
