@@ -101,6 +101,83 @@ def jsonify(obj) -> Any:
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_floats = json.JSONEncoder().encode  # the C encoder: "[a, b, ...]", inf as Infinity
+
+
+def report_json(obj) -> str:
+    """``json.dumps(jsonify(obj), sort_keys=True, indent=2)``, in one walk.
+
+    The walk converts as ``jsonify`` does and prints as the encoder does,
+    byte for byte; a list or tuple of floats goes to the C encoder in one
+    call, which puts ", " only between its items, so splitting there gives
+    the indented lines.
+    """
+    out = []
+    _write(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write(obj, pad: str, put) -> None:
+    """``put`` the indented JSON of ``jsonify(obj)``; ``pad`` is a newline
+    and the indent of the line ``obj`` starts on."""
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            put('"inf"' if obj > 0 else '"-inf"')
+        else:
+            put("NaN" if obj != obj else float.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items(), key=operator.itemgetter(0)):
+            put(sep + _encode_str(key) + ": ")
+            _write(value, inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, pad, put)
+    elif isinstance(obj, (frozenset, set)):
+        _write_list(sorted(str(v) for v in obj), pad, put)
+    elif isinstance(obj, StepFunction):
+        _write_list(obj.values, pad, put)
+    elif is_dataclass(obj):
+        _write(vars(obj), pad, put)
+    elif isinstance(obj, str):
+        put(_encode_str(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _write_list(items, pad: str, put) -> None:
+    if not items:
+        put("[]")
+        return
+    inner = pad + "  "
+    if {float}.issuperset(map(type, items)):
+        text = _encode_floats(items)
+        if "Infinity" in text:
+            text = text.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
+        put("[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]")
+        return
+    sep = "[" + inner
+    for item in items:
+        put(sep)
+        _write(item, inner, put)
+        sep = "," + inner
+    put(pad + "]")
+
+
 def num(value) -> float:
     """A JSON number or an "inf"/"-inf" token as a float; a boolean is no number."""
     if value == "inf":
@@ -121,30 +198,41 @@ _PLAIN_NUMBERS = frozenset({int, float})
 _END_TOKENS = _PLAIN_NUMBERS | {type(None)}
 
 
-def _flat_numbers(lists) -> Optional[np.ndarray]:
-    """The tokens of the JSON lists ``lists``, flattened to floats as ``num``
-    converts them, or None unless each list holds plain ints and floats,
-    perhaps ending in "inf"."""
+def _flat_numbers(lists) -> Optional[list]:
+    """The tokens of the JSON lists ``lists`` in one flat list, each list's
+    trailing "inf" as inf, or None unless each list holds plain ints and
+    floats, perhaps ending in "inf".
+
+    The trailing "inf"s are replaced first, so one type pass over the
+    tokens refuses every other string (a mid-list "inf", "-inf", a numeric
+    string) and every boolean.  The ints are left for the caller to convert;
+    one beyond the float range raises OverflowError there.
+    """
     if not {list}.issuperset(map(type, lists)):
         return None
-    bodies = (t[:-1] if t and t[-1] == "inf" else t for t in lists)
-    if not _PLAIN_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(bodies))):
-        return None
-    try:
-        return np.fromiter(itertools.chain.from_iterable(lists), float)
-    except OverflowError:  # an int beyond the float range
-        return None
+    flat = list(itertools.chain.from_iterable(lists))
+    # the end of an empty list is the end of the one before it, whose last
+    # token may be "inf" as well; an empty first list ends at 0
+    for end in itertools.accumulate(map(len, lists)):
+        if end and flat[end - 1] == "inf":
+            flat[end - 1] = math.inf
+    return flat if _PLAIN_NUMBERS.issuperset(map(type, flat)) else None
 
 
 def nums(tokens) -> tuple:
     """``num`` of each token of a JSON list.
 
     A list of plain ints and floats, perhaps ending in "inf", converts in one
-    pass through ``_flat_numbers``; any other token (and an int beyond the
-    float range) takes the per-token path, which raises what ``num`` raises.
+    pass; any other token (and an int beyond the float range) takes the
+    per-token path, which raises what ``num`` raises.
     """
     flat = _flat_numbers([tokens])
-    return tuple(num(t) for t in tokens) if flat is None else tuple(flat.tolist())
+    if flat is not None:
+        try:
+            return tuple(map(float, flat))
+        except OverflowError:  # an int beyond the float range
+            pass
+    return tuple(num(t) for t in tokens)
 
 
 def _listed(value, what: str) -> tuple:
@@ -232,16 +320,18 @@ def _curve_table(specs) -> Optional[CurveTable]:
         pw = list(itertools.compress(specs, (family == PIECEWISE).tolist()))
         bps = list(map(operator.itemgetter("breakpoints"), pw))
         sls = list(map(operator.itemgetter("slopes"), pw))
-        ends = list(map(dict.get, pw, itertools.repeat("end_value")))
-        if not _END_TOKENS.issuperset(type(e) for e in ends if e != "inf"):
-            return None
-        ends = [e if e is None else float(e) for e in ends]
     except (KeyError, TypeError, OverflowError):  # OverflowError: an int beyond the float range
         return None
+    ends = list(map(dict.get, pw, itertools.repeat("end_value")))
+    if "inf" in ends:
+        ends = [math.inf if e == "inf" else e for e in ends]
     bp, sl = _flat_numbers(bps), _flat_numbers(sls)
-    if bp is None or sl is None:
+    if bp is None or sl is None or not _END_TOKENS.issuperset(map(type, ends)):
         return None
-    return CurveTable(family, number, bp, list(map(len, bps)), sl, list(map(len, sls)), ends)
+    try:
+        return CurveTable(family, number, bp, list(map(len, bps)), sl, list(map(len, sls)), ends)
+    except OverflowError:  # an int beyond the float range
+        return None
 
 
 def curve_to_json(curve: OrliczCurve) -> dict:
@@ -273,7 +363,7 @@ def parse_grid(d: dict) -> MeasureGrid:
                 raise ConfigError(f"grid cells must be at most {MAX_CELLS}, got {n!r}")
             rng = np.random.default_rng(int(d["weight_seed"]))
             lo, hi = (num(t) for t in d.get("weight_range", [0.5, 2.0]))
-            weights = tuple(float(t) for t in rng.uniform(lo, hi, n))
+            weights = tuple(rng.uniform(lo, hi, n).tolist())
         ids = _listed(d["ids"], "grid ids") if "ids" in d else ()
         return MeasureGrid(weights, ids)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -357,9 +447,7 @@ def parse_x(cfg: dict, grid: MeasureGrid) -> StepFunction:
         if isinstance(x, dict):
             rng = np.random.default_rng(int(x["seed"]))
             scale = num(x.get("scale", 1.0))
-            return StepFunction(
-                grid, tuple(float(t) for t in scale * rng.standard_normal(len(grid)))
-            )
+            return StepFunction(grid, tuple((scale * rng.standard_normal(len(grid))).tolist()))
         return _step(grid, x)
     except (KeyError, TypeError, ValueError, GridMismatchError) as exc:
         raise ConfigError(f"bad x spec: {exc}") from exc
@@ -705,7 +793,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    text = json.dumps(jsonify(report), sort_keys=True, indent=2) + "\n"
+    text = report_json(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -33,8 +33,10 @@ class MeasureGrid:
         if not (all(map(math.isfinite, weights)) and min(weights) > 0.0):
             w = next(w for w in weights if not (w > 0.0 and math.isfinite(w)))
             raise ValueError(f"cell weights must be positive and finite, got {w}")
-        ids = self.ids or tuple(f"c{i}" for i in range(len(weights)))
-        object.__setattr__(self, "ids", tuple(ids))
+        if not self.ids:  # c0 ... c{n-1}, unique by construction
+            object.__setattr__(self, "ids", tuple([f"c{i}" for i in range(len(weights))]))
+            return
+        object.__setattr__(self, "ids", tuple(self.ids))
         if len(self.ids) != len(weights):
             raise ValueError("id count must match cell count")
         if len(set(self.ids)) != len(self.ids):

@@ -57,6 +57,7 @@ from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted
 from .table import CurveTable
 
 _MAX_DOUBLINGS = 4096
+_EDGE_STEPS = 64  # edge steps of the asked size before they double
 _MIN_RTOL = 4.0 * math.ulp(1.0)  # the tightest Amemiya tolerance asked for
 _BISECT_STEPS = 200
 _SPHERE_RTOL = 1e-13  # gauge bracket width of the unit-sphere scaling
@@ -232,7 +233,14 @@ def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> 
     hi - lo <= max(rtol, floor)*lo, or at most one float strictly between
     lo and hi.  The floor, the kernel's ``floor(level)``, follows from its
     error bound ``rel``/``abs`` and is below 1e-13 on grids of up to a
-    million cells; a smaller rtol (zero, negative, NaN) is raised to it.
+    million cells; a smaller rtol (zero, negative, NaN) is raised to it,
+    and one above 1 (inf too) is capped at 1, where a step of rtol/4 still
+    keeps t positive.  The width holds as stated where each nonzero
+    t*|x_i| near T is normal.  Where the closure stays under the level up
+    to the start bound and some such product is subnormal, its ulp
+    2**-1074 can swallow steps of t (``_edge_brackets``): lo and hi keep
+    their sides, but hi/lo - 1 is only bounded by about 48*rtol plus four
+    times that ulp relative to T*|x_i|.
     r(t) = modular(t*ax) is convex and nondecreasing, so Newton steps on its
     closure from above (left slopes) never undershoot T and solve a
     piecewise-linear piece exactly, while the chord through the feasible end
@@ -423,9 +431,9 @@ def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, l, h, level: 
     below 5u) makes ``side`` say below at d wherever that test is at most
     the level; the mirror image holds for ``(r~ - abs)*(e/t)*(1 - c) -
     4*abs > level`` at e.  The test's own values stay normal: the bound is
-    used for rtol <= 2 (so d >= t/2) and level in [2**-1000, 2**1000], and
-    rtol >= ``floor(level)`` makes abs <= level/4, so an open r~ exceeds
-    level/2.
+    used for level in [2**-1000, 2**1000], ``gauge_block`` caps rtol at 1
+    (so d >= t/2), and rtol >= ``floor(level)`` makes abs <= level/4, so an
+    open r~ exceeds level/2.
     """
     r, s, _ = kernel.closure(rows, t)
     side = kernel.side(r, level)
@@ -435,7 +443,7 @@ def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, l, h, level: 
     if unsure.size:
         tk, lk, hk = t[unsure], l[unsure], h[unsure]
         down, up = _step(tk, -rtol / 4.0), _step(tk, rtol / 4.0)
-        known = _convex_sides(kernel, rows[unsure], tk, r[unsure], down, up, level, rtol)
+        known = _convex_sides(kernel, rows[unsure], tk, r[unsure], down, up, level)
         known &= _closed(_larger(lk, down), np.where(up < hk, up, hk), rtol)
         k = unsure[known]
         t_lo[k], t_hi[k] = down[known], up[known]
@@ -455,11 +463,11 @@ def _settle(kernel: _FieldKernel, rows: np.ndarray, t: np.ndarray, l, h, level: 
     return t_lo, r_lo, t_hi, r_hi, s_hi
 
 
-def _convex_sides(kernel: _FieldKernel, rows, t, r, down, up, level: float, rtol: float):
+def _convex_sides(kernel: _FieldKernel, rows, t, r, down, up, level: float):
     """Rows k whose steps down[k] < t[k] < up[k] the kernel value r[k] at t[k]
     decides: ``side`` would put down[k] below the level and up[k] above it
     (or past the domain edge).  The proof is in ``_settle``."""
-    if not (rtol <= 2.0 and 2.0**-1000 <= level <= 2.0**1000):
+    if not 2.0**-1000 <= level <= 2.0**1000:
         return np.zeros(len(t), dtype=bool)
     a, c = kernel.abs, 3.0 * kernel.rel + 2.0**-49
     low = np.where(rows > 0.0, down[:, None] * rows, INF).min(axis=1)
@@ -486,13 +494,21 @@ def _edge_brackets(kernel: _FieldKernel, rows: np.ndarray, starts: np.ndarray, l
     up to the edge (past it the modular is infinite), or a single cell's
     bound is met exactly.  ``lo`` (the start) steps down by rtol/4 and
     ``hi`` up by rtol/2 until ``_certain`` puts each on its side: once,
-    unless the start is subnormal.
+    unless the start or some product t*|x_i| is subnormal, whose coarse
+    ulps can swallow many steps.  After ``_EDGE_STEPS`` steps that leave a
+    row open, each further step doubles (down, at most halving t), so each
+    end of such a row settles within about a hundred steps; a row that
+    settles sooner keeps the bracket of steps of the asked size.
     """
     lo, hi = starts.copy(), _step(starts, rtol / 2.0)
     for t, want, by in ((lo, -1, -rtol / 4.0), (hi, 1, rtol / 2.0)):
         pending = np.arange(len(rows))
-        while pending.size:
+        for steps in itertools.count(1):
             pending = pending[_certain(kernel, rows[pending], t[pending], level) != want]
+            if not pending.size:
+                break
+            if steps > _EDGE_STEPS:  # the steps are lost in a subnormal product's ulp
+                by = max(2.0 * by, -0.5)
             t[pending] = _step(t[pending], by)
     return lo, hi
 
@@ -509,13 +525,14 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
     kernel's error bound makes it certain.  The state of the active rows
     lives in arrays, and each step updates all of them at once with the
     float operations of a one-row step, so a row's bracket does not depend
-    on the rows solved with it.
+    on the rows solved with it.  As in ``gauge``, rtol is raised to the
+    kernel's floor and capped at 1.
     """
     rows = np.asarray(rows, dtype=float)
     if not rows.any(axis=1).all():
         raise PreconditionError("the gauge of the zero function is unbounded")
     kernel = field._kernel
-    rtol = max(kernel.floor(level), rtol)  # NaN compares false, so it is raised too
+    rtol = min(max(kernel.floor(level), rtol), 1.0)  # NaN compares false, so it is raised too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts = np.where(rows > 0.0, np.array(_start_caps(field, level)) / rows, INF).min(axis=1)
         _check_start(float(starts.max()))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -122,16 +123,21 @@ class CurveTable:
     and their end values ``end`` (None where absent: a bounded cell then
     closes at its left limit, as ``PiecewiseLinear.closed``; an unbounded
     cell ignores it).  The compiled columns include the structural numbers
-    ``cell_a``, ``cell_d`` and ``cell_b`` per cell in grid order.
+    ``cell_a``, ``cell_d`` and ``cell_b`` per cell in grid order.  The
+    breakpoints, slopes and end values convert to floats in one pass each,
+    as ``float`` converts them; an int beyond the float range raises
+    OverflowError.
     """
 
     def __init__(self, family, number, bp, bp_len, sl, sl_len, end):
         family = np.asarray(family, dtype=np.int8)
         number = np.asarray(number, dtype=float)
-        bp, sl = np.asarray(bp, dtype=float), np.asarray(sl, dtype=float)
+        bp, sl = np.fromiter(bp, float, len(bp)), np.fromiter(sl, float, len(sl))
         bp_len, sl_len = np.asarray(bp_len, dtype=np.intp), np.asarray(sl_len, dtype=np.intp)
-        given = np.array([e is not None for e in end], dtype=bool)
-        end = np.array([math.nan if e is None else e for e in end], dtype=float)
+        flags = list(map(operator.is_not, end, itertools.repeat(None)))
+        given = np.array(flags, dtype=bool)
+        values, end = end, np.full(len(flags), math.nan)
+        end[given] = np.fromiter(itertools.compress(values, flags), float)
         with np.errstate(invalid="ignore"):
             least = np.where(family == POWER, 1.0, 0.0)  # p > 1; slope and bound > 0
             bad = (family < 0) | ~((number > least) & np.isfinite(number))

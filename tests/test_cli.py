@@ -1251,13 +1251,13 @@ class _CpuLimit(BaseException):
 
 
 def _spent(signum, frame):
-    raise _CpuLimit(f"main spent {_CPU_LIMIT_S} s of CPU time")
+    raise _CpuLimit("main spent its CPU-time budget")
 
 
-def _run_in_process(argv):
+def _run_in_process(argv, limit=_CPU_LIMIT_S):
     out, err = io.StringIO(), io.StringIO()
     handler = signal.signal(signal.SIGPROF, _spent)
-    timer = signal.setitimer(signal.ITIMER_PROF, _CPU_LIMIT_S)
+    timer = signal.setitimer(signal.ITIMER_PROF, limit)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1312,3 +1312,19 @@ def test_fuzzed_configs_keep_the_exit_code_contract(case, command):
         code, err = _run_in_process(argv)
     assert code in contract, err
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+def test_a_subnormal_product_does_not_stall_the_edge_brackets(tmp_path):
+    # T*x = 2**-1050 is subnormal: its ulp, 2**-24 of it, swallowed millions
+    # of steps of rtol/4 before the steps doubled; at --tol 1e-13 this ran
+    # for more than 15 s of CPU
+    cfg = {
+        "grid": {"weights": [2.0**50]},
+        "space": {"kind": "musielak", "curves": [{"family": "linear", "slope": 2.0**1000}]},
+        "x": [2.0**-100],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for tol in ("1e-13", "1e-10"):
+        code, err = _run_in_process(["norm", "--config", str(path), "--tol", tol], limit=2.0)
+        assert (code, err) == (EXIT_OK, "")

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -680,6 +681,37 @@ def test_gauge_blow_up_end_single_cell():
     assert modular(f, unit_sphere_point(f, x)) <= 1.0
 
 
+@pytest.mark.parametrize("rtol", [1.0, 2.0, 2.5, 3.0, INF])
+@pytest.mark.parametrize("cell", ["closed", "blow-up"])
+def test_gauge_caps_rtol_at_one(cell, rtol):
+    # above 1 the steps of rtol/4 reach t <= 0: rtol 2 gave (0.5, 1.5) on the
+    # closed cell, and 2.5 and 3 ran 0.8 s until the solver gave up
+    if cell == "closed":
+        f = MusielakField.constant(MeasureGrid((1.0,)), PiecewiseLinear.closed((0.0, 1.0), (1.0,)))
+        x = StepFunction(f.grid, (1.0,))
+    else:  # the closure stays under the level up to the edge: the edge brackets
+        f = MusielakField.constant(MeasureGrid((0.5,)), PiecewiseLinear((0.0, 1.0, 2.0), (0.5, 1.0), INF))
+        x = StepFunction(f.grid, (4.0,))
+    start = time.process_time()
+    lo, hi = gauge(f, list(x.values), 1.0, rtol)
+    assert time.process_time() - start < 0.01
+    assert 0.0 < lo <= hi
+    assert_width(f, lo, hi, 1.0, 1.0)
+    assert modular(f, lo * x) <= 1.0 < modular(f, hi * x)
+
+
+def test_edge_brackets_double_their_steps_past_a_subnormal_product():
+    # one linear cell: T*x = 2**-1050 is subnormal, and its ulp, 2**-24 of
+    # it, swallows millions of steps of rtol/4 until the steps double
+    f = MusielakField.constant(MeasureGrid((2.0**50,)), Linear(2.0**1000))
+    x = StepFunction(f.grid, (2.0**-100,))
+    for rtol in (0.0, 1e-13, 1e-10):
+        lo, hi = gauge(f, list(x.values), 1.0, rtol)
+        assert modular(f, lo * x) <= 1.0 < modular(f, hi * x)
+        ulp = 2.0**-1074 / (lo * x.values[0])  # of the product, relative to it
+        assert hi / lo - 1.0 <= 48.0 * max(rtol, f._kernel.floor(1.0)) + 4.0 * ulp
+
+
 def test_gauge_single_cell_fields():
     rng = np.random.default_rng(59)
     for _ in range(100):
@@ -1045,9 +1077,8 @@ def _settle_edge_cases():
 @pytest.mark.parametrize("rtol", [0.0, 1e-13, 1e-10, 2.0, 3.0])
 @pytest.mark.parametrize("level", [1.0, 0.37])
 def test_settle_bound_keeps_the_brackets_at_ends_and_subnormal_scales(level, rtol):
-    # at rtol 2 the quarter steps span the tolerance to the last rounding, and
-    # at 3 they span more: no bracket closes, and the solver gives up
-    for f, rows in _settle_edge_cases()[: 1 if rtol > 2.0 else None]:
+    # rtol 2 and 3 are capped at 1, where the quarter steps close a bracket
+    for f, rows in _settle_edge_cases():
         got = _brackets_or_error(f, np.array(rows), level, rtol)
         with mock.patch.object(musielak, "_settle", settle_reference):
             assert _brackets_or_error(f, np.array(rows), level, rtol) == got, (f, rows)

@@ -82,8 +82,18 @@ def _curves(rng, n, flavour):
             curves.append(
                 _bounded(rng, "inf") if u < 0.3 else _indicator(rng) if u < 0.5 else _power(rng)
             )
-        else:  # end-value: every bounded cell writes its end value out
+        elif flavour == "end-value":  # every bounded cell writes its end value out
             curves.append(_bounded(rng, "limit") if u < 0.5 else _unbounded(rng))
+        else:  # mixed: every family and every end-value form
+            curves.append(
+                _power(rng) if u < 0.2
+                else _linear(rng) if u < 0.3
+                else _indicator(rng) if u < 0.35
+                else _bounded(rng) if u < 0.45
+                else _bounded(rng, "limit") if u < 0.55
+                else _bounded(rng, "inf") if u < 0.6
+                else _unbounded(rng)
+            )
     return curves
 
 
@@ -104,6 +114,11 @@ PINNED = {
     "asymptotically-linear": "678700e3fea007d304aaad4dfbad3afd57a3d5badda85fa5ead2ba2abf4ed99c",
     "blow-up": "adb07480ac0c23c439803e6489364c5bce50983e8b9b6643d5e43122a3ae1ba6",
     "end-value": "f850a02099a024c4c9320ac8c0ec2ef37be86789a43aa1ca3e4964f2166dd333",
+}
+
+# the same at the size where the parse and the report writer dominate a run
+PINNED_LARGE = {
+    ("mixed", 2048): "bf33daf8d756f08966d3897a3f388b4e775b46a8640738378b410fdee4240b9c",
 }
 
 
@@ -128,3 +143,10 @@ def test_norm_reports_keep_their_pinned_bytes(tmp_path, flavour):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_config(flavour)))
     assert _report_digest(path) == PINNED[flavour]
+
+
+@pytest.mark.parametrize("flavour, n", sorted(PINNED_LARGE))
+def test_large_norm_reports_keep_their_pinned_bytes(tmp_path, flavour, n):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(flavour, n)))
+    assert _report_digest(path) == PINNED_LARGE[flavour, n]
