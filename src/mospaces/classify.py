@@ -52,7 +52,6 @@ from .reports import (
 )
 
 
-_RTOL = 1e-14  # bracket width of the witness constants; gauge raises it to its floor (~3e-14)
 _BLOCK_CELLS = 1 << 16  # cells per block of rows (the setup walk, verify_nonsquare): bounds their memory
 _WALK = np.ldexp(1.0, -np.arange(1, 81))  # t = 1/2, 1/4, ..., 2**-80: the setup walk
 
@@ -140,7 +139,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     Splits on whether an unbounded-domain cell is available outside the
     carrier set (top-up by a flat block there) or all domains are bounded
     (top-up by a scaled copy of the domain ends).  All constants are
-    deterministic and recorded for audit.
+    deterministic and recorded for audit; its gauge solves ask for rtol 0: the kernel's floor.
     """
     rho_b = modular_of_bounds(field)
     ends = field.table.cell_b
@@ -148,8 +147,6 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     idx = grid.index
     if rho_b <= 1.0:
         raise PreconditionError("space collapses to the weighted sup norm")
-    if not (field.table.cell_d < ends).any():
-        raise PreconditionError("no cell has d < b")
     setup = find_nonsquare_setup(field)
     a, b = setup.a, setup.b
     carrier = [idx[cid] for cid in setup.cells]
@@ -187,7 +184,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
             record.update({"mode": "flat-top-up", "top_up_cell": grid.ids[top_up], "d0": d0})
         else:
             # single unbounded-domain carrier cell: raise a until the modular is one
-            a = gauge(field, [float(i in carrier) for i in range(len(grid))], 1.0, _RTOL)[0]
+            a = gauge(field, [float(i in carrier) for i in range(len(grid))], 1.0, 0.0)[0]
             b = 2.0 * a
             record.update({"mode": "exact-fill", "a": a, "b": b})
     else:
@@ -218,7 +215,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
         residual = 1.0 - _flat_modular(field, a, carrier)
         if residual > 0.0:
             # largest scale of the domain ends whose modular fits the residual
-            scale = gauge(field, comp_bounds, residual, _RTOL)[0]
+            scale = gauge(field, comp_bounds, residual, 0.0)[0]
             c2 = c1 / scale - 1.0
             x_vals = [scale * e for e in comp_bounds]  # 0 on the carrier, set to a below
             record.update({"mode": "bounded-top-up", "c1": c1, "c2": c2, "scale": scale})
@@ -251,7 +248,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     delta_mod = (1.0 - sigma0) * eta / 4.0
 
     # margin: largest stretch up to b/a keeping the modular within delta of one
-    stretch = gauge(field, [abs(v) for v in x.values], 1.0 + delta_mod, _RTOL)[0]
+    stretch = gauge(field, [abs(v) for v in x.values], 1.0 + delta_mod, 0.0)[0]
     t_lo = min(stretch, b / a) - 1.0
     if t_lo <= 0.0:  # pragma: no cover - modular is continuous at x
         raise WitnessConstructionError("no admissible stretch margin")
@@ -495,14 +492,6 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         # the modular at the bounds would have been at most one)
         return ClassificationReport(
             DAUGAVET, FORM_LINF, "weighted-L1(1/v)", evidence
-        )
-    # internal cross-check: on linear-up-to-b cells the comparison integral
-    # equals the modular of the closed domain ends
-    closed = field.table.per_cell(field.table.closed, INF).tolist()
-    check = math.fsum(closed[i] * grid.weights[i] for i in linear_to_b)
-    if math.isfinite(ratio_int) and abs(check - ratio_int) > 1e-9 * max(1.0, ratio_int):
-        raise VerificationError(
-            f"weight bookkeeping broken: {check} vs {ratio_int}"
         )
     if mass["omega_1"] == 0.0 and ratio_int <= 1.0:
         return ClassificationReport(

@@ -283,9 +283,12 @@ def parse_curve(d: dict) -> OrliczCurve:
             sl = nums(d["slopes"])
             if not bp:
                 raise ValueError("a piecewise curve needs breakpoints")
-            if math.isinf(bp[-1]):
-                return PiecewiseLinear(bp, sl, None)
             ev = d.get("end_value")
+            if math.isinf(bp[-1]):
+                curve = PiecewiseLinear(bp, sl, None)
+                if ev is not None:
+                    num(ev)  # an unbounded domain ignores a number and refuses anything else
+                return curve
             if ev is None:
                 return PiecewiseLinear.closed(bp, sl)
             return PiecewiseLinear(bp, sl, num(ev))
@@ -296,17 +299,18 @@ def parse_curve(d: dict) -> OrliczCurve:
 
 def _curve_table(specs) -> Optional[CurveTable]:
     """The columns of a list of curve specs, or None unless every spec is a
-    plain dict of plain numbers: ints, floats and "inf" as a last breakpoint
-    or as an end value.
+    plain dict of plain numbers: ints, floats, "inf" as a last breakpoint and
+    "inf" or "-inf" as an end value.
 
     Such a list parses in bulk passes, each number converted as ``num``
     converts it; the table checks them as the curve constructors do and
-    raises ``InvalidCell`` at the first cell they would refuse.  A boolean
-    is no plain number, so it takes the per-cell path, where ``num`` refuses it.
+    raises ``InvalidCell`` at the first cell they would refuse.  Any other
+    list holds a curve ``parse_curve`` refuses: a boolean, for one, is no
+    plain number, and ``num`` refuses it.
     """
-    if type(specs) is not list or not {dict}.issuperset(map(type, specs)):
+    if not {dict}.issuperset(map(type, specs)):
         return None
-    try:  # a missing key, or an unhashable family, takes the per-cell path
+    try:  # a missing key, or an unhashable family, is declined
         codes = list(map(FAMILIES.get, map(operator.itemgetter("family"), specs), itertools.repeat(-1)))
         family = np.array(codes, dtype=np.int8)
         number = np.full(len(specs), math.nan)
@@ -323,8 +327,8 @@ def _curve_table(specs) -> Optional[CurveTable]:
     except (KeyError, TypeError, OverflowError):  # OverflowError: an int beyond the float range
         return None
     ends = list(map(dict.get, pw, itertools.repeat("end_value")))
-    if "inf" in ends:
-        ends = [math.inf if e == "inf" else e for e in ends]
+    if "inf" in ends or "-inf" in ends:
+        ends = [num(e) if e in ("inf", "-inf") else e for e in ends]
     bp, sl = _flat_numbers(bps), _flat_numbers(sls)
     if bp is None or sl is None or not _END_TOKENS.issuperset(map(type, ends)):
         return None
@@ -370,6 +374,21 @@ def parse_grid(d: dict) -> MeasureGrid:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
 
+def _field(grid: MeasureGrid, specs) -> MusielakField:
+    """The field of a list of curve specs, one per cell, built on its columns; a list
+    they decline or refuse holds an invalid curve, and ``parse_curve`` raises its message."""
+    try:
+        table = _curve_table(specs)
+    except InvalidCell as exc:
+        parse_curve(specs[exc.index])  # raises that cell's own message
+        raise
+    if table is None:
+        for spec in specs:
+            parse_curve(spec)  # raises the first invalid curve's message
+        raise ValueError("the columns decline a valid curve list")
+    return MusielakField.of_table(grid, table)
+
+
 _WEIGHTED_SPECS = {"weighted_sum": SumSpaceSpec, "weighted_intersection": IntSpaceSpec}
 
 
@@ -390,22 +409,12 @@ def parse_space(cfg: dict) -> SpaceConfig:
     kind = space["kind"]
     try:
         if kind == "musielak":
-            specs = space["curves"]
-            try:
-                table = _curve_table(specs)
-            except InvalidCell as exc:
-                parse_curve(specs[exc.index])  # raises that cell's own message
-                raise
-            if table is not None:
-                return SpaceConfig(grid, field=MusielakField.of_table(grid, table))
-            curves = tuple(parse_curve(c) for c in specs)
-            return SpaceConfig(grid, field=MusielakField(grid, curves))
+            return SpaceConfig(grid, field=_field(grid, _listed(space["curves"], "curves")))
         if kind == "nakano":
             exps = nums(space["exponents"])
             return SpaceConfig(grid, field=MusielakField.nakano(grid, exps))
         if kind == "orlicz":
-            curve = parse_curve(space["curve"])
-            return SpaceConfig(grid, field=MusielakField.constant(grid, curve))
+            return SpaceConfig(grid, field=_field(grid, [space["curve"]] * len(grid)))
         if kind in _WEIGHTED_SPECS:
             spec = _WEIGHTED_SPECS[kind](
                 grid=grid,

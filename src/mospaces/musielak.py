@@ -526,12 +526,15 @@ def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e
     lives in arrays, and each step updates all of them at once with the
     float operations of a one-row step, so a row's bracket does not depend
     on the rows solved with it.  As in ``gauge``, rtol is raised to the
-    kernel's floor and capped at 1.
+    kernel's floor and capped at 1.  A level below the kernel's absolute
+    error bound ``abs`` (heavy masses and a tiny level) is a PreconditionError.
     """
     rows = np.asarray(rows, dtype=float)
     if not rows.any(axis=1).all():
         raise PreconditionError("the gauge of the zero function is unbounded")
     kernel = field._kernel
+    if kernel.abs > level:  # no t > 0 could be certified feasible, and the edge steps never stop
+        raise PreconditionError(f"level {level!r} is below the kernel's error bound {kernel.abs!r}")
     rtol = min(max(kernel.floor(level), rtol), 1.0)  # NaN compares false, so it is raised too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts = np.where(rows > 0.0, np.array(_start_caps(field, level)) / rows, INF).min(axis=1)
@@ -915,10 +918,11 @@ def partition(field: MusielakField) -> Partition:
 
 
 def weights(field: MusielakField) -> WeightPair:
-    """Reciprocal domain ends and linear-segment slopes, cross-checked.
+    """Reciprocal domain ends and linear-segment slopes, read from the table.
 
-    The slope weight must equal the a-parameter of the cellwise conjugate
-    except on remainder cells, where it is 0 by definition.
+    The slope weight is the first slope on omega_1 and omega_1inf cells and
+    0 elsewhere; off the remainder it is the zero end a of the cellwise
+    conjugate.
     """
     part = partition(field)
     linear_cells = part.omega_1 | part.omega_1inf
@@ -926,11 +930,6 @@ def weights(field: MusielakField) -> WeightPair:
         v_vals = (1.0 / field.table.cell_b).tolist()
     slopes = field.table.per_cell(field.table.slopes[:, 0], 0.0).tolist()
     w_vals = [s if cid in linear_cells else 0.0 for cid, s in zip(field.grid.ids, slopes)]
-    for cid, crv, w in zip(field.grid.ids, field.curves, w_vals):
-        if cid not in part.remainder:
-            a_conj = conjugate(crv).params().a
-            if a_conj != w:
-                raise MospacesError(f"slope weight {w} disagrees with conjugate zero {a_conj}")
     return WeightPair(
         StepFunction(field.grid, tuple(v_vals)),
         StepFunction(field.grid, tuple(w_vals)),

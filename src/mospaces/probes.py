@@ -199,7 +199,7 @@ def slice_diameter_lb(
         raise PreconditionError("slice empty at this sample budget (eps too small)")
     if best > 2.0 + 1e-9:
         raise PreconditionError(f"found slice points {best} apart; not a unit ball")
-    return best
+    return min(best, 2.0)  # no two points of a unit ball are further apart; rounding can say more
 
 
 def roughness_probe(
@@ -252,7 +252,7 @@ def roughness_probe(
             rows = _finite(np.concatenate((xv + steps, xv - steps)).reshape(-1, n))
             plus, minus = _norms(norm, grid, rows).reshape(2, len(ts), len(hs))
             best = _best_of(best, (plus + minus - 2.0) / ts[:, :, 0])
-    return best
+    return min(best, 2.0)  # the triangle inequality caps the quotient at 2; rounding can say more
 
 
 def daugavet_condition_probe(

@@ -638,7 +638,9 @@ def piecewise_reference(spec: dict):
 
     The parse the bulk passes of ``cli.parse_curve`` and
     ``PiecewiseLinear`` replaced, kept as their reference: returns
-    (breakpoints, slopes, end value) or raises the CLI's ConfigError.
+    (breakpoints, slopes, end value) or raises the CLI's ConfigError.  An
+    unbounded curve ignores an end value that is a number and, once its
+    other rules hold, refuses any other.
     """
     try:
         bp = tuple(num(t) for t in spec["breakpoints"])
@@ -667,6 +669,8 @@ def piecewise_reference(spec: dict):
         if math.isinf(bp[-1]):
             if sl == (0.0,):
                 raise ValueError("curve is identically zero")
+            if spec.get("end_value") is not None:
+                num(spec["end_value"])  # ignored if a number, refused if anything else
         else:
             left = math.fsum(s * (bp[j + 1] - bp[j]) for j, s in enumerate(sl))
             if not (ev == left or math.isinf(ev)):

@@ -327,6 +327,32 @@ def test_witness_bounded_domain_case():
     assert record.passed
 
 
+def test_witness_without_top_up_when_the_carrier_fills_the_modular():
+    # a = 1.75 + 2**-52 and p = 1.75 + 2**-51, the walk's first point, are
+    # adjacent floats; cell 1's terms (a - 0.35)*w and (p - 0.35)*w both round
+    # to 1.0, so the carrier's modular at a is one and no top-up is left.
+    # Cell 0 is flat up to 1.75, which puts L there, and cell 2 (d = b)
+    # carries the modular above one outside the carrier.
+    ulp = 2.0**-52
+    w = float.fromhex("0x1.6db6db6db6db5p-1")
+    g = MeasureGrid((1.0, w, 1.0))
+    f = MusielakField(
+        g,
+        (
+            PiecewiseLinear.closed((0.0, 1.75, 1.75 + 4096 * ulp), (0.0, 1e-200)),
+            PiecewiseLinear.closed((0.0, 0.35, 4.0), (0.0, 1.0)),
+            PiecewiseLinear.closed((0.0, 4.0), (1.0,)),
+        ),
+    )
+    wit = build_nonsquare_witness(f)
+    assert wit.construction["mode"] == "bounded-no-top-up"
+    assert wit.construction["carrier"] == ["c0", "c1"]
+    assert wit.x.values == (1.75 + ulp, 1.75 + ulp, 0.0)
+    assert modular(f, wit.x) == 1.0
+    assert 0.0 < wit.delta  # b/a - 1 is one ulp, so the margin is tiny
+    assert verify_nonsquare(f, wit, samples=100, seed=3).passed
+
+
 def test_witness_rejects_collapsed_spaces():
     g = unit_grid()
     with pytest.raises(PreconditionError):

@@ -987,6 +987,115 @@ def test_a_negative_infinite_end_value_is_a_config_error(tmp_path, capsys, end):
     assert err.startswith("error: bad curve spec") and "end value must be the left limit" in err
 
 
+def _unbounded_end_config(end) -> dict:
+    """An unbounded piecewise cell carrying the end value ``end``, and a power cell."""
+    curve = {"family": "piecewise", "breakpoints": [0, 1, "inf"], "slopes": [1, 2], "end_value": end}
+    return {
+        "grid": {"weights": [1, 1]},
+        "space": {"kind": "musielak", "curves": [curve, {"family": "power", "p": 2}]},
+        "x": [0.5, 0.5],
+    }
+
+
+@pytest.mark.parametrize(
+    "end, message",
+    [
+        (True, "expected a number or 'inf', got True"),
+        ("x", "expected a number or 'inf', got 'x'"),
+        ([1], "expected a number or 'inf', got [1]"),
+        ({"a": 1}, "expected a number or 'inf', got {'a': 1}"),
+        (10**400, "expected a number or 'inf', got an integer out of float range"),
+    ],
+    ids=["true", "string", "list", "object", "huge-int"],
+)
+@pytest.mark.parametrize("kind", ["musielak", "orlicz"])
+def test_an_unbounded_cell_refuses_an_end_value_that_is_no_number(tmp_path, capsys, end, message, kind):
+    body = _unbounded_end_config(end)
+    if kind == "orlicz":
+        body["space"] = {"kind": "orlicz", "curve": body["space"]["curves"][0]}
+    assert main(["norm", "--config", write(tmp_path / "end.json", body)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["ab", {"family": "power", "p": 2}, 5, None])
+def test_a_curve_list_must_be_a_list(tmp_path, capsys, value):
+    body = dict(_ONE_CELL, space={"kind": "musielak", "curves": value})
+    assert main(["norm", "--config", write(tmp_path / "curves.json", body)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: curves must be a list, got {value!r}\n")
+
+
+def test_probe_bounds_never_exceed_two(tmp_path, capsys):
+    # the l1 part of this intersection norm makes the roughness quotient 2 up
+    # to rounding; the loop found 2.0000000000000018 before the cap
+    cfg = {
+        "grid": {"weights": [1.0, 0.5, 2.0]},
+        "space": {"kind": "weighted_intersection", "v": [1.0, 2.0, 0.5], "w": [1.0, 1.0, 2.0]},
+        "probes": [{"type": "roughness", "x": [1, 0, 0]}],
+        "samples": 200,
+        "seed": 3,
+    }
+    assert main(["probe", "--config", write(tmp_path / "probe.json", cfg)]) == EXIT_OK
+    (entry,) = json.loads(capsys.readouterr().out)["results"]["probes"]
+    assert entry["roughness_lower_bound"] == 2.0
+
+
+def _certificate(cfg, results) -> dict:
+    return {"config_hash": config_hash(cfg), "results": results}
+
+
+_SUM_WITNESS = {
+    "type": "sum-case",
+    "x": [1.0, 0.0, 0.0],
+    "functional": [1.0, 0.0, 0.0],
+    "second_functional": [1.0, 0.0, 0.0],
+    "epsilon": 0.5,
+    "grid_weights": [1.0, 1.0, 1.0],
+    "grid_ids": ["c0", "c1", "c2"],
+}
+_INT_WITNESS = dict(_SUM_WITNESS, type="intersection-case", constants={})
+
+
+@pytest.mark.parametrize(
+    "command, cfg, cert, probes, code, line",
+    [
+        ("verify", BASE, _certificate(BASE, {"witness": [1]}), None,
+         EXIT_CONFIG, "error: certificate witness must be a JSON object"),
+        ("verify", BASE, _certificate(BASE, {"witness": {"type": "cubic"}}), None,
+         EXIT_CONFIG, "error: unknown witness type 'cubic'"),
+        ("verify", BASE, _certificate(BASE, 5), None,
+         EXIT_CONFIG, "error: certificate results must be a JSON object"),
+        ("verify", BASE, None, None,
+         EXIT_CONFIG, "error: verify needs --certificate <report.json>"),
+        ("verify", SUM_CFG, _certificate(SUM_CFG, {"witness": {"type": "nonsquare"}}), None,
+         EXIT_PRECONDITION, "precondition failure: nonsquare witnesses need a gauge-norm space"),
+        ("verify", INT_CFG, _certificate(INT_CFG, {"witness": dict(_INT_WITNESS, constants=5)}), None,
+         EXIT_CONFIG, "error: bad certificate witness: TypeError('constants must be a JSON object')"),
+        ("verify", BASE, _certificate(BASE, {"witness": _INT_WITNESS}), None,
+         EXIT_PRECONDITION,
+         "precondition failure: certificate lives on a component space but carries no spec for it"),
+        ("verify", SUM_CFG, _certificate(SUM_CFG, {"witness": _SUM_WITNESS}), None,
+         EXIT_PRECONDITION, "precondition failure: certificate grid does not match the space"),
+        ("probe", BASE, None, [{"type": "roughness", "x": [0.0, 0.0]}],
+         EXIT_CONFIG, "error: probe point must be nonzero"),
+        ("probe", BASE, None, [{"type": "cubic"}],
+         EXIT_CONFIG, "error: unknown probe type 'cubic'"),
+    ],
+    ids=[
+        "witness-not-object", "unknown-witness-type", "results-not-object", "no-certificate",
+        "nonsquare-on-weighted", "constants-not-object", "component-without-spec",
+        "sum-grid-mismatch", "zero-probe-point", "unknown-probe-type",
+    ],
+)
+def test_refused_verify_and_probe_inputs_exit_with_one_line(tmp_path, capsys, command, cfg, cert, probes, code, line):
+    if probes is not None:
+        cfg = dict(cfg, probes=probes)
+    argv = [command, "--config", write(tmp_path / "c.json", cfg)]
+    if cert is not None:
+        argv += ["--certificate", write(tmp_path / "cert.json", cert)]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_a_knot_gap_past_the_float_range_warns_nothing(tmp_path, capsys):
     """slope*knot overflows at the last knot, so the kernel's gap there is
     inf - inf unless it is stored as +inf; the run prints no warning."""
@@ -1166,7 +1275,9 @@ def _config(draw):
         space = {"kind": kind, "curve": slot("entries", _curve(broken == "curve"))}
     elif kind == "musielak":
         curves = [draw(_curve(broken == "curve" and i == 0)) for i in range(n)]
-        space = {"kind": kind, "curves": slot("entries", st.just(curves))}
+        # a lone curve object, or a string, where the list belongs
+        no_list = st.sampled_from(curves[:1] + ["power", "[]"])
+        space = {"kind": kind, "curves": draw((_JUNK | no_list) if broken == "entries" else st.just(curves))}
     else:
         space = {"kind": kind, "v": slot("entries", weights), "w": draw(weights)}
         if draw(st.booleans()):

@@ -420,6 +420,12 @@ def test_conjugate_field_examples():
     assert all(c == Linear(1.0) for c in f3.curves)
 
 
+@pytest.mark.parametrize("exponents", [(2.0, 0.5), (-INF, 2.0), (0.0, 1.0)])
+def test_nakano_exponents_must_lie_in_one_to_inf(exponents):
+    with pytest.raises(ValueError, match=r"exponents must lie in \[1, inf\]"):
+        MusielakField.nakano(unit_grid(), exponents)
+
+
 def test_partition_examples():
     g = unit_grid()
     part = partition(MusielakField.nakano(g, (1.0, INF)))
@@ -461,7 +467,7 @@ def test_weights_match_conjugate_zero_parameter():
     for _ in range(60):
         f = random_field(rng)
         part = partition(f)
-        wp = weights(f)  # raises internally on mismatch
+        wp = weights(f)
         for i, cid in enumerate(f.grid.ids):
             if cid in part.remainder:
                 continue
@@ -541,6 +547,12 @@ def test_unit_sphere_point_lands_on_sphere():
             continue
         u = unit_sphere_point(f, y)
         assert math.isclose(luxemburg_norm(f, u), 1.0, rel_tol=1e-9)
+
+
+def test_unit_sphere_point_refuses_the_zero_function():
+    f = MusielakField.constant(unit_grid(), Power(2.0))
+    with pytest.raises(PreconditionError, match="cannot normalise the zero function"):
+        unit_sphere_point(f, StepFunction(f.grid, (0.0, -0.0)))
 
 
 # -- gauge solver ------------------------------------------------------------
@@ -1048,7 +1060,8 @@ def _settle_case(draw):
         st.sampled_from([0.0, 1e-200, 1e-5, 1.0, 1.0, 1e5, 1e200, 1e307]),
     )
     rows = st.lists(st.lists(value, min_size=n, max_size=n).filter(any), min_size=1, max_size=6)
-    level = draw(st.sampled_from([1.0, 0.37]))
+    # levels outside [2**-1000, 2**1000] leave every open step to the evaluated path
+    level = draw(st.sampled_from([1.0, 0.37, 2.0**-1020, 2.0**1020]))
     rtol = draw(st.sampled_from([0.0, 1e-13, 1e-12, 1e-10]))
     return MusielakField(grid, tuple(curves)), np.array(draw(rows)), level, rtol
 
@@ -1106,6 +1119,16 @@ def test_settle_bound_gives_the_brackets_of_evaluated_steps(case):
     got = _brackets_or_error(f, rows, level, rtol)
     with mock.patch.object(musielak, "_settle", settle_reference):
         assert _brackets_or_error(f, rows, level, rtol) == got
+
+
+def test_a_level_below_the_kernels_error_bound_is_a_precondition_failure():
+    # the mass 1e200 makes the kernel's abs about 2e-123, far above the level:
+    # no point could be certified feasible, and the edge steps of lo ran forever
+    f = MusielakField(MeasureGrid((2.6e-200, 1e-200, 1e200)), (Power(2.0),) * 3)
+    with pytest.raises(PreconditionError, match="below the kernel's error bound"):
+        gauge_block(f, [[0.0, 1e-200, 0.0]], 2.0**-1020, 0.0)
+    lo, hi = gauge_block(f, [[0.0, 1e-200, 0.0]], f._kernel.abs * 4.0, 0.0)
+    assert 0.0 < lo[0] <= hi[0]
 
 
 def _closure_calls():

@@ -71,7 +71,7 @@ def test_slice_becomes_ball_as_depth_grows():
     primal, dual = l1_oracles(g)
     f = StepFunction(g, (1.0, 1.0))
     lb = slice_diameter_lb(primal, dual, Slice(f, 0.999), samples=500, seed=3)
-    assert 2.0 <= lb <= 2.0 + 1e-9  # disjoint atoms give exactly 2; ulps above allowed
+    assert lb == 2.0  # disjoint atoms give 2; ulps above it are capped
 
 
 def test_slice_empty_raises():
@@ -290,7 +290,8 @@ def test_roughness_norms_each_atom_direction_once():
     q = roughness_probe(primal, x, scales, samples=2 * 3 + 1 + 4, seed=2)
     # |x|, then per direction (3 atoms, the sign pattern, 4 draws) |h| and |x +- t h|
     assert primal.calls == 1 + (3 + 1 + 4) * (1 + 2 * len(scales))
-    assert q == roughness_reference(l1_oracles(g)[0], x, scales, samples=11, seed=2)
+    # the reference loop finds 2.0000000000000018 here; the probe caps it at 2
+    assert q == min(roughness_reference(l1_oracles(g)[0], x, scales, samples=11, seed=2), 2.0)
 
 
 def test_condition_probe_eps_is_checked_before_any_norm():

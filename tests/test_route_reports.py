@@ -3,7 +3,8 @@
 ``test_norm_reports`` pins Musielak ``norm`` reports.  The configs here take
 the other ways a config is read: a ``nakano`` exponent list with "inf"
 tokens before its end (per-token number parsing), an ``orlicz`` curve, the
-weighted sum and intersection specs, probes, the conjugate field, and a
+weighted sum and intersection specs, probes on a Musielak field and on both
+weighted specs (all three probe types), the conjugate field, and a
 config file written with an ``Infinity`` literal, which the config hash
 encodes through ``jsonify``.  Each config is a literal or comes from a
 fixed-seed generator, and the sha256 of each report without its
@@ -104,6 +105,34 @@ CONFIGS = {
         "seed": 7,
         "samples": 200,
     },
+    # the roughness quotient here reached 2.0000000000000018 before the cap at 2
+    "weighted-intersection-probes": {
+        "grid": {"weights": [1.0, 0.5, 2.0]},
+        "space": {"kind": "weighted_intersection", "v": [1.0, 2.0, 0.5], "w": [1.0, 1.0, 2.0]},
+        "probes": [
+            {"type": "roughness", "x": [1, 0, 0]},
+            {"type": "slice_diameter", "functional": [1.0, 0.5, 0.0], "eps": 0.3},
+            {"type": "daugavet_condition", "x": [0.2, -1.0, 0.5], "functional": [0.0, 1.0, 0.0], "eps": 0.5},
+        ],
+        "samples": 200,
+        "seed": 3,
+    },
+    "weighted-sum-probes": {
+        "grid": {"weights": [1.0, 0.5, 2.0, 1.5]},
+        "space": {"kind": "weighted_sum", "v": [0.6, 0.9, 0.5, 0.8], "w": [1.5, 2.0, 1.2, 2.5]},
+        "probes": [
+            {"type": "roughness", "x": [0.3, -0.1, 0.2, 0.05], "scales": [0.5, 0.05]},
+            {"type": "slice_diameter", "functional": [1.0, 0.0, -0.5, 0.2], "eps": 0.3},
+            {
+                "type": "daugavet_condition",
+                "x": [0.3, -0.1, 0.2, 0.05],
+                "functional": [0.0, 1.0, 0.0, 0.0],
+                "eps": 0.5,
+            },
+        ],
+        "samples": 200,
+        "seed": 5,
+    },
     "musielak": {
         "grid": {"weights": WEIGHTS},
         "space": {"kind": "musielak", "curves": MIX},
@@ -142,6 +171,10 @@ PINNED = {
         "67864b724ed8854f381874151928d8b7938dfb55f8aad23a99d39a23c0a7de16",
     ("classify", "weighted-intersection"):
         "a3ce832cef71b325267754596197261ae621efd9339b7c0ce19e342d908dd73b",
+    ("probe", "weighted-intersection-probes"):
+        "146c42439a7e15971f5efa68f7c4f04f76b4bf4d13b92f761f140ac637203c5b",
+    ("probe", "weighted-sum-probes"):
+        "855152d01b185c048e3520a9c903e12b9164f7fd4cc8c4abb0be72ffe8ab052c",
     ("probe", "musielak"):
         "4376d0cf3c505f323592104454ef76ad7ea1b89ce9ab69d1449c475d1c307df7",
     ("conjugate", "musielak"):

@@ -31,6 +31,8 @@ from mospaces import (
     StepFunction,
     UnknownCellError,
     bounded_level_sets,
+    classify,
+    decomposition_norm,
     finite_elements_nontrivial,
     modular,
     modular_of_bounds,
@@ -39,7 +41,7 @@ from mospaces import (
 )
 from mospaces import musielak
 from mospaces.classify import _nonsquare_directions
-from mospaces.cli import EXIT_OK, _curve_table, main, parse_curve, parse_grid, parse_space
+from mospaces.cli import EXIT_OK, _curve_table, main, num, parse_curve, parse_grid, parse_space
 from mospaces.table import InvalidCell
 
 from helpers import (
@@ -84,8 +86,10 @@ def _piecewise(rng):
     spec = {"family": "piecewise", "breakpoints": bp, "slopes": slopes}
     mode = rng.random()
     if not bounded:
-        if mode < 0.2:
-            spec["end_value"] = rng.choice((None, 1.0, "inf"))  # ignored on an unbounded domain
+        if mode < 0.2:  # a number is ignored on an unbounded domain
+            spec["end_value"] = rng.choice((None, 1.0, "inf", "-inf"))
+        elif mode < 0.205:  # anything else is refused
+            spec["end_value"] = rng.choice((True, "x", [1], 10**400))
     elif mode < 0.2:
         spec["end_value"] = "inf"
     elif mode < 0.3:
@@ -183,6 +187,12 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _odd_end(spec) -> bool:
+    """An end value ``num`` refuses: the columns decline it."""
+    end = spec.get("end_value") if isinstance(spec, dict) else None
+    return end is not None and _outcome(num, end)[0] != "ok"
+
+
 def _first_refused(specs):
     for i, spec in enumerate(specs):
         try:
@@ -245,7 +255,7 @@ def test_columnar_parse_equals_the_per_cell_parse(seed, n):
 
 
 # one rule broken per mutation; "plain" ones keep every token a plain number,
-# so the columns, not the per-cell path, must refuse them
+# so the columns must decide them
 def _set(key, value):
     def mutate(spec):
         spec[key] = value
@@ -303,6 +313,7 @@ def _mutations():
         ("piecewise", lambda s: s.update(breakpoints=[0, 1.0, 2.0], slopes=[1.0, 2.0], end_value=-INF)),
         ("piecewise", lambda s: s.update(breakpoints=[0, 1e308, 1.7e308], slopes=[1.0, 2.0])),  # fsum overflows
         ("piecewise", lambda s: s.update(breakpoints=[0, 1e308, 1.7e308], slopes=[1.0, 2.0], end_value="inf")),
+        ("piecewise", _set("end_value", "-inf")),  # refused on a bounded domain, ignored on an unbounded one
         ("piecewise", _slopes(lambda sl: sl.append(float(sl[-1]) + 1.0))),  # one slope too many
         ("piecewise", _slopes(list.pop)),  # one too few
         (None, _set("family", "cubic")),
@@ -320,7 +331,7 @@ def _mutations():
         ("piecewise", _token("breakpoints", 1, "inf")), ("piecewise", _token("breakpoints", 0, 10**400)),
         ("piecewise", _token("slopes", 0, "inf")), ("piecewise", _token("slopes", 0, False)),
         ("piecewise", _set("end_value", True)), ("piecewise", _set("end_value", 10**400)),
-        ("piecewise", _set("end_value", "-inf")), ("piecewise", _set("end_value", "x")),
+        ("piecewise", _set("end_value", "x")), ("piecewise", _set("end_value", [1])),
         ("piecewise", _set("breakpoints", "abc")), ("piecewise", _set("slopes", {"a": 1})),
         ("piecewise", lambda s: s.pop("slopes", None)),
     ]
@@ -355,6 +366,7 @@ def test_columnar_parse_refuses_what_the_per_cell_parse_refuses(seed, n, breaks,
     elif count == "odd":
         specs.insert(n // 2, [1.0])  # a spec that is no dict
         plain = False
+    plain &= not any(map(_odd_end, specs))  # _piecewise draws one now and then
     cfg = json.loads(json.dumps(cfg))  # the tokens as json.load gives them
     specs = cfg["space"]["curves"]
     want = _outcome(lambda c: repr(_reference_space(c).curves), cfg)
@@ -366,8 +378,10 @@ def test_columnar_parse_refuses_what_the_per_cell_parse_refuses(seed, n, breaks,
     except InvalidCell as exc:
         table, refused = "refused", exc.index
     if plain:
-        assert table is not None  # the columns decided, not the per-cell path
+        assert table is not None  # the columns decided
         assert refused == _first_refused(specs)
+    if table is None:  # the columns decline only a list holding an invalid curve
+        assert _first_refused(specs) is not None
 
 
 @pytest.mark.parametrize("flavour", sorted(PINNED))
@@ -407,6 +421,12 @@ def test_the_structure_layer_reads_only_the_table(seed, n):
     rows = list(_nonsquare_directions(field, x, n + 8, np.random.default_rng(seed), 4))
     bounded = [min(c.params().b, 1.0) for c in ref.curves]
     assert _same(np.concatenate(rows)[n + 4], np.array(bounded))  # the bounded profile
+    wp = weights(field)
+    v, w = weights_reference(ref)
+    assert _same(np.array(wp.v.values), np.array(v)) and _same(np.array(wp.w.values), np.array(w))
+    _outcome(decomposition_norm, field, StepFunction(field.grid, tuple(x.tolist())))
+    if not part.remainder:  # else the non-square witness reads the curves' halving ratios
+        _outcome(classify, field, 20, seed)
     assert "curves" not in vars(field)  # no curve object built
 
 
