@@ -19,6 +19,7 @@ vector can exceed, which bounds min(|x+y|, |x-y|) away from 2 uniformly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .curves import INF, OrliczCurve
 from .errors import MospacesError, PreconditionError, VerificationError, WitnessConstructionError
-from .grid import MeasureGrid, StepFunction
+from .grid import MeasureGrid, StepFunction, atom_rows, row_blocks, signs
 from .interpolation import IntSpaceSpec, witness_int
 from .musielak import (
     MusielakField,
@@ -38,7 +39,6 @@ from .musielak import (
     unit_sphere_points,
     weights,
 )
-from .probes import _blocks
 from .reports import (
     DAUGAVET,
     FORM_INTERSECTION,
@@ -52,8 +52,9 @@ from .reports import (
 )
 
 
-_BLOCK_CELLS = 1 << 16  # cells per block of rows (the setup walk, verify_nonsquare): bounds their memory
+_BLOCK_CELLS = 1 << 16  # cells per block of rows (the scale walks, verify_nonsquare): bounds their memory
 _WALK = np.ldexp(1.0, -np.arange(1, 81))  # t = 1/2, 1/4, ..., 2**-80: the setup walk
+_SLACK = 1e-9  # verify_nonsquare counts a violation only above 2 - delta + _SLACK
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,17 @@ class NonsquareSetup:
     sigma1: float
 
 
-def _flat_terms(field: MusielakField, u, cells) -> np.ndarray:
-    """curve(u) * mass per cell of the profile u on ``cells``, 0 elsewhere: one row per height in u."""
+def _flat_rows(field: MusielakField, u, cells) -> np.ndarray:
+    """The profile equal to u on ``cells`` and 0 elsewhere: one row per height in u."""
     on = np.zeros(len(field.grid), dtype=bool)
     on[cells] = True
+    return np.where(on, np.reshape(u, (-1, 1)), 0.0)
+
+
+def _flat_terms(field: MusielakField, u, cells) -> np.ndarray:
+    """curve(u) * mass per cell of the profile u on ``cells``, 0 elsewhere: one row per height in u."""
     with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
-        return field.table.value(np.where(on, np.reshape(u, (-1, 1)), 0.0)) * field._weights
+        return field.table.value(_flat_rows(field, u, cells)) * field._weights
 
 
 def _flat_modular(field: MusielakField, u: float, cells) -> float:
@@ -84,14 +90,17 @@ def _interval_point(L: float, R: float, t):
     return L + t / (1.0 - t) * max(L, 1.0)  # increasing, unbounded, and never rounded away at a large L
 
 
-def _first_fitting(field: MusielakField, L: float, R: float, work) -> float | None:
-    """The first t of the walk whose flat profile at ``_interval_point(L, R, t)`` on
-    ``work`` has modular at most one, or None, evaluated in blocks of rows."""
+def _first_scale(field: MusielakField, scales: np.ndarray, rows, passes) -> float | None:
+    """The first t of ``scales`` whose row ``rows(t)`` of nonnegative cell values has a
+    modular (``modular``'s value) that ``passes``, or None.  The rows are built and
+    evaluated in blocks of at most ``_BLOCK_CELLS`` cells."""
     per = max(1, _BLOCK_CELLS // len(field.grid))  # rows per block: all 80 up to 819 cells
-    for ts in np.split(_WALK, range(per, len(_WALK), per)):
-        rows = _flat_terms(field, _interval_point(L, R, ts), work).tolist()
-        for t, row in zip(ts.tolist(), rows):
-            if math.fsum(row) <= 1.0:
+    for ts in np.split(scales, range(per, len(scales), per)):
+        with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
+            values = field.table.value(rows(ts))
+            terms = (values * field._weights).tolist()
+        for t, blown, row in zip(ts.tolist(), np.isinf(values).any(axis=1).tolist(), terms):
+            if passes(INF if blown else math.fsum(row)):
                 return t
     return None
 
@@ -113,7 +122,10 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
         L = max(d[i] for i in work)
         R = min(b_end[i] for i in work)
         if L < R:
-            t_feas = _first_fitting(field, L, R, work)
+            t_feas = _first_scale(
+                field, _WALK, lambda ts: _flat_rows(field, _interval_point(L, R, ts), work),
+                lambda rho: rho <= 1.0,
+            )
             if t_feas is not None:
                 a = _interval_point(L, R, t_feas / 2.0)
                 b = _interval_point(L, R, t_feas * 0.75)
@@ -140,6 +152,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     carrier set (top-up by a flat block there) or all domains are bounded
     (top-up by a scaled copy of the domain ends).  All constants are
     deterministic and recorded for audit; its gauge solves ask for rtol 0: the kernel's floor.
+    A margin of at most ``_SLACK`` is refused: ``verify_nonsquare`` could not check it.
     """
     rho_b = modular_of_bounds(field)
     ends = field.table.cell_b
@@ -198,15 +211,10 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
                 "cannot keep modular above one outside the carrier set"
             )
         comp_bounds = [0.0 if i in carrier else e for i, e in enumerate(ends.tolist())]
-        comp_profile = StepFunction(grid, tuple(comp_bounds))
-
-        c1 = None
-        for j in range(1, 60):
-            cand = 1.0 - 2.0**-j
-            val = modular(field, cand * comp_profile)
-            if math.isfinite(val) and val > 1.0:
-                c1 = cand
-                break
+        c1 = _first_scale(
+            field, 1.0 - _WALK[:59], lambda ts: ts[:, None] * np.array(comp_bounds),  # 1 - 2**-j
+            lambda rho: 1.0 < rho < INF,
+        )
         if c1 is None:
             raise WitnessConstructionError(
                 "no scale below the domain ends keeps the modular above one "
@@ -254,6 +262,11 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
         raise WitnessConstructionError("no admissible stretch margin")
     eps = t_lo / 2.0
     delta = eps / (1.0 + eps)
+    if delta <= _SLACK:
+        raise WitnessConstructionError(
+            f"{record['mode']} witness margin {delta!r} is within verify_nonsquare's "
+            f"allowance {_SLACK!r}"
+        )
     record.update(
         {
             "caps": caps,
@@ -279,18 +292,18 @@ def _nonsquare_directions(field: MusielakField, x: np.ndarray, samples: int, rng
     shortfall drawn next.
     """
     n = len(x)
-    signs = np.where(x >= 0.0, 1.0, -1.0)
+    pattern = signs(x)
+    flip = np.where(np.arange(n) % 2 == 0, pattern, -pattern)
     bounded = np.minimum(field.table.cell_b, 1.0)
-    ends = np.array((x, -1.0 * x, signs, np.where(np.arange(n) % 2 == 0, signs, -signs), bounded))
+    fixed = itertools.chain(
+        [np.stack((x, -x))],
+        atom_rows(np.ones(n), np.arange(n), n, chunk),
+        [np.stack((pattern, flip, bounded))],
+    )
 
     def nonzero_rows():
         count = 0
-        for a in range(0, n + 5, chunk):
-            r = np.arange(a, min(a + chunk, n + 5))
-            atom = (2 <= r) & (r < n + 2)  # rows 2..n+1 are the atoms, in cell order
-            y = ends[np.where(r < 2, r, np.where(atom, 0, r - n))]
-            y[atom] = 0.0
-            y[atom, r[atom] - 2] = 1.0
+        for y in fixed:
             y = y[np.count_nonzero(y, axis=1) > 0]
             count += len(y)
             yield y
@@ -304,7 +317,7 @@ def _nonsquare_directions(field: MusielakField, x: np.ndarray, samples: int, rng
             count += len(y)
             yield y
 
-    return _blocks(nonzero_rows(), chunk)
+    return row_blocks(nonzero_rows(), chunk)
 
 
 def verify_nonsquare(
@@ -319,15 +332,16 @@ def verify_nonsquare(
     most ``_BLOCK_CELLS`` cells.  A row's norm does not depend on its block,
     so this is the separate solve of x+y and then x-y, and where the joint
     solve raises, those two run to raise what they raise.  The margin delta
-    must be finite and positive: at most 0, the bound 2 - delta would hold
-    at every direction.
+    must be finite and above ``_SLACK``: a violation counts only above
+    2 - delta + ``_SLACK``, and min(|x+y|, |x-y|) is at most 2.
     """
-    if not 0.0 < witness.delta < math.inf:
-        raise PreconditionError(
-            f"nonsquare margin must be finite and positive, got {witness.delta!r}"
-        )
+    delta = witness.delta
+    if not 0.0 < delta < math.inf:
+        raise PreconditionError(f"nonsquare margin must be finite and positive, got {delta!r}")
+    if delta <= _SLACK:
+        raise PreconditionError(f"nonsquare margin {delta!r} is within the check's allowance {_SLACK!r}")
     x = np.array(witness.x.values)
-    bound = 2.0 - witness.delta
+    bound = 2.0 - delta
     chunk = max(1, _BLOCK_CELLS // (2 * len(x)))
     directions = _nonsquare_directions(field, x, samples, np.random.default_rng(seed), chunk)
     max_observed = 0.0
@@ -342,7 +356,7 @@ def verify_nonsquare(
             norms = np.concatenate([luxemburg_norms(field, p, tol=1e-11) for p in pair])
         vals = np.minimum(norms[: len(ys)], norms[len(ys) :])
         checked += len(block)
-        violations += int(np.count_nonzero(vals > bound + 1e-9))
+        violations += int(np.count_nonzero(vals > bound + _SLACK))
         k = int(np.argmax(vals))
         if vals[k] > max_observed:
             max_observed, worst = float(vals[k]), tuple(ys[k].tolist())
@@ -364,24 +378,17 @@ def no_nonsquare_probe(norm, grid: MeasureGrid, candidates, samples: int, seed: 
             raise PreconditionError("candidate points must be nonzero")
         x = (1.0 / nx) * x
         best = 0.0
-        pool = []
-        for i in range(n):
-            pool.append(StepFunction.atom(grid, grid.ids[i]))
-            pool.append(StepFunction.atom(grid, grid.ids[i], -1.0))
-        pool.append(x)
-        pool.append(-1.0 * x)
-        signs = tuple(1.0 if v >= 0 else -1.0 for v in x.values)
-        pool.append(StepFunction(grid, signs))
-        pool.append(StepFunction(grid, tuple(-s for s in signs)))
-        for i in range(n):  # single-flip sign patterns reach sup-norm extremes
-            flipped = tuple(-s if j == i else s for j, s in enumerate(signs))
-            pool.append(StepFunction(grid, flipped))
-        drawn = len(pool)
-        while drawn < samples:
-            pool.append(StepFunction(grid, tuple(rng.standard_normal(n))))
-            drawn += 1
+        xv = np.array(x.values)
+        pattern = signs(xv)
+        pool = np.concatenate((
+            *atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, 2 * n),
+            np.stack((xv, -xv, pattern, -pattern)),
+            np.where(np.eye(n, dtype=bool), -pattern, pattern),  # single flips reach sup-norm extremes
+            rng.standard_normal((max(0, samples - (3 * n + 4)), n)),
+        ))
         best_y = None
-        for y in pool:
+        for y in pool.tolist():
+            y = StepFunction(grid, tuple(y))
             ny = norm(y)
             if ny == 0.0:
                 continue
@@ -394,19 +401,17 @@ def no_nonsquare_probe(norm, grid: MeasureGrid, candidates, samples: int, seed: 
             step = 0.5
             for _ in range(12):
                 improved = False
-                for i in range(n):
-                    for sgn in (1.0, -1.0):
-                        cand_vals = list(best_y.values)
-                        cand_vals[i] += sgn * step
-                        cand = StepFunction(grid, tuple(cand_vals))
-                        ncand = norm(cand)
-                        if ncand == 0.0:
-                            continue
-                        cand = (1.0 / ncand) * cand
-                        val = min(norm(x + cand), norm(x - cand))
-                        if val > best:
-                            best, best_y = val, cand
-                            improved = True
+                for i, sgn in itertools.product(range(n), (1.0, -1.0)):
+                    cand_vals = list(best_y.values)
+                    cand_vals[i] += sgn * step
+                    cand = StepFunction(grid, tuple(cand_vals))
+                    ncand = norm(cand)
+                    if ncand == 0.0:
+                        continue
+                    cand = (1.0 / ncand) * cand
+                    val = min(norm(x + cand), norm(x - cand))
+                    if val > best:
+                        best, best_y, improved = val, cand, True
                 if not improved:
                     step /= 2.0
         results.append(best)

@@ -5,15 +5,20 @@ weights.  It is the discrete stand-in for a sigma-finite measure space: every
 "almost everywhere" statement downstream becomes "on every cell".  Grids and
 step functions are immutable; norm engines evaluate modulars against them
 many times and share them freely.
+
+The samplers score step functions as rows of numpy arrays.  Their row
+toolkit lives here, beside the type a row stands for: StepFunction's value
+check ``finite_error``, the candidate rows, ``row_blocks`` and ``RowSums``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import GridMismatchError, UnknownCellError
 
@@ -91,8 +96,7 @@ class StepFunction:
         if len(values) != len(self.grid):
             raise GridMismatchError("value count must equal cell count")
         if not all(map(math.isfinite, values)):
-            v = next(itertools.filterfalse(math.isfinite, values))
-            raise ValueError(f"step function values must be finite, got {v}")
+            raise finite_error(values)
 
     @staticmethod
     def zero(grid: MeasureGrid) -> "StepFunction":
@@ -184,3 +188,108 @@ def weighted_l1_norm(x: StepFunction, weight: Sequence[float]) -> float:
 def weighted_sup_norm(x: StepFunction, weight: Sequence[float]) -> float:
     """max over cells of |x| * weight (weights of 0 mask cells out)."""
     return max(abs(v) * u for v, u in zip(x.values, weight))
+
+
+# --------------------------------------------------------------------------
+# step functions as rows
+
+
+def finite_error(rows) -> ValueError | None:
+    """The error StepFunction raises for the first row of ``rows`` with a non-finite value, or None."""
+    a = np.asarray(rows, dtype=float)
+    bad = a[~np.isfinite(a)]
+    return ValueError(f"step function values must be finite, got {float(bad[0])}") if bad.size else None
+
+
+def finite(rows: np.ndarray) -> np.ndarray:
+    """``rows``, after StepFunction's value check."""
+    if (error := finite_error(rows)) is not None:
+        raise error
+    return rows
+
+
+def signs(values: np.ndarray) -> np.ndarray:
+    """The sign pattern of ``values``: 1 where a value is at least 0, else -1."""
+    return np.where(values >= 0, 1.0, -1.0)
+
+
+def atom_rows(values, cells, n: int, size: int):
+    """Row k carries values[k] on cell cells[k] and 0 elsewhere, in blocks of ``size`` rows."""
+    for a in range(0, len(values), size):
+        block = np.zeros((min(size, len(values) - a), n))
+        block[np.arange(len(block)), cells[a : a + size]] = values[a : a + size]
+        yield block
+
+
+def normal_rows(rng: np.random.Generator, count: int, n: int, size: int):
+    """The rows of ``count`` calls of ``rng.standard_normal(n)``, in blocks of ``size`` rows."""
+    for a in range(0, count, size):
+        yield rng.standard_normal((min(size, count - a), n))
+
+
+def row_blocks(parts, size: int):
+    """The rows of the row arrays ``parts`` in blocks of ``size`` rows; the last may be shorter."""
+    buf, have = [], 0
+    for part in parts:
+        while len(part):
+            take = part[: size - have]
+            buf.append(take)
+            have += len(take)
+            part = part[len(take) :]
+            if have == size:
+                yield np.concatenate(buf)
+                buf, have = [], 0
+    if buf:
+        yield np.concatenate(buf)
+
+
+_TINY, _HUGE = 2.0**-960, 2.0**960  # absolute row sums where RowSums' bounds hold
+
+
+class RowSums:
+    """math.fsum of each row of a block of terms, and certified bounds on it.
+
+    A row of n terms t with exact sum S: numpy's row sum q adds them in
+    some order of n - 1 floating-point additions, so
+    |q - S| <= gamma(n - 1) * sum|t|, with gamma(k) = k*u / (1 - k*u) and
+    u = 2**-53, whatever the order; an addition whose result is subnormal
+    is exact, so the bound holds through underflow (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. 4.4).  numpy's sum A of
+    |t| is at least (1 - gamma(n - 1)) * sum|t|, so E = 4*(n + 1)*u*A,
+    rounded, is more than gamma(n - 1) * sum|t| while A lies in
+    [2**-960, 2**960]: E is then a normal number, and no partial sum of
+    either row sum can overflow.  Rounding is monotone and fsum is S
+    correctly rounded, so fsum lies in [fl(q - E), fl(q + E)]; those are
+    the lists ``lower`` and ``upper``.  A row with A outside that range (a
+    zero row, a non-finite term, a sum near or past DBL_MAX, a total below
+    2**-960) gets -inf and inf, so every comparison falls to fsum, which
+    raises its errors where the caller asks for the row.  A row with at
+    most one nonzero term sums to q exactly, so fsum is never called for it.
+    """
+
+    def __init__(self, terms):
+        n = terms.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = terms.sum(axis=1)
+            a = np.abs(terms).sum(axis=1)
+            err = (4.0 * (n + 1) * 2.0**-53) * a
+            safe = (a >= _TINY) & (a <= _HUGE)
+            self.lower = np.where(safe, q - err, -np.inf).tolist()
+            self.upper = np.where(safe, q + err, np.inf).tolist()
+        self._quick = q.tolist()
+        self._sparse = (np.count_nonzero(terms, axis=1) <= 1).tolist()
+        self._terms = terms
+
+    def exact(self, i):
+        """math.fsum of row i."""
+        return self._quick[i] if self._sparse[i] else math.fsum(self._terms[i].tolist())
+
+    def exceeds(self, i, level):
+        """math.fsum of row i > ``level``, summing only where the bounds leave it open."""
+        if self.lower[i] > level:
+            return True
+        return self.upper[i] > level and self.exact(i) > level
+
+    def max_with(self, i, s):
+        """max(math.fsum of row i, s), summing only where s might not be the max."""
+        return s if self.upper[i] < s else max(self.exact(i), s)

@@ -16,21 +16,23 @@ sum) below 2 - epsilon; certificates are re-checked by seeded sampling.
 The dual unit ball of the sum space is the unit ball of the intersection
 space with reciprocal weights, so a sum certificate is checked as a primal
 slice of that space: every check evaluates the intersection norm.  The
-sampler scores its candidates as numpy row blocks.  Each row's sum is
-either settled by a certified bound on numpy's row sum (``RowSums``) or
-taken by one math.fsum over the scalar norm's terms, so its records equal
-those of the scalar norms bit for bit.  The public norms stay scalar.
+sampler scores its candidates as numpy row blocks, built with the row
+toolkit of ``grid``.  Each row's sum is either settled by a certified
+bound on numpy's row sum (``grid.RowSums``) or taken by one math.fsum over
+the scalar norm's terms, so its records equal those of the scalar norms
+bit for bit.  The public norms stay scalar.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import GridMismatchError, PreconditionError, VerificationError, WitnessConstructionError
-from .grid import CellSet, MeasureGrid, StepFunction
+from .grid import CellSet, MeasureGrid, RowSums, StepFunction, atom_rows, finite_error, row_blocks, signs
 from .reports import (
     DAUGAVET,
     FORM_L1,
@@ -43,7 +45,6 @@ from .reports import (
 
 _SLACK = 1e-12  # float allowance when comparing against certified bounds
 _BLOCK_CELLS = 1 << 14  # cells per row block in _verify_slice; bounds its memory
-_TINY, _HUGE = 2.0**-960, 2.0**960  # absolute row sums where RowSums' bounds hold
 
 
 def _validate_spec(spec):
@@ -309,8 +310,7 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     # alpha <= v and w <= beta on A; with a single cell both hold exactly
     q = mu_a * spec.v[i0] / spec.w[i0]
     eps = 0.5 * min(q / (1.0 + q) / c, (1.0 - b) / c)
-    if not eps > 0.0:
-        raise WitnessConstructionError(f"margin epsilon {eps!r} is not positive at these weights")
+    _check_margin(eps)
 
     cert = FailureCertificate(
         kind="sum-case",
@@ -439,8 +439,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             "integral_a1": i_1,
         }
 
-    if not eps > 0.0:
-        raise WitnessConstructionError(f"margin epsilon {eps!r} is not positive at these weights")
+    _check_margin(eps)
     cert = FailureCertificate(
         kind="intersection-case",
         x=x,
@@ -460,6 +459,13 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     return cert
 
 
+def _check_margin(eps: float):
+    """Refuse a margin the slice sampler cannot check: at most 0, or within ``_SLACK``."""
+    if not eps > _SLACK:
+        what = "not positive" if not eps > 0.0 else f"within the sampler's allowance {_SLACK!r}"
+        raise WitnessConstructionError(f"margin epsilon {eps!r} is {what} at these weights")
+
+
 def _assert_unit(value: float, label: str):
     if abs(value - 1.0) > 1e-9:
         raise WitnessConstructionError(f"{label} has norm {value}, expected 1")
@@ -474,7 +480,8 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
 
     Draws deterministic extremal candidates first (the center, atoms, sign
     patterns), then center-blended and raw random points, and records the
-    maximum of |point + y| against the bound 2 - eps.
+    maximum of |point + y| against the bound 2 - eps.  An eps of at most
+    ``_SLACK`` is refused: no point could break 2 - eps + ``_SLACK`` >= 2.
 
     Candidates are scored in row blocks of at most _BLOCK_CELLS cells.  Each
     per-cell term is wint_norm's or pairing's product in the same operation
@@ -492,6 +499,8 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     """
     if not 0.0 < eps < math.inf:
         raise PreconditionError(f"slice margin must be finite and positive, got {eps!r}")
+    if eps <= _SLACK:
+        raise PreconditionError(f"slice margin {eps!r} is within the sampler's allowance {_SLACK!r}")
     grid = spec.grid
     _check(spec, center)  # the grid checks the scalar loop's first candidate meets
     functional._check(center)
@@ -509,7 +518,6 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     worst = None
     violations = 0
     accepted = 0
-    drawn = 0
 
     def norm_parts(y):
         """wint_norm's two parts for the rows of y: the L1 row sums, and the sups."""
@@ -553,11 +561,11 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
             if nrm == 0.0:
                 continue
             if not y_ok[i]:
-                raise _step_error(grid, y[i])
+                raise finite_error(y[i])
             if pair.exceeds(i, 1.0 - eps):
                 accepted += 1
                 if not z_ok[i]:
-                    raise _step_error(grid, z[i])
+                    raise finite_error(z[i])
                 if max(dev.upper[i], dev_sup[i]) <= min(max_observed, limit):
                     continue  # neither recorded nor counted, whatever its exact value
                 val = dev.max_with(i, dev_sup[i])
@@ -568,10 +576,15 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         if error is not None:
             raise error
 
-    total = 2 * n + 4
-    for start in range(0, total, rows):
-        drawn = min(start + rows, total)
-        consider(_adversarial_rows(f, c, start, drawn))
+    pattern = signs(f)
+    extremal = itertools.chain(
+        [np.stack((c, -c))],
+        atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, rows),
+        [np.stack((pattern, -pattern))],
+    )
+    for y in row_blocks(extremal, rows):
+        consider(y)
+    drawn = 2 * n + 4
     cap = 50 * samples + 1000
     half = eps / 2.0
     while accepted < samples and drawn < cap:
@@ -605,7 +618,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
         bad = np.flatnonzero(live & ~np.isfinite(mixed).all(axis=1))
         if len(bad):
             j = bad[0]
-            y, idx, error = y[: idx[j]], idx[:j], _step_error(grid, head[j], tail[j], mixed[j])
+            y, idx, error = y[: idx[j]], idx[:j], finite_error((head[j], tail[j], mixed[j]))
         y[idx] = mixed[: len(idx)]
         consider(y, error)
     return record_from_samples(
@@ -651,79 +664,3 @@ def _int_slice_center(spec: IntSpaceSpec, cert: FailureCertificate):
             i = idx[cid]
             vals[i] = -1.0 / spec.v[i]
     return StepFunction(grid, tuple(vals))
-
-
-def _adversarial_rows(functional, center, start, stop):
-    """Rows start:stop of the extremal candidates, as an array.
-
-    In order: the center, its negative, each atom then its negative, the
-    functional's sign pattern, its negative.
-    """
-    n = len(center)
-    signs = np.where(functional >= 0, 1.0, -1.0)
-    ends = (center, -1.0 * center, signs, -signs)
-    y = np.zeros((stop - start, n))
-    for r in range(start, stop):
-        if 2 <= r < 2 * n + 2:
-            y[r - start, (r - 2) // 2] = -1.0 if r % 2 else 1.0
-        else:
-            y[r - start] = ends[r if r < 2 else r - 2 * n]
-    return y
-
-
-class RowSums:
-    """math.fsum of each row of a block of terms, and certified bounds on it.
-
-    A row of n terms t with exact sum S: numpy's row sum q adds them in
-    some order of n - 1 floating-point additions, so
-    |q - S| <= gamma(n - 1) * sum|t|, with gamma(k) = k*u / (1 - k*u) and
-    u = 2**-53, whatever the order; an addition whose result is subnormal
-    is exact, so the bound holds through underflow (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., eq. 4.4).  numpy's sum A of
-    |t| is at least (1 - gamma(n - 1)) * sum|t|, so E = 4*(n + 1)*u*A,
-    rounded, is more than gamma(n - 1) * sum|t| while A lies in
-    [2**-960, 2**960]: E is then a normal number, and no partial sum of
-    either row sum can overflow.  Rounding is monotone and fsum is S
-    correctly rounded, so fsum lies in [fl(q - E), fl(q + E)]; those are
-    the lists ``lower`` and ``upper``.  A row with A outside that range (a
-    zero row, a non-finite term, a sum near or past DBL_MAX, a total below
-    2**-960) gets -inf and inf, so every comparison falls to fsum, which
-    raises its errors where the caller asks for the row.  A row with at
-    most one nonzero term sums to q exactly, so fsum is never called for it.
-    """
-
-    def __init__(self, terms):
-        n = terms.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = terms.sum(axis=1)
-            a = np.abs(terms).sum(axis=1)
-            err = (4.0 * (n + 1) * 2.0**-53) * a
-            safe = (a >= _TINY) & (a <= _HUGE)
-            self.lower = np.where(safe, q - err, -np.inf).tolist()
-            self.upper = np.where(safe, q + err, np.inf).tolist()
-        self._quick = q.tolist()
-        self._sparse = (np.count_nonzero(terms, axis=1) <= 1).tolist()
-        self._terms = terms
-
-    def exact(self, i):
-        """math.fsum of row i."""
-        return self._quick[i] if self._sparse[i] else math.fsum(self._terms[i].tolist())
-
-    def exceeds(self, i, level):
-        """math.fsum of row i > ``level``, summing only where the bounds leave it open."""
-        if self.lower[i] > level:
-            return True
-        return self.upper[i] > level and self.exact(i) > level
-
-    def max_with(self, i, s):
-        """max(math.fsum of row i, s), summing only where s might not be the max."""
-        return s if self.upper[i] < s else max(self.exact(i), s)
-
-
-def _step_error(grid, *rows):
-    """The error StepFunction raises for the first of ``rows`` with a non-finite value."""
-    for row in rows:
-        try:
-            StepFunction(grid, tuple(row.tolist()))
-        except ValueError as exc:
-            return exc

@@ -15,7 +15,9 @@ points before they norm them, so they build them as row blocks of at most
 arithmetic, and hand each block to ``rows``; an oracle without ``rows`` is
 called once per row on the same values, so it gives the one-point loop's
 result exactly.  ``daugavet_condition_probe`` is a sequential search and
-calls the oracle one point at a time.
+calls the oracle one point at a time.  Every candidate list is built from
+the row toolkit of ``grid`` (atoms, sign patterns, seeded normal draws,
+``RowSums``).
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MeasureGrid, StepFunction, pairing
-from .interpolation import RowSums
+from .grid import (
+    MeasureGrid, RowSums, StepFunction, atom_rows, finite, normal_rows, pairing, row_blocks, signs,
+)
 
 NormOracle = Callable[[StepFunction], float]
 
@@ -72,16 +75,6 @@ class ConditionProbeResult:
     note: str
 
 
-def _aligned_candidates(grid: MeasureGrid, f: StepFunction):
-    """Extremal directions aligned with the functional's sign pattern."""
-    n = len(grid)
-    for i in range(n):
-        sgn = 1.0 if f.values[i] >= 0 else -1.0
-        yield StepFunction.atom(grid, grid.ids[i], sgn)
-    yield StepFunction(grid, tuple(1.0 if v >= 0 else -1.0 for v in f.values))
-    yield f
-
-
 def _norms(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarray:
     """The oracle's norm of each row: one ``rows`` call when it has one, else a loop."""
     block = getattr(oracle, "rows", None)
@@ -90,59 +83,16 @@ def _norms(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarra
     return np.array([oracle(StepFunction(grid, tuple(r))) for r in rows.tolist()])
 
 
-def _finite(rows: np.ndarray) -> np.ndarray:
-    """StepFunction's value check on a row block."""
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        raise ValueError(f"step function values must be finite, got {rows[bad][0]}")
-    return rows
-
-
 def _best_of(best: float, values: np.ndarray) -> float:
     """What ``if v > best: best = v`` over ``values`` leaves (NaN never wins)."""
     hits = values[values > best]
     return float(hits.max()) if hits.size else best
 
 
-def _blocks(parts, size: int):
-    """The rows of the row arrays ``parts``, regrouped into blocks of ``size`` rows.
-
-    The last block may be shorter.
-    """
-    buf, have = [], 0
-    for part in parts:
-        while len(part):
-            take = part[: size - have]
-            buf.append(take)
-            have += len(take)
-            part = part[len(take) :]
-            if have == size:
-                yield np.concatenate(buf)
-                buf, have = [], 0
-    if buf:
-        yield np.concatenate(buf)
-
-
-def _atom_rows(values: np.ndarray, n: int, size: int):
-    """Row i carries values[i] on cell i % n and 0 elsewhere, in blocks of ``size`` rows."""
-    for a in range(0, len(values), size):
-        i = np.arange(a, min(a + size, len(values)))
-        block = np.zeros((len(i), n))
-        block[np.arange(len(i)), i % n] = values[i]
-        yield block
-
-
-def _draws(rng: np.random.Generator, count: int, n: int, size: int):
-    """``count`` standard normal rows of length n, in blocks of ``size`` rows.
-
-    The rows are the ones ``count`` calls of ``rng.standard_normal(n)`` give.
-    """
-    for a in range(0, count, size):
-        yield rng.standard_normal((min(size, count - a), n))
-
-
-def _signs(values: np.ndarray) -> np.ndarray:
-    return np.where(values >= 0, 1.0, -1.0)
+def _aligned_rows(f: np.ndarray, size: int):
+    """Atoms carrying f's signs, f's sign pattern, then f, in blocks of at most ``size`` rows."""
+    pattern = signs(f)
+    return itertools.chain(atom_rows(pattern, np.arange(len(f)), len(f), size), [np.stack((pattern, f))])
 
 
 def slice_diameter_lb(
@@ -172,18 +122,16 @@ def slice_diameter_lb(
     n = len(grid)
     size = max(1, _BLOCK_CELLS // n)
     fv, w = np.array(f.values), np.array(grid.weights)
-    signs = _signs(fv)
-    aligned = itertools.chain(_atom_rows(signs, n, size), [np.stack((signs, fv))])
-    candidates = itertools.chain(aligned, _draws(rng, samples - (n + 2), n, size))
+    candidates = itertools.chain(_aligned_rows(fv, size), normal_rows(rng, samples - (n + 2), n, size))
     archive = np.empty((_ARCHIVE, n))
     kept = 0
 
     def distances():
         nonlocal kept
-        for ys in _blocks(candidates, size):
+        for ys in row_blocks(candidates, size):
             ny = _norms(primal, grid, ys)
             nonzero = ny != 0.0
-            ys = _finite((1.0 / ny[nonzero])[:, None] * ys[nonzero])
+            ys = finite((1.0 / ny[nonzero])[:, None] * ys[nonzero])
             pairs = RowSums((fv * ys) * w)
             for i, y in enumerate(ys):
                 if pairs.exceeds(i, 1.0 - s.eps):
@@ -193,8 +141,8 @@ def slice_diameter_lb(
                         kept += 1
 
     best = 0.0
-    for ds in _blocks(distances(), size):
-        best = _best_of(best, _norms(primal, grid, _finite(ds)))
+    for ds in row_blocks(distances(), size):
+        best = _best_of(best, _norms(primal, grid, finite(ds)))
     if not kept:
         raise PreconditionError("slice empty at this sample budget (eps too small)")
     if best > 2.0 + 1e-9:
@@ -235,21 +183,21 @@ def roughness_probe(
     per_dir = max(1, size // (2 * max(1, len(scales))))  # directions per block
     per_scale = max(1, size // (2 * per_dir))  # scales per block
     directions = itertools.chain(
-        _atom_rows(np.ones(n), n, per_dir),
-        [_signs(xv)[None, :]],
-        _draws(rng, samples - (2 * n + 1), n, per_dir),
+        atom_rows(np.ones(n), np.arange(n), n, per_dir),
+        [signs(xv)[None, :]],
+        normal_rows(rng, samples - (2 * n + 1), n, per_dir),
     )
     best = 0.0
-    for hs in _blocks(directions, per_dir):
+    for hs in row_blocks(directions, per_dir):
         nh = _norms(norm, grid, hs)
         nonzero = nh != 0.0
-        hs = _finite((1.0 / nh[nonzero])[:, None] * hs[nonzero])
+        hs = finite((1.0 / nh[nonzero])[:, None] * hs[nonzero])
         if not len(hs):
             continue
         for a in range(0, len(scales), per_scale):
             ts = scales[a : a + per_scale, None, None]
             steps = ts * hs
-            rows = _finite(np.concatenate((xv + steps, xv - steps)).reshape(-1, n))
+            rows = finite(np.concatenate((xv + steps, xv - steps)).reshape(-1, n))
             plus, minus = _norms(norm, grid, rows).reshape(2, len(ts), len(hs))
             best = _best_of(best, (plus + minus - 2.0) / ts[:, :, 0])
     return min(best, 2.0)  # the triangle inequality caps the quotient at 2; rounding can say more
@@ -268,7 +216,8 @@ def daugavet_condition_probe(
 
     Success supports the slice condition at (x, f, eps); running out of
     budget is inconclusive and labelled as such.  ``eps`` must be finite
-    and positive, checked before any norm.
+    and positive, checked before any norm.  The first candidates are the
+    rows aligned with f, x, then the midpoints of x and each aligned row.
     """
     if not 0.0 < eps < math.inf:  # NaN compares false
         raise PreconditionError("eps must be finite and positive")
@@ -302,9 +251,11 @@ def daugavet_condition_probe(
     def witnessed(y):
         return ConditionProbeResult(True, y, evaluations, "condition witnessed")
 
-    pool = list(_aligned_candidates(grid, f))
-    pool.append(x)
-    pool.extend(0.5 * (x + c) for c in _aligned_candidates(grid, f))
+    xv = np.array(x.values)
+    aligned = np.concatenate(list(_aligned_rows(np.array(f.values), n)))
+    with np.errstate(over="ignore"):  # an inf midpoint raises StepFunction's error below
+        rows = np.concatenate((aligned, xv[None, :], 0.5 * (xv + aligned)))
+    pool = [StepFunction(grid, tuple(y)) for y in rows.tolist()]
     best_score = -math.inf
     best_y = None
     for y in pool:
@@ -317,17 +268,14 @@ def daugavet_condition_probe(
     step = 0.5
     while evaluations < budget and best_y is not None and step > 1e-6:
         improved = False
-        for i in range(n):
-            for sgn in (1.0, -1.0):
-                vals = list(best_y.values)
-                vals[i] += sgn * step
-                cand, score = slack(StepFunction(grid, tuple(vals)))
-                if score > 0.0:
-                    return witnessed(cand)
-                if score > best_score:
-                    best_score, best_y, improved = score, cand, True
-                if evaluations >= budget:
-                    break
+        for i, sgn in itertools.product(range(n), (1.0, -1.0)):
+            vals = list(best_y.values)
+            vals[i] += sgn * step
+            cand, score = slack(StepFunction(grid, tuple(vals)))
+            if score > 0.0:
+                return witnessed(cand)
+            if score > best_score:
+                best_score, best_y, improved = score, cand, True
             if evaluations >= budget:
                 break
         if not improved:

@@ -31,7 +31,7 @@ from mospaces import (
 from mospaces import musielak
 from mospaces.cli import num
 from mospaces.interpolation import _SLACK, _int_slice_center
-from mospaces.probes import _ARCHIVE, NormOracle, _aligned_candidates
+from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
 from mospaces.reports import record_from_samples
 
 INF = math.inf
@@ -167,11 +167,14 @@ def _closed(breakpoints, slopes, u: Fraction) -> Fraction:
     return total
 
 
-def exact_value(curve: OrliczCurve, u: float):
-    """phi(u) as an exact ``Fraction`` for a linear, indicator or piecewise-linear
-    curve, or inf where u lies outside the domain (past b, or at a blow-up end)."""
-    if math.isinf(u):
+def exact_value(curve: OrliczCurve, u):
+    """phi(u) as an exact ``Fraction`` for a linear, indicator, piecewise-linear
+    or integer-p power curve (u^p / p), or inf where u lies outside the domain
+    (past b, or at a blow-up end).  u is a float or a ``Fraction``."""
+    if isinstance(u, float) and math.isinf(u):
         return INF
+    if isinstance(curve, Power) and curve.p == int(curve.p):
+        return Fraction(u) ** int(curve.p) / int(curve.p)
     bp, slopes, blowup = _pieces(curve)
     if u > bp[-1] or (u == bp[-1] and blowup):
         return INF
@@ -179,7 +182,8 @@ def exact_value(curve: OrliczCurve, u: float):
 
 
 def exact_modular(field, values):
-    """sum of mass * phi(|v|) over the cells in exact rationals (inf outside the domain)."""
+    """sum of mass * phi(|v|) over the cells in exact rationals (inf outside the domain);
+    the values are floats or ``Fraction``s."""
     total = Fraction(0)
     for v, curve, w in zip(values, field.curves, field.grid.weights):
         phi = exact_value(curve, abs(v))
@@ -549,6 +553,14 @@ def _adversarial_candidates(grid, aligned_to, center):
     yield StepFunction(grid, tuple(-s for s in signs))
 
 
+def _aligned_candidates(grid, f: StepFunction):
+    """Extremal directions aligned with the functional's sign pattern, one StepFunction each."""
+    for cid, v in zip(grid.ids, f.values):
+        yield StepFunction.atom(grid, cid, 1.0 if v >= 0 else -1.0)
+    yield StepFunction(grid, tuple(1.0 if v >= 0 else -1.0 for v in f.values))
+    yield f
+
+
 def slice_diameter_reference(
     primal: NormOracle,
     dual: NormOracle,
@@ -763,3 +775,140 @@ def wsum_ternary_oracle(spec: SumSpaceSpec, x: StepFunction, tol=1e-12):
             c2 = a + phi * (b - a)
             f2 = g(c2)
     return min(g(a), g(b), f1, f2)
+
+
+def condition_probe_reference(primal, dual, x, f, eps, budget=2000, seed=0):
+    """probes.daugavet_condition_probe with its candidate pool built from
+    StepFunction arithmetic, one candidate at a time: the search it replaced."""
+    if not 0.0 < eps < math.inf:
+        raise PreconditionError("eps must be finite and positive")
+    if abs(primal(x) - 1.0) > 1e-8:
+        raise PreconditionError("probe needs a unit point")
+    if abs(dual(f) - 1.0) > 1e-8:
+        raise PreconditionError("probe needs a norm-one functional")
+    grid = x.grid
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    evaluations = 0
+
+    def slack(y, scored=True):
+        nonlocal evaluations
+        ny = primal(y)
+        if ny == 0.0:
+            return None, -math.inf
+        y = (1.0 / ny) * y
+        evaluations += 1
+        s = pairing(f, y) - (1.0 - eps)
+        if scored or s > 0.0:
+            s = min(s, primal(x + y) - (2.0 - eps))
+        return y, s
+
+    def witnessed(y):
+        return ConditionProbeResult(True, y, evaluations, "condition witnessed")
+
+    pool = list(_aligned_candidates(grid, f))
+    pool.append(x)
+    pool.extend(0.5 * (x + c) for c in _aligned_candidates(grid, f))
+    best_score = -math.inf
+    best_y = None
+    for y in pool:
+        y, score = slack(y)
+        if score > 0.0:
+            return witnessed(y)
+        if score > best_score:
+            best_score, best_y = score, y
+    step = 0.5
+    while evaluations < budget and best_y is not None and step > 1e-6:
+        improved = False
+        for i in range(n):
+            for sgn in (1.0, -1.0):
+                vals = list(best_y.values)
+                vals[i] += sgn * step
+                cand, score = slack(StepFunction(grid, tuple(vals)))
+                if score > 0.0:
+                    return witnessed(cand)
+                if score > best_score:
+                    best_score, best_y, improved = score, cand, True
+                if evaluations >= budget:
+                    break
+            if evaluations >= budget:
+                break
+        if not improved:
+            step /= 2.0
+    while evaluations < budget:
+        y, score = slack(StepFunction(grid, tuple(rng.standard_normal(n))), scored=False)
+        if score > 0.0:
+            return witnessed(y)
+    return ConditionProbeResult(False, None, evaluations, "not found within budget; inconclusive")
+
+
+def no_nonsquare_reference(norm, grid, candidates, samples, seed):
+    """classify.no_nonsquare_probe with its pool appended one StepFunction at a time."""
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    results = []
+    for x in candidates:
+        nx = norm(x)
+        if nx == 0.0:
+            raise PreconditionError("candidate points must be nonzero")
+        x = (1.0 / nx) * x
+        best = 0.0
+        pool = []
+        for i in range(n):
+            pool.append(StepFunction.atom(grid, grid.ids[i]))
+            pool.append(StepFunction.atom(grid, grid.ids[i], -1.0))
+        pool.append(x)
+        pool.append(-1.0 * x)
+        signs = tuple(1.0 if v >= 0 else -1.0 for v in x.values)
+        pool.append(StepFunction(grid, signs))
+        pool.append(StepFunction(grid, tuple(-s for s in signs)))
+        for i in range(n):
+            pool.append(StepFunction(grid, tuple(-s if j == i else s for j, s in enumerate(signs))))
+        while len(pool) < samples:
+            pool.append(StepFunction(grid, tuple(rng.standard_normal(n))))
+        best_y = None
+        for y in pool:
+            ny = norm(y)
+            if ny == 0.0:
+                continue
+            y = (1.0 / ny) * y
+            val = min(norm(x + y), norm(x - y))
+            if val > best:
+                best, best_y = val, y
+        if best_y is not None:
+            step = 0.5
+            for _ in range(12):
+                improved = False
+                for i in range(n):
+                    for sgn in (1.0, -1.0):
+                        vals = list(best_y.values)
+                        vals[i] += sgn * step
+                        cand = StepFunction(grid, tuple(vals))
+                        ncand = norm(cand)
+                        if ncand == 0.0:
+                            continue
+                        cand = (1.0 / ncand) * cand
+                        val = min(norm(x + cand), norm(x - cand))
+                        if val > best:
+                            best, best_y = val, cand
+                            improved = True
+                if not improved:
+                    step /= 2.0
+        results.append(best)
+    return results
+
+
+def c1_reference(field, carrier):
+    """The bounded top-up's c1 for a carrier (cell ids): the first 1 - 2**-j,
+    j = 1..59, whose scaled domain ends off the carrier have a finite modular
+    above one, one StepFunction and one ``modular`` call per scale; or None."""
+    profile = StepFunction(
+        field.grid,
+        tuple(0.0 if cid in carrier else c.params().b for cid, c in zip(field.grid.ids, field.curves)),
+    )
+    for j in range(1, 60):
+        cand = 1.0 - 2.0**-j
+        val = modular(field, cand * profile)
+        if math.isfinite(val) and val > 1.0:
+            return cand
+    return None

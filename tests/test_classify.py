@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 from unittest import mock
@@ -38,7 +39,14 @@ from mospaces import (
     weights,
 )
 from mospaces import musielak
-from helpers import nonsquare_reference, nonsquare_setup_reference, random_field, random_x
+from helpers import (
+    c1_reference,
+    no_nonsquare_reference,
+    nonsquare_reference,
+    nonsquare_setup_reference,
+    random_field,
+    random_x,
+)
 
 INF = math.inf
 
@@ -344,13 +352,13 @@ def test_witness_without_top_up_when_the_carrier_fills_the_modular():
             PiecewiseLinear.closed((0.0, 4.0), (1.0,)),
         ),
     )
-    wit = build_nonsquare_witness(f)
-    assert wit.construction["mode"] == "bounded-no-top-up"
-    assert wit.construction["carrier"] == ["c0", "c1"]
-    assert wit.x.values == (1.75 + ulp, 1.75 + ulp, 0.0)
-    assert modular(f, wit.x) == 1.0
-    assert 0.0 < wit.delta  # b/a - 1 is one ulp, so the margin is tiny
-    assert verify_nonsquare(f, wit, samples=100, seed=3).passed
+    # b/a - 1 is one ulp, so the margin (1.1e-16) is below verify_nonsquare's
+    # allowance 1e-9, where no direction could count as a violation: refused
+    with pytest.raises(WitnessConstructionError, match=r"^bounded-no-top-up witness margin 1\.1"):
+        build_nonsquare_witness(f)
+    rep = classify(f, samples=100, seed=3)
+    assert rep.verdict == NOT_DAUGAVET and rep.witness is None
+    assert rep.explanation.startswith("bounded-no-top-up witness margin")
 
 
 def test_witness_rejects_collapsed_spaces():
@@ -391,6 +399,15 @@ def test_verify_nonsquare_rejects_margins_that_are_not_finite_and_positive(delta
     f = MusielakField.nakano(unit_grid(), [2, 2])
     wit = build_nonsquare_witness(f)
     with pytest.raises(PreconditionError, match="finite and positive"):
+        verify_nonsquare(f, NonsquareWitness(wit.x, delta, wit.construction), samples=50, seed=0)
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-12, 5e-324])
+def test_verify_nonsquare_rejects_margins_within_its_allowance(delta):
+    # a violation counts only above 2 - delta + 1e-9 >= 2, which min(|x+y|, |x-y|) never is
+    f = MusielakField.nakano(unit_grid(), [2, 2])
+    wit = build_nonsquare_witness(f)
+    with pytest.raises(PreconditionError, match="allowance"):
         verify_nonsquare(f, NonsquareWitness(wit.x, delta, wit.construction), samples=50, seed=0)
 
 
@@ -521,3 +538,34 @@ def test_probe_bounded_by_parallelogram_on_power():
     norm = lambda y: luxemburg_norm(f, y)
     (best,) = no_nonsquare_probe(norm, g, [StepFunction.atom(g, "c0")], samples=40, seed=2)
     assert best <= math.sqrt(2.0) + 1e-6
+
+
+def test_no_nonsquare_probe_matches_its_stepfunction_reference():
+    # the pool built as one array searches as the pool appended one StepFunction at a time
+    rng = np.random.default_rng(89)
+    for n in (1, 2, 4, 7):
+        f = random_field(rng, n=n)
+        norms = (functools.partial(luxemburg_norm, f), functools.partial(amemiya_norm, f))
+        xs = [random_x(rng, f.grid) for _ in range(2)]
+        for norm, samples in zip(norms * 2, (0, 3 * n + 4, 3 * n + 5, 40)):
+            want = no_nonsquare_reference(norm, f.grid, xs, samples, seed=n)
+            assert no_nonsquare_probe(norm, f.grid, xs, samples, seed=n) == want
+
+
+def test_bounded_top_up_scale_matches_its_modular_loop():
+    # c1 from one block walk equals the first 1 - 2**-j whose scaled ends,
+    # one StepFunction and one modular call each, keep a finite modular above one
+    rng = np.random.default_rng(97)
+    seen = 0
+    for _ in range(400):
+        f = random_field(rng, n=int(rng.integers(2, 7)), families=("indicator", "pwl", "pwl"))
+        if not np.isfinite(f.table.cell_b).all():
+            continue
+        try:
+            wit = build_nonsquare_witness(f)
+        except (PreconditionError, WitnessConstructionError):
+            continue
+        if wit.construction["mode"] == "bounded-top-up":
+            assert wit.construction["c1"] == c1_reference(f, wit.construction["carrier"])
+            seen += 1
+    assert seen >= 20

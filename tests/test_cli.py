@@ -764,13 +764,38 @@ def test_overflow_in_a_verifier_norm_is_a_precondition_failure(tmp_path, capsys)
         "space": {
             "kind": "weighted_intersection",
             "w": [3e307, 1e-307, 1e-307, 3e307],
-            "v": [1e300, 3e307, 1e300, 3e307],
+            "v": [6e307, 1.0, 1.0, 1.2e308],
         },
         "samples": 50,
     }
     capsys.readouterr()
     assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_PRECONDITION
     assert capsys.readouterr().err == "precondition failure: intermediate overflow in fsum\n"
+    # with these v the margin, about 5.6e-16, is one the sampler cannot check:
+    # the witness is refused before any verifier norm
+    cfg["space"]["v"] = [1e300, 3e307, 1e300, 3e307]
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["witness"] is None
+    assert res["explanation"].startswith("margin epsilon 5.55555")
+
+
+def test_verify_refuses_margins_within_the_checks_allowance(tmp_path, capsys):
+    # a positive margin at most the verifier's allowance could not fail its check
+    for cfg, key, margin, err in (
+        (dict(BASE, samples=50), "delta", 1e-10, "nonsquare margin 1e-10 is within"),
+        (INT_CFG, "epsilon", 1e-13, "slice margin 1e-13 is within"),
+        (SUM_CFG, "epsilon", 5e-324, "slice margin 5e-324 is within"),
+    ):
+        path = write(tmp_path / "c.json", cfg)
+        cert = tmp_path / "cert.json"
+        assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+        report = json.loads(cert.read_text())
+        report["results"]["witness"][key] = margin
+        hostile = write(tmp_path / "hostile.json", report)
+        capsys.readouterr()
+        assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith(f"precondition failure: {err}")
 
 
 @pytest.mark.parametrize(

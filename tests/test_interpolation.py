@@ -285,6 +285,31 @@ def test_witness_int_refuses_a_margin_that_rounds_to_zero():
         witness_int(spec)
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-300])
+def test_slice_verifiers_reject_margins_within_the_allowance(eps):
+    # a violation counts only above 2 - eps + 1e-12 >= 2, which no slice point reaches
+    g4 = MeasureGrid((1.0,) * 4)
+    int_spec = IntSpaceSpec(g4, g4.cell_set(), (1.0,) * 4, (1.0,) * 4)
+    for spec, make, verify in (
+        (ones_spec(), witness_sum, verify_sum_certificate),
+        (int_spec, witness_int, verify_int_certificate),
+    ):
+        cert = replace(make(spec), epsilon=eps)
+        with pytest.raises(PreconditionError, match="allowance"):
+            verify(spec, cert, samples=10, seed=0)
+
+
+def test_witness_sum_refuses_a_margin_within_the_allowance():
+    # the v/w integral is 1 + 2**-44, so 1 - b and the margin are about 3e-14
+    g = MeasureGrid((1.0, 1.0))
+    spec = SumSpaceSpec(g, g.cell_set(), (1.0, 0.5 + 2.0**-44), (2.0, 1.0))
+    with pytest.raises(WitnessConstructionError, match="within the sampler's allowance"):
+        witness_sum(spec)
+    rep = classify_sum(spec, samples=10)
+    assert rep.verdict == NOT_DAUGAVET and rep.witness is None
+    assert "within the sampler's allowance" in rep.explanation
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.0, -0.5, math.inf, math.nan])
 def test_slice_verifiers_reject_margins_that_are_not_finite_and_positive(eps):
     # at eps <= 0 the bound 2 - eps would hold at every point

@@ -1,0 +1,47 @@
+"""The package's import layers, read from the sources with ``ast``.
+
+``grid`` sits under every other module and imports only ``errors``; the
+probes do not reach into the interpolation layer, and ``classify`` does
+not reach into the probes.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mospaces
+
+SRC = Path(mospaces.__file__).parent
+
+
+def package_imports(module: str) -> set:
+    """The package modules (or package attributes) ``module`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mospaces"):
+            found.add(node.module.partition(".")[2] or node.module)
+        elif isinstance(node, ast.Import):
+            found.update(
+                a.name.partition(".")[2] or a.name for a in node.names if a.name.startswith("mospaces")
+            )
+    return found
+
+
+def test_every_module_is_read():
+    assert {p.stem for p in SRC.glob("*.py")} >= {"grid", "probes", "classify", "interpolation"}
+    assert package_imports("probes") >= {"grid", "errors"}
+
+
+def test_grid_imports_only_errors():
+    assert package_imports("grid") == {"errors"}
+
+
+@pytest.mark.parametrize("module, banned", [("probes", "interpolation"), ("classify", "probes")])
+def test_layer_does_not_import(module, banned):
+    assert banned not in package_imports(module)

@@ -1005,6 +1005,44 @@ def test_norms_are_one_sided_against_the_exact_references(case):
                 assert ame > 1e307
 
 
+@st.composite
+def _integer_power_case(draw):
+    """A field of 1-11 cells mixing power cells with p in 2..5 and knotted cells
+    without blow-up ends, masses 1e+-50, and rows of magnitudes 1e+-100."""
+    n = draw(st.integers(1, 11))
+    knotted = _knotted_curve().filter(lambda c: getattr(c, "end_value", None) != INF)
+    power = st.integers(2, 5).map(lambda p: Power(float(p)))
+    curves = tuple(draw(st.one_of(power, knotted)) for _ in range(n))
+    mass = st.builds(lambda m, e: m * e, st.floats(0.1, 4.0), st.sampled_from([1e-50, 1.0, 1e50]))
+    grid = MeasureGrid(tuple(draw(st.lists(mass, min_size=n, max_size=n))))
+    value = st.builds(
+        lambda m, e, sign: sign * m * e,
+        st.floats(0.5, 2.0),
+        st.sampled_from([0.0, 1e-100, 1e-5, 1.0, 1e5, 1e100]),
+        st.sampled_from([1.0, -1.0]),
+    )
+    rows = st.lists(st.lists(value, min_size=n, max_size=n).filter(any), min_size=1, max_size=3)
+    return MusielakField(grid, curves), draw(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_integer_power_case())
+def test_luxemburg_is_exactly_at_most_the_norm_on_integer_power_fields(case):
+    # no slack: N <= |x| exactly, since the modular is convex with rho(0) = 0 and,
+    # in exact rationals, rho(|x|/N) >= 1 or |x|/N reaches a closed domain end
+    # (below N every point is then past the end)
+    f, rows = case
+    ends = [c.params().b for c in f.curves]
+    for values in rows:
+        x = StepFunction(f.grid, tuple(values))
+        for tol in (0.0, 1e-14, 1e-12):
+            norm = Fraction(luxemburg_norm(f, x, tol))
+            point = [Fraction(abs(v)) / norm for v in values]
+            assert exact_modular(f, point) >= 1 or any(u >= b for u, b in zip(point, ends)), (
+                f, values, tol,
+            )
+
+
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(case=st.one_of(_knotted_case().map(lambda c: c[:2]), _extreme_block()))
 def test_gauge_solvers_never_call_the_per_cell_modular(case):

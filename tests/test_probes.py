@@ -23,14 +23,24 @@ from mospaces import (
     luxemburg_norm,
     roughness_probe,
     slice_diameter_lb,
+    sum_dual_norm,
     weighted_l1_norm,
     wint_norm,
     witness_int,
+    wsum_norm,
 )
 from mospaces.musielak import luxemburg_norms
 from mospaces.reports import FORM_L1
 
-from helpers import random_field, random_x, roughness_reference, slice_diameter_reference
+from helpers import (
+    condition_probe_reference,
+    random_field,
+    random_int_spec,
+    random_sum_spec,
+    random_x,
+    roughness_reference,
+    slice_diameter_reference,
+)
 
 
 def l1_oracles(grid, w=None):
@@ -320,3 +330,30 @@ def test_roughness_probe_memory_stays_within_a_block():
         tracemalloc.stop()
     assert q > 1.99  # L1 is rough everywhere
     assert peak < 2 * 2**20
+
+
+def test_condition_probe_matches_its_stepfunction_reference():
+    # the pool built as rows searches as the pool built by StepFunction
+    # arithmetic did, on block Luxemburg oracles and on weighted-spec oracles
+    rng = np.random.default_rng(83)
+    cases = []
+    for n in (1, 3, 6):
+        f = random_field(rng, n=n)
+        dual = functools.partial(amemiya_norm, conjugate_field(f))
+        cases.append((f.grid, _luxemburg_oracles(f)[0], dual))
+    for n in (2, 4, 7):
+        for spec, norm, dual in (
+            (random_int_spec(rng, n, gamma_all=False), wint_norm, int_dual_norm),
+            (random_sum_spec(rng, n), wsum_norm, sum_dual_norm),
+        ):
+            cases.append((spec.grid, functools.partial(norm, spec), functools.partial(dual, spec)))
+    found = 0
+    for grid, primal, dual in cases:
+        x = _unit(primal, StepFunction(grid, tuple(rng.standard_normal(len(grid)))))
+        for f in (x, StepFunction(grid, tuple(rng.standard_normal(len(grid))))):
+            f = _unit(dual, f)
+            for seed, (eps, budget) in enumerate(((0.05, 60), (0.3, 200), (1.0, 10))):
+                want = condition_probe_reference(primal, dual, x, f, eps, budget, seed)
+                assert daugavet_condition_probe(primal, dual, x, f, eps, budget, seed) == want
+                found += want.found
+    assert 0 < found < 6 * len(cases)  # both outcomes are compared
