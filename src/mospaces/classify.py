@@ -129,9 +129,7 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
             if t_feas is not None:
                 a = _interval_point(L, R, t_feas / 2.0)
                 b = _interval_point(L, R, t_feas * 0.75)
-                sigma1 = max(
-                    field.curves[i]._half_ratio_sup(a, b) for i in work
-                )
+                sigma1 = max(field.table.half_ratio_sup(work, a, b).tolist())
                 if sigma1 < 1.0:
                     return NonsquareSetup(
                         tuple(grid.ids[i] for i in work), a, b, sigma1
@@ -241,14 +239,11 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
 
     # halving-ratio bound up to per-cell caps no unit vector can exceed; the
     # cap interval contains [a, b], so sigma2 alone covers both uses
-    sigma2 = 0.0
-    caps = {}
     with np.errstate(over="ignore"):  # 1/mass past DBL_MAX is inf, as in Python
         u_star = field.table.inverse_upper(1.0 / field._weights).tolist()
-    for i in carrier:
-        cap = max(b, u_star[i])
-        caps[grid.ids[i]] = cap
-        sigma2 = max(sigma2, field.curves[i]._half_ratio_sup(a, cap))
+    cap_list = [max(b, u_star[i]) for i in carrier]
+    caps = {grid.ids[i]: cap for i, cap in zip(carrier, cap_list)}
+    sigma2 = max(field.table.half_ratio_sup(carrier, a, cap_list).tolist(), default=0.0)
     if not sigma2 < 1.0:
         raise WitnessConstructionError("halving ratio reached one at the caps")
     sigma0 = sigma2

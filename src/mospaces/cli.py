@@ -338,25 +338,6 @@ def _curve_table(specs) -> Optional[CurveTable]:
         return None
 
 
-def curve_to_json(curve: OrliczCurve) -> dict:
-    if isinstance(curve, Power):
-        return {"family": "power", "p": curve.p}
-    if isinstance(curve, Linear):
-        return {"family": "linear", "slope": curve.slope}
-    if isinstance(curve, Indicator):
-        return {"family": "indicator", "bound": curve.bound}
-    if isinstance(curve, PiecewiseLinear):
-        out = {
-            "family": "piecewise",
-            "breakpoints": list(curve.breakpoints),
-            "slopes": list(curve.slopes),
-        }
-        if curve.end_value is not None:
-            out["end_value"] = curve.end_value
-        return out
-    raise ConfigError(f"cannot serialize {curve!r}")
-
-
 def parse_grid(d: dict) -> MeasureGrid:
     try:
         if "weights" in d:
@@ -430,16 +411,6 @@ def parse_space(cfg: dict) -> SpaceConfig:
     except (KeyError, TypeError, ValueError, GridMismatchError, UnknownCellError) as exc:
         raise ConfigError(f"bad space spec: {exc}") from exc
     raise ConfigError(f"unknown space kind {kind!r}")
-
-
-def space_to_json(space: SpaceConfig) -> dict:
-    """Canonical config fragment for a parsed space (round-trip support)."""
-    grid = {"weights": list(space.grid.weights), "ids": list(space.grid.ids)}
-    if space.field is not None:
-        body = {"kind": "musielak", "curves": [curve_to_json(c) for c in space.field.curves]}
-    else:
-        body = _spec_to_json(space.spec)
-    return {"grid": grid, "space": body}
 
 
 def _spec_to_json(spec) -> dict:
@@ -715,8 +686,7 @@ def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: flo
 def cmd_conjugate(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     if space.field is not None:
-        dual = conjugate_field(space.field)
-        return {"curves": [curve_to_json(c) for c in dual.curves]}
+        return {"curves": conjugate_field(space.field).table.specs()}
     if isinstance(space.spec, SumSpaceSpec):
         return _spec_to_json(space.spec.reciprocal_int())
     return _spec_to_json(space.spec.reciprocal_sum())

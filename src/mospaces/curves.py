@@ -74,10 +74,6 @@ class OrliczCurve:
         """Lower-semicontinuous closure: left limit at a finite domain end."""
         return self.value(u)
 
-    def _half_ratio_sup(self, lo: float, hi: float) -> float:
-        """Exact sup of 2*phi(u/2)/phi(u) on [lo, hi]; closure value at hi."""
-        raise NotImplementedError
-
     # -- shared ----------------------------------------------------------
     def __call__(self, u: float) -> float:
         return self.value(u)
@@ -112,24 +108,6 @@ class OrliczCurve:
         if math.isinf(fu) or math.isinf(gv):
             return INF
         return fu + gv - u * v
-
-    def half_ratio_bound(self, lo: float, hi: float) -> float:
-        """Certified sup of 2*phi(u/2)/phi(u) over [lo, hi], strictly below 1.
-
-        Requires [lo, hi] inside (d, b), except that hi may equal a finite b
-        carrying a finite value.
-        """
-        p = self.params()
-        if not (p.d < lo <= hi):
-            raise PreconditionError(f"interval [{lo}, {hi}] not inside ({p.d}, {p.b})")
-        if hi > p.b or (hi == p.b and math.isinf(p.value_at_b)):
-            raise PreconditionError(f"interval [{lo}, {hi}] not inside ({p.d}, {p.b})")
-        sigma = self._half_ratio_sup(lo, hi)
-        if not sigma < 1.0:
-            raise PreconditionError(
-                "half-point ratio reached 1; interval touches the linearity region"
-            )
-        return sigma
 
     def finitecomp_check(self, u_samples) -> bool:
         """phi(psi'_-(u)) finite at every sample; needs a bounded domain."""
@@ -179,9 +157,6 @@ class Power(OrliczCurve):
         if math.isinf(c):
             return INF
         return _pow(c * self.p, 1.0 / self.p)
-
-    def _half_ratio_sup(self, lo, hi):
-        return 2.0 ** (1.0 - self.p)
 
 
 @dataclass(frozen=True)
@@ -386,22 +361,6 @@ class PiecewiseLinear(OrliczCurve):
                     return self.breakpoints[j]  # plateau: sup of the level set
                 return self.breakpoints[j - 1] + (c - vals[j - 1]) / s
         return 0.0  # pragma: no cover - vals[0] = 0 <= c always
-
-    def _half_ratio_sup(self, lo, hi):
-        candidates = {lo, hi}
-        for u in self.breakpoints[1:]:
-            if math.isfinite(u):
-                if lo < u < hi:
-                    candidates.add(u)
-                if lo < 2.0 * u < hi:
-                    candidates.add(2.0 * u)
-        best = 0.0
-        for u in candidates:
-            den = self.value_closed(u)
-            if den <= 0.0 or math.isinf(den):
-                continue
-            best = max(best, 2.0 * self.value(u / 2.0) / den)
-        return best
 
 
 def _rises(breakpoints, slopes):

@@ -4,9 +4,10 @@ A ``MusielakField`` assigns one Orlicz curve per grid cell.  Its compiled
 form is a column table (``table.CurveTable``): family codes, numbers,
 flattened breakpoints and slopes, and the knot table derived from them.
 The parser builds the table straight from a config's curve list, and the
-modular, the start caps, the kernel and the structural split below read
-only the table; the per-cell curve objects (``curves``) are built only for
-conjugates, derivatives, halving ratios and the sup oracle.
+modular, the start caps, the kernel, the structural split, the halving
+ratios and the conjugate field read only the table; the per-cell curve
+objects (``curves``) are built only for the sup oracle, a field's repr and
+the message of a refused conjugate.
 
 The modular of a step function is the weighted sum of curve values; the
 gauge norm (Luxemburg) is the scaling that brings the modular to one.  ``gauge``
@@ -54,7 +55,7 @@ import numpy as np
 from .curves import INF, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
 from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
-from .table import CurveTable
+from .table import CurveTable, InvalidCell
 
 _MAX_DOUBLINGS = 4096
 _EDGE_STEPS = 64  # edge steps of the asked size before they double
@@ -640,8 +641,13 @@ def unit_sphere_points(field: MusielakField, ys) -> np.ndarray:
 
 
 def conjugate_field(field: MusielakField) -> MusielakField:
-    """Cellwise complementary field."""
-    return MusielakField(field.grid, tuple(conjugate(c) for c in field.curves))
+    """Cellwise complementary field; a refused cell raises ``curves.conjugate``'s message."""
+    try:
+        table = field.table.conjugate()
+    except InvalidCell as exc:
+        conjugate(field.curves[exc.index])  # raises that cell's own message
+        raise
+    return MusielakField.of_table(field.grid, table)
 
 
 def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> float:

@@ -16,9 +16,13 @@ are summed left to right and each finite end's left limit is one fsum, as
 bit for bit.  Per cell in grid order it holds the zero, linearity and
 domain ends a, d, b of ``OrliczCurve.params``.  ``value`` (on one profile
 or a block of rows) and ``inverse_upper`` evaluate the curves on the table
-with the float operations of the curve methods; power cells use Python's
-``**`` per cell, because numpy's power can differ from it in the last bits.
-The curve objects themselves are built only by ``curves``.
+with the float operations of the curve methods, and ``half_ratio_sup``
+gives the exact sup of the halving ratio 2 phi(u/2) / phi(u) on an interval
+from the knots; power cells use Python's ``**`` per cell in all three,
+because numpy's power can differ from it in the last bits.  ``conjugate``
+is the table of the cellwise conjugates, as ``curves.conjugate`` gives
+them; ``specs`` writes the columns back as a config's curve list and
+``curves`` builds the curve objects.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ POWER, LINEAR, INDICATOR, PIECEWISE = range(4)
 FAMILIES = {"power": POWER, "linear": LINEAR, "indicator": INDICATOR, "piecewise": PIECEWISE}
 NUMBERS = {POWER: "p", LINEAR: "slope", INDICATOR: "bound"}  # the config key and the attribute
 _FAMILY_OF = {Power: POWER, Linear: LINEAR, Indicator: INDICATOR, PiecewiseLinear: PIECEWISE}
+_NAMES = {code: name for name, code in FAMILIES.items()}
+_CLASSES = {_NAMES[code]: kind for kind, code in _FAMILY_OF.items()}
 
 
 class InvalidCell(ValueError):
@@ -209,8 +215,9 @@ class CurveTable:
         with np.errstate(invalid="ignore", over="ignore"):
             steps = slopes[:, :-1] * (knots[:, 1:] - knots[:, :-1])
         rises[:, 1:] = np.where(filled[:, 1:], steps, 0.0)
+        with np.errstate(over="ignore"):  # a sum past DBL_MAX is inf, as in Python
+            self.values = np.where(filled, np.add.accumulate(rises, axis=1), 0.0)
         self.knots, self.slopes = knots, slopes
-        self.values = np.where(filled, np.add.accumulate(rises, axis=1), 0.0)
         self.filled, self.counts = filled, counts
         b = np.full(rows, INF)
         closed = np.full(rows, INF)  # the closed value at b
@@ -238,24 +245,57 @@ class CurveTable:
         out[self.knotted] = column
         return out
 
-    def curves(self) -> tuple[OrliczCurve, ...]:
-        """The curve objects, one per cell."""
+    def specs(self) -> list[dict]:
+        """The config's curve list, one spec per cell; its keys are the curve classes' fields."""
         bp, bp_len, sl, sl_len = (a.tolist() for a in self._runs)
         starts = itertools.accumulate(bp_len, initial=0), itertools.accumulate(sl_len, initial=0)
         cuts = zip(starts[0], bp_len, starts[1], sl_len)
-        ends = iter(None if math.isnan(e) else e for e in self._ends.tolist())
+        ends = iter(self._ends.tolist())  # NaN: no end value
         out = []
         for code, number in zip(self.family.tolist(), self.number.tolist()):
-            if code == POWER:
-                out.append(Power(number))
-            elif code == LINEAR:
-                out.append(Linear(number))
-            elif code == INDICATOR:
-                out.append(Indicator(number))
-            else:
-                b0, bn, s0, sn = next(cuts)
-                out.append(PiecewiseLinear(tuple(bp[b0 : b0 + bn]), tuple(sl[s0 : s0 + sn]), next(ends)))
-        return tuple(out)
+            if code != PIECEWISE:
+                out.append({"family": _NAMES[code], NUMBERS[code]: number})
+                continue
+            b0, bn, s0, sn = next(cuts)
+            out.append({"family": "piecewise", "breakpoints": bp[b0 : b0 + bn], "slopes": sl[s0 : s0 + sn]})
+            end = next(ends)
+            if not math.isnan(end):
+                out[-1]["end_value"] = end
+        return out
+
+    def curves(self) -> tuple[OrliczCurve, ...]:
+        """The curve objects, one per cell: each spec's fields."""
+        return tuple(_CLASSES[spec.pop("family")](**spec) for spec in self.specs())
+
+    def conjugate(self) -> "CurveTable":
+        """The table of the cellwise conjugates, as ``curves.conjugate`` gives them: p/(p - 1),
+        linear and indicator swapped, a piecewise cell's breakpoints and slopes traded; a
+        refused conjugate raises ``InvalidCell`` at its cell."""
+        family, number = self.family.copy(), self.number.copy()
+        family[self.family == LINEAR] = INDICATOR
+        family[self.family == INDICATOR] = LINEAR
+        number[self.power] = self.p / (self.p - 1.0)
+        bp, _, sl, sl_len = self._runs
+        run, start = _runs(sl_len)
+        cells = np.arange(len(sl_len))
+        bstart, first = start + cells, start + 2 * cells
+        flat, unbounded = sl[start] == 0.0, np.isinf(bp[bstart + sl_len])
+        # k + 2 entries per cell: breakpoints 0, s1..sk, inf and slopes (unused), 0, u1..uk,
+        # less s1 and 0 where s1 = 0 and less inf and uk where uk is inf; no end value, so a
+        # bounded conjugate closes at its left limit
+        inner = np.arange(len(sl)) + 2 * run + 1
+        knots = np.full(len(sl) + 2 * len(cells), INF)
+        knots[first] = 0.0
+        knots[inner] = sl
+        slopes = np.zeros(len(knots))
+        slopes[inner + 1] = np.delete(bp, bstart)
+        keep = np.ones(len(knots), dtype=bool)
+        keep[first[flat] + 1] = False
+        keep[(first + sl_len + 1)[unbounded]] = False
+        knots = knots[keep]
+        keep[first] = False
+        bp_len = sl_len + 2 - flat - unbounded
+        return CurveTable(family, number, knots, bp_len, slopes[keep], bp_len - 1, [None] * len(cells))
 
     def value(self, u: np.ndarray) -> np.ndarray:
         """phi_i(u_i) per cell of a profile u (n,) or of each row of a block
@@ -267,12 +307,40 @@ class CurveTable:
             pairs = zip(up.ravel().tolist(), itertools.cycle(self._p))
             out[..., self.power] = np.reshape([_pow(v, p) / p for v, p in pairs], up.shape)
         if self.knotted.size:
-            uk = u[..., self.knotted]
-            cells = np.arange(len(self.knotted))
-            j = (self.knots[:, 1:] <= uk[..., None]).sum(axis=-1)  # u in [knot_j, knot_j+1)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at u = inf
-                v = self.values[cells, j] + self.slopes[cells, j] * (uk - self.knots[cells, j])
-            out[..., self.knotted] = np.where(uk < self.b, v, np.where(uk == self.b, self.stored, INF))
+            rows = np.arange(len(self.knotted))
+            out[..., self.knotted] = self._knot_value(rows, u[..., self.knotted], self.stored)
+        return out
+
+    def _knot_value(self, rows: np.ndarray, u: np.ndarray, at_b: np.ndarray) -> np.ndarray:
+        """phi(u) on the knot table's ``rows`` (broadcast against u), u nonnegative
+        (inf allowed); at a finite b itself it reads ``at_b``: ``stored`` for the
+        value, ``closed`` for its closure."""
+        j = (self.knots[rows, 1:] <= u[..., None]).sum(axis=-1)  # u in [knot_j, knot_j+1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at u = inf
+            v = self.values[rows, j] + self.slopes[rows, j] * (u - self.knots[rows, j])
+        b = self.b[rows]
+        return np.where(u < b, v, np.where(u == b, at_b[rows], INF))
+
+    def half_ratio_sup(self, cells, lo: float, hi) -> np.ndarray:
+        """The exact sup of 2 phi(u/2) / closure(phi)(u) on [lo, hi] for each of
+        ``cells`` (``hi`` one number or one per cell): 2**(1 - p) on a power cell,
+        else the largest ratio at lo, hi and each finite knot u or 2u strictly
+        between them where 0 < closure(phi)(u) < inf, or 0."""
+        cells = np.asarray(cells, dtype=np.intp)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), cells.shape)
+        out = np.zeros(len(cells))
+        power = self.family[cells] == POWER
+        out[power] = [2.0 ** (1.0 - p) for p in self.number[cells[power]].tolist()]
+        rows = np.searchsorted(self.knotted, cells[~power])[:, None]
+        top = hi[~power, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # 2u, 2 phi past DBL_MAX; inf / inf
+            knots = np.concatenate((self.knots[rows[:, 0], 1:], self.b[rows]), axis=1)
+            knots = np.concatenate((knots, 2.0 * knots), axis=1)
+            inside = (lo < knots) & (knots < top)
+            u = np.concatenate((np.full_like(top, lo), top, np.where(inside, knots, lo)), axis=1)
+            den = self._knot_value(rows, u, self.closed)
+            ratio = 2.0 * self._knot_value(rows, u / 2.0, self.stored) / den
+        out[~power] = np.where((den > 0.0) & (den < INF), ratio, 0.0).max(axis=1, initial=0.0)
         return out
 
     def inverse_upper(self, c: np.ndarray) -> np.ndarray:

@@ -403,7 +403,7 @@ def nonsquare_setup_reference(field):
         for _ in range(80 if L < R else 0):
             if math.fsum(field.curves[i].value(point(L, R, t)) * w[i] for i in work) <= 1.0:
                 a, b = point(L, R, t / 2.0), point(L, R, t * 0.75)
-                sigma1 = max(field.curves[i]._half_ratio_sup(a, b) for i in work)
+                sigma1 = max(half_ratio_reference(field.curves[i], a, b) for i in work)
                 if sigma1 < 1.0:
                     return tuple(field.grid.ids[i] for i in work), a, b, sigma1
                 break
@@ -699,6 +699,32 @@ def knot_values_reference(curve: PiecewiseLinear) -> tuple:
         u0, u1 = curve.breakpoints[j], curve.breakpoints[j + 1]
         vals.append(vals[-1] + s * (u1 - u0) if math.isfinite(u1) else INF)
     return tuple(vals)
+
+
+def half_ratio_reference(curve: OrliczCurve, lo, hi) -> float:
+    """Exact sup of 2*phi(u/2)/closure(phi)(u) on [lo, hi], one candidate point at a
+    time: lo, hi and each finite knot u or 2u strictly between them, where the
+    closure is positive and finite.  ``CurveTable.half_ratio_sup``'s reference."""
+    if isinstance(curve, Power):
+        return 2.0 ** (1.0 - curve.p)
+    if isinstance(curve, PiecewiseLinear):
+        knots = curve.breakpoints[1:]
+    else:
+        knots = (curve.bound,) if isinstance(curve, Indicator) else ()
+    candidates = {lo, hi}
+    for u in knots:
+        if math.isfinite(u):
+            if lo < u < hi:
+                candidates.add(u)
+            if lo < 2.0 * u < hi:
+                candidates.add(2.0 * u)
+    best = 0.0
+    for u in candidates:
+        den = curve.value_closed(u)
+        if den <= 0.0 or math.isinf(den):
+            continue
+        best = max(best, 2.0 * curve.value(u / 2.0) / den)
+    return best
 
 
 def half_ratio_scan(curve: OrliczCurve, lo, hi, steps=100_000):

@@ -27,8 +27,8 @@ from mospaces.cli import (
     _witness_to_json,
     build_parser,
     canonical_json,
+    _spec_to_json,
     config_hash,
-    curve_to_json,
     jsonify,
     main,
     num,
@@ -116,10 +116,9 @@ def test_curve_json_round_trip():
             "end_value": "inf",
         },
     ]
-    for spec in specs:
-        crv = parse_curve(spec)
-        again = parse_curve(jsonify(curve_to_json(crv)))
-        assert again == crv
+    table = parse_space({"grid": {"weights": [1.0] * len(specs)}, "space": {"kind": "musielak", "curves": specs}}).field.table
+    again = [parse_curve(spec) for spec in jsonify(table.specs())]
+    assert again == [parse_curve(spec) for spec in specs]
 
 
 def test_canonical_json_is_order_insensitive():
@@ -129,8 +128,6 @@ def test_canonical_json_is_order_insensitive():
 
 
 def test_config_round_trip_up_to_canonical_ordering():
-    from mospaces.cli import parse_space, space_to_json
-
     configs = [
         {
             "grid": {"weights": [1.0, 2.0], "ids": ["c0", "c1"]},
@@ -156,8 +153,13 @@ def test_config_round_trip_up_to_canonical_ordering():
         },
     ]
     for cfg in configs:
-        echoed = space_to_json(parse_space(cfg))
-        assert canonical_json(echoed) == canonical_json(cfg)
+        space = parse_space(cfg)
+        grid = {"weights": list(space.grid.weights), "ids": list(space.grid.ids)}
+        if space.field is not None:
+            body = {"kind": "musielak", "curves": space.field.table.specs()}
+        else:
+            body = _spec_to_json(space.spec)
+        assert canonical_json({"grid": grid, "space": body}) == canonical_json(cfg)
 
 
 def test_witness_codec_round_trips():
@@ -1144,6 +1146,43 @@ def test_a_knot_gap_past_the_float_range_warns_nothing(tmp_path, capsys):
     assert space.field._kernel.flat_gaps.max() == math.inf
     want = orlicz_norm_sup_oracle(space.field, x).value
     assert json.loads(out)["results"]["amemiya"] == pytest.approx(want, rel=1e-8)
+
+
+def test_a_knot_sum_past_the_float_range_warns_nothing(tmp_path, capsys):
+    """The knot values sum past DBL_MAX to inf, as ``_knot_values`` sums them;
+    norm, classify and conjugate print no warning."""
+    curve = {"family": "piecewise", "breakpoints": [0, 1e308, 1.5e308, "inf"], "slopes": [1.5, 1.7, 2.0]}
+    body = {"grid": {"weights": [1]}, "space": {"kind": "musielak", "curves": [curve]}, "x": [0.5]}
+    cfg = write(tmp_path / "sum.json", body)
+    for command in ("norm", "classify", "conjugate"):
+        assert main([command, "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+    table = parse_space(body).field.table
+    assert table.values[0].tolist() == list(parse_curve(curve)._knot_values[:-1])
+
+
+_REFUSED_CONJUGATES = {
+    "power curves need a finite exponent p > 1": {"family": "power", "p": 1e17},  # p/(p - 1) rounds to 1
+    "intermediate overflow in fsum": {  # the conjugate's left limit passes DBL_MAX
+        "family": "piecewise",
+        "breakpoints": [0, 1, 2, "inf"],
+        "slopes": [1, 1e308, 1.7e308],
+    },
+}
+
+
+@pytest.mark.parametrize("message", sorted(_REFUSED_CONJUGATES))
+@pytest.mark.parametrize("command", ["conjugate", "probe"])
+def test_a_refused_conjugate_keeps_its_message(tmp_path, capsys, message, command):
+    curves = [{"family": "linear", "slope": 2}, _REFUSED_CONJUGATES[message]]
+    body = {
+        "grid": {"weights": [1, 2]},
+        "space": {"kind": "musielak", "curves": curves},
+        "probes": [{"type": "roughness", "x": [1, 1]}],
+    }
+    assert main([command, "--config", write(tmp_path / "refused.json", body)]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"precondition failure: {message}\n")
 
 
 def test_unreadable_files_are_config_errors(tmp_path, capsys):

@@ -13,7 +13,9 @@ from mospaces import (
     PreconditionError,
     conjugate,
 )
-from helpers import d_param_scan, domain_samples, half_ratio_scan, random_curve
+from mospaces.table import CurveTable
+
+from helpers import d_param_scan, domain_samples, half_ratio_reference, half_ratio_scan, random_curve
 
 INF = math.inf
 
@@ -215,13 +217,21 @@ def test_young_gap_zero_iff_subdifferential():
 # -- half-point ratio bound --------------------------------------------------
 
 
+def _half_ratio(curve, lo, hi) -> float:
+    """The table's halving-ratio sup of one curve on [lo, hi], checked against the
+    one-point-at-a-time reference bit for bit."""
+    got = CurveTable.of_curves([curve]).half_ratio_sup([0], lo, hi).tolist()[0]
+    assert repr(got) == repr(half_ratio_reference(curve, lo, hi))
+    return got
+
+
 def test_half_ratio_power_is_constant():
-    assert Power(2.0).half_ratio_bound(1.0, 2.0) == 0.5
+    assert _half_ratio(Power(2.0), 1.0, 2.0) == 0.5
 
 
 def test_half_ratio_pwl_matches_brute_scan():
     crv = PiecewiseLinear((0.0, 2.0, INF), (1.0, 3.0), None)
-    got = crv.half_ratio_bound(4.0, 6.0)
+    got = _half_ratio(crv, 4.0, 6.0)
     assert math.isclose(got, 5.0 / 7.0, rel_tol=1e-12)
     assert math.isclose(got, half_ratio_scan(crv, 4.0, 6.0), rel_tol=1e-4)
 
@@ -239,20 +249,12 @@ def test_half_ratio_random_pwl_vs_scan():
         hi = p.d + 0.75 * (hi_cap - p.d)
         if math.isfinite(p.b) and hi == p.b and math.isinf(p.value_at_b):
             hi = 0.5 * (lo + hi)
-        got = crv.half_ratio_bound(lo, hi)
+        got = _half_ratio(crv, lo, hi)
+        assert got < 1.0
         scan = half_ratio_scan(crv, lo, hi)
         assert scan <= got + 1e-9
         assert math.isclose(got, scan, rel_tol=1e-3), (crv, lo, hi)
         checked += 1
-
-
-def test_half_ratio_rejects_linear_and_bad_intervals():
-    with pytest.raises(PreconditionError):
-        Linear(1.0).half_ratio_bound(1.0, 2.0)
-    with pytest.raises(PreconditionError):
-        Indicator(1.0).half_ratio_bound(0.5, 0.9)
-    with pytest.raises(PreconditionError):
-        Power(2.0).half_ratio_bound(0.0, 1.0)  # lo not above d
 
 
 # -- complementary-derivative finiteness ------------------------------------

@@ -2,7 +2,8 @@
 
 ``grid`` sits under every other module and imports only ``errors``; the
 probes do not reach into the interpolation layer, and ``classify`` does
-not reach into the probes.
+not reach into the probes.  ``classify`` and ``cli`` read a field's curves
+through its table, never as curve objects.
 """
 
 import ast
@@ -45,3 +46,10 @@ def test_grid_imports_only_errors():
 @pytest.mark.parametrize("module, banned", [("probes", "interpolation"), ("classify", "probes")])
 def test_layer_does_not_import(module, banned):
     assert banned not in package_imports(module)
+
+
+@pytest.mark.parametrize("module", ["classify", "cli"])
+def test_layer_reads_no_curve_objects(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "curves"]
+    assert reads == []

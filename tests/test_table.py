@@ -32,6 +32,7 @@ from mospaces import (
     UnknownCellError,
     bounded_level_sets,
     classify,
+    conjugate,
     decomposition_norm,
     finite_elements_nontrivial,
     modular,
@@ -41,10 +42,11 @@ from mospaces import (
 )
 from mospaces import musielak
 from mospaces.classify import _nonsquare_directions
-from mospaces.cli import EXIT_OK, _curve_table, main, num, parse_curve, parse_grid, parse_space
-from mospaces.table import InvalidCell
+from mospaces.cli import EXIT_OK, _curve_table, jsonify, main, num, parse_curve, parse_grid, parse_space
+from mospaces.table import CurveTable, InvalidCell
 
 from helpers import (
+    half_ratio_reference,
     knot_values_reference,
     modular_of_bounds_reference,
     partition_reference,
@@ -425,8 +427,7 @@ def test_the_structure_layer_reads_only_the_table(seed, n):
     v, w = weights_reference(ref)
     assert _same(np.array(wp.v.values), np.array(v)) and _same(np.array(wp.w.values), np.array(w))
     _outcome(decomposition_norm, field, StepFunction(field.grid, tuple(x.tolist())))
-    if not part.remainder:  # else the non-square witness reads the curves' halving ratios
-        _outcome(classify, field, 20, seed)
+    _outcome(classify, field, 20, seed)  # the non-square witness's halving ratios included
     assert "curves" not in vars(field)  # no curve object built
 
 
@@ -457,3 +458,77 @@ def test_structure_from_the_table_equals_the_per_curve_references(seed):
     sub = [cid for cid in f.grid.ids if rng.random() < 0.5]
     for cells in (None, sub):
         assert repr(modular_of_bounds(f, cells)) == repr(modular_of_bounds_reference(f, cells))
+
+
+# -- conjugates, specs and halving ratios from the columns ------------------------
+
+
+def _fields(seed, n):
+    """The field of the config of ``seed`` and that of its conjugate, where they parse."""
+    got = _outcome(parse_space, _cfg(seed, n))
+    if got[0] != "ok":
+        return []
+    conj = _outcome(musielak.conjugate_field, got[1].field)
+    return [got[1].field] + ([conj[1]] if conj[0] == "ok" else [])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 5, 17)))
+def test_the_conjugate_columns_equal_the_curve_conjugates(seed, n):
+    got = _outcome(parse_space, _cfg(seed, n))
+    if got[0] != "ok":
+        return
+    field = got[1].field
+    want = _outcome(lambda: repr(tuple(conjugate(c) for c in field.curves)))
+    try:
+        assert ("ok", repr(field.table.conjugate().curves())) == want
+    except InvalidCell as exc:  # both paths refuse, at the same first cell
+        assert want == _outcome(lambda: repr(conjugate(field.curves[exc.index])))
+    assert _outcome(lambda: repr(musielak.conjugate_field(field).curves)) == want
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 5, 17)))
+def test_the_specs_parse_back_to_the_curves(seed, n):
+    for field in _fields(seed, n):
+        specs = json.loads(json.dumps(jsonify(field.table.specs())))  # as the CLI writes them
+        assert repr(tuple(map(parse_curve, specs))) == repr(field.table.curves())
+
+
+def _knots(curve):
+    if isinstance(curve, PiecewiseLinear):
+        return curve.breakpoints[1:]
+    return (curve.bound,) if isinstance(curve, Indicator) else ()
+
+
+def _check_half_ratios(table, curves, lo, hi):
+    """``half_ratio_sup`` on every cell equals the scalar reference bit for bit."""
+    his = hi if isinstance(hi, list) else [hi] * len(curves)
+    want = [half_ratio_reference(c, lo, h) for c, h in zip(curves, his)]
+    assert _same(table.half_ratio_sup(range(len(curves)), lo, hi), np.array(want)), (lo, hi)
+
+
+_DOUBLED_PAST_DBL_MAX = (
+    PiecewiseLinear((0.0, 1.5e308, INF), (1.0, 2.0), None),
+    PiecewiseLinear((0.0, 1e-300, 1.5e308, 1.7e308), (0.0, 0.5, 1.0), INF),
+    PiecewiseLinear.closed((0.0, 1e300, 1.6e308), (1e-300, 1.0)),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 5, 17)))
+def test_the_half_ratios_equal_the_scalar_reference(seed, n):
+    rng = random.Random(seed)
+    for field in _fields(seed, n):
+        table = CurveTable.of_curves(field.curves + _DOUBLED_PAST_DBL_MAX)
+        curves = table.curves()
+        knots = [u for c in curves for u in _knots(c) if math.isfinite(u)]
+        points = [u * t for u in knots for t in (0.5, 1.0, 2.0, rng.uniform(0.5, 1.5))]
+        points = [u for u in points if 0.0 < u < INF] + [rng.choice(_SCALES)]
+        ends = table.cell_b.tolist()
+        for _ in range(4):
+            lo = rng.choice(points)
+            closed = [b if math.isfinite(c.params().value_at_b) else lo for b, c in zip(ends, curves)]
+            for hi in (lo, INF, max(lo, rng.choice(points)), [max(lo, b) for b in closed]):
+                _check_half_ratios(table, curves, lo, hi)
+            _check_half_ratios(table, curves, lo, [max(lo, rng.choice(points)) for _ in curves])
