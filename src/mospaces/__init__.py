@@ -12,7 +12,6 @@ from .classify import (
     classify,
     classify_orlicz,
     find_nonsquare_setup,
-    no_nonsquare_probe,
     verify_nonsquare,
 )
 from .curves import (
@@ -81,6 +80,7 @@ from .probes import (
     ConditionProbeResult,
     Slice,
     daugavet_condition_probe,
+    no_nonsquare_probe,
     roughness_probe,
     slice_diameter_lb,
 )

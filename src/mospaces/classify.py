@@ -15,6 +15,7 @@ The witness construction follows the modular-halving argument: on a cell
 set where the curves are strictly convex between a and b, the halving ratio
 2*phi(u/2)/phi(u) stays below a sigma < 1 up to per-cell caps that no unit
 vector can exceed, which bounds min(|x+y|, |x-y|) away from 2 uniformly.
+The search for non-square points, ``no_nonsquare_probe``, is in ``probes``.
 """
 
 from __future__ import annotations
@@ -356,61 +357,6 @@ def verify_nonsquare(
         if vals[k] > max_observed:
             max_observed, worst = float(vals[k]), tuple(ys[k].tolist())
     return record_from_samples(checked, checked, bound, max_observed, violations, seed, worst)
-
-
-def no_nonsquare_probe(norm, grid: MeasureGrid, candidates, samples: int, seed: int):
-    """Best value of min(|x+y|, |x-y|) found per candidate unit x.
-
-    A lower bound on 2 - delta_best: values near 2 mean the point is not
-    uniformly non-square as far as the search can tell.
-    """
-    rng = np.random.default_rng(seed)
-    n = len(grid)
-    results = []
-    for x in candidates:
-        nx = norm(x)
-        if nx == 0.0:
-            raise PreconditionError("candidate points must be nonzero")
-        x = (1.0 / nx) * x
-        best = 0.0
-        xv = np.array(x.values)
-        pattern = signs(xv)
-        pool = np.concatenate((
-            *atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, 2 * n),
-            np.stack((xv, -xv, pattern, -pattern)),
-            np.where(np.eye(n, dtype=bool), -pattern, pattern),  # single flips reach sup-norm extremes
-            rng.standard_normal((max(0, samples - (3 * n + 4)), n)),
-        ))
-        best_y = None
-        for y in pool.tolist():
-            y = StepFunction(grid, tuple(y))
-            ny = norm(y)
-            if ny == 0.0:
-                continue
-            y = (1.0 / ny) * y
-            val = min(norm(x + y), norm(x - y))
-            if val > best:
-                best, best_y = val, y
-        # greedy coordinate polish around the best direction found
-        if best_y is not None:
-            step = 0.5
-            for _ in range(12):
-                improved = False
-                for i, sgn in itertools.product(range(n), (1.0, -1.0)):
-                    cand_vals = list(best_y.values)
-                    cand_vals[i] += sgn * step
-                    cand = StepFunction(grid, tuple(cand_vals))
-                    ncand = norm(cand)
-                    if ncand == 0.0:
-                        continue
-                    cand = (1.0 / ncand) * cand
-                    val = min(norm(x + cand), norm(x - cand))
-                    if val > best:
-                        best, best_y, improved = val, cand, True
-                if not improved:
-                    step /= 2.0
-        results.append(best)
-    return results
 
 
 def _component_int_spec(field: MusielakField, part, wp) -> IntSpaceSpec:

@@ -242,6 +242,14 @@ def _listed(value, what: str) -> tuple:
     return tuple(value)
 
 
+def _cell_ids(value, what: str) -> tuple:
+    """A JSON list of cell ids as a tuple; each id must be a string."""
+    for cid in (ids := _listed(value, what)):
+        if not isinstance(cid, str):
+            raise ConfigError(f"{what} must be strings, got {cid!r}")
+    return ids
+
+
 def canonical_json(obj) -> str:
     return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
 
@@ -349,7 +357,7 @@ def parse_grid(d: dict) -> MeasureGrid:
             rng = np.random.default_rng(int(d["weight_seed"]))
             lo, hi = (num(t) for t in d.get("weight_range", [0.5, 2.0]))
             weights = tuple(rng.uniform(lo, hi, n).tolist())
-        ids = _listed(d["ids"], "grid ids") if "ids" in d else ()
+        ids = _cell_ids(d["ids"], "grid ids") if "ids" in d else ()
         return MeasureGrid(weights, ids)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
@@ -518,7 +526,7 @@ def _witness_from_json(obj, space: SpaceConfig) -> Union[NonsquareWitness, Failu
         if wtype == "nonsquare":
             x = _step(space.grid, obj["x"])
             return NonsquareWitness(x, margin, obj.get("construction", {}), record)
-        grid = MeasureGrid(nums(obj["grid_weights"]), _listed(obj["grid_ids"], "grid ids"))
+        grid = MeasureGrid(nums(obj["grid_weights"]), _cell_ids(obj["grid_ids"], "grid ids"))
         cert = FailureCertificate(
             kind=wtype,
             x=_step(grid, obj["x"]),
@@ -640,8 +648,12 @@ def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: flo
     else:
         primal, dual = functools.partial(wint_norm, spec), functools.partial(int_dual_norm, spec)
 
-    def unit_vector(values, oracle, what):
-        y = _step(space.grid, values)
+    def unit_vector(i, probe, key):
+        oracle, what = (primal, "probe point") if key == "x" else (dual, "slice functional")
+        try:
+            y = _step(space.grid, probe[key])
+        except (ValueError, GridMismatchError) as exc:
+            raise ConfigError(f"probe {i}: bad {key}: {exc}") from exc
         scale = oracle(y)
         if scale == 0.0:
             raise ConfigError(f"{what} must be nonzero")
@@ -655,13 +667,13 @@ def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: flo
             kind = probe.get("type")
             entry: dict[str, Any] = {"type": kind, "one_sided": True}
             if kind == "slice_diameter":
-                f = unit_vector(probe["functional"], dual, "slice functional")
+                f = unit_vector(i, probe, "functional")
                 s = Slice(f, num(probe["eps"]))
                 entry["diameter_lower_bound"] = slice_diameter_lb(
                     primal, dual, s, samples=samples, seed=seed + i
                 )
             elif kind == "roughness":
-                x = unit_vector(probe["x"], primal, "probe point")
+                x = unit_vector(i, probe, "x")
                 scales = nums(probe.get("scales", [0.5, 0.1, 0.02, 0.004]))
                 if not scales:
                     raise ConfigError(f"probe {i}: roughness scales must not be empty")
@@ -669,8 +681,8 @@ def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: flo
                     primal, x, scales, samples=min(samples, 2000), seed=seed + i
                 )
             elif kind == "daugavet_condition":
-                x = unit_vector(probe["x"], primal, "probe point")
-                f = unit_vector(probe["functional"], dual, "slice functional")
+                x = unit_vector(i, probe, "x")
+                f = unit_vector(i, probe, "functional")
                 res = daugavet_condition_probe(
                     primal, dual, x, f, num(probe["eps"]), budget=samples, seed=seed + i
                 )

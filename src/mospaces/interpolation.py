@@ -395,31 +395,14 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             "c2": c2,
         }
     else:
-        # gamma covers the grid; pick A = smallest prefix with integral > 1,
-        # then a proper prefix A1 of A with integral in [1, I_A)
+        # gamma covers the grid; by falling contribution, A1 = the shortest prefix with
+        # integral >= 1 and A = A1 plus the next cell (if A's integral rounds to 1, c = 1: no margin)
         order = sorted(contrib, key=contrib.get, reverse=True)
-        set_a, i_a = [], 0.0
-        for cid in order:
-            set_a.append(cid)
-            i_a += contrib[cid]
-            if i_a > 1.0:
-                break
-        while True:
-            set_a1, i_1 = [], 0.0
-            for cid in set_a:
-                set_a1.append(cid)
-                i_1 += contrib[cid]
-                if i_1 >= 1.0:
-                    break
-            if i_1 >= 1.0 and len(set_a1) < len(set_a):
-                break
-            extras = [cid for cid in order if cid not in set_a]
-            if not extras:
-                raise WitnessConstructionError(
-                    "no proper sub-block of gamma reaches a w/v integral of one"
-                )
-            set_a.append(extras[0])
-            i_a += contrib[extras[0]]
+        sums = list(itertools.accumulate(contrib[cid] for cid in order))
+        j = next((k for k, t in enumerate(sums) if t >= 1.0), len(sums))
+        if j + 1 >= len(sums):
+            raise WitnessConstructionError("no proper sub-block of gamma reaches a w/v integral of one")
+        set_a, set_a1, i_a, i_1 = order[: j + 2], order[: j + 1], sums[j + 1], sums[j]
         c = 1.0 / i_a
         x_vals = [0.0] * len(grid)
         for cid in set_a:

@@ -2,9 +2,9 @@
 
 Every probe here is one-sided: slice diameters come back as certified lower
 bounds (a pair of points that far apart was actually found), roughness
-quotients as the best value over sampled directions and scales, and the
-slice-condition search reports failure as inconclusive rather than as a
-negative.  Norms enter only through oracles (callables on step functions),
+quotients and non-square values as the best found over sampled directions,
+and the slice-condition search reports failure as inconclusive rather than
+as a negative.  Norms enter only through oracles (callables on step functions),
 so the probes run unchanged against gauge norms, weighted norms or duals.
 
 An oracle that also has ``rows(ndarray) -> ndarray`` (such as a
@@ -14,10 +14,11 @@ points before they norm them, so they build them as row blocks of at most
 ``_BLOCK_CELLS`` cells, with the float operations of the step-function
 arithmetic, and hand each block to ``rows``; an oracle without ``rows`` is
 called once per row on the same values, so it gives the one-point loop's
-result exactly.  ``daugavet_condition_probe`` is a sequential search and
-calls the oracle one point at a time.  Every candidate list is built from
-the row toolkit of ``grid`` (atoms, sign patterns, seeded normal draws,
-``RowSums``).
+result exactly.  ``daugavet_condition_probe`` and ``no_nonsquare_probe``
+are sequential searches, one point at a time: each scans a pool, then
+climbs from its best point by the one coordinate ascent ``_ascend``.
+Every candidate list is built from the row toolkit of ``grid`` (atoms,
+sign patterns, seeded normal draws, ``RowSums``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def _norms(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarra
     return np.array([oracle(StepFunction(grid, tuple(r))) for r in rows.tolist()])
 
 
+def _unit_rows(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarray:
+    """The rows of nonzero norm, each scaled to norm one, after StepFunction's value check."""
+    norms = _norms(oracle, grid, rows)
+    nonzero = norms != 0.0
+    return finite((1.0 / norms[nonzero])[:, None] * rows[nonzero])
+
+
 def _best_of(best: float, values: np.ndarray) -> float:
     """What ``if v > best: best = v`` over ``values`` leaves (NaN never wins)."""
     hits = values[values > best]
@@ -129,9 +137,7 @@ def slice_diameter_lb(
     def distances():
         nonlocal kept
         for ys in row_blocks(candidates, size):
-            ny = _norms(primal, grid, ys)
-            nonzero = ny != 0.0
-            ys = finite((1.0 / ny[nonzero])[:, None] * ys[nonzero])
+            ys = _unit_rows(primal, grid, ys)
             pairs = RowSums((fv * ys) * w)
             for i, y in enumerate(ys):
                 if pairs.exceeds(i, 1.0 - s.eps):
@@ -189,9 +195,7 @@ def roughness_probe(
     )
     best = 0.0
     for hs in row_blocks(directions, per_dir):
-        nh = _norms(norm, grid, hs)
-        nonzero = nh != 0.0
-        hs = finite((1.0 / nh[nonzero])[:, None] * hs[nonzero])
+        hs = _unit_rows(norm, grid, hs)
         if not len(hs):
             continue
         for a in range(0, len(scales), per_scale):
@@ -201,6 +205,32 @@ def roughness_probe(
             plus, minus = _norms(norm, grid, rows).reshape(2, len(ts), len(hs))
             best = _best_of(best, (plus + minus - 2.0) / ts[:, :, 0])
     return min(best, 2.0)  # the triangle inequality caps the quotient at 2; rounding can say more
+
+
+def _ascend(score, best: float, best_y: Optional[StepFunction], rounds: Optional[int], done):
+    """Greedy coordinate ascent on ``score`` (candidate -> (unit point or None, score))
+    from ``best_y``, which scores ``best``; returns the last (best, best_y).
+
+    A round tries best_y + step, then best_y - step, on each cell, moving to
+    each candidate that scores strictly higher; a round with no move halves
+    the step (from 0.5).  Stops once ``done(best)`` (asked before each round and after
+    each candidate), at step 1e-6 or after ``rounds`` rounds (None: no limit).
+    """
+    step, spent = 0.5, 0
+    while best_y is not None and step > 1e-6 and spent != rounds and not done(best):
+        spent += 1
+        grid, moved = best_y.grid, False
+        for i, sgn in itertools.product(range(len(grid)), (1.0, -1.0)):
+            vals = list(best_y.values)
+            vals[i] += sgn * step
+            y, s = score(StepFunction(grid, tuple(vals)))
+            if s > best:
+                best, best_y, moved = s, y, True
+            if done(best):
+                return best, best_y
+        if not moved:
+            step /= 2.0
+    return best, best_y
 
 
 def daugavet_condition_probe(
@@ -256,8 +286,7 @@ def daugavet_condition_probe(
     with np.errstate(over="ignore"):  # an inf midpoint raises StepFunction's error below
         rows = np.concatenate((aligned, xv[None, :], 0.5 * (xv + aligned)))
     pool = [StepFunction(grid, tuple(y)) for y in rows.tolist()]
-    best_score = -math.inf
-    best_y = None
+    best_score, best_y = -math.inf, None
     for y in pool:
         y, score = slack(y)
         if score > 0.0:
@@ -265,25 +294,54 @@ def daugavet_condition_probe(
         if score > best_score:
             best_score, best_y = score, y
     # coordinate ascent on the minimum slack, then random restarts
-    step = 0.5
-    while evaluations < budget and best_y is not None and step > 1e-6:
-        improved = False
-        for i, sgn in itertools.product(range(n), (1.0, -1.0)):
-            vals = list(best_y.values)
-            vals[i] += sgn * step
-            cand, score = slack(StepFunction(grid, tuple(vals)))
-            if score > 0.0:
-                return witnessed(cand)
-            if score > best_score:
-                best_score, best_y, improved = score, cand, True
-            if evaluations >= budget:
-                break
-        if not improved:
-            step /= 2.0
+    best_score, best_y = _ascend(
+        slack, best_score, best_y, None, lambda best: best > 0.0 or evaluations >= budget
+    )
+    if best_score > 0.0:
+        return witnessed(best_y)
     while evaluations < budget:
         y, score = slack(StepFunction(grid, tuple(rng.standard_normal(n))), scored=False)
         if score > 0.0:
             return witnessed(y)
-    return ConditionProbeResult(
-        False, None, evaluations, "not found within budget; inconclusive"
-    )
+    return ConditionProbeResult(False, None, evaluations, "not found within budget; inconclusive")
+
+
+def no_nonsquare_probe(norm: NormOracle, grid: MeasureGrid, candidates, samples: int, seed: int) -> list:
+    """Best value of min(|x+y|, |x-y|) found per candidate unit x.
+
+    A lower bound on 2 - delta_best: values near 2 mean the point is not
+    uniformly non-square as far as the search can tell.  The best point of
+    the pool is polished by 12 rounds of ``_ascend``.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    results = []
+    for x in candidates:
+        nx = norm(x)
+        if nx == 0.0:
+            raise PreconditionError("candidate points must be nonzero")
+        x = (1.0 / nx) * x
+
+        def score(y):
+            """Unit y and min(|x + y|, |x - y|); (None, -inf) when |y| = 0."""
+            ny = norm(y)
+            if ny == 0.0:
+                return None, -math.inf
+            y = (1.0 / ny) * y
+            return y, min(norm(x + y), norm(x - y))
+
+        xv = np.array(x.values)
+        pattern = signs(xv)
+        pool = np.concatenate((
+            *atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, 2 * n),
+            np.stack((xv, -xv, pattern, -pattern)),
+            np.where(np.eye(n, dtype=bool), -pattern, pattern),  # single flips reach sup-norm extremes
+            rng.standard_normal((max(0, samples - (3 * n + 4)), n)),
+        ))
+        best, best_y = 0.0, None
+        for y in pool.tolist():
+            y, val = score(StepFunction(grid, tuple(y)))
+            if val > best:
+                best, best_y = val, y
+        results.append(_ascend(score, best, best_y, 12, lambda best: False)[0])
+    return results

@@ -21,6 +21,7 @@ from mospaces import (
     Slice,
     StepFunction,
     SumSpaceSpec,
+    WitnessConstructionError,
     luxemburg_norm,
     modular,
     pairing,
@@ -30,7 +31,7 @@ from mospaces import (
 )
 from mospaces import musielak
 from mospaces.cli import num
-from mospaces.interpolation import _SLACK, _int_slice_center
+from mospaces.interpolation import _SLACK, _check_margin, _int_slice_center
 from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
 from mospaces.reports import record_from_samples
 
@@ -108,6 +109,38 @@ def random_int_spec(rng, n=None, gamma_all=True):
     w = tuple(float(t) for t in rng.uniform(0.3, 2.0, n))
     v = tuple(float(t) for t in rng.uniform(0.3, 2.0, n))
     return IntSpaceSpec(grid, gamma, w, v)
+
+
+def int_full_constants_reference(spec):
+    """interpolation.witness_int's gamma-full constants, its cell sets A and
+    A1 chosen by the nested prefix loops it ran before ``itertools.accumulate``;
+    raises what those loops and the margin check raise."""
+    grid = spec.grid
+    contrib = {cid: spec.w[i] / spec.v[i] * grid.weights[i] for i, cid in enumerate(grid.ids)}
+    order = sorted(contrib, key=contrib.get, reverse=True)
+    set_a, i_a = [], 0.0
+    for cid in order:
+        set_a.append(cid)
+        i_a += contrib[cid]
+        if i_a > 1.0:
+            break
+    while True:
+        set_a1, i_1 = [], 0.0
+        for cid in set_a:
+            set_a1.append(cid)
+            i_1 += contrib[cid]
+            if i_1 >= 1.0:
+                break
+        if i_1 >= 1.0 and len(set_a1) < len(set_a):
+            break
+        extras = [cid for cid in order if cid not in set_a]
+        if not extras:
+            raise WitnessConstructionError("no proper sub-block of gamma reaches a w/v integral of one")
+        set_a.append(extras[0])
+        i_a += contrib[extras[0]]
+    c = 1.0 / i_a
+    _check_margin(0.5 * min(2.0 * c * (1.0 - c * i_1) / (1.0 + c), 1.0 - c))
+    return {"case": "gamma-full", "set_a": set_a, "set_a1": set_a1, "c": c, "integral_a": i_a, "integral_a1": i_1}
 
 
 def domain_samples(curve: OrliczCurve, rng, count=100):
@@ -869,7 +902,8 @@ def condition_probe_reference(primal, dual, x, f, eps, budget=2000, seed=0):
 
 
 def no_nonsquare_reference(norm, grid, candidates, samples, seed):
-    """classify.no_nonsquare_probe with its pool appended one StepFunction at a time."""
+    """probes.no_nonsquare_probe with its pool appended one StepFunction at a time
+    and its own copy of the coordinate ascent, the loop ``probes._ascend`` shares."""
     rng = np.random.default_rng(seed)
     n = len(grid)
     results = []

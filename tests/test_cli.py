@@ -1217,6 +1217,64 @@ def test_id_lists_must_be_lists(tmp_path, capsys, where, value):
     assert err.count("\n") == 1 and "must be a list" in err, err
 
 
+@pytest.mark.parametrize(
+    "command, ids, space",
+    [
+        # mixed ids used to reach sorted() over the ids and exit 1 with a traceback
+        ("conjugate", [1, "a", "b"], {"kind": "weighted_sum", "v": [1, 1, 1], "w": [1, 1, 1]}),
+        (
+            "classify",
+            [1, "a", "b"],
+            {"kind": "weighted_intersection", "gamma": ["a"], "v": [1, 1, 1], "w": [0.1] * 3},
+        ),
+        ("norm", [0, 1, 2], {"kind": "orlicz", "curve": {"family": "power", "p": 2}}),
+    ],
+)
+def test_grid_ids_must_be_strings(tmp_path, capsys, command, ids, space):
+    body = {"grid": {"weights": [1, 1, 1], "ids": ids}, "space": space, "x": [1, 0, 0]}
+    cfg = write(tmp_path / "ids.json", body)
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: grid ids must be strings, got {ids[0]}\n", err
+
+
+def test_certificate_grid_ids_must_be_strings(tmp_path, capsys):
+    path = write(tmp_path / "c.json", INT_CFG)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    report = json.loads(cert.read_text())
+    report["results"]["witness"]["grid_ids"] = [0, "c1", "c2", "c3"]
+    hostile = write(tmp_path / "hostile.json", report)
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: grid ids must be strings, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("roughness", "x"),
+        ("slice_diameter", "functional"),
+        ("daugavet_condition", "x"),
+        ("daugavet_condition", "functional"),
+    ],
+)
+@pytest.mark.parametrize(
+    "bad, why",
+    [([1.0, 0.0, 0.0], "value count must equal cell count"), ([1.0, "inf"], "values must be finite, got inf")],
+)
+def test_a_bad_probe_vector_is_a_config_error(tmp_path, capsys, kind, key, bad, why):
+    probe = {"type": kind, "x": [1.0, 0.0], "functional": [1.0, 0.0], "eps": 0.5, key: bad}
+    probes = [{"type": "roughness", "x": [0.0, 1.0]}, probe]  # the fault sits in probe 1
+    cfg = write(tmp_path / "probe.json", dict(BASE, samples=20, probes=probes))
+    capsys.readouterr()
+    assert main(["probe", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: probe 1: bad {key}: ") and err.endswith(why + "\n"), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("eps", ["inf", math.nan, 0, -1.0])
 def test_condition_probe_eps_must_be_finite_and_positive(tmp_path, capsys, eps):
     probe = {"type": "daugavet_condition", "x": [1.0, 0.0], "functional": [1.0, 0.0], "eps": eps}

@@ -38,6 +38,7 @@ from mospaces import (
 )
 from mospaces.interpolation import _BLOCK_CELLS, RowSums
 from helpers import (
+    int_full_constants_reference,
     random_int_spec,
     random_sum_spec,
     random_x,
@@ -283,6 +284,42 @@ def test_witness_int_refuses_a_margin_that_rounds_to_zero():
     spec = IntSpaceSpec(g, g.cell_set(), (0.5, 1e-299), (5e-301, 1e-300))
     with pytest.raises(WitnessConstructionError, match="margin epsilon -0.0"):
         witness_int(spec)
+
+
+def _outcome(build, spec):
+    """What ``build(spec)`` returns, or the type and message of the WitnessConstructionError it raises."""
+    try:
+        return build(spec)
+    except WitnessConstructionError as exc:
+        return type(exc), str(exc)
+
+
+def test_witness_int_gamma_full_sets_match_the_prefix_loops():
+    # each spec: the same constants as the loops, or the same refusal
+    rng = np.random.default_rng(131)
+    specs = [random_int_spec(rng) for _ in range(300)]
+    dyadic = [
+        [0.5, 0.25, 0.25, 0.125],  # a prefix sum hits 1 exactly
+        [0.5, 0.5, 0.5],
+        [0.25] * 5,  # the fourth sum is 1 exactly
+        [0.75, 0.5],  # the first sum >= 1 is the last: no proper sub-block
+        [1.0, 2.0**-54, 2.0**-54, 2.0**-54],  # fsum > 1, every sequential sum is 1
+        [0.5 + 2.0**-53, 0.25, 0.125, 0.0625 + 2.0**-55, 0.0625],  # fsum > 1, no sum > 1, 1 only last
+    ]
+    for _ in range(200):
+        dyadic.append([float(t) for t in np.ldexp(1.0, -rng.integers(1, 4, int(rng.integers(2, 8))))])
+    for contrib in dyadic:
+        g = MeasureGrid((1.0,) * len(contrib))
+        specs.append(IntSpaceSpec(g, g.cell_set(), tuple(contrib), (1.0,) * len(contrib)))
+    refused = 0
+    for spec in specs:
+        if math.fsum(spec.w[i] / spec.v[i] * spec.grid.weights[i] for i in range(len(spec.grid))) <= 1.0:
+            continue  # the space collapses before any cell set is chosen
+        want = _outcome(int_full_constants_reference, spec)
+        got = _outcome(lambda s: witness_int(s).constants, spec)
+        assert got == want, (spec, got, want)
+        refused += isinstance(want, tuple)
+    assert 0 < refused < len(specs)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-300])

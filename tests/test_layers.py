@@ -2,8 +2,10 @@
 
 ``grid`` sits under every other module and imports only ``errors``; the
 probes do not reach into the interpolation layer, and ``classify`` does
-not reach into the probes.  ``classify`` and ``cli`` read a field's curves
-through its table, never as curve objects.
+not reach into the probes.  Every probe (a function named ``*_probe``,
+other than the CLI's ``cmd_probe`` command) is defined in ``probes``.
+``classify`` and ``cli`` read a field's curves through its table, never
+as curve objects.
 """
 
 import ast
@@ -53,3 +55,16 @@ def test_layer_reads_no_curve_objects(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "curves"]
     assert reads == []
+
+
+def test_every_probe_is_defined_in_probes():
+    defined = {
+        (path.stem, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.endswith("_probe")
+        and not node.name.startswith("cmd_")  # the CLI command that runs the probes
+    }
+    assert {"daugavet_condition_probe", "no_nonsquare_probe"} <= {name for _, name in defined}
+    assert {module for module, _ in defined} == {"probes"}, sorted(defined)
