@@ -17,6 +17,7 @@ import functools
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import operator
 import sys
@@ -250,27 +251,23 @@ def _cell_ids(value, what: str) -> tuple:
     return ids
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
+def _sorted_object(pairs: list) -> dict:
+    """A decoded JSON object, keys stably sorted: a repeated key keeps its last value, as in json.load."""
+    return dict(sorted(pairs, key=operator.itemgetter(0)))
 
 
 def config_hash(cfg: dict) -> str:
-    """sha256 of the canonical JSON: sorted keys, compact, "inf" tokens.
+    """sha256 of ``marshal.dumps(cfg, 2)``, ``cfg`` as ``_load_object`` decodes it (every object key-sorted).
 
-    ``cfg`` is a config as ``json.load`` gives it, which encodes as it is;
-    only a non-finite float (an ``Infinity`` or ``NaN`` literal), which
-    ``allow_nan=False`` refuses, goes through ``canonical_json``, so the
-    bytes are the same either way.  A config nested too deeply for the
-    encoders' recursion is a ConfigError.
+    Format 2 writes each float as its 8 IEEE bytes and shares no references, so
+    only the decoded value counts: not key order or whitespace, but ``1`` vs
+    ``1.0``, ``0.0`` vs ``-0.0``, ``true`` vs ``1`` and ``Infinity`` vs ``"inf"``.
     """
     try:
-        try:
-            text = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        except ValueError:  # a non-finite float
-            text = canonical_json(cfg)
-    except RecursionError:
+        data = marshal.dumps(cfg, 2)
+    except ValueError:  # deeper than marshal writes: json.load reads that under a raised recursion limit
         raise ConfigError("config is nested too deeply to hash") from None
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -745,10 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_object(path: str, what: str) -> dict:
-    """A JSON object read from ``path``; anything else is a ConfigError."""
+    """A JSON object read from ``path``, every object key-sorted; anything else is a ConfigError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_sorted_object)
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge ints
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     if not isinstance(obj, dict):

@@ -1,6 +1,7 @@
 """Shared random generators and independent brute-force oracles for tests."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +31,7 @@ from mospaces import (
     wint_norm,
 )
 from mospaces import musielak
-from mospaces.cli import num
+from mospaces.cli import jsonify, num
 from mospaces.interpolation import _SLACK, _check_margin, _int_slice_center
 from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
 from mospaces.reports import record_from_samples
@@ -676,6 +677,12 @@ def roughness_reference(
             if q > best:
                 best = q
     return best
+
+
+def canonical_json(obj) -> str:
+    """Compact JSON with sorted keys and "inf" tokens, through ``cli.jsonify``:
+    two configs that write the same text here are the same config."""
+    return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
 
 
 def piecewise_reference(spec: dict):

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -23,10 +22,10 @@ from mospaces.cli import (
     MAX_CELLS,
     MAX_SAMPLES,
     _load_object,
+    _sorted_object,
     _witness_from_json,
     _witness_to_json,
     build_parser,
-    canonical_json,
     _spec_to_json,
     config_hash,
     jsonify,
@@ -38,7 +37,7 @@ from mospaces.cli import (
 )
 from mospaces.musielak import orlicz_norm_sup_oracle
 
-from helpers import knot_values_reference, piecewise_reference
+from helpers import canonical_json, knot_values_reference, piecewise_reference
 
 
 def run_cli(args):
@@ -119,12 +118,6 @@ def test_curve_json_round_trip():
     table = parse_space({"grid": {"weights": [1.0] * len(specs)}, "space": {"kind": "musielak", "curves": specs}}).field.table
     again = [parse_curve(spec) for spec in jsonify(table.specs())]
     assert again == [parse_curve(spec) for spec in specs]
-
-
-def test_canonical_json_is_order_insensitive():
-    a = {"x": 1, "y": [2, 3]}
-    b = {"y": [2, 3], "x": 1}
-    assert canonical_json(a) == canonical_json(b)
 
 
 def test_config_round_trip_up_to_canonical_ordering():
@@ -649,18 +642,14 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         probe_cfg = write(tmp_path / "probe.json", dict(BASE, probes=probes))
         assert one_line_config_error(["probe", "--config", probe_cfg])
 
-    # nesting too deep for json.load, and a NaN too deep for the hash's encoders
+    # nesting too deep for json.load
     deep = tmp_path / "deep.json"
     deep.write_text('{"a": ' + "[" * 5000 + "]" * 5000 + "}")
     assert one_line_config_error(["norm", "--config", str(deep)])
-    nested = math.nan
-    for _ in range(500):
-        nested = [nested]
-    assert one_line_config_error(["norm", "--config", write(tmp_path / "nan.json", dict(BASE, a=nested))])
 
     no_grid = {"type": "sum-case", "x": [1.0, 0.0], "functional": [1.0, 0.0], "epsilon": 0.5}
     for results in ({"witness": {"type": "nonsquare"}}, 5, {"witness": [1]}, {"witness": no_grid}):
-        body = {"config_hash": config_hash(BASE), "results": results}
+        body = {"config_hash": config_hash(_load_object(cfg, "config")), "results": results}
         cert = write(tmp_path / "hostile.json", body)
         assert one_line_config_error(["verify", "--config", cfg, "--certificate", cert])
 
@@ -864,7 +853,7 @@ def test_cli_entry_point_runs():
     assert proc.returncode == EXIT_CONFIG
 
 
-# -- bulk hashing and parsing against their per-token references -----------------
+# -- the config hash, and bulk parsing against its per-token reference -----------
 
 _SCALARS = st.one_of(
     st.none(),
@@ -875,12 +864,16 @@ _SCALARS = st.one_of(
     st.sampled_from(["inf", "-inf", "NaN", "1.5", ""]),
 )
 _STR_KEYS = st.sampled_from(["a", "b", "inf", "1", "9", "10", "True", "null"])
-# as json.load gives it back: Infinity and NaN literals become non-finite floats
-_LOADED = st.recursive(
-    _SCALARS,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STR_KEYS, kids, max_size=4),
-    max_leaves=16,
-).map(lambda obj: json.loads(json.dumps(obj)))
+# config objects as json.dumps writes them: non-finite floats as Infinity and NaN literals
+_CONFIGS = st.dictionaries(
+    _STR_KEYS,
+    st.recursive(
+        _SCALARS,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STR_KEYS, kids, max_size=4),
+        max_leaves=16,
+    ),
+    max_size=5,
+)
 
 
 def _outcome(f, *args):
@@ -891,11 +884,135 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(_LOADED)
-def test_config_hash_is_the_sha256_of_the_canonical_json(cfg):
-    want = _outcome(lambda c: hashlib.sha256(canonical_json(c).encode()).hexdigest(), cfg)
-    assert _outcome(config_hash, cfg) == want
+def _decoded(obj):
+    """``obj`` as ``_load_object`` decodes it from a config file, which is what ``config_hash`` takes."""
+    return json.loads(json.dumps(obj), object_pairs_hook=_sorted_object)
+
+
+def _file_hash(text: str) -> str:
+    """The hash the CLI takes of a config file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text)
+        return config_hash(_load_object(str(path), "config"))
+
+
+def _reordered(obj, rng):
+    """``obj`` with the keys of each of its objects in a random order."""
+    if isinstance(obj, dict):
+        keys = list(obj)
+        rng.shuffle(keys)
+        return {k: _reordered(obj[k], rng) for k in keys}
+    if isinstance(obj, list):
+        return [_reordered(v, rng) for v in obj]
+    return obj
+
+
+def _nodes(obj, path=()):
+    """(path, value) of ``obj`` and of everything inside it."""
+    yield path, obj
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _nodes(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    """A copy of ``obj`` with ``value`` at ``path``."""
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_CONFIGS, st.randoms(use_true_random=False))
+def test_config_hash_ignores_key_order_and_whitespace(cfg, rng):
+    text = json.dumps(
+        _reordered(cfg, rng),
+        indent=rng.choice([None, 0, 3, "\t"]),
+        separators=rng.choice([(",", ":"), (" , ", " :  ")]),
+    )
+    assert _file_hash("\n " + text + " \n") == _file_hash(json.dumps(cfg))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_CONFIGS)
+def test_config_hash_changes_with_any_number_and_any_added_key(cfg):
+    """A one-ulp step of any number (one more for an int; a NaN has no
+    neighbour) and a key added to any object each change the hash."""
+    base = _file_hash(json.dumps(cfg))
+    for path, value in _nodes(cfg):
+        if isinstance(value, dict):
+            changed = dict(value, added=None)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+            continue
+        elif isinstance(value, int):
+            changed = value + 1
+        else:
+            changed = math.nextafter(value, -math.inf if value == math.inf else math.inf)
+        assert _file_hash(json.dumps(_replaced(cfg, path, changed))) != base, path
+
+
+@pytest.mark.parametrize("a, b", [("1", "1.0"), ("0.0", "-0.0"), ("true", "1"), ("false", "0")])
+def test_config_hash_tells_equal_comparing_values_apart(a, b):
+    assert _file_hash('{"a": [%s]}' % a) != _file_hash('{"a": [%s]}' % b)
+
+
+def test_a_repeated_key_hashes_as_its_last_value():
+    text = '{"b": 0, "a": 1, "c": {"y": 2, "x": 3, "y": [4]}, "a": "last"}'
+    assert _file_hash(text) == _file_hash('{"a": "last", "b": 0, "c": {"x": 3, "y": [4]}}')
+    assert _file_hash(text) != _file_hash('{"a": 1, "b": 0, "c": {"x": 3, "y": 2}}')
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "c.json").write_text(text)
+        assert _load_object(str(Path(tmp) / "c.json"), "config") == json.loads(text)
+
+
+def test_an_infinity_literal_hashes_as_the_float_not_as_the_inf_token():
+    # Infinity and 1e400 decode to the same float; "inf" is a string, which parses to that float too
+    assert _file_hash('{"tol": Infinity}') == _file_hash('{"tol": 1e400}')
+    assert _file_hash('{"tol": -Infinity}') == _file_hash('{"tol": -1e400}')
+    assert _file_hash('{"tol": Infinity}') != _file_hash('{"tol": "inf"}')
+
+
+def test_the_config_hash_of_a_small_config_is_pinned(tmp_path, capsys):
+    # every JSON type; a change to the decoder or to marshal's format 2 moves this digest
+    extra = [1, 2**70, 2.5, -0.0, math.inf, True, False, None, "\u00e9", {"b": "inf", "a": []}]
+    assert main(["norm", "--config", write(tmp_path / "c.json", dict(BASE, extra=extra))]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["config_hash"] == "26e3d416c115f71179ea2dc09e5bf7efcd58e92b29f9ffb83cd87bd86d818d31"
+
+
+def test_verify_matches_a_reordered_config_and_refuses_a_changed_one(tmp_path, capsys):
+    cfg = dict(BASE, x=[1.0, 0.5], samples=60)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg), "--out", str(cert)]) == EXIT_OK
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(dict(reversed(cfg.items())), indent=3))
+    assert main(["verify", "--config", str(reordered), "--certificate", str(cert)]) == EXIT_OK
+    changed = write(tmp_path / "changed.json", dict(cfg, x=[1.0, math.nextafter(0.5, 1.0)]))
+    capsys.readouterr()
+    assert main(["verify", "--config", changed, "--certificate", str(cert)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "precondition failure: certificate does not match this configuration\n"
+
+
+def test_a_config_too_deep_to_hash_is_a_config_error(tmp_path, capsys):
+    """marshal writes at most 2,000 levels.  At the default recursion limit
+    json.load reads fewer than 1,000, but under a raised limit it reads more."""
+    deep = write(tmp_path / "deep.json", dict(BASE, a=_Nested(2_500)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 5_000)
+    try:
+        code = main(["norm", "--config", deep])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: config is nested too deeply to hash\n"
+    # a NaN 500 lists deep hashes, and norm leaves the key it sits under unread
+    nested = math.nan
+    for _ in range(500):
+        nested = [nested]
+    assert main(["norm", "--config", write(tmp_path / "nan.json", dict(BASE, a=nested))]) == EXIT_OK
 
 
 _HOSTILE_TOKENS = st.sampled_from(
@@ -1067,7 +1184,7 @@ def test_probe_bounds_never_exceed_two(tmp_path, capsys):
 
 
 def _certificate(cfg, results) -> dict:
-    return {"config_hash": config_hash(cfg), "results": results}
+    return {"config_hash": config_hash(_decoded(cfg)), "results": results}
 
 
 _SUM_WITNESS = {

@@ -109,16 +109,16 @@ def _config(flavour, n=64):
 
 # sha256 of each report without its "versions" block
 PINNED = {
-    "power-mix": "c817a9386798e5b1d6c2ca08ad16daed6cec9e3cadec79796929ac81daf44b4f",
-    "bounded-domain": "d37121e7c3133a5848a583342b10e4d5a420b54e1120d3a0dc9c3d61493ae857",
-    "asymptotically-linear": "678700e3fea007d304aaad4dfbad3afd57a3d5badda85fa5ead2ba2abf4ed99c",
-    "blow-up": "adb07480ac0c23c439803e6489364c5bce50983e8b9b6643d5e43122a3ae1ba6",
-    "end-value": "f850a02099a024c4c9320ac8c0ec2ef37be86789a43aa1ca3e4964f2166dd333",
+    "power-mix": "35190060e812df8f3d54a89eafde39b75df18ddaa058beea592334819037a0c5",
+    "bounded-domain": "9221a3a7251915f0dc5f15af1089d97d6709f103ad7ab68365190b153f53ba1b",
+    "asymptotically-linear": "359b0309709241720503ded72107f986fd88235f51cf96a11c0825858d24f945",
+    "blow-up": "3b982bee896dcc8f4d827153a2198ebbc9a9881c513a1a6ab85d32bece2fdb87",
+    "end-value": "09c9dfffd7af2a47884ab2912ae027b5f87177f9ab416d772257b6deb0033d93",
 }
 
 # the same at the size where the parse and the report writer dominate a run
 PINNED_LARGE = {
-    ("mixed", 2048): "bf33daf8d756f08966d3897a3f388b4e775b46a8640738378b410fdee4240b9c",
+    ("mixed", 2048): "c7bcc4cb2ae49029372657b28ee0c2ab43bbeeba9d08b416124a66ef9292166a",
 }
 
 

@@ -6,9 +6,9 @@ tokens before its end (per-token number parsing), an ``orlicz`` curve, the
 weighted sum and intersection specs, probes on a Musielak field and on both
 weighted specs (all three probe types), the conjugate field, and a
 config file written with an ``Infinity`` literal, which the config hash
-encodes through ``jsonify``.  Each config is a literal or comes from a
-fixed-seed generator, and the sha256 of each report without its
-``versions`` block is pinned.  The two n = 64 interpolation configs draw
+takes as the float inf, not as an "inf" token.  Each config is a literal
+or comes from a fixed-seed generator, and the sha256 of each report
+without its ``versions`` block is pinned.  The two n = 64 interpolation configs draw
 600 slice samples each, so their ``classify`` and ``verify`` reports pin
 the slice sampler's records.
 """
@@ -154,34 +154,34 @@ CONFIGS = {
 # (command, config): sha256 of the report without "versions"
 PINNED = {
     ("classify", "sum-64"):
-        "47a404f15c2a9051738f635049ea334c3fcac04a45a5befb9167825d96ac09f3",
+        "7bdfaf9d0ba5306a73626ea1557b64377d57db0493b4f0add1642fd6d804c587",
     ("verify", "sum-64"):
-        "283d6af0b1ce6fb39f3c6c3ef79dddef9296fe2bad1184260c800f33aad386ad",
+        "e3574ac527e806673e286b0b8e2a5e1472f42f2dc69078cf3a5440ecf1587aed",
     ("classify", "int-proper-64"):
-        "c514d37673ff705529f5df548432397071586da2cee36212da3c884b792087d7",
+        "e93ed4231889b2cec57bb369c24648a8576f28423f899a0875e72b378b9b3f95",
     ("verify", "int-proper-64"):
-        "54277a8bc70248883931b2453c9655ec1b7ec6701239ac732acb5657c1692143",
+        "594708691ecb6014a160207d6a0b46baf76b166860626fcace26fa9ddb09bf72",
     ("classify", "nakano"):
-        "c3288b38ae0df86c2e6a8a288f672c13fec0ea09c8b82f71aa8b9a0a1e879b23",
+        "aeaf9e0f7526bc289b5780351bc69de50d9d39f65d5c27cf42638849aab15705",
     ("verify", "nakano"):
-        "5886c36d8f4855e362fccc14a33444a31622d09a4ebced99b7e72148c470ffe8",
+        "4cb09beed79267533833514b1ed85ab5a98c6147183fdff2be87e60e65f0a230",
     ("classify", "orlicz"):
-        "185bc85edf2b5cd11624ef34dacf9a881c4ad3e9ea0ebe9b086e671a21d922c6",
+        "55f5205cf7997c155178f531f8dd8c6c772d60da5b5374e38c8f905e974175aa",
     ("classify", "weighted-sum"):
-        "67864b724ed8854f381874151928d8b7938dfb55f8aad23a99d39a23c0a7de16",
+        "ab5bfb0f0b1e74c5d0ef5094ad5b41665407e17cc9ac26f484c0a8c5aec5c28b",
     ("classify", "weighted-intersection"):
-        "a3ce832cef71b325267754596197261ae621efd9339b7c0ce19e342d908dd73b",
+        "bd84393f22406c35769ca2a5acf0f2b9c956a1ece2c5af6aca6f7ad4e091b657",
     ("probe", "weighted-intersection-probes"):
-        "146c42439a7e15971f5efa68f7c4f04f76b4bf4d13b92f761f140ac637203c5b",
+        "6cba60b5d0c72feeb6ae78bcfb6f0b362b1e95ce00166788b068c8c47677b0d4",
     ("probe", "weighted-sum-probes"):
-        "855152d01b185c048e3520a9c903e12b9164f7fd4cc8c4abb0be72ffe8ab052c",
+        "2392988058eeda1826d0075ef7ef8915aeede73d4bd830bdd58a86ced346cd46",
     ("probe", "musielak"):
-        "4376d0cf3c505f323592104454ef76ad7ea1b89ce9ab69d1449c475d1c307df7",
+        "4fe3cf7bc62ef6ed15de742a0f8aa2fbe99402eda2cc2af7aa8b8eea8a017026",
     ("conjugate", "musielak"):
-        "804abac74ec8eaab128117f34b6053e61d371df034155c2a4c8feb4d4603747c",
+        "432625b20953a521f7099b4822d4b523ea9756e9c31b714f9e52b86e2a9bf6b8",
 }
 # a tol written as the non-standard literal Infinity, which json.load reads as inf
-INFINITY_NORM = "818bb9da80f10e4ad867424198c5f0394cb84219bdd34d80eb62d6fe99acb9bf"
+INFINITY_NORM = "305d5eeda068e22466eb25e3ec583022ce75764ae85197886e0e4f1af67537dd"
 
 
 @pytest.mark.parametrize("command, name", sorted(PINNED))
