@@ -11,6 +11,7 @@ from .classify import (
     build_nonsquare_witness,
     classify,
     classify_orlicz,
+    component_spec,
     find_nonsquare_setup,
     verify_nonsquare,
 )

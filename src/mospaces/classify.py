@@ -9,7 +9,8 @@ Decision tree:
 3. remaining fields are built from indicator-type and linear-type cells
    only; the verdict follows the collapse form: weighted L1, the sup-sum of
    an L-infinity block and an L1 block, or the intersection component
-   criterion with its interpolation certificate on failure.
+   criterion with its interpolation certificate on failure, built on the
+   component ``component_spec(field)``, where ``verify`` checks it again.
 
 The witness construction follows the modular-halving argument: on a cell
 set where the curves are strictly convex between a and b, the halving ratio
@@ -29,13 +30,14 @@ import numpy as np
 from .curves import INF, OrliczCurve
 from .errors import MospacesError, PreconditionError, VerificationError, WitnessConstructionError
 from .grid import MeasureGrid, StepFunction, atom_rows, row_blocks, signs
-from .interpolation import IntSpaceSpec, witness_int
+from .interpolation import IntSpaceSpec, assert_unit, witness_int
 from .musielak import (
     MusielakField,
     gauge,
     luxemburg_norms,
     modular,
     modular_of_bounds,
+    modulars,
     partition,
     unit_sphere_points,
     weights,
@@ -81,7 +83,7 @@ def _flat_terms(field: MusielakField, u, cells) -> np.ndarray:
 
 def _flat_modular(field: MusielakField, u: float, cells) -> float:
     """Modular of the profile equal to u on ``cells`` and 0 elsewhere."""
-    return math.fsum(_flat_terms(field, u, cells)[0].tolist())
+    return next(modulars(field, _flat_rows(field, u, cells)))
 
 
 def _interval_point(L: float, R: float, t):
@@ -93,15 +95,14 @@ def _interval_point(L: float, R: float, t):
 
 def _first_scale(field: MusielakField, scales: np.ndarray, rows, passes) -> float | None:
     """The first t of ``scales`` whose row ``rows(t)`` of nonnegative cell values has a
-    modular (``modular``'s value) that ``passes``, or None.  The rows are built and
-    evaluated in blocks of at most ``_BLOCK_CELLS`` cells."""
+    modular that ``passes``, or None.  The rows are built and evaluated in blocks of at
+    most ``_BLOCK_CELLS`` cells; no row past the first that passes is summed."""
     per = max(1, _BLOCK_CELLS // len(field.grid))  # rows per block: all 80 up to 819 cells
     for ts in np.split(scales, range(per, len(scales), per)):
-        with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
-            values = field.table.value(rows(ts))
-            terms = (values * field._weights).tolist()
-        for t, blown, row in zip(ts.tolist(), np.isinf(values).any(axis=1).tolist(), terms):
-            if passes(INF if blown else math.fsum(row)):
+        with np.errstate(over="ignore"):  # a row past DBL_MAX is inf, as in Python
+            block = rows(ts)
+        for t, rho in zip(ts.tolist(), modulars(field, block)):
+            if passes(rho):
                 return t
     return None
 
@@ -142,6 +143,11 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
             )
         # drop the most constraining cell: largest d, then largest mass
         work.remove(max(work, key=lambda i: (d[i], grid.weights[i])))
+
+
+def check_unit_modular(field: MusielakField, x: StepFunction, error=WitnessConstructionError):
+    """Check a nonsquare witness's unit claim, as its builder does: x has modular one."""
+    assert_unit(modular(field, x), "witness modular is", error)
 
 
 def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
@@ -234,9 +240,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     record["carrier"] = [grid.ids[i] for i in carrier]
     record["a"], record["b"] = a, b
     x = StepFunction(grid, tuple(x_vals))
-    rho_x = modular(field, x)
-    if abs(rho_x - 1.0) > 1e-9:
-        raise WitnessConstructionError(f"witness modular is {rho_x}, expected 1")
+    check_unit_modular(field, x)
 
     # halving-ratio bound up to per-cell caps no unit vector can exceed; the
     # cap interval contains [a, b], so sigma2 alone covers both uses
@@ -359,20 +363,21 @@ def verify_nonsquare(
     return record_from_samples(checked, checked, bound, max_observed, violations, seed, worst)
 
 
-def _component_int_spec(field: MusielakField, part, wp) -> IntSpaceSpec:
-    """Intersection-space view of the non-indicator block of the grid."""
-    comp_ids = sorted(
-        part.omega_1 | part.omega_1inf, key=field.grid.index.__getitem__
-    )
-    sub = field.grid.subgrid(comp_ids)
-    w_vals, v_vals = [], []
-    for cid in sub.ids:
-        i = field.grid.index[cid]
-        w_vals.append(wp.w.values[i])
-        v_vals.append(wp.v.values[i] if cid in part.omega_1inf else 1.0)
-    return IntSpaceSpec(
-        sub, frozenset(part.omega_1inf), tuple(w_vals), tuple(v_vals)
-    )
+def component_spec(field: MusielakField) -> IntSpaceSpec:
+    """The field's intersection component: L1(w) on its linear cells, w their slopes,
+    intersected with Linf(v) on gamma, its linear-up-to-a-bound cells, v = 1/b (1 off
+    gamma).  A field with a genuinely convex cell, or none linear up to a bound, has none."""
+    part = partition(field)
+    if part.remainder or not part.omega_1inf:
+        raise PreconditionError(
+            "field has no intersection component: it has a genuinely convex cell or no linear-up-to-a-bound cell"
+        )
+    wp = weights(field)
+    index = field.grid.index
+    sub = field.grid.subgrid(part.omega_1 | part.omega_1inf)
+    w_vals = [wp.w.values[index[cid]] for cid in sub.ids]
+    v_vals = [wp.v.values[index[cid]] if cid in part.omega_1inf else 1.0 for cid in sub.ids]
+    return IntSpaceSpec(sub, part.omega_1inf, tuple(w_vals), tuple(v_vals))
 
 
 def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> ClassificationReport:
@@ -443,19 +448,24 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         return ClassificationReport(
             DAUGAVET, FORM_INTERSECTION, "weighted-L1(1/v)", evidence
         )
-    spec = _component_int_spec(field, part, wp)
+    spec = component_spec(field)
     witness = None
     explanation = None
     try:
         witness = witness_int(spec, samples=samples, seed=seed)
-        # the certificate lives on the component space; embed its spec so it
-        # can be re-verified from the certificate alone
+        # the spec rides along for the reader; verify takes it from the config
         constants = dict(witness.constants)
         constants.update(
             {"gamma": sorted(spec.gamma), "w": list(spec.w), "v": list(spec.v)}
         )
         witness = replace(witness, constants=constants)
-    except (PreconditionError, WitnessConstructionError) as exc:
+    except PreconditionError:
+        # the integral above is over one, but w/v with v = 1/b rounds it to one
+        explanation = (
+            "no intersection certificate exists at float precision: "
+            "the component's w/v integral rounds to one"
+        )
+    except WitnessConstructionError as exc:
         explanation = str(exc)
     return ClassificationReport(
         NOT_DAUGAVET, None, None, evidence, witness, explanation

@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional, Union
 import numpy as np
 
 from . import __version__
-from .classify import classify, verify_nonsquare
+from .classify import check_unit_modular, classify, component_spec, verify_nonsquare
 from .curves import Indicator, Linear, OrliczCurve, PiecewiseLinear, Power
 from .errors import (
     ConfigError,
@@ -44,6 +44,7 @@ from .interpolation import (
     IntSpaceSpec,
     SumSpaceSpec,
     _int_slice_center,
+    check_unit_norms,
     classify_int,
     classify_sum,
     int_dual_norm,
@@ -502,8 +503,9 @@ def _witness_to_json(witness) -> Optional[dict]:
     return out
 
 
-def _witness_from_json(obj, space: SpaceConfig) -> Union[NonsquareWitness, FailureCertificate]:
-    """The witness ``_witness_to_json`` wrote; a malformed one is a ConfigError.
+def _witness_from_json(obj, space: SpaceConfig) -> tuple:
+    """The witness ``_witness_to_json`` wrote, and the field or spec it is checked
+    on (``_certificate_space``); a malformed witness is a ConfigError.
 
     A margin of at most 0 would make the bound 2 - margin hold at every point.
     """
@@ -522,7 +524,7 @@ def _witness_from_json(obj, space: SpaceConfig) -> Union[NonsquareWitness, Failu
         record = _record_from_json(obj.get("verification"))
         if wtype == "nonsquare":
             x = _step(space.grid, obj["x"])
-            return NonsquareWitness(x, margin, obj.get("construction", {}), record)
+            return NonsquareWitness(x, margin, obj.get("construction", {}), record), space.field
         grid = MeasureGrid(nums(obj["grid_weights"]), _cell_ids(obj["grid_ids"], "grid ids"))
         cert = FailureCertificate(
             kind=wtype,
@@ -539,12 +541,12 @@ def _witness_from_json(obj, space: SpaceConfig) -> Union[NonsquareWitness, Failu
         )
         if not isinstance(cert.constants, dict):
             raise TypeError("constants must be a JSON object")
+        spec = _certificate_space(space, cert)
         if wtype == "intersection-case":
-            # reads the cells the constants name
-            _int_slice_center(_embedded_int_spec(space, grid, cert.constants), cert)
+            _int_slice_center(spec, cert)  # reads the cells the constants name
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad certificate witness: {exc!r}") from exc
-    return cert
+    return cert, spec
 
 
 def _record_from_json(obj) -> Optional[VerificationRecord]:
@@ -555,17 +557,14 @@ def _record_from_json(obj) -> Optional[VerificationRecord]:
     return VerificationRecord(**dict(obj, worst_point=worst))
 
 
-def _embedded_int_spec(space: SpaceConfig, grid: MeasureGrid, consts: dict) -> IntSpaceSpec:
-    if isinstance(space.spec, IntSpaceSpec) and space.spec.grid == grid:
-        return space.spec
-    gamma = consts.get("gamma")
-    w = consts.get("w")
-    v = consts.get("v")
-    if gamma is None or w is None or v is None:
-        raise PreconditionError(
-            "certificate lives on a component space but carries no spec for it"
-        )
-    return IntSpaceSpec(grid, frozenset(_listed(gamma, "gamma")), nums(w), nums(v))
+def _certificate_space(space: SpaceConfig, cert: FailureCertificate):
+    """The space ``cert`` is checked on, from the config alone: its weighted spec, or for an
+    intersection certificate on a gauge-norm config, the field's intersection component."""
+    int_case = cert.kind == "intersection-case"
+    spec = component_spec(space.field) if int_case and space.field is not None else space.spec
+    if not isinstance(spec, IntSpaceSpec if int_case else SumSpaceSpec) or spec.grid != cert.x.grid:
+        raise PreconditionError("certificate grid does not match the space")
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -612,17 +611,16 @@ def cmd_verify(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: fl
         raise ConfigError("certificate results must be a JSON object")
     if results.get("witness") is None:
         raise PreconditionError("report carries no witness to verify")
-    space = parse_space(cfg)
-    wit = _witness_from_json(results["witness"], space)
+    wit, on = _witness_from_json(results["witness"], parse_space(cfg))
+    # the unit claims are checked after the sampler, so that its own errors
+    # (an overflow on a hostile certificate) keep their exit code
     if isinstance(wit, NonsquareWitness):
-        record = verify_nonsquare(space.field, wit, samples, seed)
-    elif wit.kind == "sum-case":
-        if not isinstance(space.spec, SumSpaceSpec) or space.spec.grid != wit.x.grid:
-            raise PreconditionError("certificate grid does not match the space")
-        record = verify_sum_certificate(space.spec, wit, samples, seed)
+        record = verify_nonsquare(on, wit, samples, seed)
+        check_unit_modular(on, wit.x, VerificationError)
     else:
-        spec = _embedded_int_spec(space, wit.x.grid, wit.constants)
-        record = verify_int_certificate(spec, wit, samples, seed)
+        verify = verify_sum_certificate if wit.kind == "sum-case" else verify_int_certificate
+        record = verify(on, wit, samples, seed)
+        check_unit_norms(on, wit, VerificationError)
     if record.violations:
         raise VerificationError(
             f"re-verification found {record.violations} violations "

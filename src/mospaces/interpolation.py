@@ -329,9 +329,7 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             "integral_on_c": total,
         },
     )
-    _assert_unit(wsum_norm(spec, x), "witness point")
-    _assert_unit(sum_dual_norm(spec, g), "fixed dual element")
-    _assert_unit(sum_dual_norm(spec, f0), "norming functional")
+    check_unit_norms(spec, cert)
     if samples:
         record = verify_sum_certificate(spec, cert, samples, seed)
         if not record.passed:
@@ -430,8 +428,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
         epsilon=eps,
         constants=constants,
     )
-    _assert_unit(wint_norm(spec, x), "witness point")
-    _assert_unit(int_dual_norm(spec, f), "slice functional")
+    check_unit_norms(spec, cert)
     if samples:
         record = verify_int_certificate(spec, cert, samples, seed)
         if not record.passed:
@@ -449,9 +446,22 @@ def _check_margin(eps: float):
         raise WitnessConstructionError(f"margin epsilon {eps!r} is {what} at these weights")
 
 
-def _assert_unit(value: float, label: str):
+def assert_unit(value: float, what: str, error=WitnessConstructionError):
+    """Raise ``error`` unless ``value``, claimed to be one, lies within 1e-9 of one."""
     if abs(value - 1.0) > 1e-9:
-        raise WitnessConstructionError(f"{label} has norm {value}, expected 1")
+        raise error(f"{what} {value}, expected 1")
+
+
+def check_unit_norms(spec, cert: FailureCertificate, error=WitnessConstructionError):
+    """Check a certificate's unit claims on ``spec``, as its builder does: the
+    point has norm one, and so has each functional as a functional."""
+    if cert.kind == "sum-case":
+        assert_unit(wsum_norm(spec, cert.x), "witness point has norm", error)
+        assert_unit(sum_dual_norm(spec, cert.second_functional), "fixed dual element has norm", error)
+        assert_unit(sum_dual_norm(spec, cert.functional), "norming functional has norm", error)
+    else:
+        assert_unit(wint_norm(spec, cert.x), "witness point has norm", error)
+        assert_unit(int_dual_norm(spec, cert.functional), "slice functional has norm", error)
 
 
 # --------------------------------------------------------------------------

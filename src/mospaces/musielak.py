@@ -55,7 +55,7 @@ import numpy as np
 from .curves import INF, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
 from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
-from .table import CurveTable, InvalidCell
+from .table import INDICATOR, LINEAR, POWER, CurveTable, InvalidCell
 
 _MAX_DOUBLINGS = 4096
 _EDGE_STEPS = 64  # edge steps of the asked size before they double
@@ -116,19 +116,13 @@ class MusielakField:
 
     @staticmethod
     def nakano(grid: MeasureGrid, exponents) -> "MusielakField":
-        """Variable-exponent field: p=1 -> linear, p=inf -> indicator."""
-        curves = []
-        for p in exponents:
-            p = float(p)
-            if p < 1.0:
-                raise ValueError("exponents must lie in [1, inf]")
-            if p == 1.0:
-                curves.append(Linear(1.0))
-            elif math.isinf(p):
-                curves.append(Indicator(1.0))
-            else:
-                curves.append(Power(p))
-        return MusielakField(grid, tuple(curves))
+        """Variable-exponent field: p=1 -> linear, p=inf -> indicator, each with number 1."""
+        p = np.array([float(t) for t in exponents])
+        if not (p >= 1.0).all():  # NaN too
+            raise ValueError("exponents must lie in [1, inf]")
+        family = np.select([p == 1.0, np.isinf(p)], [LINEAR, INDICATOR], POWER)
+        number = np.where(family == POWER, p, 1.0)
+        return MusielakField.of_table(grid, CurveTable(family, number, [], [], [], [], []))
 
 
 @dataclass(frozen=True)
@@ -166,28 +160,29 @@ def _check(field: MusielakField, x: StepFunction):
         raise GridMismatchError("step function not defined on the field's grid")
 
 
-def _modular_of(field: MusielakField, u: np.ndarray) -> float:
-    """The modular at nonnegative cell values u (inf allowed): inf if a
-    curve value is, else the products curve(u_i) * mass_i summed by one
-    fsum in grid order, each term the float operations of the curves."""
-    terms = field.table.value(u)
-    if np.isinf(terms).any():
-        return INF
+def modulars(field: MusielakField, rows):
+    """The modular of each row of nonnegative cell values (inf allowed), one
+    row at a time: inf where a curve value is, else the products
+    curve(u_i) * mass_i summed by one fsum in grid order, each term the
+    float operations of the curves.  A row is summed only when it is asked for."""
+    values = field.table.value(rows)
     with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
-        return math.fsum((terms * field._weights).tolist())
+        terms = (values * field._weights).tolist()
+    for blown, row in zip(np.isinf(values).any(axis=1).tolist(), terms):
+        yield INF if blown else math.fsum(row)
 
 
 def modular(field: MusielakField, x: StepFunction) -> float:
     """Sum over cells of curve(|x|) * mass, with infinity propagation."""
     _check(field, x)
-    return _modular_of(field, np.abs(np.array(x.values)))
+    return next(modulars(field, np.abs([x.values])))
 
 
 def modular_of_bounds(field: MusielakField, cells=None) -> float:
     """Modular of the domain-end function b_M (restricted to ``cells``)."""
     keep = field.grid.cell_set(cells)
     inside = np.array([cid in keep for cid in field.grid.ids])
-    return _modular_of(field, np.where(inside, field.table.cell_b, 0.0))
+    return next(modulars(field, [np.where(inside, field.table.cell_b, 0.0)]))
 
 
 def _start_caps(field: MusielakField, level: float) -> np.ndarray:

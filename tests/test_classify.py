@@ -29,6 +29,7 @@ from mospaces import (
     build_nonsquare_witness,
     classify,
     classify_orlicz,
+    component_spec,
     conjugate_field,
     find_nonsquare_setup,
     luxemburg_norm,
@@ -102,6 +103,37 @@ def test_intersection_component_branches():
     )
     assert mixed.verdict == NOT_DAUGAVET
     assert isinstance(mixed.witness, FailureCertificate)
+
+
+def test_component_spec_refuses_fields_without_an_intersection_component():
+    pw = PiecewiseLinear.closed((0.0, 2.0), (1.0,))
+    g = MeasureGrid((0.3, 0.3))
+    for curves in ((pw, Power(2.0)), (Linear(1.0), Linear(2.0))):  # a remainder cell; all linear
+        with pytest.raises(PreconditionError, match="no intersection component"):
+            component_spec(MusielakField(g, curves))
+
+
+def test_component_spec_is_the_spec_classify_embeds():
+    pw = PiecewiseLinear.closed((0.0, 2.0), (0.5,))
+    g = MeasureGrid((1.0, 0.5, 2.0, 1.0))
+    field = MusielakField(g, (Linear(1.0), pw, Indicator(1.0), PiecewiseLinear.closed((0.0, 1.0), (0.25,))))
+    spec = component_spec(field)
+    assert spec.grid == g.subgrid(["c0", "c1", "c3"]) and spec.gamma == {"c1", "c3"}
+    assert spec.w == (1.0, 0.5, 0.25) and spec.v == (1.0, 0.5, 1.0)
+    consts = classify(field).witness.constants
+    assert (consts["gamma"], consts["w"], consts["v"]) == (sorted(spec.gamma), list(spec.w), list(spec.v))
+
+
+def test_a_certificate_lost_to_rounding_is_no_collapse():
+    # w*b*mass is 1 + 1.3e-16, which rounds to 1.0000000000000002, so the space
+    # fails; but w/v*mass with v = fl(1/b) rounds to 1.0, and no certificate exists
+    cell = PiecewiseLinear((0.0, 1.1491506018575801), (1.7536476558798046,), INF)
+    rep = classify(MusielakField(MeasureGrid((0.49622736713022353,)), (cell,)), samples=50)
+    assert rep.verdict == NOT_DAUGAVET and rep.witness is None
+    assert rep.evidence["integral_w_over_v_complement"] == 1.0000000000000002
+    assert rep.explanation == (
+        "no intersection certificate exists at float precision: the component's w/v integral rounds to one"
+    )
 
 
 def test_intersection_collapse_form():

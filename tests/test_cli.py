@@ -165,8 +165,9 @@ def test_witness_codec_round_trips():
         space = parse_space(cfg)
         witness = build(space)
         assert witness.verification is not None
+        on = space.spec if space.field is None else space.field
         for wit in (witness, replace(witness, verification=None)):
-            assert _witness_from_json(jsonify(_witness_to_json(wit)), space) == wit
+            assert _witness_from_json(jsonify(_witness_to_json(wit)), space) == (wit, on)
 
 
 _REPORT_KEYS = {"command", "config_hash", "versions", "seed", "samples", "tol"}
@@ -1216,7 +1217,8 @@ _INT_WITNESS = dict(_SUM_WITNESS, type="intersection-case", constants={})
          EXIT_CONFIG, "error: bad certificate witness: TypeError('constants must be a JSON object')"),
         ("verify", BASE, _certificate(BASE, {"witness": _INT_WITNESS}), None,
          EXIT_PRECONDITION,
-         "precondition failure: certificate lives on a component space but carries no spec for it"),
+         "precondition failure: field has no intersection component: it has a genuinely "
+         "convex cell or no linear-up-to-a-bound cell"),
         ("verify", SUM_CFG, _certificate(SUM_CFG, {"witness": _SUM_WITNESS}), None,
          EXIT_PRECONDITION, "precondition failure: certificate grid does not match the space"),
         ("probe", BASE, None, [{"type": "roughness", "x": [0.0, 0.0]}],
@@ -1238,6 +1240,122 @@ def test_refused_verify_and_probe_inputs_exit_with_one_line(tmp_path, capsys, co
         argv += ["--certificate", write(tmp_path / "cert.json", cert)]
     assert main(argv) == code
     assert capsys.readouterr() == ("", line + "\n")
+
+
+def _linear(slope):
+    return {"family": "linear", "slope": slope}
+
+
+def _bounded_linear(end, slope):
+    return {"family": "piecewise", "breakpoints": [0, end], "slopes": [slope]}
+
+
+_INDICATOR = {"family": "indicator", "bound": 1.0}
+# fields of linear and linear-up-to-a-bound cells: each classifies not
+# Daugavet with an intersection certificate on its component space.
+# FIELD_A's component is c0, c1, c3; FIELD_B's is its own three cells, on
+# another grid; FIELD_C's lies on FIELD_A's component grid, with other weights.
+FIELD_A = {
+    "grid": {"weights": [1.0, 0.5, 2.0, 1.0]},
+    "space": {
+        "kind": "musielak",
+        "curves": [_linear(1.0), _bounded_linear(2.0, 0.5), _INDICATOR, _bounded_linear(1.0, 0.25)],
+    },
+    "samples": 100,
+    "seed": 3,
+}
+FIELD_B = dict(FIELD_A, grid={"weights": [1.0, 0.5, 2.0]}, space={
+    "kind": "musielak", "curves": [_linear(1.0), _bounded_linear(2.0, 0.5), _bounded_linear(1.0, 0.25)],
+})
+FIELD_C = dict(FIELD_A, space={
+    "kind": "musielak", "curves": [_linear(10.0), _bounded_linear(0.5, 2.0), _INDICATOR, _bounded_linear(4.0, 0.25)],
+})
+
+
+def _classified(tmp_path, cfg) -> dict:
+    """The classify report of ``cfg``, which must carry a witness."""
+    out = tmp_path / "report.json"
+    assert main(["classify", "--config", write(tmp_path / "classify.json", cfg), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["results"]["witness"] is not None
+    return report
+
+
+def _verify(tmp_path, capsys, cfg, report) -> tuple:
+    """verify's exit code and stderr for ``report`` as a certificate of ``cfg``."""
+    argv = ["verify", "--config", write(tmp_path / "verify.json", cfg)]
+    argv += ["--certificate", write(tmp_path / "cert.json", report), "--seed", "17"]
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (out == "") == (code != EXIT_OK)
+    return code, err
+
+
+@pytest.mark.parametrize("cfg", [FIELD_A, FIELD_B, FIELD_C], ids=["A", "B", "C"])
+def test_component_certificates_verify_on_their_own_config(tmp_path, capsys, cfg):
+    report = _classified(tmp_path, cfg)
+    assert report["results"]["witness"]["type"] == "intersection-case"
+    assert _verify(tmp_path, capsys, cfg, report) == (EXIT_OK, "")
+
+
+def test_a_certificate_of_another_grid_is_refused_under_this_configs_hash(tmp_path, capsys):
+    # FIELD_B's witness carries its own gamma, w and v; verify reads the space from FIELD_A alone
+    forged = _classified(tmp_path, FIELD_B)
+    forged["config_hash"] = _classified(tmp_path, FIELD_A)["config_hash"]
+    assert _verify(tmp_path, capsys, FIELD_A, forged) == (
+        EXIT_PRECONDITION, "precondition failure: certificate grid does not match the space\n"
+    )
+
+
+def test_a_certificate_of_another_field_on_the_same_grid_fails_its_unit_claims(tmp_path, capsys):
+    forged = _classified(tmp_path, FIELD_C)
+    assert forged["results"]["witness"]["grid_weights"] == [1.0, 0.5, 1.0]  # FIELD_A's component grid
+    forged["config_hash"] = _classified(tmp_path, FIELD_A)["config_hash"]
+    assert _verify(tmp_path, capsys, FIELD_A, forged) == (
+        EXIT_VERIFICATION, "verification failure: witness point has norm 0.1375, expected 1\n"
+    )
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.0])
+@pytest.mark.parametrize(
+    "cfg, claim",
+    [
+        (dict(BASE, samples=50), "witness modular is"),
+        (FIELD_A, "witness point has norm"),
+        (SUM_CFG, "witness point has norm"),
+    ],
+    ids=["nonsquare", "component-intersection", "weighted-sum"],
+)
+def test_verify_refuses_a_witness_point_off_the_unit_sphere(tmp_path, capsys, cfg, claim, scale):
+    # a scaled point keeps min(|x+y|, |x-y|), or |x+y| over the slice, under 2 - margin
+    report = _classified(tmp_path, cfg)
+    witness = report["results"]["witness"]
+    witness["x"] = [scale * t for t in witness["x"]]
+    code, err = _verify(tmp_path, capsys, cfg, report)
+    assert code == EXIT_VERIFICATION and err.count("\n") == 1
+    assert err.startswith(f"verification failure: {claim} ") and err.endswith(", expected 1\n")
+
+
+def test_verify_refuses_functionals_off_the_dual_unit_sphere(tmp_path, capsys):
+    for cfg, key, claim in (
+        (FIELD_A, "functional", "slice functional"),
+        (SUM_CFG, "second_functional", "fixed dual element"),
+        (SUM_CFG, "functional", "norming functional"),
+    ):
+        report = _classified(tmp_path, cfg)
+        witness = report["results"]["witness"]
+        witness[key] = [2.0 * t for t in witness[key]]
+        code, err = _verify(tmp_path, capsys, cfg, report)
+        assert code == EXIT_VERIFICATION
+        assert err.startswith(f"verification failure: {claim} has norm 2.0") and err.count("\n") == 1
+
+
+def test_a_nan_nakano_exponent_is_refused_with_the_range_message(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"grid": {"weights": [1, 1]}, "space": {"kind": "nakano", "exponents": [2, NaN]}, "x": [1, 1]}')
+    assert main(["norm", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: bad space spec: exponents must lie in [1, inf]\n")
 
 
 def test_a_knot_gap_past_the_float_range_warns_nothing(tmp_path, capsys):

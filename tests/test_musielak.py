@@ -92,6 +92,35 @@ def test_modular_of_bounds():
     assert modular_of_bounds(MusielakField.constant(g, pw)) == 4.0
 
 
+def test_modulars_is_the_modular_of_each_row_summed_lazily(monkeypatch):
+    pw = PiecewiseLinear((0.0, 1.0), (2.0,), INF)  # blows up at its end
+    f = MusielakField(MeasureGrid((1.0, 0.5, 2.0)), (Power(2.5), pw, Linear(3.0)))
+    rows = np.array([[0.5, 0.25, 1.0], [1e200, 0.5, 0.0], [1.0, 1.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.5, 5e307]])
+
+    def reference(row):  # the curve objects' values, inf where one is, else one fsum of value * mass
+        values = [c.value(u) for c, u in zip(f.curves, row)]
+        return INF if INF in values else math.fsum(v * m for v, m in zip(values, f.grid.weights))
+
+    want = [reference(row) for row in rows.tolist()]
+    assert want[1] == want[2] == want[4] == INF and want[3] == 0.0  # row 4: a finite value, an inf product
+    assert [modular(f, StepFunction(f.grid, tuple(row))) for row in rows.tolist()] == want
+    sums = []
+    monkeypatch.setattr(math, "fsum", lambda terms, _fsum=math.fsum: sums.append(1) or _fsum(terms))
+    lazy = musielak.modulars(f, rows)
+    assert next(lazy) == want[0] and len(sums) == 1
+    assert list(lazy) == want[1:] and len(sums) == 3  # a row with an infinite curve value sums nothing
+
+
+def test_nakano_builds_its_table_from_columns():
+    exps = (2.5, 1.0, INF, 3.0, 1.0)
+    f = MusielakField.nakano(MeasureGrid((1.0,) * len(exps)), exps)
+    assert "curves" not in vars(f)  # no curve object was built
+    ref = MusielakField(f.grid, (Power(2.5), Linear(1.0), Indicator(1.0), Power(3.0), Linear(1.0)))
+    for column in ("family", "number", "cell_a", "cell_d", "cell_b", "knots", "slopes", "values"):
+        assert np.array_equal(getattr(f.table, column), getattr(ref.table, column), equal_nan=True)
+    assert f.curves == ref.curves
+
+
 # -- Luxemburg norm --------------------------------------------------------
 
 
@@ -420,7 +449,7 @@ def test_conjugate_field_examples():
     assert all(c == Linear(1.0) for c in f3.curves)
 
 
-@pytest.mark.parametrize("exponents", [(2.0, 0.5), (-INF, 2.0), (0.0, 1.0)])
+@pytest.mark.parametrize("exponents", [(2.0, 0.5), (-INF, 2.0), (0.0, 1.0), (2.0, math.nan)])
 def test_nakano_exponents_must_lie_in_one_to_inf(exponents):
     with pytest.raises(ValueError, match=r"exponents must lie in \[1, inf\]"):
         MusielakField.nakano(unit_grid(), exponents)
