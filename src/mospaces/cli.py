@@ -172,6 +172,9 @@ def _write_list(items, pad: str, put) -> None:
             text = text.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
         put("[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]")
         return
+    if {str}.issuperset(map(type, items)):  # one call; an id may itself contain ", "
+        put("[" + inner + ("," + inner).join(map(_encode_str, items)) + pad + "]")
+        return
     sep = "[" + inner
     for item in items:
         put(sep)

@@ -8,7 +8,8 @@ many times and share them freely.
 
 The samplers score step functions as rows of numpy arrays.  Their row
 toolkit lives here, beside the type a row stands for: StepFunction's value
-check ``finite_error``, the candidate rows, ``row_blocks`` and ``RowSums``.
+check ``finite_error``, the candidate rows, ``row_blocks``, ``RowSums`` and
+its exact-sum kernel ``tree_sums``.
 """
 
 from __future__ import annotations
@@ -246,6 +247,34 @@ def row_blocks(parts, size: int):
 _TINY, _HUGE = 2.0**-960, 2.0**960  # absolute row sums where RowSums' bounds hold
 
 
+def tree_sums(terms, a):
+    """math.fsum of each row of ``terms`` where certified, by a pairwise TwoSum tree.
+
+    ``a`` is numpy's sum of |t| per row.  Returns the rounded sums and a
+    mask of the rows where they certainly equal fsum's; see RowSums.
+    """
+    n = terms.shape[1]
+    s, c, depth = terms, np.zeros(len(terms)), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s.shape[1] > 1:  # s[:, :k] + s[:, k:2k], the odd column carried
+            k = s.shape[1] // 2
+            x, y = s[:, :k], s[:, k : 2 * k]
+            t = x + y
+            yy = t - x
+            e = x - (t - yy)
+            e += y - yy  # TwoSum: x + y = t + e exactly
+            c += e.sum(axis=1)
+            s = np.concatenate((t, s[:, 2 * k :]), axis=1) if s.shape[1] % 2 else t
+            depth += 1
+        s = s[:, 0]
+        total = s + c
+        zz = total - s
+        r = (s - (total - zz)) + (c - zz)  # s + c = total + r exactly
+        half_gap = np.abs(total - np.nextafter(total, 0.0)) * 0.5
+        slack = np.abs(r) + (4.0 * n * depth * 2.0**-106) * a
+        return total, (slack < half_gap) & (a >= _TINY) & (a <= _HUGE)
+
+
 class RowSums:
     """math.fsum of each row of a block of terms, and certified bounds on it.
 
@@ -265,19 +294,41 @@ class RowSums:
     2**-960) gets -inf and inf, so every comparison falls to fsum, which
     raises its errors where the caller asks for the row.  A row with at
     most one nonzero term sums to q exactly, so fsum is never called for it.
+    With ``nonnegative`` terms, |t| = t and A is q itself.
+
+    ``maxima`` needs many exact sums at once and takes them from
+    ``tree_sums``, an error-free transformation in the manner of Ogita,
+    Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26
+    (2005).  A pairwise tree of depth d = ceil(log2 n) adds the row with
+    Knuth's TwoSum, which keeps each addition's rounding error e exactly:
+    S = s + sum(e), with s the tree's root.  numpy sums the n - 1 errors
+    to c, and total = fl(s + c) is rounded once, its own error r again
+    kept by TwoSum, so S = total + r + (sum(e) - c).  Each |e| is at most
+    u times its node's |sum|, the node sums of one level add up to at most
+    (1 + u)**d * sum|t|, so sum|e| <= d*u*(1 + u)**d * sum|t| and
+    |sum(e) - c| <= gamma(n - 2)*d*u*(1 + u)**d * A / (1 - gamma(n - 1)),
+    below 2.01*n*d*u**2*A for n*u <= 1/4.  D = 4*n*d*u**2*A, rounded,
+    exceeds it while A >= 2**-960 (its rounding error is then under
+    2**-10 of it) and A <= 2**960 keeps every partial sum finite.  Where
+    fl(|r| + D) is below half the gap from total to its neighbour towards
+    zero, the smaller gap, S lies strictly inside total's rounding interval,
+    so fsum equals total; a row near a halfway point fails the test and
+    goes to fsum.
     """
 
-    def __init__(self, terms):
+    def __init__(self, terms, nonnegative=False):
         n = terms.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
             q = terms.sum(axis=1)
-            a = np.abs(terms).sum(axis=1)
+            a = q if nonnegative else np.abs(terms).sum(axis=1)
             err = (4.0 * (n + 1) * 2.0**-53) * a
             safe = (a >= _TINY) & (a <= _HUGE)
+            self._upper = np.where(safe, q + err, np.inf)
             self.lower = np.where(safe, q - err, -np.inf).tolist()
-            self.upper = np.where(safe, q + err, np.inf).tolist()
+        self.upper = self._upper.tolist()
+        self._q, self._a = q, a
         self._quick = q.tolist()
-        self._sparse = (np.count_nonzero(terms, axis=1) <= 1).tolist()
+        self._sparse = np.count_nonzero(terms, axis=1) <= 1
         self._terms = terms
 
     def exact(self, i):
@@ -293,3 +344,23 @@ class RowSums:
     def max_with(self, i, s):
         """max(math.fsum of row i, s), summing only where s might not be the max."""
         return s if self.upper[i] < s else max(self.exact(i), s)
+
+    def maxima(self, s):
+        """``max_with`` of every row against the array ``s``, up to the first row
+        whose fsum overflows, and that OverflowError (or None).
+
+        Rows that the bounds settle, sparse rows and rows that ``tree_sums``
+        certifies take no fsum; the rest are summed by fsum in row order.
+        """
+        exact = self._q.copy()
+        rows = np.flatnonzero(~(self._upper < s) & ~self._sparse)
+        if len(rows):
+            exact[rows], certified = tree_sums(self._terms[rows], self._a[rows])
+            rows = rows[~certified]
+        out = np.where(s > exact, s, exact).tolist()  # Python's max(exact, s)
+        for i in rows.tolist():
+            try:
+                out[i] = max(math.fsum(self._terms[i].tolist()), float(s[i]))
+            except OverflowError as exc:
+                return out[:i], exc
+        return out, None

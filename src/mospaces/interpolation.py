@@ -17,8 +17,9 @@ The dual unit ball of the sum space is the unit ball of the intersection
 space with reciprocal weights, so a sum certificate is checked as a primal
 slice of that space: every check evaluates the intersection norm.  The
 sampler scores its candidates as numpy row blocks, built with the row
-toolkit of ``grid``.  Each row's sum is either settled by a certified
-bound on numpy's row sum (``grid.RowSums``) or taken by one math.fsum over
+toolkit of ``grid``.  Each row's sum is settled by a certified bound on
+numpy's row sum (``grid.RowSums``), taken from a TwoSum tree where a proved
+bound certifies it (``grid.tree_sums``), or taken by one math.fsum over
 the scalar norm's terms, so its records equal those of the scalar norms
 bit for bit.  The public norms stay scalar.
 """
@@ -261,15 +262,21 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     if ratio <= 1.0:
         raise PreconditionError("space collapses to the weighted L1 space")
 
-    # A = single cell with mass at most w/v there (mass*v <= w)
-    best_i, best_score = None, 0.0
+    # A = single cell with mass at most w/v there (mass*v <= w) and a float point 1/(mass*v)
+    best_i, best_score, out_of_range = None, 0.0, False
     for i in range(len(grid)):
-        score = spec.w[i] / (spec.v[i] * grid.weights[i])
+        mass_v = spec.v[i] * grid.weights[i]
+        if not mass_v or math.isinf(1.0 / mass_v):
+            out_of_range = True
+            continue
+        score = spec.w[i] / mass_v
         if score > best_score:
             best_i, best_score = i, score
     if best_score < 1.0:
         raise WitnessConstructionError(
-            "every cell has mass*v above w; the construction needs a smaller cell"
+            "every cell has mass*v above w or a point 1/(mass*v) outside the float range"
+            if out_of_range
+            else "every cell has mass*v above w; the construction needs a smaller cell"
         )
     i0 = best_i
     mu_a = grid.weights[i0]
@@ -374,6 +381,10 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             for i, cid in enumerate(grid.ids)
             if cid in complement
         )
+        if not (gamma_const and w_comp):
+            raise WitnessConstructionError(
+                "the w/v integral on A or the w mass off gamma is below the float range"
+            )
         c2 = (1.0 - gamma_const) / w_comp
         x_vals = [0.0] * len(grid)
         x_vals[idx[cell_a]] = c / spec.v[idx[cell_a]]
@@ -489,6 +500,22 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     draw bit for bit.  Errors keep that loop's order too: a candidate that
     is not finite raises StepFunction's error, and a row whose bounds do
     not hold is summed by fsum where that loop sums it, raising its error.
+
+    Row x cell work goes only to rows that can matter:
+
+    - An atom has one nonzero term, so its norm is max(w*mu, v on gamma
+      else 0) and its pairing (f*(+-1/norm))*mu, both in closed form.  Only
+      the atoms inside the slice are scored as rows, and the first atom
+      whose scaled value is not finite, which raises its error in order.
+    - A row's deviation |point + y| is built only once the row is accepted.
+      Acceptance is decided first, in row order; an accepted row's
+      deviation error still comes before any error of a later row.
+    - The random stage's first block is ``samples - accepted`` draws, a
+      later one that need times the stage's own drawn-to-accepted ratio,
+      plus a margin, within the cap and _BLOCK_CELLS.  Scoring stops at
+      the row that brings ``accepted`` to ``samples``: ``drawn`` counts
+      the draws up to it, and an error past it is never raised, as the
+      scalar loop never draws those rows.
     """
     if not 0.0 < eps < math.inf:
         raise PreconditionError(f"slice margin must be finite and positive, got {eps!r}")
@@ -502,6 +529,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     rng = np.random.default_rng(seed)
     bound = 2.0 - eps
     limit = bound + _SLACK
+    level = 1.0 - eps
     w, mu = np.array(spec.w), np.array(grid.weights)
     gamma = np.array([cid in spec.gamma for cid in grid.ids])
     v = np.array(spec.v)[gamma]
@@ -522,76 +550,113 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
             sup = on_gamma.max(axis=1, initial=0.0)
             ay *= w
             ay *= mu
-        return RowSums(ay), sup.tolist()
+        return RowSums(ay, nonnegative=True), sup
 
     def norms(y):
         """wint_norm of the rows of y up to the first whose fsum overflows, and that error."""
         l1, sup = norm_parts(y)
-        out = []
-        try:
-            for i, s in enumerate(sup):
-                out.append(l1.max_with(i, s))
-        except OverflowError as exc:
-            return out, exc
-        return out, None
+        return l1.maxima(sup)
 
-    def consider(y, error=None):
-        """Normalise and score the rows of y in draw order, then raise ``error``."""
-        nonlocal max_observed, worst, violations, accepted
+    def consider(y, error=None, need=math.inf):
+        """Normalise and score the rows of y in draw order, then raise ``error``.
+
+        Scoring stops at the row that brings this call's accepted rows to
+        ``need``; the rows after it and ``error`` are dropped.  Returns the
+        number of rows scored.
+        """
+        nonlocal accepted
         nrms, err = norms(y)
         if err is not None:
             y, error = y[: len(nrms)], err
-        with np.errstate(over="ignore", invalid="ignore"):
-            y *= np.array([1.0 / t if t else 0.0 for t in nrms]).reshape(-1, 1)
+        scored = len(y)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scale = np.array(nrms)
+            y *= np.where(scale != 0.0, 1.0 / scale, 0.0).reshape(-1, 1)
             terms = f * y
             terms *= mu
-            pair = RowSums(terms)
-            z = y + x
-        dev, dev_sup = norm_parts(z)
+        pair = RowSums(terms)
         y_ok = np.isfinite(y).all(axis=1).tolist()
-        z_ok = np.isfinite(z).all(axis=1).tolist()
-        for i, nrm in enumerate(nrms):
-            if nrm == 0.0:
-                continue
-            if not y_ok[i]:
-                raise finite_error(y[i])
-            if pair.exceeds(i, 1.0 - eps):
-                accepted += 1
-                if not z_ok[i]:
-                    raise finite_error(z[i])
-                if max(dev.upper[i], dev_sup[i]) <= min(max_observed, limit):
-                    continue  # neither recorded nor counted, whatever its exact value
-                val = dev.max_with(i, dev_sup[i])
-                if val > max_observed:
-                    max_observed, worst = val, tuple(y[i].tolist())
-                if val > limit:
-                    violations += 1
+        inside = []
+        try:
+            for i, nrm in enumerate(nrms):
+                if nrm == 0.0:
+                    continue
+                if not y_ok[i]:
+                    raise finite_error(y[i])
+                if pair.exceeds(i, level):
+                    inside.append(i)
+                    if len(inside) == need:
+                        scored, error = i + 1, None
+                        break
+        except (OverflowError, ValueError) as exc:  # raised once the rows before it are scored
+            error = exc
+        accepted += len(inside)
+        if inside:
+            score(y[inside])
         if error is not None:
             raise error
+        return scored
 
+    def score(y):
+        """Record |point + y| for the accepted rows of y."""
+        nonlocal max_observed, worst, violations
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = y + x
+        dev, dev_sup = norm_parts(z)
+        dev_sup = dev_sup.tolist()
+        z_ok = np.isfinite(z).all(axis=1).tolist()
+        for i in range(len(y)):
+            if not z_ok[i]:
+                raise finite_error(z[i])
+            if max(dev.upper[i], dev_sup[i]) <= min(max_observed, limit):
+                continue  # neither recorded nor counted, whatever its exact value
+            val = dev.max_with(i, dev_sup[i])
+            if val > max_observed:
+                max_observed, worst = val, tuple(y[i].tolist())
+            if val > limit:
+                violations += 1
+
+    # the atoms +-e_j in closed form: those inside the slice, up to the first not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        l1 = w * mu
+        sup = np.where(gamma, np.array(spec.v), 0.0)
+        nrm = np.repeat(np.where(sup > l1, sup, l1), 2)  # Python's max(l1, sup)
+        sign = np.tile((1.0, -1.0), n)
+        unit = sign * (1.0 / nrm)
+        cells = np.repeat(np.arange(n), 2)
+        live = nrm != 0.0  # a zero norm: nothing to score
+        bad = live & ~np.isfinite(unit)  # normed, not finite: its row raises the error
+        keep = np.flatnonzero(bad | live & ((f[cells] * unit) * mu[cells] > level))
+        if bad.any():
+            keep = keep[keep <= np.argmax(bad)]
     pattern = signs(f)
     extremal = itertools.chain(
         [np.stack((c, -c))],
-        atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, rows),
+        atom_rows(sign[keep], cells[keep], n, rows),
         [np.stack((pattern, -pattern))],
     )
     for y in row_blocks(extremal, rows):
         consider(y)
-    drawn = 2 * n + 4
+    drawn = start = 2 * n + 4
+    settled = accepted
     cap = 50 * samples + 1000
     half = eps / 2.0
     while accepted < samples and drawn < cap:
-        # a draw accepts at most one point, so the chunk's every draw is needed;
-        # each stage below cuts the chunk at its first failing row, keeping the
-        # scalar loop's error: consider() scores the rows before it, then raises
-        m = min(samples - accepted, cap - drawn, rows)
+        # a draw accepts at most one point; past the first block, the stage's
+        # own ratio sizes the block.  Each stage below cuts the block at its
+        # first failing row, keeping the scalar loop's error: consider()
+        # scores the rows before it, then raises
+        need = samples - accepted
+        m = need if drawn == start else rows
+        if accepted > settled:
+            m = -(-need * (drawn - start) // (accepted - settled)) * 9 // 8 + 4
+        m = min(m, cap - drawn, rows)
         y = np.empty((m, n))
         t = np.zeros(m)
         blended = []
         error = None
         for i in range(m):
-            drawn += 1
-            if drawn % 7:
+            if (drawn + i + 1) % 7:
                 t[i] = rng.random() * half  # rng.uniform(0.0, half), bit for bit
                 blended.append(i)
             rng.standard_normal(out=y[i])
@@ -613,7 +678,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
             j = bad[0]
             y, idx, error = y[: idx[j]], idx[:j], finite_error((head[j], tail[j], mixed[j]))
         y[idx] = mixed[: len(idx)]
-        consider(y, error)
+        drawn += consider(y, error, need)
     return record_from_samples(
         drawn, accepted, bound, max_observed, violations, seed, worst
     )

@@ -32,7 +32,8 @@ from mospaces import (
 )
 from mospaces import musielak
 from mospaces.cli import jsonify, num
-from mospaces.interpolation import _SLACK, _check_margin, _int_slice_center
+from mospaces.grid import RowSums, atom_rows, finite_error, row_blocks, signs
+from mospaces.interpolation import _BLOCK_CELLS, _SLACK, _check, _check_margin, _int_slice_center
 from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
 from mospaces.reports import record_from_samples
 
@@ -522,6 +523,143 @@ def slice_reference(spec, cert, samples, seed):
         eps=cert.epsilon,
         samples=samples,
         seed=seed,
+    )
+
+
+def verify_slice_reference(spec: IntSpaceSpec, point, functional, center, eps, samples, seed):
+    """The slice sampler in plain row-block form, the reference for
+    ``interpolation._verify_slice``: every atom is normed as a dense row,
+    every row's deviation is built whether or not the row is accepted, each
+    open L1 sum is one math.fsum, and each random block is
+    ``samples - accepted`` draws.  The sampler must return this record and
+    raise these errors, type and message, exactly.
+    """
+    if not 0.0 < eps < math.inf:
+        raise PreconditionError(f"slice margin must be finite and positive, got {eps!r}")
+    if eps <= _SLACK:
+        raise PreconditionError(f"slice margin {eps!r} is within the sampler's allowance {_SLACK!r}")
+    grid = spec.grid
+    _check(spec, center)
+    functional._check(center)
+    center._check(point)
+    n = len(grid)
+    rng = np.random.default_rng(seed)
+    bound = 2.0 - eps
+    limit = bound + _SLACK
+    w, mu = np.array(spec.w), np.array(grid.weights)
+    gamma = np.array([cid in spec.gamma for cid in grid.ids])
+    v = np.array(spec.v)[gamma]
+    f, x, c = (np.array(h.values) for h in (functional, point, center))
+    rows = max(1, _BLOCK_CELLS // n)
+    max_observed = 0.0
+    worst = None
+    violations = 0
+    accepted = 0
+
+    def norm_parts(y):
+        """wint_norm's two parts for the rows of y: the L1 row sums, and the sups."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            # products in place: a fresh block-sized array costs more than the product
+            ay = np.abs(y)
+            on_gamma = ay[:, gamma]
+            on_gamma *= v
+            sup = on_gamma.max(axis=1, initial=0.0)
+            ay *= w
+            ay *= mu
+        return RowSums(ay), sup.tolist()
+
+    def norms(y):
+        """wint_norm of the rows of y up to the first whose fsum overflows, and that error."""
+        l1, sup = norm_parts(y)
+        out = []
+        try:
+            for i, s in enumerate(sup):
+                out.append(l1.max_with(i, s))
+        except OverflowError as exc:
+            return out, exc
+        return out, None
+
+    def consider(y, error=None):
+        """Normalise and score the rows of y in draw order, then raise ``error``."""
+        nonlocal max_observed, worst, violations, accepted
+        nrms, err = norms(y)
+        if err is not None:
+            y, error = y[: len(nrms)], err
+        with np.errstate(over="ignore", invalid="ignore"):
+            y *= np.array([1.0 / t if t else 0.0 for t in nrms]).reshape(-1, 1)
+            terms = f * y
+            terms *= mu
+            pair = RowSums(terms)
+            z = y + x
+        dev, dev_sup = norm_parts(z)
+        y_ok = np.isfinite(y).all(axis=1).tolist()
+        z_ok = np.isfinite(z).all(axis=1).tolist()
+        for i, nrm in enumerate(nrms):
+            if nrm == 0.0:
+                continue
+            if not y_ok[i]:
+                raise finite_error(y[i])
+            if pair.exceeds(i, 1.0 - eps):
+                accepted += 1
+                if not z_ok[i]:
+                    raise finite_error(z[i])
+                if max(dev.upper[i], dev_sup[i]) <= min(max_observed, limit):
+                    continue  # neither recorded nor counted, whatever its exact value
+                val = dev.max_with(i, dev_sup[i])
+                if val > max_observed:
+                    max_observed, worst = val, tuple(y[i].tolist())
+                if val > limit:
+                    violations += 1
+        if error is not None:
+            raise error
+
+    pattern = signs(f)
+    extremal = itertools.chain(
+        [np.stack((c, -c))],
+        atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, rows),
+        [np.stack((pattern, -pattern))],
+    )
+    for y in row_blocks(extremal, rows):
+        consider(y)
+    drawn = 2 * n + 4
+    cap = 50 * samples + 1000
+    half = eps / 2.0
+    while accepted < samples and drawn < cap:
+        # a draw accepts at most one point, so the chunk's every draw is needed;
+        # each stage below cuts the chunk at its first failing row, keeping the
+        # scalar loop's error: consider() scores the rows before it, then raises
+        m = min(samples - accepted, cap - drawn, rows)
+        y = np.empty((m, n))
+        t = np.zeros(m)
+        blended = []
+        error = None
+        for i in range(m):
+            drawn += 1
+            if drawn % 7:
+                t[i] = rng.random() * half  # rng.uniform(0.0, half), bit for bit
+                blended.append(i)
+            rng.standard_normal(out=y[i])
+        idx = np.array(blended, dtype=int)
+        tail = y[idx]
+        nz, err = norms(tail)
+        if err is not None:
+            y, idx, tail, error = y[: idx[len(nz)]], idx[: len(nz)], tail[: len(nz)], err
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = (1.0 - t[idx]).reshape(-1, 1) * c
+            tail *= np.array(
+                [s / r if r else 0.0 for s, r in zip(t[idx].tolist(), nz)]
+            ).reshape(-1, 1)
+            mixed = head + tail
+        live = np.array(nz) != 0.0
+        mixed[~live] = 0.0  # a draw whose noise has norm 0 considers nothing
+        bad = np.flatnonzero(live & ~np.isfinite(mixed).all(axis=1))
+        if len(bad):
+            j = bad[0]
+            y, idx, error = y[: idx[j]], idx[:j], finite_error((head[j], tail[j], mixed[j]))
+        y[idx] = mixed[: len(idx)]
+        consider(y, error)
+    return record_from_samples(
+        drawn, accepted, bound, max_observed, violations, seed, worst
     )
 
 

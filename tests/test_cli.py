@@ -1796,3 +1796,40 @@ def test_a_subnormal_product_does_not_stall_the_edge_brackets(tmp_path):
     for tol in ("1e-13", "1e-10"):
         code, err = _run_in_process(["norm", "--config", str(path), "--tol", tol], limit=2.0)
         assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("mass", [1e-310, 1e-300])
+def test_classify_of_a_sum_space_whose_point_is_out_of_float_range_exits_cleanly(tmp_path, capsys, mass):
+    # on c0, v * mass underflows to 0 (1e-310) or its inverse 1/(mass*v) overflows (1e-300),
+    # so c0 is no candidate for the witness cell; c1 has mass*v above w
+    space = {"kind": "weighted_sum", "w": [1, 1], "v": [1e-10 if mass == 1e-300 else 1e-20, 3]}
+    cfg = {"grid": {"weights": [mass, 1.0]}, "space": space}
+    capsys.readouterr()
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["verdict"] == "not-daugavet" and res["witness"] is None
+    assert res["explanation"] == "every cell has mass*v above w or a point 1/(mass*v) outside the float range"
+    # beside cells with room, such a cell is passed over
+    cfg = {"grid": {"weights": [mass, 0.1, 0.2]}, "space": dict(space, w=[1, 1, 1], v=space["v"] + [4])}
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["witness"]["constants"]["cell_a"] == "c1"
+
+
+@pytest.mark.parametrize(
+    "grid, w, v, gamma",
+    [
+        # the w mass off gamma, 2.2e-308 * 1e-300, underflows to 0
+        ([2.0, 2.0, 1e-300], [5e-324, 3.0, 2.2e-308], [2.2e-308, 0.5, 5e-324], ["c0", "c1"]),
+        # the w/v integral on A, 5e-324 / 1e300 * 0.5, underflows to 0
+        ([1e20, 0.5, 3.0, 1e20], [1e20, 5e-324, 1e20, 3.0], [3.0, 1e300, 2.0, 1.0], ["c0", "c1", "c3"]),
+    ],
+)
+def test_classify_of_a_gamma_proper_space_whose_constants_underflow_exits_cleanly(tmp_path, capsys, grid, w, v, gamma):
+    space = {"kind": "weighted_intersection", "w": w, "v": v, "gamma": gamma}
+    cfg = {"grid": {"weights": grid}, "space": space, "samples": 30}
+    capsys.readouterr()
+    assert main(["classify", "--config", write(tmp_path / "c.json", cfg)]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["verdict"] == "not-daugavet" and res["witness"] is None
+    assert res["explanation"] == "the w/v integral on A or the w mass off gamma is below the float range"

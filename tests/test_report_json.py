@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mospaces import ConfigError
-from mospaces.cli import _flat_numbers, jsonify, num, nums, report_json
+from mospaces.cli import _flat_numbers, _write_list, jsonify, num, nums, report_json
 from mospaces.grid import MeasureGrid, StepFunction
 from mospaces.reports import VerificationRecord
 
@@ -184,3 +184,21 @@ def test_flat_numbers_read_each_lists_trailing_inf_only():
     assert _flat_numbers([[1.0, "inf", 2.0]]) is None
     assert _flat_numbers([[1.0, "-inf"]]) is None
     assert _flat_numbers([(1.0, 2.0)]) is None  # a JSON list is a list
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(_texts, max_size=8) | st.frozensets(_texts, max_size=8))
+def test_the_writer_prints_string_lists_in_one_call(items):
+    assert report_json({"ids": items}) == _reference({"ids": items})
+    calls = []
+    _write_list(list(items), "\n", calls.append)
+    assert len(calls) == 1
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("items", [["a, b", ", ", "c"], ["x", _Text("y, z")], ["☃", "", "\n"]])
+def test_the_writer_prints_string_lists_with_separators_inside(items):
+    assert report_json(items) == _reference(items)
