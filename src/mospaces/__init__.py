@@ -42,7 +42,6 @@ from .grid import (
     pairing,
     restrict,
     weighted_l1_norm,
-    weighted_sup_norm,
 )
 from .interpolation import (
     IntSpaceSpec,

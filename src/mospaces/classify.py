@@ -1,16 +1,19 @@
 """Daugavet-property classification for Musielak-Orlicz fields.
 
-Decision tree:
+Decision tree, read off the field's structure record (``field._structure``,
+computed once per field in ``musielak``):
 
 1. modular at the domain ends at most one: the space is the weighted sup
    space (collapse), verdict positive.
-2. otherwise a cell with a genuine convexity region (d < b) forces a
-   uniformly non-square point, verdict negative with a constructed witness.
+2. otherwise a cell with a genuine convexity region (d < b, the record's
+   remainder) forces a uniformly non-square point, verdict negative with a
+   constructed witness.
 3. remaining fields are built from indicator-type and linear-type cells
-   only; the verdict follows the collapse form: weighted L1, the sup-sum of
-   an L-infinity block and an L1 block, or the intersection component
-   criterion with its interpolation certificate on failure, built on the
-   component ``component_spec(field)``, where ``verify`` checks it again.
+   only; the verdict follows the record's masses and collapse integral:
+   weighted L1, the sup-sum of an L-infinity block and an L1 block, or the
+   intersection component criterion with its interpolation certificate on
+   failure, built on the component ``component_spec(field)``, where
+   ``verify`` checks it again.
 
 The witness construction follows the modular-halving argument: on a cell
 set where the curves are strictly convex between a and b, the halving ratio
@@ -38,9 +41,7 @@ from .musielak import (
     modular,
     modular_of_bounds,
     modulars,
-    partition,
     unit_sphere_points,
-    weights,
 )
 from .reports import (
     DAUGAVET,
@@ -116,7 +117,7 @@ def find_nonsquare_setup(field: MusielakField) -> NonsquareSetup:
     """
     grid = field.grid
     d, b_end = field.table.cell_d.tolist(), field.table.cell_b.tolist()
-    work = [i for i in range(len(grid)) if d[i] < b_end[i]]
+    work = np.flatnonzero(field._structure.remainder).tolist()  # the cells with d < b
     if not work:
         raise PreconditionError("no cell has d < b")
 
@@ -159,23 +160,17 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     deterministic and recorded for audit; its gauge solves ask for rtol 0: the kernel's floor.
     A margin of at most ``_SLACK`` is refused: ``verify_nonsquare`` could not check it.
     """
-    rho_b = modular_of_bounds(field)
     ends = field.table.cell_b
     grid = field.grid
     idx = grid.index
-    if rho_b <= 1.0:
+    if field._structure.modular_at_bounds <= 1.0:
         raise PreconditionError("space collapses to the weighted sup norm")
     setup = find_nonsquare_setup(field)
     a, b = setup.a, setup.b
     carrier = [idx[cid] for cid in setup.cells]
     s_cells = np.flatnonzero(np.isinf(ends)).tolist()
     x_vals = [0.0] * len(grid)
-    record = {
-        "carrier": list(setup.cells),
-        "a": a,
-        "b": b,
-        "sigma1": setup.sigma1,
-    }
+    record = {"carrier": list(setup.cells), "a": a, "b": b, "sigma1": setup.sigma1}
 
     exact_fill = False
     if s_cells:
@@ -366,53 +361,44 @@ def verify_nonsquare(
 def component_spec(field: MusielakField) -> IntSpaceSpec:
     """The field's intersection component: L1(w) on its linear cells, w their slopes,
     intersected with Linf(v) on gamma, its linear-up-to-a-bound cells, v = 1/b (1 off
-    gamma).  A field with a genuinely convex cell, or none linear up to a bound, has none."""
-    part = partition(field)
-    if part.remainder or not part.omega_1inf:
+    gamma).  A field with a genuinely convex cell, or none linear up to a bound, has none;
+    a v of inf (a subnormal end b) is a ``WitnessConstructionError``."""
+    st = field._structure
+    if st.remainder.any() or not st.omega_1inf.any():
         raise PreconditionError(
             "field has no intersection component: it has a genuinely convex cell or no linear-up-to-a-bound cell"
         )
-    wp = weights(field)
-    index = field.grid.index
-    sub = field.grid.subgrid(part.omega_1 | part.omega_1inf)
-    w_vals = [wp.w.values[index[cid]] for cid in sub.ids]
-    v_vals = [wp.v.values[index[cid]] if cid in part.omega_1inf else 1.0 for cid in sub.ids]
-    return IntSpaceSpec(sub, part.omega_1inf, tuple(w_vals), tuple(v_vals))
+    ids = field.grid.ids
+    beyond = np.isinf(st.v) & st.omega_1inf
+    if beyond.any():
+        raise WitnessConstructionError(
+            "no intersection certificate exists at float precision: the sup weight 1/b "
+            f"of {ids[beyond.argmax()]} is beyond the float range"
+        )
+    linear = st.omega_1 | st.omega_1inf
+    sub = field.grid.subgrid(itertools.compress(ids, linear.tolist()))
+    gamma = frozenset(itertools.compress(ids, st.omega_1inf.tolist()))
+    v = np.where(st.omega_1inf, st.v, 1.0)
+    return IntSpaceSpec(sub, gamma, tuple(st.w[linear].tolist()), tuple(v[linear].tolist()))
 
 
 def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> ClassificationReport:
-    """Full decision tree; witnesses are verified when samples > 0."""
-    grid = field.grid
-    part = partition(field)
-    wp = weights(field)
-    rho_b = modular_of_bounds(field)
-    mass = {
-        "omega_inf": grid.measure(part.omega_inf),
-        "omega_1": grid.measure(part.omega_1),
-        "omega_1inf": grid.measure(part.omega_1inf),
-        "remainder": grid.measure(part.remainder),
-    }
-    linear_to_b = [i for i, cid in enumerate(grid.ids) if cid in part.omega_1inf]
-    ends = field.table.cell_b.tolist()
-    ratio_int = math.fsum(wp.w.values[i] * ends[i] * grid.weights[i] for i in linear_to_b)
-    if part.omega_1:
-        ratio_int = INF  # unbounded domains make the comparison integral blow up
+    """Full decision tree on the field's structure record; witnesses are verified when samples > 0."""
+    st = field._structure
     evidence = {
-        "modular_at_bounds": rho_b,
-        "mass_omega_inf": mass["omega_inf"],
-        "mass_omega_1": mass["omega_1"],
-        "mass_omega_1inf": mass["omega_1inf"],
-        "mass_remainder": mass["remainder"],
-        "integral_w_over_v_complement": ratio_int,
+        "modular_at_bounds": st.modular_at_bounds,
+        "mass_omega_inf": st.mass_omega_inf,
+        "mass_omega_1": st.mass_omega_1,
+        "mass_omega_1inf": st.mass_omega_1inf,
+        "mass_remainder": st.mass_remainder,
+        "integral_w_over_v_complement": st.collapse_integral,
     }
-
-    if rho_b <= 1.0:
-        return ClassificationReport(
-            DAUGAVET, FORM_LINF, "weighted-L1(1/v)", evidence
-        )
-    if part.remainder:
-        witness = None
-        explanation = None
+    # a field of indicator-type cells only collapses too, even where a blow-up
+    # end value puts the modular at the domain ends above one
+    if st.modular_at_bounds <= 1.0 or not (st.remainder | st.omega_1 | st.omega_1inf).any():
+        return ClassificationReport(DAUGAVET, FORM_LINF, "weighted-L1(1/v)", evidence)
+    witness = explanation = None
+    if st.remainder.any():
         try:
             witness = build_nonsquare_witness(field)
             if samples:
@@ -425,39 +411,20 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
                 witness = replace(witness, verification=record)
         except WitnessConstructionError as exc:
             explanation = str(exc)
-        return ClassificationReport(
-            NOT_DAUGAVET, None, None, evidence, witness, explanation
-        )
-    if mass["omega_inf"] == 0.0 and mass["omega_1inf"] == 0.0:
-        # every cell linear on [0, inf)
+        return ClassificationReport(NOT_DAUGAVET, None, None, evidence, witness, explanation)
+    if st.mass_omega_inf == 0.0 and st.mass_omega_1inf == 0.0:  # every cell linear on [0, inf)
         return ClassificationReport(DAUGAVET, FORM_L1, "weighted-Linf(1/w)", evidence)
-    if mass["omega_1inf"] == 0.0 and mass["omega_inf"] > 0.0 and mass["omega_1"] > 0.0:
+    if st.mass_omega_1inf == 0.0 and st.mass_omega_inf > 0.0 and st.mass_omega_1 > 0.0:
         return ClassificationReport(
-            DAUGAVET,
-            FORM_OPLUS,
-            "weighted-L1(1/v) oplus-1 weighted-Linf(1/w)",
-            evidence,
+            DAUGAVET, FORM_OPLUS, "weighted-L1(1/v) oplus-1 weighted-Linf(1/w)", evidence
         )
-    if not (part.omega_1 | part.omega_1inf):
-        # indicator-type cells only, but with blow-up end values (otherwise
-        # the modular at the bounds would have been at most one)
-        return ClassificationReport(
-            DAUGAVET, FORM_LINF, "weighted-L1(1/v)", evidence
-        )
-    if mass["omega_1"] == 0.0 and ratio_int <= 1.0:
-        return ClassificationReport(
-            DAUGAVET, FORM_INTERSECTION, "weighted-L1(1/v)", evidence
-        )
-    spec = component_spec(field)
-    witness = None
-    explanation = None
+    if st.mass_omega_1 == 0.0 and st.collapse_integral <= 1.0:
+        return ClassificationReport(DAUGAVET, FORM_INTERSECTION, "weighted-L1(1/v)", evidence)
     try:
+        spec = component_spec(field)
         witness = witness_int(spec, samples=samples, seed=seed)
         # the spec rides along for the reader; verify takes it from the config
-        constants = dict(witness.constants)
-        constants.update(
-            {"gamma": sorted(spec.gamma), "w": list(spec.w), "v": list(spec.v)}
-        )
+        constants = dict(witness.constants, gamma=sorted(spec.gamma), w=list(spec.w), v=list(spec.v))
         witness = replace(witness, constants=constants)
     except PreconditionError:
         # the integral above is over one, but w/v with v = 1/b rounds it to one
@@ -467,9 +434,7 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         )
     except WitnessConstructionError as exc:
         explanation = str(exc)
-    return ClassificationReport(
-        NOT_DAUGAVET, None, None, evidence, witness, explanation
-    )
+    return ClassificationReport(NOT_DAUGAVET, None, None, evidence, witness, explanation)
 
 
 def classify_orlicz(

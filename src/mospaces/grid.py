@@ -186,11 +186,6 @@ def weighted_l1_norm(x: StepFunction, weight: Sequence[float]) -> float:
     )
 
 
-def weighted_sup_norm(x: StepFunction, weight: Sequence[float]) -> float:
-    """max over cells of |x| * weight (weights of 0 mask cells out)."""
-    return max(abs(v) * u for v, u in zip(x.values, weight))
-
-
 # --------------------------------------------------------------------------
 # step functions as rows
 

@@ -388,6 +388,8 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
         c2 = (1.0 - gamma_const) / w_comp
         x_vals = [0.0] * len(grid)
         x_vals[idx[cell_a]] = c / spec.v[idx[cell_a]]
+        if not (math.isfinite(c2) and math.isfinite(x_vals[idx[cell_a]])):
+            raise WitnessConstructionError("the point's value on A or off gamma is beyond the float range")
         for cid in complement:
             x_vals[idx[cid]] = c2
         x = StepFunction(grid, tuple(x_vals))

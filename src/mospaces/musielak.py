@@ -39,7 +39,9 @@ Amemiya route through the Koethe duality.
 The structural decomposition splits the grid into indicator-type cells
 (``omega_inf``), globally linear cells (``omega_1``), linear-up-to-a-bound
 cells (``omega_1inf``) and the rest; on the first three the norm collapses
-to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.
+to weighted sup/L1 expressions, which ``decomposition_norm`` exploits.  A
+field computes it once, as its ``Structure`` record (``field._structure``),
+which the classifier reads too; ``partition`` and ``weights`` are its views.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from .curves import INF, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
-from .grid import CellSet, MeasureGrid, StepFunction, weighted_l1_norm, weighted_sup_norm
+from .grid import CellSet, MeasureGrid, StepFunction
 from .table import INDICATOR, LINEAR, POWER, CurveTable, InvalidCell
 
 _MAX_DOUBLINGS = 4096
@@ -110,6 +112,24 @@ class MusielakField:
     def _kernel(self) -> "_FieldKernel":
         return _FieldKernel(self.table, self._weights)
 
+    @cached_property
+    def _structure(self) -> "Structure":
+        """The field's ``Structure``, computed once from its table's columns."""
+        t, mass = self.table, self.grid.weights
+        zero = t.cell_a == t.cell_b
+        linear = ~zero & (t.cell_d == t.cell_b)
+        bounded = np.isfinite(t.cell_b)
+        to_b = linear & bounded
+        masks = (zero, linear & ~bounded, to_b, ~zero & ~linear)
+        w = np.where(linear, t.per_cell(t.slopes[:, 0], 0.0), 0.0)
+        with np.errstate(over="ignore"):  # 1/b and products past DBL_MAX are inf, as in Python
+            v = 1.0 / t.cell_b
+            terms = w[to_b] * t.cell_b[to_b] * self._weights[to_b]
+            at_ends = t.value([t.cell_b])[0] * self._weights  # the terms of modular_of_bounds
+        integral = INF if masks[1].any() else _fsum_up(terms.tolist())
+        masses = (math.fsum(itertools.compress(mass, m.tolist())) for m in masks)
+        return Structure(*masks, v, w, *masses, _fsum_up(at_ends.tolist()), integral)
+
     @staticmethod
     def constant(grid: MeasureGrid, curve: OrliczCurve) -> "MusielakField":
         return MusielakField(grid, (curve,) * len(grid))
@@ -123,6 +143,43 @@ class MusielakField:
         family = np.select([p == 1.0, np.isinf(p)], [LINEAR, INDICATOR], POWER)
         number = np.where(family == POWER, p, 1.0)
         return MusielakField.of_table(grid, CurveTable(family, number, [], [], [], [], []))
+
+
+@dataclass(frozen=True)
+class Structure:
+    """A field's structure, from its table's columns a <= d <= b and first slopes.
+
+    Per cell: the masks ``omega_inf`` (a = b), ``omega_1`` (d = b = inf),
+    ``omega_1inf`` (d = b < inf) and ``remainder`` (d < b); v = 1/b (0 on an
+    unbounded domain) and w, the first slope on linear cells (0 elsewhere).
+    A v of inf marks a subnormal end b, a real weight beyond the float range:
+    ``decomposition_norm`` weighs |x| there as |x|/b, and ``component_spec``
+    refuses it.  Over the grid: each mask's mass (one ``math.fsum``), the
+    modular at the domain ends and the collapse integral, the sum of
+    w*b*mass over ``omega_1inf`` (inf when ``omega_1`` has a cell); both
+    sums are inf where they pass DBL_MAX.
+    """
+
+    omega_inf: np.ndarray
+    omega_1: np.ndarray
+    omega_1inf: np.ndarray
+    remainder: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    mass_omega_inf: float
+    mass_omega_1: float
+    mass_omega_1inf: float
+    mass_remainder: float
+    modular_at_bounds: float
+    collapse_integral: float
+
+
+def _fsum_up(terms) -> float:
+    """math.fsum of nonnegative terms, inf where the sum passes DBL_MAX."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return INF
 
 
 @dataclass(frozen=True)
@@ -380,11 +437,7 @@ class _FieldKernel:
         if not np.isfinite(start).all():
             return k_sup, None
         k_lin = float((start / v).max())
-        products = self.weights[live] * v * self.tail_slope[live]
-        try:
-            limit = math.fsum(products.tolist())
-        except OverflowError:  # the sum passes DBL_MAX
-            limit = INF
+        limit = _fsum_up((self.weights[live] * v * self.tail_slope[live]).tolist())
         return k_sup, (k_lin, limit, math.fsum(self.tail_gap[live].tolist()))
 
 
@@ -909,32 +962,19 @@ def orlicz_norm_sup_oracle(field: MusielakField, x: StepFunction) -> SupOracleRe
 
 
 def partition(field: MusielakField) -> Partition:
-    """Cellwise split by the table's structural columns a <= d <= b."""
-    t = field.table
-    zero = t.cell_a == t.cell_b
-    linear = ~zero & (t.cell_d == t.cell_b)
-    bounded = np.isfinite(t.cell_b)
-    masks = (zero, linear & ~bounded, linear & bounded, ~zero & ~linear)
-    return Partition(*(frozenset(itertools.compress(field.grid.ids, m.tolist())) for m in masks))
+    """The four cell sets of the field's structure record, as cell ids."""
+    st, ids = field._structure, field.grid.ids
+    masks = (st.omega_inf, st.omega_1, st.omega_1inf, st.remainder)
+    return Partition(*(frozenset(itertools.compress(ids, m.tolist())) for m in masks))
 
 
 def weights(field: MusielakField) -> WeightPair:
-    """Reciprocal domain ends and linear-segment slopes, read from the table.
-
-    The slope weight is the first slope on omega_1 and omega_1inf cells and
-    0 elsewhere; off the remainder it is the zero end a of the cellwise
-    conjugate.
-    """
-    part = partition(field)
-    linear_cells = part.omega_1 | part.omega_1inf
-    with np.errstate(over="ignore"):  # 1/b past DBL_MAX is inf, as in Python
-        v_vals = (1.0 / field.table.cell_b).tolist()
-    slopes = field.table.per_cell(field.table.slopes[:, 0], 0.0).tolist()
-    w_vals = [s if cid in linear_cells else 0.0 for cid, s in zip(field.grid.ids, slopes)]
-    return WeightPair(
-        StepFunction(field.grid, tuple(v_vals)),
-        StepFunction(field.grid, tuple(w_vals)),
-    )
+    """The weights v and w of the field's structure record, as step functions
+    (w is the zero end a of the cellwise conjugate off the remainder).  A
+    subnormal domain end makes v inf, which a step function refuses with
+    ``ValueError``; the record (``field._structure``) keeps it."""
+    st = field._structure
+    return WeightPair(*(StepFunction(field.grid, tuple(a.tolist())) for a in (st.v, st.w)))
 
 
 def decomposition_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12) -> DecompositionResult:
@@ -943,27 +983,24 @@ def decomposition_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12
     Always valid: the maximum of the weighted sup norm over indicator-type
     cells and the gauge norm of the rest.  When no remainder cell exists the
     second term collapses to a weighted L1 norm and the whole value is a
-    closed form.
+    closed form.  The sup weighs |x| as |x|/b where v is inf, so such a cell
+    adds 0 where x vanishes.
     """
     _check(field, x)
-    part = partition(field)
-    wp = weights(field)
-    complement = frozenset(field.grid.ids) - part.omega_inf
-    if not part.remainder:
-        sup_cells = part.omega_inf | part.omega_1inf
-        sup_val = (
-            weighted_sup_norm(x.restrict(sup_cells), wp.v.values) if sup_cells else 0.0
-        )
-        l1_val = weighted_l1_norm(x.restrict(complement), wp.w.values)
-        return DecompositionResult(max(sup_val, l1_val), "weighted-max", sup_val, l1_val)
-    sup_val = (
-        weighted_sup_norm(x.restrict(part.omega_inf), wp.v.values)
-        if part.omega_inf
-        else 0.0
-    )
-    rest = x.restrict(complement)
-    lux_val = 0.0 if rest.is_zero() else luxemburg_norm(field, rest, tol)
-    return DecompositionResult(max(sup_val, lux_val), "oplus-inf", sup_val, lux_val)
+    st = field._structure
+    ax = np.abs(x.values)
+    rest = np.where(st.omega_inf, 0.0, ax)  # |x| off the indicator-type cells
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past DBL_MAX is inf, as in Python
+        sup = np.where(np.isinf(st.v), ax / field.table.cell_b, ax * st.v)
+        l1_terms = rest * st.w * field._weights
+    closed = not st.remainder.any()
+    sup_val = float(sup.max(where=st.omega_inf | (st.omega_1inf & closed), initial=0.0))
+    if closed:
+        rest_val, formula = math.fsum(l1_terms.tolist()), "weighted-max"
+    else:
+        rest_x = StepFunction(field.grid, tuple(rest.tolist()))
+        rest_val, formula = luxemburg_norm(field, rest_x, tol), "oplus-inf"
+    return DecompositionResult(max(sup_val, rest_val), formula, sup_val, rest_val)
 
 
 def finite_elements_nontrivial(field: MusielakField) -> bool:

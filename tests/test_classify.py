@@ -1,5 +1,6 @@
 import functools
 import importlib
+import json
 import math
 from unittest import mock
 
@@ -31,6 +32,7 @@ from mospaces import (
     classify_orlicz,
     component_spec,
     conjugate_field,
+    decomposition_norm,
     find_nonsquare_setup,
     luxemburg_norm,
     modular,
@@ -39,7 +41,7 @@ from mospaces import (
     verify_nonsquare,
     weights,
 )
-from mospaces import musielak
+from mospaces import cli, musielak
 from helpers import (
     c1_reference,
     no_nonsquare_reference,
@@ -134,6 +136,89 @@ def test_a_certificate_lost_to_rounding_is_no_collapse():
     assert rep.explanation == (
         "no intersection certificate exists at float precision: the component's w/v integral rounds to one"
     )
+
+
+_SUBNORMAL_END = {"family": "piecewise", "breakpoints": [0, 1e-310], "slopes": [1]}  # 1/b is inf
+
+
+@pytest.mark.parametrize(
+    "other, verdict, form, explanation",
+    [
+        # omega_1 is not empty, so no collapse; the component's sup weight 1/b is not a float
+        (
+            {"family": "linear", "slope": 1},
+            "not-daugavet",
+            None,
+            "no intersection certificate exists at float precision: the sup weight 1/b of c0 "
+            "is beyond the float range",
+        ),
+        # the modular at the domain ends is 1e-310: the weighted sup collapse
+        ({"family": "indicator", "bound": 1}, "daugavet", FORM_LINF, None),
+    ],
+)
+def test_classify_of_a_subnormal_domain_end_exits_cleanly(tmp_path, capsys, other, verdict, form, explanation):
+    cfg = {"grid": {"weights": [1, 1]}, "space": {"kind": "musielak", "curves": [_SUBNORMAL_END, other]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(["classify", "--config", str(path)]) == cli.EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["verdict"], res["canonical_form"], res["witness"]) == (verdict, form, None)
+    assert res.get("explanation") == explanation
+
+
+def test_decomposition_weighs_a_subnormal_end_by_its_quotient():
+    # v = 1/1e-310 is inf: x = 0 on that cell adds 0, not 0 * inf = NaN, and a
+    # nonzero x adds |x|/b, as the Luxemburg norm has it
+    g = unit_grid(3)
+    end = PiecewiseLinear.closed((0.0, 1e-310), (1.0,))
+    for curves in ((Indicator(1e-310), end, Linear(1.0)), (Indicator(1e-310), end, Power(2.0))):
+        field = MusielakField(g, curves)
+        with pytest.raises(ValueError, match="finite"):
+            weights(field)
+        for x in ((0.0, 0.0, 0.5), (1e-300, 0.0, 0.5), (0.0, 2e-300, 0.5)):
+            x = StepFunction(g, x)
+            dec = decomposition_norm(field, x)
+            assert math.isclose(dec.value, luxemburg_norm(field, x), rel_tol=1e-9)
+
+
+def _branch_fields():
+    """One fresh field per classify branch, with the branch's name."""
+    g, g4 = unit_grid(), MeasureGrid((1.0, 0.5, 2.0, 1.0))
+    blow_up = PiecewiseLinear((0.0, 2.0), (0.25,), INF)
+    closed = PiecewiseLinear.closed((0.0, 2.0), (0.5,))
+    return [
+        ("collapse", MusielakField.constant(g, Indicator(1.0))),
+        ("non-square", MusielakField.constant(g, Power(2.0))),
+        ("L1", MusielakField.constant(g, Linear(1.0))),
+        ("oplus", MusielakField(g, (Indicator(1.0), Linear(1.0)))),
+        ("intersection-collapse", MusielakField(MeasureGrid((0.5, 0.5)), (blow_up, blow_up))),
+        ("intersection certificate", MusielakField(g4, (Linear(1.0), closed, Indicator(1.0), closed))),
+    ]
+
+
+def test_classify_computes_the_structure_once():
+    want = {
+        "collapse": FORM_LINF,
+        "non-square": NonsquareWitness,
+        "L1": FORM_L1,
+        "oplus": FORM_OPLUS,
+        "intersection-collapse": FORM_INTERSECTION,
+        "intersection certificate": FailureCertificate,
+    }
+    for name, field in _branch_fields():
+        with mock.patch.object(musielak, "Structure", wraps=musielak.Structure) as spy:
+            rep = classify(field, samples=20, seed=1)
+            got = rep.canonical_form if rep.verdict == DAUGAVET else type(rep.witness)
+            assert got == want[name], name
+            assert spy.call_count == 1, name
+            if name == "non-square":
+                build_nonsquare_witness(field)
+                find_nonsquare_setup(field)
+            if name == "intersection certificate":
+                component_spec(field)
+            decomposition_norm(field, StepFunction(field.grid, (1.0,) * len(field.grid)))
+            assert spy.call_count == 1, name
 
 
 def test_intersection_collapse_form():

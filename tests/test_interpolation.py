@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import sys
 import tracemalloc
@@ -36,6 +37,7 @@ from mospaces import (
     witness_sum,
     wsum_norm,
 )
+from mospaces import cli
 from mospaces.interpolation import _BLOCK_CELLS, RowSums
 from helpers import (
     int_full_constants_reference,
@@ -284,6 +286,28 @@ def test_witness_int_refuses_a_margin_that_rounds_to_zero():
     spec = IntSpaceSpec(g, g.cell_set(), (0.5, 1e-299), (5e-301, 1e-300))
     with pytest.raises(WitnessConstructionError, match="margin epsilon -0.0"):
         witness_int(spec)
+
+
+@pytest.mark.parametrize(
+    "grid, w, v",
+    [
+        # c2 = (1 - gamma_const) / w_comp, with w_comp = 1e-10 * 1e-300, overflows
+        ([1.0, 1.0, 1e-300], [1.0, 3.0, 1e-10], [3.0, 10.0, 1.0]),
+        # the point c / v on A, 0.5 / 1e-310, overflows
+        ([1.0, 1.0, 1.0], [1e-320, 1.0, 1.0], [1e-310, 1.0, 1.0]),
+    ],
+)
+def test_witness_int_refuses_a_point_beyond_the_float_range(tmp_path, capsys, grid, w, v):
+    message = "the point's value on A or off gamma is beyond the float range"
+    with pytest.raises(WitnessConstructionError, match=message):
+        witness_int(IntSpaceSpec(MeasureGrid(tuple(grid)), {"c0", "c1"}, tuple(w), tuple(v)))
+    cfg = {"grid": {"weights": grid}, "space": {"kind": "weighted_intersection", "w": w, "v": v, "gamma": ["c0", "c1"]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(["classify", "--config", str(path)]) == cli.EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["verdict"], res["witness"], res["explanation"]) == ("not-daugavet", None, message)
 
 
 def _outcome(build, spec):

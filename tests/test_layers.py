@@ -5,7 +5,8 @@ probes do not reach into the interpolation layer, and ``classify`` does
 not reach into the probes.  Every probe (a function named ``*_probe``,
 other than the CLI's ``cmd_probe`` command) is defined in ``probes``.
 ``classify`` and ``cli`` read a field's curves through its table, never
-as curve objects.
+as curve objects, and its structure through its structure record, never
+by calling ``partition`` or ``weights``.
 """
 
 import ast
@@ -55,6 +56,19 @@ def test_layer_reads_no_curve_objects(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "curves"]
     assert reads == []
+
+
+@pytest.mark.parametrize("module", ["classify", "cli"])
+def test_layer_reads_the_structure_record_only(module):
+    # the field's structure record is the one owner of its structure
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in ("partition", "weights")
+    ]
+    assert calls == []
 
 
 def test_every_probe_is_defined_in_probes():

@@ -10,6 +10,7 @@ curve objects here too.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -423,12 +424,42 @@ def test_the_structure_layer_reads_only_the_table(seed, n):
     rows = list(_nonsquare_directions(field, x, n + 8, np.random.default_rng(seed), 4))
     bounded = [min(c.params().b, 1.0) for c in ref.curves]
     assert _same(np.concatenate(rows)[n + 4], np.array(bounded))  # the bounded profile
-    wp = weights(field)
-    v, w = weights_reference(ref)
-    assert _same(np.array(wp.v.values), np.array(v)) and _same(np.array(wp.w.values), np.array(w))
+    _assert_structure(field, ref)
     _outcome(decomposition_norm, field, StepFunction(field.grid, tuple(x.tolist())))
     _outcome(classify, field, 20, seed)  # the non-square witness's halving ratios included
     assert "curves" not in vars(field)  # no curve object built
+
+
+def _up(total):
+    """``total()``, or inf where its fsum passes DBL_MAX."""
+    try:
+        return total()
+    except OverflowError:
+        return INF
+
+
+def _assert_structure(field, ref):
+    """The field's structure record against the per-curve references on ``ref``,
+    a field of the same curves as objects; ``weights`` where its v is finite."""
+    st, ids, mass = field._structure, field.grid.ids, field.grid.weights
+    parts = partition_reference(ref)
+    masks = (st.omega_inf, st.omega_1, st.omega_1inf, st.remainder)
+    assert tuple(frozenset(itertools.compress(ids, m.tolist())) for m in masks) == parts
+    masses = (st.mass_omega_inf, st.mass_omega_1, st.mass_omega_1inf, st.mass_remainder)
+    assert masses == tuple(field.grid.measure(p) for p in parts)
+    v, w = weights_reference(ref)
+    assert _same(st.v, np.array(v)) and _same(st.w, np.array(w))
+    assert repr(st.modular_at_bounds) == repr(_up(lambda: modular_of_bounds_reference(ref)))
+    ends = [c.params().b for c in ref.curves]
+    terms = [w[i] * ends[i] * mass[i] for i, cid in enumerate(ids) if cid in parts[2]]
+    want = INF if parts[1] else _up(lambda: math.fsum(terms))
+    assert repr(st.collapse_integral) == repr(want)
+    if all(map(math.isfinite, v)):
+        wp = weights(field)
+        assert _same(np.array(wp.v.values), np.array(v)) and _same(np.array(wp.w.values), np.array(w))
+    else:  # a step function holds finite values only
+        with pytest.raises(ValueError, match="finite"):
+            weights(field)
 
 
 _EDGE_CURVES = (
@@ -437,6 +468,10 @@ _EDGE_CURVES = (
     PiecewiseLinear((0.0, 2.0), (1.0,), INF),  # linear up to a blow-up end
     PiecewiseLinear((0.0, 0.5, INF), (0.0, 1.0), None),  # flat first piece, unbounded
     Indicator(0.5),
+    PiecewiseLinear.closed((0.0, 1e-310), (1.0,)),  # a subnormal end: v = 1/b is inf
+    PiecewiseLinear((0.0, 1e-310), (1.0,), INF),  # a subnormal blow-up end
+    Indicator(1e-310),
+    PiecewiseLinear.closed((0.0, 1e300), (1e8,)),  # phi(b) = 1e308: the sums at the ends pass DBL_MAX
 )
 
 
@@ -452,12 +487,21 @@ def test_structure_from_the_table_equals_the_per_curve_references(seed):
     f = MusielakField(MeasureGrid(weights_), curves)
     part = partition(f)
     assert (part.omega_inf, part.omega_1, part.omega_1inf, part.remainder) == partition_reference(f)
-    wp = weights(f)
-    v, w = weights_reference(f)
-    assert _same(np.array(wp.v.values), np.array(v)) and _same(np.array(wp.w.values), np.array(w))
+    _assert_structure(f, f)
     sub = [cid for cid in f.grid.ids if rng.random() < 0.5]
     for cells in (None, sub):
-        assert repr(modular_of_bounds(f, cells)) == repr(modular_of_bounds_reference(f, cells))
+        want = _outcome(lambda: repr(modular_of_bounds_reference(f, cells)))
+        assert _outcome(lambda: repr(modular_of_bounds(f, cells))) == want
+
+
+def test_the_structure_record_takes_sums_past_dbl_max_as_inf():
+    # each end term is 1.5e308; their fsum raises OverflowError, which the record takes as inf
+    big = PiecewiseLinear.closed((0.0, 1e300), (1e8,))
+    field = MusielakField(MeasureGrid((1.5, 1.5)), (big, big))
+    with pytest.raises(OverflowError):
+        modular_of_bounds(field)
+    assert field._structure.modular_at_bounds == field._structure.collapse_integral == INF
+    _assert_structure(field, field)
 
 
 # -- conjugates, specs and halving ratios from the columns ------------------------
