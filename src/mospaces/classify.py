@@ -403,11 +403,7 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
             witness = build_nonsquare_witness(field)
             if samples:
                 record = verify_nonsquare(field, witness, samples, seed)
-                if not record.passed:
-                    raise VerificationError(
-                        f"nonsquare witness failed its own verification: {record.violations} "
-                        f"violations (max {record.max_observed} against bound {record.bound})"
-                    )
+                record.raise_if_failed("nonsquare witness failed its own verification: ")
                 witness = replace(witness, verification=record)
         except WitnessConstructionError as exc:
             explanation = str(exc)

@@ -43,7 +43,6 @@ from .grid import MeasureGrid, StepFunction
 from .interpolation import (
     IntSpaceSpec,
     SumSpaceSpec,
-    _int_slice_center,
     check_unit_norms,
     classify_int,
     classify_sum,
@@ -545,8 +544,6 @@ def _witness_from_json(obj, space: SpaceConfig) -> tuple:
         if not isinstance(cert.constants, dict):
             raise TypeError("constants must be a JSON object")
         spec = _certificate_space(space, cert)
-        if wtype == "intersection-case":
-            _int_slice_center(spec, cert)  # reads the cells the constants name
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad certificate witness: {exc!r}") from exc
     return cert, spec
@@ -624,11 +621,7 @@ def cmd_verify(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: fl
         verify = verify_sum_certificate if wit.kind == "sum-case" else verify_int_certificate
         record = verify(on, wit, samples, seed)
         check_unit_norms(on, wit, VerificationError)
-    if record.violations:
-        raise VerificationError(
-            f"re-verification found {record.violations} violations "
-            f"(max {record.max_observed} against bound {record.bound})"
-        )
+    record.raise_if_failed("re-verification found ")
     return {"verdict": "pass", "verification": record}
 
 

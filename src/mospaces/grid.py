@@ -179,6 +179,14 @@ def pairing(f: StepFunction, x: StepFunction) -> float:
     )
 
 
+def fsum_up(terms) -> float:
+    """math.fsum of nonnegative terms, inf where the sum passes DBL_MAX."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def weighted_l1_norm(x: StepFunction, weight: Sequence[float]) -> float:
     """Integral of |x| * weight over the grid."""
     return math.fsum(

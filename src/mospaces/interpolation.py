@@ -32,8 +32,19 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import GridMismatchError, PreconditionError, VerificationError, WitnessConstructionError
-from .grid import CellSet, MeasureGrid, RowSums, StepFunction, atom_rows, finite_error, row_blocks, signs
+from .errors import GridMismatchError, PreconditionError, WitnessConstructionError
+from .grid import (
+    CellSet,
+    MeasureGrid,
+    RowSums,
+    StepFunction,
+    atom_rows,
+    finite_error,
+    fsum_up,
+    row_blocks,
+    signs,
+    weighted_l1_norm,
+)
 from .reports import (
     DAUGAVET,
     FORM_L1,
@@ -152,12 +163,9 @@ def wsum_norm(spec: SumSpaceSpec, x: StepFunction) -> float:
 def wint_norm(spec: IntSpaceSpec, x: StepFunction) -> float:
     """max of the weighted L1 norm and the weighted sup norm over gamma."""
     _check(spec, x)
-    grid = spec.grid
-    l1 = math.fsum(
-        abs(t) * u * m for t, u, m in zip(x.values, spec.w, grid.weights)
-    )
+    l1 = weighted_l1_norm(x, spec.w)
     sup = 0.0
-    for cid, t, u in zip(grid.ids, x.values, spec.v):
+    for cid, t, u in zip(spec.grid.ids, x.values, spec.v):
         if cid in spec.gamma:
             sup = max(sup, abs(t) * u)
     return max(l1, sup)
@@ -178,17 +186,15 @@ def int_dual_norm(spec: IntSpaceSpec, f: StepFunction) -> float:
 
 
 def _collapse_evidence(spec, num, den) -> tuple[float, float]:
-    """Mass outside gamma and the integral of num/den over gamma.
+    """Mass outside gamma and the integral of num/den over gamma, each inf
+    where it passes DBL_MAX.
 
     The sum space passes (v, w), the intersection space (w, v).
     """
     grid = spec.grid
-    comp_mass = grid.measure(frozenset(grid.ids) - spec.gamma)
-    ratio = math.fsum(
-        num[i] / den[i] * grid.weights[i]
-        for i, cid in enumerate(grid.ids)
-        if cid in spec.gamma
-    )
+    inside = [cid in spec.gamma for cid in grid.ids]
+    comp_mass = fsum_up(m for m, on in zip(grid.weights, inside) if not on)
+    ratio = fsum_up(num[i] / den[i] * grid.weights[i] for i, on in enumerate(inside) if on)
     return comp_mass, ratio
 
 
@@ -317,34 +323,18 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     # alpha <= v and w <= beta on A; with a single cell both hold exactly
     q = mu_a * spec.v[i0] / spec.w[i0]
     eps = 0.5 * min(q / (1.0 + q) / c, (1.0 - b) / c)
-    _check_margin(eps)
-
-    cert = FailureCertificate(
-        kind="sum-case",
-        x=x,
-        functional=f0,
-        epsilon=eps,
-        second_functional=g,
-        constants={
-            "cell_a": cell_a,
-            "mass_a": mu_a,
-            "set_c": [grid.ids[i] for i in chosen],
-            "b": b,
-            "c": c,
-            "q": q,
-            "integral_v_over_w": ratio,
-            "integral_on_c": total,
-        },
-    )
-    check_unit_norms(spec, cert)
-    if samples:
-        record = verify_sum_certificate(spec, cert, samples, seed)
-        if not record.passed:
-            raise VerificationError(
-                f"sum certificate failed its own verification: {record}"
-            )
-        cert = replace(cert, verification=record)
-    return cert
+    constants = {
+        "cell_a": cell_a,
+        "mass_a": mu_a,
+        "set_c": [grid.ids[i] for i in chosen],
+        "b": b,
+        "c": c,
+        "q": q,
+        "integral_v_over_w": ratio,
+        "integral_on_c": total,
+    }
+    cert = FailureCertificate("sum-case", x, f0, eps, second_functional=g, constants=constants)
+    return _self_checked(spec, cert, verify_sum_certificate, samples, seed)
 
 
 def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureCertificate:
@@ -376,7 +366,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
                 "every cell in gamma carries a w/v integral of at least one"
             )
         gamma_const = c * contrib[cell_a]
-        w_comp = math.fsum(
+        w_comp = fsum_up(
             spec.w[i] * grid.weights[i]
             for i, cid in enumerate(grid.ids)
             if cid in complement
@@ -385,6 +375,8 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             raise WitnessConstructionError(
                 "the w/v integral on A or the w mass off gamma is below the float range"
             )
+        if math.isinf(w_comp):
+            raise WitnessConstructionError("the w mass off gamma is beyond the float range")
         c2 = (1.0 - gamma_const) / w_comp
         x_vals = [0.0] * len(grid)
         x_vals[idx[cell_a]] = c / spec.v[idx[cell_a]]
@@ -433,23 +425,20 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
             "integral_a1": i_1,
         }
 
-    _check_margin(eps)
-    cert = FailureCertificate(
-        kind="intersection-case",
-        x=x,
-        functional=f,
-        epsilon=eps,
-        constants=constants,
-    )
+    cert = FailureCertificate("intersection-case", x, f, eps, constants=constants)
+    return _self_checked(spec, cert, verify_int_certificate, samples, seed)
+
+
+def _self_checked(spec, cert: FailureCertificate, verify, samples: int, seed: int) -> FailureCertificate:
+    """A builder's one self-check of its certificate: the margin, the unit claims and,
+    when ``samples`` > 0, ``verify``'s sampling, whose record is attached."""
+    _check_margin(cert.epsilon)
     check_unit_norms(spec, cert)
-    if samples:
-        record = verify_int_certificate(spec, cert, samples, seed)
-        if not record.passed:
-            raise VerificationError(
-                f"intersection certificate failed its own verification: {record}"
-            )
-        cert = replace(cert, verification=record)
-    return cert
+    if not samples:
+        return cert
+    record = verify(spec, cert, samples, seed)
+    record.raise_if_failed(f"{cert.kind.removesuffix('-case')} certificate failed its own verification: ")
+    return replace(cert, verification=record)
 
 
 def _check_margin(eps: float):
@@ -488,6 +477,9 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     patterns), then center-blended and raw random points, and records the
     maximum of |point + y| against the bound 2 - eps.  An eps of at most
     ``_SLACK`` is refused: no point could break 2 - eps + ``_SLACK`` >= 2.
+    The verifiers pass a certificate's claim and its config's space only:
+    the center is the sum case's norming functional, or the intersection
+    case's ``_slice_center`` of its functional, never a builder constant.
 
     Candidates are scored in row blocks of at most _BLOCK_CELLS cells.  Each
     per-cell term is wint_norm's or pairing's product in the same operation
@@ -689,10 +681,14 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
 def verify_int_certificate(
     spec: IntSpaceSpec, cert: FailureCertificate, samples: int, seed: int
 ):
-    """Sample the primal slice and check |x+y| stays at or below 2 - eps."""
+    """Sample the primal slice and check |x+y| stays at or below 2 - eps.
+
+    Reads the certificate's claim only, its point, functional and margin; the
+    slice's center is derived from the functional (``_slice_center``).
+    """
     if cert.kind != "intersection-case":
         raise PreconditionError("certificate is not for an intersection space")
-    center = _int_slice_center(spec, cert)
+    center = _slice_center(spec, cert.functional)
     return _verify_slice(spec, cert.x, cert.functional, center, cert.epsilon, samples, seed)
 
 
@@ -710,17 +706,12 @@ def verify_sum_certificate(
     return _verify_slice(spec.reciprocal_int(), g, x, f0, cert.epsilon, samples, seed)
 
 
-def _int_slice_center(spec: IntSpaceSpec, cert: FailureCertificate):
-    """A unit vector with functional value 1 (the proof's extremal point)."""
-    grid = spec.grid
-    idx = grid.index
-    consts = cert.constants
-    vals = [0.0] * len(grid)
-    if consts.get("case") == "gamma-proper":
-        i = idx[consts["cell_a"]]
-        vals[i] = -1.0 / spec.v[i]
-    else:
-        for cid in consts["set_a1"]:
-            i = idx[cid]
-            vals[i] = -1.0 / spec.v[i]
-    return StepFunction(grid, tuple(vals))
+def _slice_center(spec: IntSpaceSpec, functional: StepFunction) -> StepFunction:
+    """The slice's center, from the functional f alone: sign(f)/v on the cells of
+    gamma where f is nonzero, 0 elsewhere.  On a built certificate f is negative
+    exactly on the cells its proof's extremal point sits on, so this is that point."""
+    vals = [
+        math.copysign(1.0, t) / u if t and cid in spec.gamma else 0.0
+        for cid, t, u in zip(spec.grid.ids, functional.values, spec.v)
+    ]
+    return StepFunction(spec.grid, tuple(vals))

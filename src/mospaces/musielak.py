@@ -56,7 +56,7 @@ import numpy as np
 
 from .curves import INF, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow, conjugate
 from .errors import GridMismatchError, MospacesError, PreconditionError, UnboundedNormError
-from .grid import CellSet, MeasureGrid, StepFunction
+from .grid import CellSet, MeasureGrid, StepFunction, fsum_up
 from .table import INDICATOR, LINEAR, POWER, CurveTable, InvalidCell
 
 _MAX_DOUBLINGS = 4096
@@ -126,9 +126,9 @@ class MusielakField:
             v = 1.0 / t.cell_b
             terms = w[to_b] * t.cell_b[to_b] * self._weights[to_b]
             at_ends = t.value([t.cell_b])[0] * self._weights  # the terms of modular_of_bounds
-        integral = INF if masks[1].any() else _fsum_up(terms.tolist())
+        integral = INF if masks[1].any() else fsum_up(terms.tolist())
         masses = (math.fsum(itertools.compress(mass, m.tolist())) for m in masks)
-        return Structure(*masks, v, w, *masses, _fsum_up(at_ends.tolist()), integral)
+        return Structure(*masks, v, w, *masses, fsum_up(at_ends.tolist()), integral)
 
     @staticmethod
     def constant(grid: MeasureGrid, curve: OrliczCurve) -> "MusielakField":
@@ -172,14 +172,6 @@ class Structure:
     mass_remainder: float
     modular_at_bounds: float
     collapse_integral: float
-
-
-def _fsum_up(terms) -> float:
-    """math.fsum of nonnegative terms, inf where the sum passes DBL_MAX."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return INF
 
 
 @dataclass(frozen=True)
@@ -437,7 +429,7 @@ class _FieldKernel:
         if not np.isfinite(start).all():
             return k_sup, None
         k_lin = float((start / v).max())
-        limit = _fsum_up((self.weights[live] * v * self.tail_slope[live]).tolist())
+        limit = fsum_up((self.weights[live] * v * self.tail_slope[live]).tolist())
         return k_sup, (k_lin, limit, math.fsum(self.tail_gap[live].tolist()))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .errors import VerificationError
 from .grid import StepFunction
 
 DAUGAVET = "daugavet"
@@ -34,6 +35,13 @@ class VerificationRecord:
     def passed(self) -> bool:
         return self.violations == 0
 
+    def raise_if_failed(self, prefix: str) -> None:
+        """Raise VerificationError "<prefix>N violations (max M against bound B)" unless passed."""
+        if not self.passed:
+            raise VerificationError(
+                f"{prefix}{self.violations} violations (max {self.max_observed} against bound {self.bound})"
+            )
+
 
 @dataclass(frozen=True)
 class FailureCertificate:
@@ -43,7 +51,9 @@ class FailureCertificate:
     the norming functional of ``x`` and ``second_functional`` the fixed
     norm-one dual element) or "intersection-case" (``functional`` is the
     fixed dual element whose primal slice is tested).  ``constants`` lists
-    every constant of the construction for independent re-checking.
+    every constant of the construction: its audit record, which no verifier
+    reads; a certificate is checked from its point, functionals and margin on
+    the space its config gives.
     """
 
     kind: str

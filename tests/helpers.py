@@ -33,7 +33,7 @@ from mospaces import (
 from mospaces import musielak
 from mospaces.cli import jsonify, num
 from mospaces.grid import RowSums, atom_rows, finite_error, row_blocks, signs
-from mospaces.interpolation import _BLOCK_CELLS, _SLACK, _check, _check_margin, _int_slice_center
+from mospaces.interpolation import _BLOCK_CELLS, _SLACK, _check, _check_margin
 from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
 from mospaces.reports import record_from_samples
 
@@ -492,6 +492,23 @@ def nonsquare_reference(field, witness, samples, seed):
     return checked, best, worst
 
 
+def int_slice_center_reference(spec: IntSpaceSpec, cert):
+    """An intersection slice's center as the builder's constants name it: -1/v on
+    ``cell_a`` (gamma proper) or on ``set_a1`` (gamma full), 0 elsewhere."""
+    grid = spec.grid
+    idx = grid.index
+    consts = cert.constants
+    vals = [0.0] * len(grid)
+    if consts.get("case") == "gamma-proper":
+        i = idx[consts["cell_a"]]
+        vals[i] = -1.0 / spec.v[i]
+    else:
+        for cid in consts["set_a1"]:
+            i = idx[cid]
+            vals[i] = -1.0 / spec.v[i]
+    return StepFunction(grid, tuple(vals))
+
+
 def slice_reference(spec, cert, samples, seed):
     """The slice-certificate verifier as three norm/pairing callbacks.
 
@@ -515,7 +532,7 @@ def slice_reference(spec, cert, samples, seed):
     x, f = cert.x, cert.functional
     return _verify_slice_bound(
         spec.grid,
-        _int_slice_center(spec, cert),
+        int_slice_center_reference(spec, cert),
         f,
         norm=lambda y: wint_norm(spec, y),
         func=lambda y: pairing(f, y),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mospaces import ConfigError, classify, witness_int, witness_sum
+from mospaces import ConfigError, StepFunction, classify, int_dual_norm, witness_int, witness_sum
 from mospaces.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -35,7 +35,9 @@ from mospaces.cli import (
     parse_space,
     parse_x,
 )
+from mospaces import cli
 from mospaces.musielak import orlicz_norm_sup_oracle
+from mospaces.reports import record_from_samples
 
 from helpers import canonical_json, knot_values_reference, piecewise_reference
 
@@ -687,23 +689,82 @@ def test_samples_above_the_ceiling_are_config_errors(tmp_path, capsys):
     assert outcome(["norm", "--config", cfg])[0] == EXIT_OK
 
 
-def test_verify_rejects_intersection_constants_naming_no_cells(tmp_path, capsys):
+def test_verify_reads_no_intersection_constants(tmp_path, capsys):
+    # the constants are the construction's audit record: verify derives the
+    # slice's center from the functional, so hostile constants change nothing
     cfg = {
         "grid": {"cells": 2, "weight_seed": 0},
         "space": {"kind": "weighted_intersection", "v": [1.0, 1.0], "w": [1.0, 1.0]},
+        "samples": 200,
     }
     path = write(tmp_path / "c.json", cfg)
     cert = tmp_path / "cert.json"
     assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
     report = json.loads(cert.read_text())
     assert report["results"]["witness"]["type"] == "intersection-case"
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--certificate", str(cert)]) == EXIT_OK
+    untouched = capsys.readouterr()
     for constants in ({}, {"set_a1": 5}, {"set_a1": ["nope"]}, {"case": "gamma-proper"}):
         report["results"]["witness"]["constants"] = constants
         hostile = write(tmp_path / "hostile.json", report)
-        capsys.readouterr()
+        assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_OK
+        assert capsys.readouterr() == untouched
+    for constants in ([], "gamma-full", 5, None):  # not a JSON object: a malformed certificate
+        report["results"]["witness"]["constants"] = constants
+        hostile = write(tmp_path / "hostile.json", report)
         assert main(["verify", "--config", path, "--certificate", hostile]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_center_beyond_the_float_range_is_a_precondition_failure(tmp_path, capsys):
+    # 1/v on the functional's gamma cell overflows: the claim is well formed,
+    # its slice's center is not a float point
+    cfg = {"grid": {"weights": [1, 1]}, "space": {"kind": "weighted_intersection", "gamma": ["c0"], "w": [1e-309, 1], "v": [5e-309, 1]}}
+    path = write(tmp_path / "c.json", cfg)
+    witness = {
+        "type": "intersection-case", "x": [1e308, 0.9], "functional": [-5e-309, 0.0], "epsilon": 0.01,
+        "grid_weights": [1.0, 1.0], "grid_ids": ["c0", "c1"], "constants": {}, "verification": None,
+    }
+    report = {"config_hash": config_hash(_load_object(path, "config")), "results": {"witness": witness}}
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--certificate", write(tmp_path / "r.json", report)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "precondition failure: step function values must be finite, got -inf\n"
+
+
+@pytest.mark.parametrize("functional", [[-0.9, 0.0, 0.4], [0.0, 0.0, -1.0]])
+def test_verify_intersection_certificate_with_a_functional_off_gamma(tmp_path, capsys, functional):
+    # nonzero off gamma, or on no gamma cell: the center is 0 there, and the
+    # certificate is sampled and judged like any other
+    cfg = {
+        "grid": {"weights": [0.7, 0.9, 1.1]},
+        "space": {"kind": "weighted_intersection", "gamma": ["c0", "c1"], "w": [1.2, 0.8, 1.0], "v": [0.9, 1.1, 0.7]},
+        "samples": 200,
+    }
+    path = write(tmp_path / "c.json", cfg)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    report = json.loads(cert.read_text())
+    spec = parse_space(cfg).spec
+    scale = int_dual_norm(spec, StepFunction(spec.grid, tuple(functional)))  # a unit functional, so sampling decides
+    report["results"]["witness"]["functional"] = [t / scale for t in functional]
+    capsys.readouterr()
+    code = main(["verify", "--config", path, "--certificate", write(tmp_path / "off.json", report)])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VERIFICATION) and "Traceback" not in err
+    assert (json.loads(out)["results"]["verdict"] == "pass") if code == EXIT_OK else err.count("\n") == 1
+
+
+def test_verify_reports_violations_in_the_one_summary(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path / "c.json", SUM_CFG)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", "--config", path, "--out", str(cert)]) == EXIT_OK
+    monkeypatch.setattr(cli, "verify_sum_certificate", lambda *args: record_from_samples(10, 10, 1.75, 2.5, 3, 0))
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--certificate", str(cert)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert err == "verification failure: re-verification found 3 violations (max 2.5 against bound 1.75)\n"
 
 
 def test_verify_sum_certificate_without_second_functional_exits_cleanly(tmp_path, capsys):

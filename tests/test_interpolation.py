@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from mospaces import (
     PreconditionError,
     StepFunction,
     SumSpaceSpec,
+    VerificationError,
     WitnessConstructionError,
     classify,
     classify_int,
@@ -37,14 +39,17 @@ from mospaces import (
     witness_sum,
     wsum_norm,
 )
-from mospaces import cli
-from mospaces.interpolation import _BLOCK_CELLS, RowSums
+from mospaces import Linear, Power, cli, component_spec, interpolation
+from mospaces.interpolation import _BLOCK_CELLS, RowSums, _slice_center
+from mospaces.reports import record_from_samples
 from helpers import (
     int_full_constants_reference,
+    int_slice_center_reference,
     random_int_spec,
     random_sum_spec,
     random_x,
     slice_reference,
+    verify_slice_reference,
     wsum_lp_oracle,
     wsum_ternary_oracle,
 )
@@ -656,3 +661,148 @@ def test_row_sum_bounds_decide_without_fsum(monkeypatch):
     for i, ref in enumerate(refs):
         assert sums.exceeds(i, ref + 1.0) is False and sums.exceeds(i, ref - 1.0) is True
         assert sums.max_with(i, abs(ref) + 1.0) == abs(ref) + 1.0
+
+
+# -- the slice center, derived from the functional -----------------------------------
+
+
+def _bits(step):
+    return np.array(step.values).tobytes()
+
+
+def test_derived_center_equals_the_constants_center_on_witness_int():
+    rng = np.random.default_rng(28)
+    cases = {"gamma-proper": 0, "gamma-full": 0}
+    while min(cases.values()) < 150:
+        n = int(rng.integers(1, 41))
+        g = MeasureGrid(tuple((10.0 ** rng.uniform(-3, 3, n)).tolist()))
+        w, v = (tuple((10.0 ** rng.uniform(-4, 4, n)).tolist()) for _ in range(2))
+        gamma = None if rng.random() < 0.5 else [cid for cid in g.ids if rng.random() < 0.5] or g.ids[:1]
+        spec = IntSpaceSpec(g, gamma, w, v)
+        try:
+            cert = witness_int(spec)
+        except (PreconditionError, WitnessConstructionError):
+            continue
+        cases[cert.constants["case"]] += 1
+        assert _bits(_slice_center(spec, cert.functional)) == _bits(int_slice_center_reference(spec, cert))
+
+
+def test_derived_center_equals_the_constants_center_on_classify_certificates():
+    rng = np.random.default_rng(29)
+    cases = {"gamma-proper": 0, "gamma-full": 0}
+    while min(cases.values()) < 40:
+        n = int(rng.integers(1, 9))
+        g = MeasureGrid(tuple(rng.uniform(0.05, 2.0, n).tolist()))
+        curves = [
+            Linear(float(rng.uniform(0.1, 3.0)))
+            if rng.random() < 0.3
+            else PiecewiseLinear.closed((0.0, float(rng.uniform(0.2, 3.0))), (float(rng.uniform(0.1, 3.0)),))
+            for _ in range(n)
+        ]
+        cert = classify(MusielakField(g, tuple(curves))).witness
+        if cert is None:
+            continue
+        spec = component_spec(MusielakField(g, tuple(curves)))
+        cases[cert.constants["case"]] += 1
+        assert _bits(_slice_center(spec, cert.functional)) == _bits(int_slice_center_reference(spec, cert))
+
+
+@pytest.mark.parametrize("functional", [(-1.5, 0.0, 0.7), (0.0, 0.0, -2.0), (2.0, -0.0, 3.0)])
+def test_center_is_sign_over_v_on_gamma_for_any_functional(functional):
+    # off gamma, or on no gamma cell, the functional leaves the center 0 there;
+    # the certificate is checked like any other, whatever its constants say
+    g = MeasureGrid((0.7, 0.9, 1.1))
+    spec = IntSpaceSpec(g, {"c0", "c1"}, (1.2, 0.8, 1.0), (0.9, 1.1, 0.7))
+    cert = replace(witness_int(spec), functional=StepFunction(g, functional), constants={"case": "gamma-proper"})
+    center = [math.copysign(1.0, f) / v if f and cid != "c2" else 0.0 for cid, f, v in zip(g.ids, functional, spec.v)]
+    assert _slice_center(spec, cert.functional).values == tuple(center)
+    rec = verify_int_certificate(spec, cert, 200, 4)
+    args = (spec, cert.x, cert.functional, StepFunction(g, tuple(center)), cert.epsilon, 200, 4)
+    assert rec == verify_slice_reference(*args)
+
+
+# -- one self-check step for every builder -------------------------------------------
+
+
+def test_every_builder_raises_the_one_self_check_summary(monkeypatch):
+    failing = record_from_samples(10, 10, 1.75, 2.5, 3, 0)
+    classify_module = importlib.import_module("mospaces.classify")
+    for module, name in (
+        (interpolation, "verify_sum_certificate"),
+        (interpolation, "verify_int_certificate"),
+        (classify_module, "verify_nonsquare"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args: failing)
+    summary = "3 violations (max 2.5 against bound 1.75)"
+    sum_spec, _ = _slice_case("sum")
+    int_spec, _ = _slice_case("gamma-proper")
+    nonsquare = MusielakField.constant(MeasureGrid((1.0, 0.5)), Power(2.0))
+    for build, prefix in (
+        (lambda: witness_sum(sum_spec, samples=5), "sum certificate failed its own verification: "),
+        (lambda: witness_int(int_spec, samples=5), "intersection certificate failed its own verification: "),
+        (lambda: classify(nonsquare, samples=5), "nonsquare witness failed its own verification: "),
+    ):
+        with pytest.raises(VerificationError) as exc:
+            build()
+        assert str(exc.value) == prefix + summary
+
+
+@pytest.mark.parametrize("samples", [0, 5])
+@pytest.mark.parametrize("case", ["sum", "gamma-proper", "gamma-full"])
+def test_builders_check_unit_claims_before_sampling(monkeypatch, case, samples):
+    spec, _ = _slice_case(case)
+    steps = []
+    check, verify_sum, verify_int = (
+        interpolation.check_unit_norms, interpolation.verify_sum_certificate, interpolation.verify_int_certificate
+    )
+    monkeypatch.setattr(interpolation, "check_unit_norms", lambda *a: steps.append("unit") or check(*a))
+    monkeypatch.setattr(interpolation, "verify_sum_certificate", lambda *a: steps.append("sample") or verify_sum(*a))
+    monkeypatch.setattr(interpolation, "verify_int_certificate", lambda *a: steps.append("sample") or verify_int(*a))
+    cert = (witness_sum if case == "sum" else witness_int)(spec, samples=samples)
+    assert steps == ["unit", "sample"][: 1 + bool(samples)]
+    assert (cert.verification is not None) == bool(samples)
+
+
+# -- sums past DBL_MAX ---------------------------------------------------------------
+
+
+_PIECE = {"family": "piecewise", "breakpoints": [0, 1e300], "slopes": [1e8], "end_value": 1e308}
+
+
+@pytest.mark.parametrize(
+    "masses, space, explanation",
+    [
+        # the collapse integral and the w/v ratio pass DBL_MAX
+        ([1.5, 1.5], {"kind": "musielak", "curves": [_PIECE, _PIECE]}, "margin epsilon 0.0 is not positive at these weights"),
+        (
+            [1.5, 1.5],
+            {"kind": "weighted_intersection", "w": [1e308, 1e308], "v": [1, 1]},
+            "margin epsilon 0.0 is not positive at these weights",
+        ),
+        # the v/w ratio passes DBL_MAX
+        (
+            [1.5, 1.5],
+            {"kind": "weighted_sum", "v": [1e308, 1e308], "w": [1, 1]},
+            "every cell has mass*v above w; the construction needs a smaller cell",
+        ),
+        # witness_int's w mass off gamma passes DBL_MAX
+        (
+            [1, 1.5, 1.5],
+            {"kind": "weighted_intersection", "gamma": ["c0"], "w": [0.5, 1e308, 1e308], "v": [1, 1, 1]},
+            "the w mass off gamma is beyond the float range",
+        ),
+        # the mass off gamma passes DBL_MAX
+        (
+            [1, 1e308, 1e308],
+            {"kind": "weighted_intersection", "gamma": ["c0"], "w": [0.5, 1, 1], "v": [1, 1, 1]},
+            "the w mass off gamma is beyond the float range",
+        ),
+    ],
+)
+def test_classify_of_sums_past_dbl_max_exits_cleanly(tmp_path, capsys, masses, space, explanation):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"weights": masses}, "space": space, "samples": 50}))
+    capsys.readouterr()
+    assert cli.main(["classify", "--config", str(path)]) == cli.EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["verdict"], res["witness"], res["explanation"]) == ("not-daugavet", None, explanation)

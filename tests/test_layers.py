@@ -6,7 +6,8 @@ not reach into the probes.  Every probe (a function named ``*_probe``,
 other than the CLI's ``cmd_probe`` command) is defined in ``probes``.
 ``classify`` and ``cli`` read a field's curves through its table, never
 as curve objects, and its structure through its structure record, never
-by calling ``partition`` or ``weights``.
+by calling ``partition`` or ``weights``.  ``cli`` imports no private
+(``_``-prefixed, not dunder) name from another package module.
 """
 
 import ast
@@ -69,6 +70,18 @@ def test_layer_reads_the_structure_record_only(module):
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in ("partition", "weights")
     ]
     assert calls == []
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("mospaces"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")  # a dunder such as __version__ is public
+    ]
+    assert private == []
 
 
 def test_every_probe_is_defined_in_probes():

@@ -22,7 +22,7 @@ from mospaces import interpolation
 from mospaces.cli import _certificate_space, parse_space
 from mospaces.classify import classify
 from mospaces.grid import RowSums, tree_sums
-from mospaces.interpolation import _int_slice_center, _verify_slice, classify_int, classify_sum
+from mospaces.interpolation import _slice_center, _verify_slice, classify_int, classify_sum
 from helpers import verify_slice_reference
 
 
@@ -44,7 +44,7 @@ def _slice_args(spec, cert):
     """_verify_slice's (spec, point, functional, center, eps) for a certificate."""
     if cert.kind == "sum-case":
         return spec.reciprocal_int(), cert.second_functional, cert.x, cert.functional, cert.epsilon
-    return spec, cert.x, cert.functional, _int_slice_center(spec, cert), cert.epsilon
+    return spec, cert.x, cert.functional, _slice_center(spec, cert.functional), cert.epsilon
 
 
 class _CountingRng(np.random.Generator):
