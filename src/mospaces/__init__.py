@@ -26,6 +26,7 @@ from .curves import (
 )
 from .errors import (
     ConfigError,
+    FloatRangeError,
     GridMismatchError,
     MospacesError,
     PreconditionError,

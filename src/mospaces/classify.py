@@ -31,12 +31,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import INF, OrliczCurve
-from .errors import MospacesError, PreconditionError, VerificationError, WitnessConstructionError
+from .errors import (
+    FloatRangeError,
+    MospacesError,
+    PreconditionError,
+    VerificationError,
+    WitnessConstructionError,
+)
 from .grid import MeasureGrid, StepFunction, atom_rows, row_blocks, signs
 from .interpolation import IntSpaceSpec, assert_unit, witness_int
 from .musielak import (
     MusielakField,
-    gauge,
+    gauge_block,
     luxemburg_norms,
     modular,
     modular_of_bounds,
@@ -197,7 +203,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
             record.update({"mode": "flat-top-up", "top_up_cell": grid.ids[top_up], "d0": d0})
         else:
             # single unbounded-domain carrier cell: raise a until the modular is one
-            a = gauge(field, [float(i in carrier) for i in range(len(grid))], 1.0, 0.0)[0]
+            a = float(gauge_block(field, _flat_rows(field, 1.0, carrier), 1.0, 0.0)[0][0])
             b = 2.0 * a
             record.update({"mode": "exact-fill", "a": a, "b": b})
     else:
@@ -223,7 +229,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
         residual = 1.0 - _flat_modular(field, a, carrier)
         if residual > 0.0:
             # largest scale of the domain ends whose modular fits the residual
-            scale = gauge(field, comp_bounds, residual, 0.0)[0]
+            scale = float(gauge_block(field, [comp_bounds], residual, 0.0)[0][0])
             c2 = c1 / scale - 1.0
             x_vals = [scale * e for e in comp_bounds]  # 0 on the carrier, set to a below
             record.update({"mode": "bounded-top-up", "c1": c1, "c2": c2, "scale": scale})
@@ -251,7 +257,7 @@ def build_nonsquare_witness(field: MusielakField) -> NonsquareWitness:
     delta_mod = (1.0 - sigma0) * eta / 4.0
 
     # margin: largest stretch up to b/a keeping the modular within delta of one
-    stretch = gauge(field, [abs(v) for v in x.values], 1.0 + delta_mod, 0.0)[0]
+    stretch = float(gauge_block(field, np.abs([x.values]), 1.0 + delta_mod, 0.0)[0][0])
     t_lo = min(stretch, b / a) - 1.0
     if t_lo <= 0.0:  # pragma: no cover - modular is continuous at x
         raise WitnessConstructionError("no admissible stretch margin")
@@ -422,14 +428,14 @@ def classify(field: MusielakField, samples: int = 0, seed: int = 0) -> Classific
         # the spec rides along for the reader; verify takes it from the config
         constants = dict(witness.constants, gamma=sorted(spec.gamma), w=list(spec.w), v=list(spec.v))
         witness = replace(witness, constants=constants)
+    except (FloatRangeError, WitnessConstructionError) as exc:
+        explanation = str(exc)
     except PreconditionError:
         # the integral above is over one, but w/v with v = 1/b rounds it to one
         explanation = (
             "no intersection certificate exists at float precision: "
             "the component's w/v integral rounds to one"
         )
-    except WitnessConstructionError as exc:
-        explanation = str(exc)
     return ClassificationReport(NOT_DAUGAVET, None, None, evidence, witness, explanation)
 
 

@@ -78,9 +78,6 @@ class OrliczCurve:
     def __call__(self, u: float) -> float:
         return self.value(u)
 
-    def conjugate(self) -> "OrliczCurve":
-        return conjugate(self)
-
     def subdifferential(self, u: float):
         """The set {v >= 0 : phi(u) + psi(v) = u v} as a closed interval.
 

@@ -17,6 +17,10 @@ class PreconditionError(MospacesError):
     """An operation was called outside its stated domain of validity."""
 
 
+class FloatRangeError(PreconditionError):
+    """A quantity that valid inputs define lies beyond the float range."""
+
+
 class UnboundedNormError(MospacesError):
     """A norm solver exhausted its bracket expansion without crossing."""
 

@@ -123,11 +123,6 @@ class StepFunction:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
-    def support(self) -> CellSet:
-        return frozenset(
-            cid for cid, v in zip(self.grid.ids, self.values) if v != 0.0
-        )
-
     def __abs__(self):
         return StepFunction(self.grid, tuple(abs(v) for v in self.values))
 

@@ -4,7 +4,11 @@ The sum space carries inf{|y|_inf,w + |z|_1,v : x = y + z with z supported
 in gamma}; the infimum is a convex piecewise-linear function of the sup
 level of y, minimised exactly by a breakpoint scan.  The intersection space
 carries the max of a weighted L1 norm and a weighted sup norm over gamma.
-Each is the Koethe dual of the other with reciprocal weights.
+Each is the Koethe dual of the other with reciprocal weights.  A valid
+weight whose reciprocal is beyond the float range (a subnormal w, or v on
+gamma) has no dual spec: forming it raises ``FloatRangeError`` naming that
+reciprocal, which ``norm`` and ``conjugate`` report as a precondition
+failure and ``classify`` as its explanation.
 
 Classification follows the collapse criteria: the sum space has the
 Daugavet-style geometry exactly when gamma exhausts the grid and the
@@ -32,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import GridMismatchError, PreconditionError, WitnessConstructionError
+from .errors import FloatRangeError, GridMismatchError, PreconditionError, WitnessConstructionError
 from .grid import (
     CellSet,
     MeasureGrid,
@@ -90,12 +94,7 @@ class SumSpaceSpec:
 
     def reciprocal_int(self) -> "IntSpaceSpec":
         """The Koethe-dual intersection space (reciprocal weights)."""
-        return IntSpaceSpec(
-            self.grid,
-            self.gamma,
-            tuple(1.0 / t for t in self.w),
-            tuple(1.0 / t if t > 0 else 1.0 for t in self.v),
-        )
+        return IntSpaceSpec(self.grid, self.gamma, _reciprocals(self, "w"), _reciprocals(self, "v"))
 
 
 @dataclass(frozen=True)
@@ -112,12 +111,22 @@ class IntSpaceSpec:
 
     def reciprocal_sum(self) -> SumSpaceSpec:
         """The Koethe-dual sum space (reciprocal weights)."""
-        return SumSpaceSpec(
-            self.grid,
-            self.gamma,
-            tuple(1.0 / t if t > 0 else 1.0 for t in self.v),
-            tuple(1.0 / t for t in self.w),
-        )
+        return SumSpaceSpec(self.grid, self.gamma, _reciprocals(self, "v"), _reciprocals(self, "w"))
+
+
+def _reciprocals(spec, name: str) -> tuple[float, ...]:
+    """1/t for each weight t named ``name`` of ``spec`` (1 where t <= 0, off gamma).
+
+    A reciprocal the dual spec needs, 1/w anywhere or 1/v on gamma, beyond
+    the float range raises ``FloatRangeError`` naming it.
+    """
+    out = []
+    for cid, t in zip(spec.grid.ids, getattr(spec, name)):
+        r = 1.0 / t if t > 0 else 1.0
+        if math.isinf(r) and (name == "w" or cid in spec.gamma):
+            raise FloatRangeError(f"the reciprocal weight 1/{name} of {cid} is beyond the float range")
+        out.append(r)
+    return tuple(out)
 
 
 def _check(spec, x: StepFunction):
@@ -289,10 +298,8 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     cell_a = grid.ids[i0]
     x_vals = [0.0] * len(grid)
     x_vals[i0] = 1.0 / (mu_a * spec.v[i0])
-    x = StepFunction(grid, tuple(x_vals))
-    f0 = StepFunction(
-        grid, tuple(spec.v[i] if i == i0 else 0.0 for i in range(len(grid)))
-    )
+    x = _vector(grid, x_vals, "point's value on A")
+    f0 = _vector(grid, [spec.v[i] if i == i0 else 0.0 for i in range(len(grid))], "functional's value on A")
 
     # C from A upward until the v/w integral lands in (1, 2]
     contrib = [spec.v[i] / spec.w[i] * grid.weights[i] for i in range(len(grid))]
@@ -314,10 +321,9 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
                 "cannot reach a v/w integral in (1, 2] by whole cells"
             )
     b = 1.0 / total
-    g = StepFunction(
-        grid,
-        tuple(-b * spec.v[i] if i in set(chosen) else 0.0 for i in range(len(grid))),
-    )
+    on_c = set(chosen)
+    g_vals = [-b * spec.v[i] if i in on_c else 0.0 for i in range(len(grid))]
+    g = _vector(grid, g_vals, "second functional's value on C")
 
     c = 2.0
     # alpha <= v and w <= beta on A; with a single cell both hold exactly
@@ -380,14 +386,12 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
         c2 = (1.0 - gamma_const) / w_comp
         x_vals = [0.0] * len(grid)
         x_vals[idx[cell_a]] = c / spec.v[idx[cell_a]]
-        if not (math.isfinite(c2) and math.isfinite(x_vals[idx[cell_a]])):
-            raise WitnessConstructionError("the point's value on A or off gamma is beyond the float range")
         for cid in complement:
             x_vals[idx[cid]] = c2
-        x = StepFunction(grid, tuple(x_vals))
+        x = _vector(grid, x_vals, "point's value on A or off gamma")
         f_vals = [0.0] * len(grid)
         f_vals[idx[cell_a]] = -(c / gamma_const) * spec.w[idx[cell_a]]
-        f = StepFunction(grid, tuple(f_vals))
+        f = _vector(grid, f_vals, "functional's value on A")
         eps = 0.5 * (2.0 * gamma_const * (1.0 - c)) / (1.0 - c + 2.0 * gamma_const)
         constants = {
             "case": "gamma-proper",
@@ -410,11 +414,11 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
         x_vals = [0.0] * len(grid)
         for cid in set_a:
             x_vals[idx[cid]] = c / spec.v[idx[cid]]
-        x = StepFunction(grid, tuple(x_vals))
+        x = _vector(grid, x_vals, "point's value on A")
         f_vals = [0.0] * len(grid)
         for cid in set_a1:
             f_vals[idx[cid]] = -spec.w[idx[cid]]
-        f = StepFunction(grid, tuple(f_vals))
+        f = _vector(grid, f_vals, "functional's value on A1")
         eps = 0.5 * min(2.0 * c * (1.0 - c * i_1) / (1.0 + c), 1.0 - c)
         constants = {
             "case": "gamma-full",
@@ -427,6 +431,13 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
 
     cert = FailureCertificate("intersection-case", x, f, eps, constants=constants)
     return _self_checked(spec, cert, verify_int_certificate, samples, seed)
+
+
+def _vector(grid: MeasureGrid, vals: list, what: str) -> StepFunction:
+    """A builder's vector; a value beyond the float range is a WitnessConstructionError naming ``what``."""
+    if not all(map(math.isfinite, vals)):
+        raise WitnessConstructionError(f"the {what} is beyond the float range")
+    return StepFunction(grid, tuple(vals))
 
 
 def _self_checked(spec, cert: FailureCertificate, verify, samples: int, seed: int) -> FailureCertificate:

@@ -9,20 +9,21 @@ ratios and the conjugate field read only the table; the per-cell curve
 objects (``curves``) are built only for the sup oracle, a field's repr and
 the message of a refused conjugate.
 
-The modular of a step function is the weighted sum of curve values; the
-gauge norm (Luxemburg) is the scaling that brings the modular to one.  ``gauge``
-solves rho(t|x|) = level by Newton steps from above on the convex map
-t -> rho(t|x|); every level-set scaling in the package goes through it.
-``gauge_block`` runs the same loop on many rows in lockstep, evaluating
-all of them per step on a numpy form of the field compiled once per field;
-``luxemburg_norms`` and ``unit_sphere_points`` are the row-batched
-``luxemburg_norm`` and ``unit_sphere_point``.  The loop keeps each row's
-state (bracket ends, their closure values, the slope at the upper end) in
-arrays and moves every active row with one set of array operations, each
-the float operation of a scalar step, so a row's bracket is the same alone
-or in a block; ``gauge`` is the one-row block.  Every comparison with the
-level is decided on the kernel, whose error bound floors the bracket
-width; ``modular`` (one fsum of the table's values) is the reference.
+The modular of a step function is the weighted sum of curve values
+(``modulars``, one fsum per row, inf where the sum passes DBL_MAX); the
+gauge norm (Luxemburg) is the scaling that brings the modular to one.
+``gauge_block`` solves rho(t|x|) = level for many rows in lockstep by
+Newton steps from above on the convex map t -> rho(t|x|), evaluating all
+of them per step on a numpy form of the field compiled once per field;
+every level-set scaling in the package goes through it.
+``luxemburg_norms`` and ``unit_sphere_points`` are its row-batched norm
+and unit-sphere scaling, and ``luxemburg_norm`` and ``unit_sphere_point``
+their one-row calls.  The loop keeps each row's state (bracket ends,
+their closure values, the slope at the upper end) in arrays and moves
+every active row with one set of array operations, each the float
+operation of a one-row step, so a row's bracket is the same alone or in a
+block.  Every comparison with the level is decided on the kernel, whose
+error bound floors the bracket width; ``modular`` is the reference.
 Where the kernel leaves a point open, steps of a quarter of the tolerance
 to either side settle it; convexity of the modular bounds the kernel's
 value there from the one already computed, and the steps are evaluated
@@ -125,10 +126,9 @@ class MusielakField:
         with np.errstate(over="ignore"):  # 1/b and products past DBL_MAX are inf, as in Python
             v = 1.0 / t.cell_b
             terms = w[to_b] * t.cell_b[to_b] * self._weights[to_b]
-            at_ends = t.value([t.cell_b])[0] * self._weights  # the terms of modular_of_bounds
         integral = INF if masks[1].any() else fsum_up(terms.tolist())
-        masses = (math.fsum(itertools.compress(mass, m.tolist())) for m in masks)
-        return Structure(*masks, v, w, *masses, fsum_up(at_ends.tolist()), integral)
+        masses = (fsum_up(itertools.compress(mass, m.tolist())) for m in masks)
+        return Structure(*masks, v, w, *masses, next(modulars(self, [t.cell_b])), integral)
 
     @staticmethod
     def constant(grid: MeasureGrid, curve: OrliczCurve) -> "MusielakField":
@@ -154,10 +154,10 @@ class Structure:
     unbounded domain) and w, the first slope on linear cells (0 elsewhere).
     A v of inf marks a subnormal end b, a real weight beyond the float range:
     ``decomposition_norm`` weighs |x| there as |x|/b, and ``component_spec``
-    refuses it.  Over the grid: each mask's mass (one ``math.fsum``), the
-    modular at the domain ends and the collapse integral, the sum of
-    w*b*mass over ``omega_1inf`` (inf when ``omega_1`` has a cell); both
-    sums are inf where they pass DBL_MAX.
+    refuses it.  Over the grid: each mask's mass, the modular at the domain
+    ends (``modulars`` of the row b) and the collapse integral, the sum of
+    w*b*mass over ``omega_1inf`` (inf when ``omega_1`` has a cell); each
+    sum is one fsum, inf where it passes DBL_MAX.
     """
 
     omega_inf: np.ndarray
@@ -212,13 +212,14 @@ def _check(field: MusielakField, x: StepFunction):
 def modulars(field: MusielakField, rows):
     """The modular of each row of nonnegative cell values (inf allowed), one
     row at a time: inf where a curve value is, else the products
-    curve(u_i) * mass_i summed by one fsum in grid order, each term the
-    float operations of the curves.  A row is summed only when it is asked for."""
+    curve(u_i) * mass_i summed by one fsum in grid order (``fsum_up``: inf
+    where the sum passes DBL_MAX, as in the kernel), each term the float
+    operations of the curves.  A row is summed only when it is asked for."""
     values = field.table.value(rows)
-    with np.errstate(over="ignore"):  # an inf product makes the fsum inf, as in Python
+    with np.errstate(over="ignore"):  # an inf product makes the sum inf
         terms = (values * field._weights).tolist()
     for blown, row in zip(np.isinf(values).any(axis=1).tolist(), terms):
-        yield INF if blown else math.fsum(row)
+        yield INF if blown else fsum_up(row)
 
 
 def modular(field: MusielakField, x: StepFunction) -> float:
@@ -268,38 +269,6 @@ def _step(t: np.ndarray, by: float) -> np.ndarray:
         short = (t < _DBL_MIN) & (np.abs(moved - t) / t < abs(by))
         moved = np.where(short, np.nextafter(moved, 0.0 if by < 0.0 else INF), moved)
     return moved
-
-
-def gauge(field: MusielakField, ax, level: float = 1.0, rtol: float = 1e-12) -> tuple[float, float]:
-    """Bracket (lo, hi) of T = sup{t >= 0 : modular(t*ax) <= level}.
-
-    ``ax`` holds nonnegative cell values, not all zero, and ``level`` is
-    positive.  Guarantees modular(lo*ax) <= level, hi >= T and
-    hi - lo <= max(rtol, floor)*lo, or at most one float strictly between
-    lo and hi.  The floor, the kernel's ``floor(level)``, follows from its
-    error bound ``rel``/``abs`` and is below 1e-13 on grids of up to a
-    million cells; a smaller rtol (zero, negative, NaN) is raised to it,
-    and one above 1 (inf too) is capped at 1, where a step of rtol/4 still
-    keeps t positive.  The width holds as stated where each nonzero
-    t*|x_i| near T is normal.  Where the closure stays under the level up
-    to the start bound and some such product is subnormal, its ulp
-    2**-1074 can swallow steps of t (``_edge_brackets``): lo and hi keep
-    their sides, but hi/lo - 1 is only bounded by about 48*rtol plus four
-    times that ulp relative to T*|x_i|.
-    r(t) = modular(t*ax) is convex and nondecreasing, so Newton steps on its
-    closure from above (left slopes) never undershoot T and solve a
-    piecewise-linear piece exactly, while the chord through the feasible end
-    never overshoots it.  The start is the domain edge or the tightest
-    single-cell bound, whichever is smaller (the caps of ``_start_caps``).
-    A point the kernel's error bound leaves open is settled by steps of
-    rtol/4 to either side (``_settle``), decided from the value already
-    computed, as r(u)/u does not decrease, wherever that is certain, and
-    evaluated otherwise; at rtol 1e-12 and above and with every t*|x_i|
-    normal, each step evaluates the closure once.  It is ``gauge_block`` on
-    the one row ``ax``, so a row gets the same bracket alone or in a block.
-    """
-    lo, hi = gauge_block(field, [ax], level, rtol)
-    return float(lo[0]), float(hi[0])
 
 
 class _FieldKernel:
@@ -555,20 +524,40 @@ def _edge_brackets(kernel: _FieldKernel, rows: np.ndarray, starts: np.ndarray, l
 
 
 def gauge_block(field: MusielakField, rows, level: float = 1.0, rtol: float = 1e-12):
-    """``gauge`` for every row of ``rows`` at once: arrays (lo, hi).
+    """Brackets (lo, hi) of T = sup{t >= 0 : modular(t*x) <= level} for
+    every row x of ``rows`` at once, as arrays.
 
-    ``rows`` holds nonnegative cell values (rows x cells), no row all zero.
-    Each row gets the guarantees of ``gauge`` against the scalar
-    ``modular``.  The rows take Newton steps from above on the closure in
-    lockstep, from their start bounds (the caps of ``_start_caps``); each
-    step evaluates all active rows with one call of the field's compiled
-    kernel (``_settle``).  A comparison with the level counts only where the
-    kernel's error bound makes it certain.  The state of the active rows
-    lives in arrays, and each step updates all of them at once with the
-    float operations of a one-row step, so a row's bracket does not depend
-    on the rows solved with it.  As in ``gauge``, rtol is raised to the
-    kernel's floor and capped at 1.  A level below the kernel's absolute
-    error bound ``abs`` (heavy masses and a tiny level) is a PreconditionError.
+    ``rows`` holds nonnegative cell values (rows x cells), no row all zero,
+    and ``level`` is positive.  Each row gets modular(lo*x) <= level,
+    hi >= T and hi - lo <= max(rtol, floor)*lo, or at most one float
+    strictly between lo and hi, against the scalar ``modular``.  The
+    floor, the kernel's ``floor(level)``, follows from its error bound
+    ``rel``/``abs`` and is below 1e-13 on grids of up to a million cells; a
+    smaller rtol (zero, negative, NaN) is raised to it, and one above 1
+    (inf too) is capped at 1, where a step of rtol/4 still keeps t
+    positive.  The width holds as stated where each nonzero t*x_i near T
+    is normal.  Where the closure stays under the level up to the start
+    bound and some such product is subnormal, its ulp 2**-1074 can swallow
+    steps of t (``_edge_brackets``): lo and hi keep their sides, but
+    hi/lo - 1 is only bounded by about 48*rtol plus four times that ulp
+    relative to T*x_i.  A level below the kernel's absolute error bound
+    ``abs`` (heavy masses and a tiny level) is a PreconditionError.
+
+    r(t) = modular(t*x) is convex and nondecreasing, so Newton steps on its
+    closure from above (left slopes) never undershoot T and solve a
+    piecewise-linear piece exactly, while the chord through the feasible end
+    never overshoots it.  The start is the domain edge or the tightest
+    single-cell bound, whichever is smaller (the caps of ``_start_caps``).
+    Each step evaluates all active rows with one call of the field's
+    compiled kernel (``_settle``), and a comparison with the level counts
+    only where the kernel's error bound makes it certain.  A point that
+    bound leaves open is settled by steps of rtol/4 to either side, decided
+    from the value already computed, as r(u)/u does not decrease, wherever
+    that is certain, and evaluated otherwise; at rtol 1e-12 and above and
+    with every t*x_i normal, each step evaluates the closure once.  The
+    state of the active rows lives in arrays, and each step updates all of
+    them at once with the float operations of a one-row step, so a row's
+    bracket does not depend on the rows solved with it.
     """
     rows = np.asarray(rows, dtype=float)
     if not rows.any(axis=1).all():
@@ -630,52 +619,44 @@ def _norm_of_scale(hi: float) -> float:
 
 
 def luxemburg_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12) -> float:
-    """inf{lam > 0 : modular(x/lam) <= 1}, from the gauge bracket of |x|.
-
-    Returns 1/hi, so the result never exceeds the true norm (keeps
-    norm-ratio invariants one-sided).  A norm above DBL_MAX raises
-    ``UnboundedNormError``.
-    """
+    """``luxemburg_norms`` of the one row x."""
     _check(field, x)
-    if x.is_zero():
-        return 0.0
-    return _norm_of_scale(gauge(field, [abs(v) for v in x.values], 1.0, tol)[1])
+    return float(luxemburg_norms(field, [x.values], tol)[0])
 
 
 def luxemburg_norms(field: MusielakField, xs, tol: float = 1e-12) -> np.ndarray:
-    """``luxemburg_norm`` of each row of ``xs`` (rows x cells), as one block.
+    """inf{lam > 0 : modular(x/lam) <= 1} of each row x of ``xs`` (rows x cells).
 
-    Each row's norm is ``luxemburg_norm``'s of that row, bit for bit.
+    A zero row has norm 0; any other gets 1/hi from the gauge bracket of
+    |x| (``gauge_block``), so no norm exceeds the true one (keeps
+    norm-ratio invariants one-sided).  A norm above DBL_MAX raises
+    ``UnboundedNormError``.
     """
     ax = np.abs(np.asarray(xs, dtype=float))
     out = np.zeros(len(ax))
     nonzero = ax.any(axis=1)
     if nonzero.any():
         hi = gauge_block(field, ax[nonzero], 1.0, tol)[1]
-        with np.errstate(divide="ignore", over="ignore"):
-            norms = 1.0 / hi
-        unbounded = np.isinf(norms)
-        if unbounded.any():  # raises at the first such row
-            _norm_of_scale(float(hi[unbounded.argmax()]))
-        out[nonzero] = norms
+        _norm_of_scale(float(hi.min()))  # the largest norm: raises where it passes DBL_MAX
+        out[nonzero] = 1.0 / hi
     return out
 
 
 def unit_sphere_point(field: MusielakField, y: StepFunction) -> StepFunction:
-    """Scale y to the unit sphere of the Luxemburg norm.
+    """``unit_sphere_points`` of the one row y."""
+    _check(field, y)
+    if y.is_zero():
+        raise PreconditionError("cannot normalise the zero function")
+    return StepFunction(field.grid, tuple(unit_sphere_points(field, [y.values])[0].tolist()))
+
+
+def unit_sphere_points(field: MusielakField, ys) -> np.ndarray:
+    """Each row y of ``ys`` (nonzero rows) scaled to the unit sphere of the Luxemburg norm.
 
     Uses the feasible end of the gauge bracket of sup{t : modular(t*y) <= 1};
     the scaled point has norm 1 whether or not the modular reaches 1 (jump
     curves may skip it).
     """
-    _check(field, y)
-    if y.is_zero():
-        raise PreconditionError("cannot normalise the zero function")
-    return gauge(field, [abs(v) for v in y.values], 1.0, _SPHERE_RTOL)[0] * y
-
-
-def unit_sphere_points(field: MusielakField, ys) -> np.ndarray:
-    """``unit_sphere_point`` of each row of ``ys`` (nonzero rows), as one block."""
     ys = np.asarray(ys, dtype=float)
     return gauge_block(field, np.abs(ys), 1.0, _SPHERE_RTOL)[0][:, None] * ys
 
@@ -798,8 +779,9 @@ def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
                 # h overflows at k; at the gauge scale modular(kx) <= 1, so
                 # there h is at most 2/k unless the norm itself is out of range
                 restarted = True
-                k, hi_k = gauge(field, ax, 1.0, tol)
-                _norm_of_scale(hi_k)
+                lo_k, hi_k = gauge_block(field, [ax], 1.0, tol)
+                k = float(lo_k[0])
+                _norm_of_scale(float(hi_k[0]))
             else:
                 raise UnboundedNormError(
                     "the Amemiya objective overflows: the norm is near DBL_MAX"

@@ -278,14 +278,18 @@ def exact_amemiya(field, values) -> Fraction:
 
 def scaled_modular(field, ax) -> float:
     """The modular at nonnegative cell values ``ax``, one ``curve.value`` per
-    cell: inf at the first infinite value, else one fsum of value * mass."""
+    cell: inf at the first infinite value, else one fsum of value * mass,
+    inf where it passes DBL_MAX."""
     terms = []
     for v, crv, w in zip(ax, field.curves, field.grid.weights):
         t = crv.value(v)
         if math.isinf(t):
             return INF
         terms.append(t * w)
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return INF
 
 
 def partition_reference(field):

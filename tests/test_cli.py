@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import signal
 import subprocess
@@ -1894,3 +1895,130 @@ def test_classify_of_a_gamma_proper_space_whose_constants_underflow_exits_cleanl
     res = json.loads(capsys.readouterr().out)["results"]
     assert res["verdict"] == "not-daugavet" and res["witness"] is None
     assert res["explanation"] == "the w/v integral on A or the w mass off gamma is below the float range"
+
+
+def _op(path, command, *extra):
+    """(exit code, stdout, stderr) of one in-process CLI op on the config at ``path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path), *extra])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _linear(slope):
+    return {"family": "linear", "slope": slope}
+
+
+def _piece(breakpoints, slopes):
+    return {"family": "piecewise", "breakpoints": breakpoints, "slopes": slopes}
+
+
+_RECIPROCAL_V = "the reciprocal weight 1/v of c0 is beyond the float range"
+_RECIPROCAL_W = "the reciprocal weight 1/w of c0 is beyond the float range"
+
+
+@pytest.mark.parametrize(
+    "masses, space, refused, explanation",
+    [
+        # 1/v on gamma and 1/w are beyond the float range; 1/v is formed first
+        (
+            [1, 1],
+            {"kind": "weighted_intersection", "gamma": ["c0"], "w": [1e-309, 1], "v": [5e-309, 1]},
+            _RECIPROCAL_V,
+            _RECIPROCAL_V,
+        ),
+        (
+            [1, 1],
+            {"kind": "weighted_sum", "w": [1e-309, 1], "v": [1, 1]},
+            _RECIPROCAL_W,
+            "cannot reach a v/w integral in (1, 2] by whole cells",
+        ),
+        # the intersection component's w = 1e-310 on c1: its dual needs 1/w
+        (
+            [1, 1, 1],
+            {"kind": "musielak", "curves": [_linear(1), _linear(1e-310), _piece([0, 0.5], [1])]},
+            None,
+            "the reciprocal weight 1/w of c1 is beyond the float range",
+        ),
+        # a functional and a point of witness_int past the float range
+        (
+            [1, 1e-10, 0.5],
+            {"kind": "weighted_intersection", "gamma": ["c2"], "w": [0.3, 1.7e308, 1e-309], "v": [1e308, 1e-300, 1e10]},
+            "the reciprocal weight 1/w of c2 is beyond the float range",
+            "the functional's value on A is beyond the float range",
+        ),
+        (
+            [0.5, 2],
+            {"kind": "weighted_intersection", "gamma": ["c0", "c1"], "w": [5e-309, 1e-150], "v": [1e-320, 1e150]},
+            _RECIPROCAL_V,
+            "the point's value on A is beyond the float range",
+        ),
+    ],
+)
+def test_values_beyond_the_float_range_are_named(tmp_path, masses, space, refused, explanation):
+    path = write(tmp_path / "c.json", {"grid": {"weights": masses}, "space": space, "x": [1] * len(masses)})
+    rc, out, err = _op(path, "classify")
+    assert (rc, err) == (EXIT_OK, "")
+    res = json.loads(out)["results"]
+    assert (res["verdict"], res["witness"], res["explanation"]) == ("not-daugavet", None, explanation)
+    if refused is not None:  # a weighted spec: its dual spec is refused
+        for command in ("norm", "conjugate"):
+            assert _op(path, command) == (EXIT_PRECONDITION, "", f"precondition failure: {refused}\n")
+
+
+def test_sums_past_dbl_max_are_inf(tmp_path):
+    # the masses of the structure record pass DBL_MAX
+    cfg = {"grid": {"weights": [1e308, 1e308]}, "space": {"kind": "orlicz", "curve": _linear(1)}}
+    rc, out, _ = _op(write(tmp_path / "c.json", cfg), "classify")
+    res = json.loads(out)["results"]
+    assert (rc, res["verdict"], res["canonical_form"]) == (EXIT_OK, "daugavet", "weighted-L1")
+    assert res["evidence"]["mass_omega_1"] == "inf"
+    # each modular term is 1.69e308: the modular is inf, the norms finite
+    cfg = {"grid": {"weights": [1, 1, 1]}, "space": {"kind": "orlicz", "curve": {"family": "power", "p": 2}}}
+    rc, out, _ = _op(write(tmp_path / "c.json", dict(cfg, x=[1.3e154] * 3)), "norm")
+    res = json.loads(out)["results"]
+    assert (rc, res["modular"]) == (EXIT_OK, "inf")
+    assert 0.0 < res["luxemburg"] <= res["amemiya"] < math.inf
+    # the modular at the domain ends of the two bounded cells passes DBL_MAX
+    big = _piece([0, 1e300], [1e8])
+    space = {"kind": "musielak", "curves": [_piece([0, 1, 2], [1, 2]), big, big]}
+    path = write(tmp_path / "c.json", {"grid": {"weights": [0.01, 1.5, 1.5]}, "space": space, "samples": 200})
+    rc, out, _ = _op(path, "classify")
+    res = json.loads(out)["results"]
+    assert (rc, res["verdict"], res["evidence"]["modular_at_bounds"]) == (EXIT_OK, "not-daugavet", "inf")
+    assert res["witness"]["construction"]["mode"] == "bounded-top-up"
+    (tmp_path / "cert.json").write_text(out)
+    rc, out, _ = _op(path, "verify", "--certificate", str(tmp_path / "cert.json"))
+    assert (rc, json.loads(out)["results"]["verdict"]) == (EXIT_OK, "pass")
+
+
+_FUZZ_WEIGHTS = (1e-320, 1e-309, 5e-309, 1e-300, 1e-150, 1e-10, 0.3, 1, 3, 1e10, 1e150, 1e300, 1e308, 1.7e308)
+_FUZZ_MASSES = (1e-300, 1e-10, 0.5, 1, 2, 1e10, 1e300)
+
+
+def test_weighted_specs_at_the_float_range_keep_the_exit_contract(tmp_path):
+    rng = random.Random(20261020)
+    path = tmp_path / "c.json"
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        ids = [f"c{i}" for i in range(n)]
+        space = {
+            "kind": rng.choice(("weighted_sum", "weighted_intersection")),
+            "gamma": rng.sample(ids, rng.randint(1, n)),
+            "w": [rng.choice(_FUZZ_WEIGHTS) for _ in ids],
+            "v": [rng.choice(_FUZZ_WEIGHTS) for _ in ids],
+        }
+        x = [rng.choice((-1.0, 0.5, 1.0, 3.0)) for _ in ids]
+        cfg = {"grid": {"weights": [rng.choice(_FUZZ_MASSES) for _ in ids]}, "space": space, "x": x, "samples": 20}
+        path.write_text(json.dumps(cfg))
+        for command in ("norm", "classify", "conjugate"):
+            rc, out, err = _op(path, command)
+            text = err or json.loads(out)["results"].get("explanation") or ""
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION), (cfg, command, err)
+            assert (err == "") == (rc == EXIT_OK) and err.count("\n") == (rc != EXIT_OK), (cfg, command, err)
+            assert "must be positive finite, got inf" not in text, (cfg, command)
+            assert not (command == "classify" and "step function values must be finite" in err), cfg
+            if "reciprocal weight" in text:
+                seen.add(command)
+    assert seen == {"norm", "classify", "conjugate"}  # the refusal is reached by every command

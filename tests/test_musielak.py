@@ -39,7 +39,6 @@ from mospaces import musielak
 from mospaces.cli import MAX_CELLS
 from mospaces.musielak import (
     _amemiya,
-    gauge,
     gauge_block,
     luxemburg_norms,
     unit_sphere_points,
@@ -56,6 +55,12 @@ from helpers import (
 )
 
 INF = math.inf
+
+
+def gauge(field, ax, level=1.0, rtol=1e-12):
+    """``gauge_block`` on the one row ``ax``: its bracket (lo, hi) as floats."""
+    lo, hi = gauge_block(field, [ax], level, rtol)
+    return float(lo[0]), float(hi[0])
 
 
 def unit_grid(n=2):

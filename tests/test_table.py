@@ -446,10 +446,11 @@ def _assert_structure(field, ref):
     masks = (st.omega_inf, st.omega_1, st.omega_1inf, st.remainder)
     assert tuple(frozenset(itertools.compress(ids, m.tolist())) for m in masks) == parts
     masses = (st.mass_omega_inf, st.mass_omega_1, st.mass_omega_1inf, st.mass_remainder)
-    assert masses == tuple(field.grid.measure(p) for p in parts)
+    assert masses == tuple(_up(lambda: field.grid.measure(p)) for p in parts)
     v, w = weights_reference(ref)
     assert _same(st.v, np.array(v)) and _same(st.w, np.array(w))
-    assert repr(st.modular_at_bounds) == repr(_up(lambda: modular_of_bounds_reference(ref)))
+    assert repr(st.modular_at_bounds) == repr(modular_of_bounds_reference(ref))
+    assert repr(modular_of_bounds(field)) == repr(st.modular_at_bounds)
     ends = [c.params().b for c in ref.curves]
     terms = [w[i] * ends[i] * mass[i] for i, cid in enumerate(ids) if cid in parts[2]]
     want = INF if parts[1] else _up(lambda: math.fsum(terms))
@@ -495,13 +496,15 @@ def test_structure_from_the_table_equals_the_per_curve_references(seed):
 
 
 def test_the_structure_record_takes_sums_past_dbl_max_as_inf():
-    # each end term is 1.5e308; their fsum raises OverflowError, which the record takes as inf
+    # each end term is 1.5e308: their sum, the masses' and the modular's are inf
     big = PiecewiseLinear.closed((0.0, 1e300), (1e8,))
     field = MusielakField(MeasureGrid((1.5, 1.5)), (big, big))
-    with pytest.raises(OverflowError):
-        modular_of_bounds(field)
+    assert modular_of_bounds(field) == INF
     assert field._structure.modular_at_bounds == field._structure.collapse_integral == INF
     _assert_structure(field, field)
+    heavy = MusielakField(MeasureGrid((1e308, 1e308)), (Linear(1.0),) * 2)
+    assert heavy._structure.mass_omega_1 == modular(heavy, StepFunction(heavy.grid, (1.0, 1.0))) == INF
+    _assert_structure(heavy, heavy)
 
 
 # -- conjugates, specs and halving ratios from the columns ------------------------
