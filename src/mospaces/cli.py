@@ -33,11 +33,10 @@ from .curves import Indicator, Linear, OrliczCurve, PiecewiseLinear, Power
 from .errors import (
     ConfigError,
     GridMismatchError,
+    MospacesError,
     PreconditionError,
-    UnboundedNormError,
     UnknownCellError,
     VerificationError,
-    WitnessConstructionError,
 )
 from .grid import MeasureGrid, StepFunction
 from .interpolation import (
@@ -690,9 +689,7 @@ def cmd_conjugate(cfg: dict, args, digest: Digest, seed: int, samples: int, tol:
     space = parse_space(cfg)
     if space.field is not None:
         return {"curves": conjugate_field(space.field).table.specs()}
-    if isinstance(space.spec, SumSpaceSpec):
-        return _spec_to_json(space.spec.reciprocal_int())
-    return _spec_to_json(space.spec.reciprocal_sum())
+    return _spec_to_json(space.spec.dual)
 
 
 COMMANDS = {
@@ -764,15 +761,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (
-        PreconditionError,
-        WitnessConstructionError,
-        UnboundedNormError,
-        GridMismatchError,
-        UnknownCellError,
-        ValueError,
-        OverflowError,
-    ) as exc:
+    except (MospacesError, ValueError, OverflowError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     text = report_json(report) + "\n"

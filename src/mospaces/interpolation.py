@@ -8,7 +8,10 @@ Each is the Koethe dual of the other with reciprocal weights.  A valid
 weight whose reciprocal is beyond the float range (a subnormal w, or v on
 gamma) has no dual spec: forming it raises ``FloatRangeError`` naming that
 reciprocal, which ``norm`` and ``conjugate`` report as a precondition
-failure and ``classify`` as its explanation.
+failure and ``classify`` as its explanation.  A spec works out three values
+once, on first use, and every reader takes them from it: its gamma mask in
+grid order (``on_gamma``, the one test of which cells lie in gamma), its
+collapse evidence (``evidence``) and its Koethe dual (``dual``).
 
 Classification follows the collapse criteria: the sum space has the
 Daugavet-style geometry exactly when gamma exhausts the grid and the
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,22 +70,56 @@ _BLOCK_CELLS = 1 << 14  # cells per row block in _verify_slice; bounds its memor
 def _validate_spec(spec):
     """Resolve gamma, then check the weights in field order: v > 0 on gamma, w > 0."""
     grid = spec.grid
-    gamma = grid.cell_set(spec.gamma)
-    object.__setattr__(spec, "gamma", gamma)
-    if not gamma:
+    object.__setattr__(spec, "gamma", grid.cell_set(spec.gamma))
+    if not spec.gamma:
         raise ValueError("gamma must have positive measure")
     for f in fields(spec)[2:]:
         vals = tuple(float(t) for t in getattr(spec, f.name))
         if len(vals) != len(grid):
             raise GridMismatchError("weight count must equal cell count")
-        for cid, t in zip(grid.ids, vals):
-            if (f.name == "w" or cid in gamma) and not (t > 0.0 and math.isfinite(t)):
+        for cid, on, t in zip(grid.ids, spec.on_gamma, vals):
+            if (f.name == "w" or on) and not (t > 0.0 and math.isfinite(t)):
                 raise ValueError(f"weight on {cid} must be positive finite, got {t}")
         object.__setattr__(spec, f.name, vals)
 
 
+class _WeightedSpec:
+    """What the two spec kinds share: one validation, and three values a spec
+    works out once, on first use.  A kind's fields are the grid, gamma, its L1
+    weight and its sup weight, in that order."""
+
+    def __post_init__(self):
+        _validate_spec(self)
+
+    @cached_property
+    def on_gamma(self) -> tuple[bool, ...]:
+        """Whether each cell, in grid order, lies in gamma."""
+        return tuple(cid in self.gamma for cid in self.grid.ids)
+
+    @cached_property
+    def evidence(self) -> tuple[float, float]:
+        """The collapse evidence: the mass off gamma, and the integral over gamma
+        of the L1 weight over the sup weight (v/w for a sum, w/v for an
+        intersection), each inf where it passes DBL_MAX."""
+        mu, on_gamma = self.grid.weights, self.on_gamma
+        num, den = (getattr(self, f.name) for f in fields(self)[2:])
+        comp_mass = fsum_up(m for m, on in zip(mu, on_gamma) if not on)
+        ratio = fsum_up(num[i] / den[i] * mu[i] for i, on in enumerate(on_gamma) if on)
+        return comp_mass, ratio
+
+    @cached_property
+    def dual(self) -> "_WeightedSpec":
+        """The Koethe dual: the other kind on the same gamma, both weights reciprocal.
+
+        The reciprocals are formed in the dual kind's field order, so a
+        ``FloatRangeError`` names the first of them beyond the float range.
+        """
+        kind = IntSpaceSpec if isinstance(self, SumSpaceSpec) else SumSpaceSpec
+        return kind(self.grid, self.gamma, *(_reciprocals(self, f.name) for f in fields(kind)[2:]))
+
+
 @dataclass(frozen=True)
-class SumSpaceSpec:
+class SumSpaceSpec(_WeightedSpec):
     """L_inf(w) over the grid plus L_1(v) supported in gamma."""
 
     grid: MeasureGrid
@@ -89,29 +127,15 @@ class SumSpaceSpec:
     v: tuple[float, ...]  # L1 weight, positive on gamma
     w: tuple[float, ...]  # sup weight, positive everywhere
 
-    def __post_init__(self):
-        _validate_spec(self)
-
-    def reciprocal_int(self) -> "IntSpaceSpec":
-        """The Koethe-dual intersection space (reciprocal weights)."""
-        return IntSpaceSpec(self.grid, self.gamma, _reciprocals(self, "w"), _reciprocals(self, "v"))
-
 
 @dataclass(frozen=True)
-class IntSpaceSpec:
+class IntSpaceSpec(_WeightedSpec):
     """L_1(w) over the grid intersected with L_inf(v) over gamma."""
 
     grid: MeasureGrid
     gamma: CellSet
     w: tuple[float, ...]  # L1 weight, positive everywhere
     v: tuple[float, ...]  # sup weight, positive on gamma
-
-    def __post_init__(self):
-        _validate_spec(self)
-
-    def reciprocal_sum(self) -> SumSpaceSpec:
-        """The Koethe-dual sum space (reciprocal weights)."""
-        return SumSpaceSpec(self.grid, self.gamma, _reciprocals(self, "v"), _reciprocals(self, "w"))
 
 
 def _reciprocals(spec, name: str) -> tuple[float, ...]:
@@ -121,9 +145,9 @@ def _reciprocals(spec, name: str) -> tuple[float, ...]:
     the float range raises ``FloatRangeError`` naming it.
     """
     out = []
-    for cid, t in zip(spec.grid.ids, getattr(spec, name)):
+    for cid, on, t in zip(spec.grid.ids, spec.on_gamma, getattr(spec, name)):
         r = 1.0 / t if t > 0 else 1.0
-        if math.isinf(r) and (name == "w" or cid in spec.gamma):
+        if math.isinf(r) and (name == "w" or on):
             raise FloatRangeError(f"the reciprocal weight 1/{name} of {cid} is beyond the float range")
         out.append(r)
     return tuple(out)
@@ -145,13 +169,12 @@ def wsum_norm(spec: SumSpaceSpec, x: StepFunction) -> float:
     _check(spec, x)
     grid = spec.grid
     ax = [abs(t) for t in x.values]
-    in_gamma = [cid in spec.gamma for cid in grid.ids]
     c_floor = 0.0
-    for i, inside in enumerate(in_gamma):
+    for i, inside in enumerate(spec.on_gamma):
         if not inside:
             c_floor = max(c_floor, ax[i] * spec.w[i])
     candidates = {c_floor}
-    for i, inside in enumerate(in_gamma):
+    for i, inside in enumerate(spec.on_gamma):
         if inside:
             lvl = ax[i] * spec.w[i]
             if lvl >= c_floor:
@@ -159,12 +182,12 @@ def wsum_norm(spec: SumSpaceSpec, x: StepFunction) -> float:
 
     def objective(c):
         terms = [c]
-        for i, inside in enumerate(in_gamma):
+        for i, inside in enumerate(spec.on_gamma):
             if inside:
                 excess = ax[i] - c / spec.w[i]
                 if excess > 0.0:
                     terms.append(spec.v[i] * grid.weights[i] * excess)
-        return math.fsum(terms)
+        return fsum_up(terms)  # a candidate past DBL_MAX is inf, never the minimum of a finite norm
 
     return min(objective(c) for c in candidates)
 
@@ -174,8 +197,8 @@ def wint_norm(spec: IntSpaceSpec, x: StepFunction) -> float:
     _check(spec, x)
     l1 = weighted_l1_norm(x, spec.w)
     sup = 0.0
-    for cid, t, u in zip(spec.grid.ids, x.values, spec.v):
-        if cid in spec.gamma:
+    for on, t, u in zip(spec.on_gamma, x.values, spec.v):
+        if on:
             sup = max(sup, abs(t) * u)
     return max(l1, sup)
 
@@ -186,25 +209,12 @@ def sum_dual_norm(spec: SumSpaceSpec, f: StepFunction) -> float:
     On a finite grid there is no singular part, so this is the max of the
     reciprocal-weight sup norm over gamma and the reciprocal-weight L1 norm.
     """
-    return wint_norm(spec.reciprocal_int(), f)
+    return wint_norm(spec.dual, f)
 
 
 def int_dual_norm(spec: IntSpaceSpec, f: StepFunction) -> float:
     """Norm of the integral functional induced by f on the intersection space."""
-    return wsum_norm(spec.reciprocal_sum(), f)
-
-
-def _collapse_evidence(spec, num, den) -> tuple[float, float]:
-    """Mass outside gamma and the integral of num/den over gamma, each inf
-    where it passes DBL_MAX.
-
-    The sum space passes (v, w), the intersection space (w, v).
-    """
-    grid = spec.grid
-    inside = [cid in spec.gamma for cid in grid.ids]
-    comp_mass = fsum_up(m for m, on in zip(grid.weights, inside) if not on)
-    ratio = fsum_up(num[i] / den[i] * grid.weights[i] for i, on in enumerate(inside) if on)
-    return comp_mass, ratio
+    return wsum_norm(spec.dual, f)
 
 
 def order_continuity_check(spec: SumSpaceSpec) -> tuple[bool, dict]:
@@ -214,14 +224,15 @@ def order_continuity_check(spec: SumSpaceSpec) -> tuple[bool, dict]:
     reduces to the complement of gamma having measure zero; both numbers are
     returned as evidence.
     """
-    comp_mass, ratio = _collapse_evidence(spec, spec.v, spec.w)
+    comp_mass, ratio = spec.evidence
     return comp_mass == 0.0, {"complement_mass": comp_mass, "integral_v_over_w": ratio}
 
 
-def _classify_pair(spec, num, den, ratio_key, form, dual_form, witness, samples, seed):
-    """Collapse to ``form`` when the evidence allows, else try ``witness``."""
-    comp_mass, ratio = _collapse_evidence(spec, num, den)
-    evidence = {"complement_mass": comp_mass, ratio_key: ratio}
+def _classify_pair(spec, form, dual_form, witness, samples, seed):
+    """Collapse to ``form`` when the spec's evidence allows, else try ``witness``."""
+    comp_mass, ratio = spec.evidence
+    num, den = (f.name for f in fields(spec)[2:])
+    evidence = {"complement_mass": comp_mass, f"integral_{num}_over_{den}": ratio}
     if comp_mass == 0.0 and ratio <= 1.0:
         return ClassificationReport(DAUGAVET, form, dual_form, evidence)
     try:
@@ -239,16 +250,14 @@ def classify_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> Classif
     certificate is attached when constructible on this grid.
     """
     return _classify_pair(
-        spec, spec.v, spec.w, "integral_v_over_w", FORM_L1,
-        "weighted-Linf(1/v) ∩ weighted-L1(1/w)", witness_sum, samples, seed,
+        spec, FORM_L1, "weighted-Linf(1/v) ∩ weighted-L1(1/w)", witness_sum, samples, seed
     )
 
 
 def classify_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> ClassificationReport:
     """Daugavet-style verdict for the intersection space (collapse to sup norm)."""
     return _classify_pair(
-        spec, spec.w, spec.v, "integral_w_over_v", FORM_LINF,
-        "weighted-Linf(1/w) + weighted-L1(1/v)", witness_int, samples, seed,
+        spec, FORM_LINF, "weighted-Linf(1/w) + weighted-L1(1/v)", witness_int, samples, seed
     )
 
 
@@ -268,7 +277,7 @@ def witness_sum(spec: SumSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     of h + g at or below 2 - epsilon.
     """
     grid = spec.grid
-    comp_mass, ratio = _collapse_evidence(spec, spec.v, spec.w)
+    comp_mass, ratio = spec.evidence
     if comp_mass > 0.0:
         raise PreconditionError(
             "failure witness needs a non-order-continuous space here, which "
@@ -353,18 +362,18 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
     admissible interval 2c(1-c*I1)/(1+c).
     """
     grid = spec.grid
-    comp_mass, ratio = _collapse_evidence(spec, spec.w, spec.v)
+    comp_mass, ratio = spec.evidence
     if comp_mass == 0.0 and ratio <= 1.0:
         raise PreconditionError("space collapses to the weighted sup norm")
     contrib = {
         cid: spec.w[i] / spec.v[i] * grid.weights[i]
-        for i, cid in enumerate(grid.ids)
-        if cid in spec.gamma
+        for i, (cid, on) in enumerate(zip(grid.ids, spec.on_gamma))
+        if on
     }
     idx = grid.index
 
     if comp_mass > 0.0:
-        complement = frozenset(grid.ids) - spec.gamma
+        complement = [cid for cid, on in zip(grid.ids, spec.on_gamma) if not on]
         c = 0.5
         cell_a = min(contrib, key=contrib.get)
         if contrib[cell_a] >= 1.0:
@@ -372,11 +381,7 @@ def witness_int(spec: IntSpaceSpec, samples: int = 0, seed: int = 0) -> FailureC
                 "every cell in gamma carries a w/v integral of at least one"
             )
         gamma_const = c * contrib[cell_a]
-        w_comp = fsum_up(
-            spec.w[i] * grid.weights[i]
-            for i, cid in enumerate(grid.ids)
-            if cid in complement
-        )
+        w_comp = fsum_up(spec.w[i] * grid.weights[i] for i, on in enumerate(spec.on_gamma) if not on)
         if not (gamma_const and w_comp):
             raise WitnessConstructionError(
                 "the w/v integral on A or the w mass off gamma is below the float range"
@@ -536,7 +541,7 @@ def _verify_slice(spec: IntSpaceSpec, point, functional, center, eps, samples, s
     limit = bound + _SLACK
     level = 1.0 - eps
     w, mu = np.array(spec.w), np.array(grid.weights)
-    gamma = np.array([cid in spec.gamma for cid in grid.ids])
+    gamma = np.array(spec.on_gamma)
     v = np.array(spec.v)[gamma]
     f, x, c = (np.array(h.values) for h in (functional, point, center))
     rows = max(1, _BLOCK_CELLS // n)
@@ -714,7 +719,7 @@ def verify_sum_certificate(
     if cert.kind != "sum-case":
         raise PreconditionError("certificate is not for a sum space")
     x, f0, g = cert.x, cert.functional, cert.second_functional
-    return _verify_slice(spec.reciprocal_int(), g, x, f0, cert.epsilon, samples, seed)
+    return _verify_slice(spec.dual, g, x, f0, cert.epsilon, samples, seed)
 
 
 def _slice_center(spec: IntSpaceSpec, functional: StepFunction) -> StepFunction:
@@ -722,7 +727,7 @@ def _slice_center(spec: IntSpaceSpec, functional: StepFunction) -> StepFunction:
     gamma where f is nonzero, 0 elsewhere.  On a built certificate f is negative
     exactly on the cells its proof's extremal point sits on, so this is that point."""
     vals = [
-        math.copysign(1.0, t) / u if t and cid in spec.gamma else 0.0
-        for cid, t, u in zip(spec.grid.ids, functional.values, spec.v)
+        math.copysign(1.0, t) / u if t and on else 0.0
+        for on, t, u in zip(spec.on_gamma, functional.values, spec.v)
     ]
     return StepFunction(spec.grid, tuple(vals))

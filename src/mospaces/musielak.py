@@ -958,7 +958,8 @@ def decomposition_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12
     cells and the gauge norm of the rest.  When no remainder cell exists the
     second term collapses to a weighted L1 norm and the whole value is a
     closed form.  The sup weighs |x| as |x|/b where v is inf, so such a cell
-    adds 0 where x vanishes.
+    adds 0 where x vanishes.  A value past DBL_MAX raises ``UnboundedNormError``,
+    as the gauge norms do.
     """
     _check(field, x)
     st = field._structure
@@ -970,11 +971,14 @@ def decomposition_norm(field: MusielakField, x: StepFunction, tol: float = 1e-12
     closed = not st.remainder.any()
     sup_val = float(sup.max(where=st.omega_inf | (st.omega_1inf & closed), initial=0.0))
     if closed:
-        rest_val, formula = math.fsum(l1_terms.tolist()), "weighted-max"
+        rest_val, formula = fsum_up(l1_terms.tolist()), "weighted-max"
     else:
         rest_x = StepFunction(field.grid, tuple(rest.tolist()))
         rest_val, formula = luxemburg_norm(field, rest_x, tol), "oplus-inf"
-    return DecompositionResult(max(sup_val, rest_val), formula, sup_val, rest_val)
+    value = max(sup_val, rest_val)
+    if math.isinf(value):
+        raise UnboundedNormError("the decomposition overflows: the norm exceeds DBL_MAX")
+    return DecompositionResult(value, formula, sup_val, rest_val)
 
 
 def finite_elements_nontrivial(field: MusielakField) -> bool:

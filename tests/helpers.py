@@ -10,6 +10,7 @@ import numpy as np
 
 from mospaces import (
     ConfigError,
+    FloatRangeError,
     Indicator,
     IntSpaceSpec,
     Linear,
@@ -32,7 +33,7 @@ from mospaces import (
 )
 from mospaces import musielak
 from mospaces.cli import jsonify, num
-from mospaces.grid import RowSums, atom_rows, finite_error, row_blocks, signs
+from mospaces.grid import RowSums, atom_rows, finite_error, fsum_up, row_blocks, signs
 from mospaces.interpolation import _BLOCK_CELLS, _SLACK, _check, _check_margin
 from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
 from mospaces.reports import record_from_samples
@@ -111,6 +112,42 @@ def random_int_spec(rng, n=None, gamma_all=True):
     w = tuple(float(t) for t in rng.uniform(0.3, 2.0, n))
     v = tuple(float(t) for t in rng.uniform(0.3, 2.0, n))
     return IntSpaceSpec(grid, gamma, w, v)
+
+
+def gamma_mask_reference(spec):
+    """Whether each cell lies in gamma, tested by cell id."""
+    return tuple(cid in spec.gamma for cid in spec.grid.ids)
+
+
+def collapse_evidence_reference(spec):
+    """The mass outside gamma and the integral of v/w (a sum spec) or w/v (an
+    intersection spec) over gamma, by cell id, each inf where it passes DBL_MAX."""
+    num, den = (spec.v, spec.w) if isinstance(spec, SumSpaceSpec) else (spec.w, spec.v)
+    grid = spec.grid
+    inside = [cid in spec.gamma for cid in grid.ids]
+    comp_mass = fsum_up(m for m, on in zip(grid.weights, inside) if not on)
+    ratio = fsum_up(num[i] / den[i] * grid.weights[i] for i, on in enumerate(inside) if on)
+    return comp_mass, ratio
+
+
+def _reciprocals_reference(spec, name):
+    out = []
+    for cid, t in zip(spec.grid.ids, getattr(spec, name)):
+        r = 1.0 / t if t > 0 else 1.0
+        if math.isinf(r) and (name == "w" or cid in spec.gamma):
+            raise FloatRangeError(f"the reciprocal weight 1/{name} of {cid} is beyond the float range")
+        out.append(r)
+    return tuple(out)
+
+
+def dual_reference(spec):
+    """The Koethe-dual spec with reciprocal weights, each formed by cell id in
+    the dual kind's field order: (w, v) for an intersection, (v, w) for a sum."""
+    if isinstance(spec, SumSpaceSpec):
+        w, v = _reciprocals_reference(spec, "w"), _reciprocals_reference(spec, "v")
+        return IntSpaceSpec(spec.grid, spec.gamma, w, v)
+    v, w = _reciprocals_reference(spec, "v"), _reciprocals_reference(spec, "w")
+    return SumSpaceSpec(spec.grid, spec.gamma, v, w)
 
 
 def int_full_constants_reference(spec):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mospaces import ConfigError, StepFunction, classify, int_dual_norm, witness_int, witness_sum
+from mospaces import ConfigError, MospacesError, StepFunction, classify, int_dual_norm, witness_int, witness_sum
 from mospaces.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -36,7 +37,7 @@ from mospaces.cli import (
     parse_space,
     parse_x,
 )
-from mospaces import cli
+from mospaces import cli, interpolation
 from mospaces.musielak import orlicz_norm_sup_oracle
 from mospaces.reports import record_from_samples
 
@@ -2022,3 +2023,50 @@ def test_weighted_specs_at_the_float_range_keep_the_exit_contract(tmp_path):
             if "reciprocal weight" in text:
                 seen.add(command)
     assert seen == {"norm", "classify", "conjugate"}  # the refusal is reached by every command
+
+
+def _counted_property(monkeypatch, name):
+    """The specs whose cached ``name`` is worked out from now on, one entry per computation."""
+    prop = interpolation._WeightedSpec.__dict__[name]
+    seen = []
+    counted = functools.cached_property(lambda spec: seen.append(type(spec).__name__) or prop.func(spec))
+    counted.__set_name__(interpolation._WeightedSpec, name)
+    monkeypatch.setattr(interpolation._WeightedSpec, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("cfg, kind", [(SUM_CFG, "SumSpaceSpec"), (INT_CFG, "IntSpaceSpec")])
+def test_a_weighted_op_works_out_its_dual_and_evidence_once(tmp_path, monkeypatch, cfg, kind):
+    path = write(tmp_path / "c.json", cfg)
+    built, validate = [], interpolation._validate_spec
+    monkeypatch.setattr(interpolation, "_validate_spec", lambda s: built.append(type(s).__name__) or validate(s))
+    duals, evidence = _counted_property(monkeypatch, "dual"), _counted_property(monkeypatch, "evidence")
+    rc, out, _ = _op(path, "classify")
+    assert rc == EXIT_OK and json.loads(out)["results"]["witness"] is not None
+    dual = {"SumSpaceSpec": "IntSpaceSpec", "IntSpaceSpec": "SumSpaceSpec"}[kind]
+    # the config's spec and its dual are each built once, and the evidence read twice is worked out once
+    assert (built, duals, evidence) == ([kind, dual], [kind], [kind])
+    (tmp_path / "cert.json").write_text(out)
+    del built[:], duals[:], evidence[:]
+    rc, out, _ = _op(path, "verify", "--certificate", str(tmp_path / "cert.json"))
+    assert (rc, json.loads(out)["results"]["verdict"]) == (EXIT_OK, "pass")
+    assert (built, duals, evidence) == ([kind, dual], [kind], [])
+
+
+def test_a_package_error_of_any_kind_exits_3(tmp_path, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise MospacesError("gauge solver did not converge")
+
+    monkeypatch.setattr(cli, "luxemburg_norm", unconverged)
+    assert _op(write(tmp_path / "c.json", BASE), "norm") == (
+        EXIT_PRECONDITION, "", "precondition failure: gauge solver did not converge\n"
+    )
+
+
+def test_a_sum_norm_ignores_a_candidate_past_dbl_max(tmp_path):
+    # the candidate c = 0 sums to 2e308; c = 1 gives the norm, 1
+    space = {"kind": "weighted_sum", "v": [1e308, 1e308], "w": [1, 1]}
+    path = write(tmp_path / "c.json", {"grid": {"weights": [1, 1]}, "space": space, "x": [1, 1]})
+    rc, out, err = _op(path, "norm")
+    res = json.loads(out)["results"]
+    assert (rc, err, res["sum_norm"], res["dual_norm"]) == (EXIT_OK, "", 1.0, 2.0)

@@ -43,6 +43,9 @@ from mospaces import Linear, Power, cli, component_spec, interpolation
 from mospaces.interpolation import _BLOCK_CELLS, RowSums, _slice_center
 from mospaces.reports import record_from_samples
 from helpers import (
+    collapse_evidence_reference,
+    dual_reference,
+    gamma_mask_reference,
     int_full_constants_reference,
     int_slice_center_reference,
     random_int_spec,
@@ -129,10 +132,51 @@ def test_duality_consistency_exact():
     for _ in range(100):
         sspec = random_sum_spec(rng, gamma_all=bool(rng.integers(0, 2)))
         f = random_x(rng, sspec.grid)
-        assert sum_dual_norm(sspec, f) == wint_norm(sspec.reciprocal_int(), f)
+        assert sum_dual_norm(sspec, f) == wint_norm(dual_reference(sspec), f)
         ispec = random_int_spec(rng, gamma_all=bool(rng.integers(0, 2)))
         g = random_x(rng, ispec.grid)
-        assert int_dual_norm(ispec, g) == wsum_norm(ispec.reciprocal_sum(), g)
+        assert int_dual_norm(ispec, g) == wsum_norm(dual_reference(ispec), g)
+
+
+_HOSTILE = (5e-324, 1e-309, 1e-150, 0.3, 1.0, 1e10, 1e308, 1.7e308)  # positive finite weights and masses
+
+
+@st.composite
+def _hostile_specs(draw):
+    """A valid spec of either kind whose weights and masses reach the ends of
+    the float range; v off gamma may be 0, negative or inf."""
+    n = draw(st.integers(1, 4))
+    grid = MeasureGrid(tuple(draw(st.sampled_from(_HOSTILE)) for _ in range(n)))
+    gamma = draw(st.sets(st.sampled_from(grid.ids), min_size=1))
+    w = tuple(draw(st.sampled_from(_HOSTILE)) for _ in range(n))
+    v = tuple(
+        draw(st.sampled_from(_HOSTILE if cid in gamma else _HOSTILE + (0.0, -1.0, math.inf)))
+        for cid in grid.ids
+    )
+    kind = draw(st.sampled_from((SumSpaceSpec, IntSpaceSpec)))
+    return kind(grid, gamma, v=v, w=w)
+
+
+def _dual_outcome(dual):
+    """``dual()``, or the type and message of what it raised."""
+    try:
+        return "ok", dual()
+    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_hostile_specs())
+def test_a_spec_works_out_its_mask_evidence_and_dual_as_the_id_based_code(spec):
+    assert spec.on_gamma == gamma_mask_reference(spec)
+    assert spec.evidence == collapse_evidence_reference(spec)
+    got = _dual_outcome(lambda: spec.dual)
+    assert got == _dual_outcome(lambda: dual_reference(spec))  # a FloatRangeError names the same reciprocal
+    if got[0] == "ok":
+        assert spec.dual is spec.dual
+        assert type(spec.dual) is (IntSpaceSpec if isinstance(spec, SumSpaceSpec) else SumSpaceSpec)
+    else:
+        assert got[0] == "FloatRangeError"
 
 
 def test_generalized_hoelder():

@@ -6,7 +6,8 @@ not reach into the probes.  Every probe (a function named ``*_probe``,
 other than the CLI's ``cmd_probe`` command) is defined in ``probes``.
 ``classify`` and ``cli`` read a field's curves through its table, never
 as curve objects, and its structure through its structure record, never
-by calling ``partition`` or ``weights``.  ``cli`` imports no private
+by calling ``partition`` or ``weights``.  In ``interpolation`` only a
+spec's mask tests which cells lie in gamma.  ``cli`` imports no private
 (``_``-prefixed, not dunder) name from another package module.
 """
 
@@ -70,6 +71,30 @@ def test_layer_reads_the_structure_record_only(module):
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in ("partition", "weights")
     ]
     assert calls == []
+
+
+def test_a_spec_tests_membership_in_gamma_only_in_its_mask():
+    # the spec's mask is the one owner of which cells lie in gamma
+    tree = ast.parse((SRC / "interpolation.py").read_text())
+
+    def reads_gamma(node):
+        return isinstance(node, ast.Attribute) and node.attr == "gamma"
+
+    owners = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owners.setdefault(node, fn.name)  # the outermost def that holds it
+    tests = [
+        (owners.get(node), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(reads_gamma(side) for side in node.comparators)
+        or isinstance(node, ast.BinOp)
+        and (reads_gamma(node.left) or reads_gamma(node.right))
+    ]
+    assert [name for name, _ in tests] == ["on_gamma"], tests
 
 
 def test_cli_imports_no_private_names():

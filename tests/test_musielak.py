@@ -528,6 +528,24 @@ def test_decomposition_examples():
     assert math.isclose(res3.value, luxemburg_norm(f_mix, x), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "masses, x, slope",
+    [
+        ((1e308, 1e308), (1.0, 1.0), 1.0),  # the weighted L1 sum passes DBL_MAX
+        ((1.0, 1.0), (1e308, 1e308), 1.0),
+        ((1.0, 1.0), (1e308, 1e308), 3.0),  # each term is inf
+        ((1.0, 1.0), (1.7e308, 0.0), 3.0),
+    ],
+)
+def test_decomposition_past_dbl_max_raises_as_luxemburg_does(masses, x, slope):
+    g = MeasureGrid(masses)
+    f, x = MusielakField.constant(g, Linear(slope)), StepFunction(g, x)
+    with pytest.raises(UnboundedNormError, match="the norm exceeds DBL_MAX$"):
+        luxemburg_norm(f, x)
+    with pytest.raises(UnboundedNormError, match="the norm exceeds DBL_MAX$"):
+        decomposition_norm(f, x)
+
+
 def test_decomposition_matches_luxemburg_randomly():
     rng = np.random.default_rng(29)
     for _ in range(120):

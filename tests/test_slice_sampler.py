@@ -43,7 +43,7 @@ def _agree(*args):
 def _slice_args(spec, cert):
     """_verify_slice's (spec, point, functional, center, eps) for a certificate."""
     if cert.kind == "sum-case":
-        return spec.reciprocal_int(), cert.second_functional, cert.x, cert.functional, cert.epsilon
+        return spec.dual, cert.second_functional, cert.x, cert.functional, cert.epsilon
     return spec, cert.x, cert.functional, _slice_center(spec, cert.functional), cert.epsilon
 
 
