@@ -6,6 +6,12 @@ the config (or the --seed override), so identical config and seed reproduce
 identical reports byte for byte.  Wall time is reported as 0 unless
 --timing is given, keeping the default output deterministic.
 
+``parse_space`` alone reads a config's space kind: it returns a
+``GaugeSpace`` (a Musielak-Orlicz field) or a ``WeightedSpace`` (a
+weighted sum or intersection spec), and each command calls that object:
+``norms``, ``classify``, ``oracles`` (for ``probe``), ``conjugate``, and
+for ``verify`` the ``verify`` of its ``certificate_space``.
+
 Exit codes: 0 success, 2 configuration/parse failure, 3 precondition
 failure, 4 verification violation.
 """
@@ -45,8 +51,6 @@ from .interpolation import (
     check_unit_norms,
     classify_int,
     classify_sum,
-    int_dual_norm,
-    sum_dual_norm,
     verify_int_certificate,
     verify_sum_certificate,
     wint_norm,
@@ -380,16 +384,94 @@ def _field(grid: MeasureGrid, specs) -> MusielakField:
 _WEIGHTED_SPECS = {"weighted_sum": SumSpaceSpec, "weighted_intersection": IntSpaceSpec}
 
 
-@dataclass
-class SpaceConfig:
-    """A parsed space: a gauge-norm ``field`` or a weighted interpolation ``spec``."""
+@dataclass(frozen=True)
+class GaugeSpace:
+    """A Musielak-Orlicz space: ``field`` on ``grid``, with its Luxemburg and Amemiya norms."""
 
     grid: MeasureGrid
-    field: Optional[MusielakField] = None
-    spec: Union[SumSpaceSpec, IntSpaceSpec, None] = None
+    field: MusielakField
+
+    def norms(self, x: StepFunction, tol: float) -> dict:
+        field, tol = self.field, min(tol, 1e-10)
+        return {
+            "modular": modular(field, x),
+            "luxemburg": luxemburg_norm(field, x, tol=tol),
+            "amemiya": amemiya_norm(field, x, tol=tol),
+        }
+
+    def classify(self, samples: int, seed: int):
+        return classify(self.field, samples=samples, seed=seed)
+
+    def oracles(self, tol: float) -> tuple:
+        """The probes' norm, Luxemburg (the one that norms row blocks), and dual norm, Amemiya of the conjugate."""
+        field, tol = self.field, min(tol, 1e-10)
+        primal = BlockOracle(
+            functools.partial(luxemburg_norm, field, tol=tol), functools.partial(luxemburg_norms, field, tol=tol)
+        )
+        return primal, functools.partial(amemiya_norm, conjugate_field(field), tol=tol)
+
+    def conjugate(self) -> dict:
+        return {"curves": conjugate_field(self.field).table.specs()}
+
+    def certificate_space(self, wtype: str):
+        """This space for a nonsquare witness, the field's intersection component for an intersection certificate."""
+        if wtype == "sum-case":
+            raise PreconditionError("sum-case certificates need a weighted_sum space")
+        return self if wtype == "nonsquare" else WeightedSpace(component_spec(self.field))
+
+    def verify(self, witness: NonsquareWitness, samples: int, seed: int) -> VerificationRecord:
+        """Sample, then check the unit claim, so that the sampler's own errors keep their exit code."""
+        record = verify_nonsquare(self.field, witness, samples, seed)
+        check_unit_modular(self.field, witness.x, VerificationError)
+        return record
 
 
-def parse_space(cfg: dict) -> SpaceConfig:
+@dataclass(frozen=True)
+class WeightedSpace:
+    """A weighted sum or intersection space; its Koethe dual is ``WeightedSpace(spec.dual)``."""
+
+    spec: Union[SumSpaceSpec, IntSpaceSpec]
+    grid = property(operator.attrgetter("spec.grid"))
+    is_sum = property(lambda self: isinstance(self.spec, SumSpaceSpec))
+
+    @functools.cached_property
+    def dual(self) -> "WeightedSpace":
+        return WeightedSpace(self.spec.dual)
+
+    def norm(self, x: StepFunction) -> float:
+        return wsum_norm(self.spec, x) if self.is_sum else wint_norm(self.spec, x)
+
+    def norms(self, x: StepFunction, tol: float) -> dict:
+        return {"sum_norm" if self.is_sum else "intersection_norm": self.norm(x), "dual_norm": self.dual.norm(x)}
+
+    def classify(self, samples: int, seed: int):
+        return (classify_sum if self.is_sum else classify_int)(self.spec, samples=samples, seed=seed)
+
+    def oracles(self, tol: float) -> tuple:
+        return self.norm, lambda f: self.dual.norm(f)  # the dual spec is formed on first use
+
+    def to_json(self) -> dict:
+        kind = "weighted_sum" if self.is_sum else "weighted_intersection"
+        return {"kind": kind, "gamma": sorted(self.spec.gamma), "v": list(self.spec.v), "w": list(self.spec.w)}
+
+    def conjugate(self) -> dict:
+        return self.dual.to_json()
+
+    def certificate_space(self, wtype: str) -> "WeightedSpace":
+        if wtype == "nonsquare":
+            raise PreconditionError("nonsquare witnesses need a gauge-norm space")
+        if wtype != ("sum-case" if self.is_sum else "intersection-case"):
+            needs = "weighted_intersection or gauge-norm" if self.is_sum else "weighted_sum"
+            raise PreconditionError(f"{wtype} certificates need a {needs} space")
+        return self
+
+    def verify(self, cert: FailureCertificate, samples: int, seed: int) -> VerificationRecord:
+        record = (verify_sum_certificate if self.is_sum else verify_int_certificate)(self.spec, cert, samples, seed)
+        check_unit_norms(self.spec, cert, VerificationError)  # after the sampler, as on a gauge-norm space
+        return record
+
+
+def parse_space(cfg: dict) -> Union[GaugeSpace, WeightedSpace]:
     grid = parse_grid(cfg.get("grid", {}))
     space = cfg.get("space")
     if not isinstance(space, dict) or "kind" not in space:
@@ -397,33 +479,17 @@ def parse_space(cfg: dict) -> SpaceConfig:
     kind = space["kind"]
     try:
         if kind == "musielak":
-            return SpaceConfig(grid, field=_field(grid, _listed(space["curves"], "curves")))
+            return GaugeSpace(grid, _field(grid, _listed(space["curves"], "curves")))
         if kind == "nakano":
-            exps = nums(space["exponents"])
-            return SpaceConfig(grid, field=MusielakField.nakano(grid, exps))
+            return GaugeSpace(grid, MusielakField.nakano(grid, nums(space["exponents"])))
         if kind == "orlicz":
-            return SpaceConfig(grid, field=_field(grid, [space["curve"]] * len(grid)))
+            return GaugeSpace(grid, _field(grid, [space["curve"]] * len(grid)))
         if kind in _WEIGHTED_SPECS:
-            spec = _WEIGHTED_SPECS[kind](
-                grid=grid,
-                gamma=(
-                    frozenset(_listed(space["gamma"], "gamma"))
-                    if "gamma" in space
-                    else grid.cell_set()
-                ),
-                v=nums(space["v"]),
-                w=nums(space["w"]),
-            )
-            return SpaceConfig(grid, spec=spec)
+            gamma = frozenset(_listed(space["gamma"], "gamma")) if "gamma" in space else grid.cell_set()
+            return WeightedSpace(_WEIGHTED_SPECS[kind](grid, gamma, v=nums(space["v"]), w=nums(space["w"])))
     except (KeyError, TypeError, ValueError, GridMismatchError, UnknownCellError) as exc:
         raise ConfigError(f"bad space spec: {exc}") from exc
     raise ConfigError(f"unknown space kind {kind!r}")
-
-
-def _spec_to_json(spec) -> dict:
-    """The ``space`` fragment of a weighted sum or intersection spec."""
-    kind = next(k for k, cls in _WEIGHTED_SPECS.items() if isinstance(spec, cls))
-    return {"kind": kind, "gamma": sorted(spec.gamma), "v": list(spec.v), "w": list(spec.w)}
 
 
 def parse_x(cfg: dict, grid: MeasureGrid) -> StepFunction:
@@ -504,9 +570,9 @@ def _witness_to_json(witness) -> Optional[dict]:
     return out
 
 
-def _witness_from_json(obj, space: SpaceConfig) -> tuple:
-    """The witness ``_witness_to_json`` wrote, and the field or spec it is checked
-    on (``_certificate_space``); a malformed witness is a ConfigError.
+def _witness_from_json(obj, space: Union[GaugeSpace, WeightedSpace]) -> tuple:
+    """The witness ``_witness_to_json`` wrote, and the space it is checked on
+    (``space.certificate_space``); a malformed witness is a ConfigError.
 
     A margin of at most 0 would make the bound 2 - margin hold at every point.
     """
@@ -515,8 +581,8 @@ def _witness_from_json(obj, space: SpaceConfig) -> tuple:
     wtype = obj.get("type")
     if wtype not in ("nonsquare", "sum-case", "intersection-case"):
         raise ConfigError(f"unknown witness type {wtype!r}")
-    if wtype == "nonsquare" and space.field is None:
-        raise PreconditionError("nonsquare witnesses need a gauge-norm space")
+    if wtype == "nonsquare":
+        on = space.certificate_space(wtype)  # a weighted space refuses it before the margin parses
     key = "delta" if wtype == "nonsquare" else "epsilon"
     try:
         margin = num(obj[key])
@@ -524,8 +590,7 @@ def _witness_from_json(obj, space: SpaceConfig) -> tuple:
             raise ConfigError(f"certificate {key} must be finite and positive, got {margin!r}")
         record = _record_from_json(obj.get("verification"))
         if wtype == "nonsquare":
-            x = _step(space.grid, obj["x"])
-            return NonsquareWitness(x, margin, obj.get("construction", {}), record), space.field
+            return NonsquareWitness(_step(space.grid, obj["x"]), margin, obj.get("construction", {}), record), on
         grid = MeasureGrid(nums(obj["grid_weights"]), _cell_ids(obj["grid_ids"], "grid ids"))
         cert = FailureCertificate(
             kind=wtype,
@@ -542,10 +607,12 @@ def _witness_from_json(obj, space: SpaceConfig) -> tuple:
         )
         if not isinstance(cert.constants, dict):
             raise TypeError("constants must be a JSON object")
-        spec = _certificate_space(space, cert)
+        on = space.certificate_space(wtype)
+        if on.grid != grid:
+            raise PreconditionError("certificate grid does not match the space")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad certificate witness: {exc!r}") from exc
-    return cert, spec
+    return cert, on
 
 
 def _record_from_json(obj) -> Optional[VerificationRecord]:
@@ -556,16 +623,6 @@ def _record_from_json(obj) -> Optional[VerificationRecord]:
     return VerificationRecord(**dict(obj, worst_point=worst))
 
 
-def _certificate_space(space: SpaceConfig, cert: FailureCertificate):
-    """The space ``cert`` is checked on, from the config alone: its weighted spec, or for an
-    intersection certificate on a gauge-norm config, the field's intersection component."""
-    int_case = cert.kind == "intersection-case"
-    spec = component_spec(space.field) if int_case and space.field is not None else space.spec
-    if not isinstance(spec, IntSpaceSpec if int_case else SumSpaceSpec) or spec.grid != cert.x.grid:
-        raise PreconditionError("certificate grid does not match the space")
-    return spec
-
-
 # --------------------------------------------------------------------------
 # commands: each takes the config, a function returning its hash and the run
 # settings, and returns its results as domain objects, which main encodes
@@ -574,28 +631,11 @@ def _certificate_space(space: SpaceConfig, cert: FailureCertificate):
 def cmd_norm(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
     x = parse_x(cfg, space.grid)
-    results: dict[str, Any] = {"x": x, "tolerance": tol}
-    if space.field is not None:
-        results["modular"] = modular(space.field, x)
-        results["luxemburg"] = luxemburg_norm(space.field, x, tol=min(tol, 1e-10))
-        results["amemiya"] = amemiya_norm(space.field, x, tol=min(tol, 1e-10))
-    elif isinstance(space.spec, SumSpaceSpec):
-        results["sum_norm"] = wsum_norm(space.spec, x)
-        results["dual_norm"] = sum_dual_norm(space.spec, x)
-    else:
-        results["intersection_norm"] = wint_norm(space.spec, x)
-        results["dual_norm"] = int_dual_norm(space.spec, x)
-    return results
+    return {"x": x, "tolerance": tol, **space.norms(x, tol)}
 
 
 def cmd_classify(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
-    space = parse_space(cfg)
-    if space.field is not None:
-        report = classify(space.field, samples=samples, seed=seed)
-    elif isinstance(space.spec, SumSpaceSpec):
-        report = classify_sum(space.spec, samples=samples, seed=seed)
-    else:
-        report = classify_int(space.spec, samples=samples, seed=seed)
+    report = parse_space(cfg).classify(samples, seed)
     return dict(vars(report), witness=_witness_to_json(report.witness))
 
 
@@ -611,32 +651,14 @@ def cmd_verify(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: fl
     if results.get("witness") is None:
         raise PreconditionError("report carries no witness to verify")
     wit, on = _witness_from_json(results["witness"], parse_space(cfg))
-    # the unit claims are checked after the sampler, so that its own errors
-    # (an overflow on a hostile certificate) keep their exit code
-    if isinstance(wit, NonsquareWitness):
-        record = verify_nonsquare(on, wit, samples, seed)
-        check_unit_modular(on, wit.x, VerificationError)
-    else:
-        verify = verify_sum_certificate if wit.kind == "sum-case" else verify_int_certificate
-        record = verify(on, wit, samples, seed)
-        check_unit_norms(on, wit, VerificationError)
+    record = on.verify(wit, samples, seed)
     record.raise_if_failed("re-verification found ")
     return {"verdict": "pass", "verification": record}
 
 
 def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
     space = parse_space(cfg)
-    field, spec, tol = space.field, space.spec, min(tol, 1e-10)
-    if field is not None:  # only the Luxemburg oracle norms row blocks
-        primal = BlockOracle(
-            functools.partial(luxemburg_norm, field, tol=tol),
-            functools.partial(luxemburg_norms, field, tol=tol),
-        )
-        dual = functools.partial(amemiya_norm, conjugate_field(field), tol=tol)
-    elif isinstance(spec, SumSpaceSpec):
-        primal, dual = functools.partial(wsum_norm, spec), functools.partial(sum_dual_norm, spec)
-    else:
-        primal, dual = functools.partial(wint_norm, spec), functools.partial(int_dual_norm, spec)
+    primal, dual = space.oracles(tol)
 
     def unit_vector(i, probe, key):
         oracle, what = (primal, "probe point") if key == "x" else (dual, "slice functional")
@@ -686,10 +708,7 @@ def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: flo
 
 
 def cmd_conjugate(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: float) -> dict:
-    space = parse_space(cfg)
-    if space.field is not None:
-        return {"curves": conjugate_field(space.field).table.specs()}
-    return _spec_to_json(space.spec.dual)
+    return parse_space(cfg).conjugate()
 
 
 COMMANDS = {

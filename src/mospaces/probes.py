@@ -84,6 +84,7 @@ def _norms(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarra
     return np.array([oracle(StepFunction(grid, tuple(r))) for r in rows.tolist()])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite() below names an inf or NaN row
 def _unit_rows(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarray:
     """The rows of nonzero norm, each scaled to norm one, after StepFunction's value check."""
     norms = _norms(oracle, grid, rows)
@@ -156,6 +157,7 @@ def slice_diameter_lb(
     return min(best, 2.0)  # no two points of a unit ball are further apart; rounding can say more
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite() and the cap at 2 decide
 def roughness_probe(
     norm: NormOracle,
     x: StepFunction,

@@ -23,12 +23,12 @@ from mospaces.cli import (
     EXIT_VERIFICATION,
     MAX_CELLS,
     MAX_SAMPLES,
+    GaugeSpace,
     _load_object,
     _sorted_object,
     _witness_from_json,
     _witness_to_json,
     build_parser,
-    _spec_to_json,
     config_hash,
     jsonify,
     main,
@@ -152,10 +152,10 @@ def test_config_round_trip_up_to_canonical_ordering():
     for cfg in configs:
         space = parse_space(cfg)
         grid = {"weights": list(space.grid.weights), "ids": list(space.grid.ids)}
-        if space.field is not None:
+        if isinstance(space, GaugeSpace):
             body = {"kind": "musielak", "curves": space.field.table.specs()}
         else:
-            body = _spec_to_json(space.spec)
+            body = space.to_json()
         assert canonical_json({"grid": grid, "space": body}) == canonical_json(cfg)
 
 
@@ -169,9 +169,8 @@ def test_witness_codec_round_trips():
         space = parse_space(cfg)
         witness = build(space)
         assert witness.verification is not None
-        on = space.spec if space.field is None else space.field
         for wit in (witness, replace(witness, verification=None)):
-            assert _witness_from_json(jsonify(_witness_to_json(wit)), space) == (wit, on)
+            assert _witness_from_json(jsonify(_witness_to_json(wit)), space) == (wit, space)
 
 
 _REPORT_KEYS = {"command", "config_hash", "versions", "seed", "samples", "tol"}
@@ -2070,3 +2069,75 @@ def test_a_sum_norm_ignores_a_candidate_past_dbl_max(tmp_path):
     rc, out, err = _op(path, "norm")
     res = json.loads(out)["results"]
     assert (rc, err, res["sum_norm"], res["dual_norm"]) == (EXIT_OK, "", 1.0, 2.0)
+
+
+_ROUGH = {"type": "roughness", "x": [1, 1, 1], "scales": [1e308]}
+_PW_CURVE = {"family": "piecewise", "breakpoints": [0, 1, "inf"], "slopes": [0, 2]}
+
+
+@pytest.mark.parametrize(
+    "cfg, code, err",
+    [
+        ({"grid": {"weights": [1, 0.5, 2]},
+          "space": {"kind": "musielak", "curves": [{"family": "power", "p": 2}, _linear(1), _PW_CURVE]},
+          "probes": [_ROUGH]},
+         EXIT_PRECONDITION, "precondition failure: step function values must be finite, got inf\n"),
+        ({"grid": {"weights": [1, 1, 2]},
+          "space": {"kind": "weighted_intersection", "gamma": ["c0"], "v": [1, 2, 1], "w": [0.5, 1, 0.3]},
+          "probes": [_ROUGH]},
+         EXIT_OK, ""),
+        ({"grid": {"weights": [0.5, 1, 1]},
+          "space": {"kind": "weighted_sum", "v": [0.5, 5e-324, 1e-300], "w": [0.5, 5e-324, 5e-324]},
+          "probes": [dict(_ROUGH, x=[1e300, -1e200, 1e-300])]},
+         EXIT_PRECONDITION, "precondition failure: step function values must be finite, got nan\n"),
+    ],
+    ids=["gauge-steps-overflow", "intersection-quotient-overflows", "sum-unit-rows-overflow"],
+)
+def test_a_probe_past_the_float_range_prints_no_numpy_warning(tmp_path, cfg, code, err):
+    # pytest turns a RuntimeWarning into an error; the probes' finite() check and the cap at 2 decide
+    rc, out, got = _op(write(tmp_path / "c.json", cfg), "probe")
+    assert (rc, got) == (code, err)
+    if rc == EXIT_OK:
+        assert json.loads(out)["results"]["probes"][0]["roughness_lower_bound"] == 2.0
+
+
+_GRID3 = {"weights": [1.0, 1.0, 1.0]}
+_SUM3 = {"grid": _GRID3, "space": {"kind": "weighted_sum", "v": [1.0] * 3, "w": [1.0] * 3}}
+_INT3 = {"grid": _GRID3, "space": {"kind": "weighted_intersection", "w": [1.0] * 3, "v": [1.0] * 3}}
+_GAUGE3 = {"grid": _GRID3, "space": {"kind": "nakano", "exponents": [2, 2, 2]}}
+
+
+@pytest.mark.parametrize(
+    "cfg, witness, line",
+    [
+        (_SUM3, _INT_WITNESS, "intersection-case certificates need a weighted_intersection or gauge-norm space"),
+        (_GAUGE3, _SUM_WITNESS, "sum-case certificates need a weighted_sum space"),
+        (_INT3, _SUM_WITNESS, "sum-case certificates need a weighted_sum space"),
+    ],
+    ids=["intersection-on-sum", "sum-on-gauge", "sum-on-intersection"],
+)
+def test_a_certificate_of_the_wrong_kind_names_the_kind_it_needs(tmp_path, cfg, witness, line):
+    # the certificate's grid is the config's: only the kind of space is wrong
+    path = write(tmp_path / "c.json", cfg)
+    cert = write(tmp_path / "cert.json", _certificate(cfg, {"witness": witness}))
+    assert _op(path, "verify", "--certificate", cert) == (EXIT_PRECONDITION, "", f"precondition failure: {line}\n")
+
+
+def test_the_benchmark_cross_checks_a_gauge_norm_through_parse_space(tmp_path, monkeypatch):
+    # the benchmark's sup oracle reads parse_space(body).grid and .field for every
+    # norm op of at most 512 cells; loaded as perfbench/test_perfbench.py loads it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+    import run
+    import workloads
+
+    from mospaces import grid, musielak
+
+    wl = workloads.generate("gauge-large", 3)
+    op = next(op for op in wl.ops if op.command == "norm" and wl.configs[op.cid].n == 512)
+    cfg = wl.configs[op.cid]
+    (tmp_path / f"{cfg.cid}.json").write_text(json.dumps(cfg.body))
+    rc, out, err = _op(tmp_path / f"{cfg.cid}.json", "norm")
+    assert (rc, err) == (EXIT_OK, "")
+    value = run.sup_oracle(cli, musielak, grid)(cfg.body, json.loads(out)["results"]["x"])
+    assert checks.check_report("norm", out, cfg.expect, value) == []

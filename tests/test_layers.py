@@ -8,7 +8,9 @@ other than the CLI's ``cmd_probe`` command) is defined in ``probes``.
 as curve objects, and its structure through its structure record, never
 by calling ``partition`` or ``weights``.  In ``interpolation`` only a
 spec's mask tests which cells lie in gamma.  ``cli`` imports no private
-(``_``-prefixed, not dunder) name from another package module.
+(``_``-prefixed, not dunder) name from another package module.  Only
+``cli.parse_space`` tells the kinds of space apart: a ``cmd_*`` command
+calls the space object it returns and reads neither its field nor its spec.
 """
 
 import ast
@@ -73,6 +75,16 @@ def test_layer_reads_the_structure_record_only(module):
     assert calls == []
 
 
+def _outermost_defs(tree) -> dict:
+    """Each node of ``tree`` inside a function, mapped to the name of the outermost def that holds it."""
+    owners = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owners.setdefault(node, fn.name)
+    return owners
+
+
 def test_a_spec_tests_membership_in_gamma_only_in_its_mask():
     # the spec's mask is the one owner of which cells lie in gamma
     tree = ast.parse((SRC / "interpolation.py").read_text())
@@ -80,11 +92,7 @@ def test_a_spec_tests_membership_in_gamma_only_in_its_mask():
     def reads_gamma(node):
         return isinstance(node, ast.Attribute) and node.attr == "gamma"
 
-    owners = {}
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                owners.setdefault(node, fn.name)  # the outermost def that holds it
+    owners = _outermost_defs(tree)
     tests = [
         (owners.get(node), node.lineno)
         for node in ast.walk(tree)
@@ -120,3 +128,39 @@ def test_every_probe_is_defined_in_probes():
     }
     assert {"daugavet_condition_probe", "no_nonsquare_probe"} <= {name for _, name in defined}
     assert {module for module, _ in defined} == {"probes"}, sorted(defined)
+
+
+_KINDS = {"musielak", "nakano", "orlicz", "weighted_sum", "weighted_intersection"}
+
+
+def _tests_a_type(node) -> bool:
+    """Whether ``node`` is an isinstance call other than a JSON object check, ``isinstance(v, dict)``."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and getattr(node.args[-1], "id", None) != "dict"
+    )
+
+
+def test_the_cli_commands_call_the_space_object():
+    # parse_space is the one place that tells the kinds of space apart; a command
+    # calls a method of the object it returns and never looks inside
+    tree = ast.parse((SRC / "cli.py").read_text())
+    looks = [
+        (fn.name, node.lineno)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("field", "spec")
+        or isinstance(node, ast.Name) and node.id in ("SumSpaceSpec", "IntSpaceSpec", "MusielakField")
+        or _tests_a_type(node)
+    ]
+    assert looks == []
+    owners = _outermost_defs(tree)
+    compares = {
+        (owners.get(node), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Constant) and side.value in _KINDS for side in (node.left, *node.comparators))
+    }
+    assert {name for name, _ in compares} == {"parse_space"}, sorted(compares, key=str)

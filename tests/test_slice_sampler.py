@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mospaces import IntSpaceSpec, MeasureGrid, StepFunction, SumSpaceSpec, pairing, wint_norm, witness_int
+from mospaces import IntSpaceSpec, MeasureGrid, StepFunction, pairing, wint_norm, witness_int
 from mospaces import interpolation
-from mospaces.cli import _certificate_space, parse_space
-from mospaces.classify import classify
+from mospaces.cli import parse_space
 from mospaces.grid import RowSums, tree_sums
-from mospaces.interpolation import _slice_center, _verify_slice, classify_int, classify_sum
+from mospaces.interpolation import _slice_center, _verify_slice
 from helpers import verify_slice_reference
 
 
@@ -224,12 +223,8 @@ def test_the_benchmark_slice_certificates_agree(n):
     assert len(configs) == 4 * (2 if n == 64 else 1)
     for cfg in configs:
         space = parse_space(cfg.body)
-        if space.field is not None:
-            cert = classify(space.field).witness
-        else:
-            decide = classify_sum if isinstance(space.spec, SumSpaceSpec) else classify_int
-            cert = decide(space.spec).witness
-        rec = _agree(*_slice_args(_certificate_space(space, cert), cert), cfg.body["samples"], cfg.body["seed"])
+        cert = space.classify(samples=0, seed=0).witness
+        rec = _agree(*_slice_args(space.certificate_space(cert.kind).spec, cert), cfg.body["samples"], cfg.body["seed"])
         assert rec.passed
 
 
