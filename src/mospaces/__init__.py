@@ -77,11 +77,11 @@ from .musielak import (
     weights,
 )
 from .probes import (
-    BlockOracle,
     ConditionProbeResult,
     Slice,
     daugavet_condition_probe,
     no_nonsquare_probe,
+    per_row,
     roughness_probe,
     slice_diameter_lb,
 )

@@ -64,7 +64,7 @@ from .musielak import (
     luxemburg_norms,
     modular,
 )
-from .probes import BlockOracle, Slice, daugavet_condition_probe, roughness_probe, slice_diameter_lb
+from .probes import Slice, daugavet_condition_probe, per_row, roughness_probe, slice_diameter_lb
 from .reports import FailureCertificate, NonsquareWitness, VerificationRecord
 from .table import FAMILIES, NUMBERS, PIECEWISE, CurveTable, InvalidCell
 
@@ -242,6 +242,15 @@ def nums(tokens) -> tuple:
     return tuple(num(t) for t in tokens)
 
 
+def _count(value, what: str) -> int:
+    """A JSON int, or a float with an integral value, as an int >= 0; a boolean is no count."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{what} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _listed(value, what: str) -> tuple:
     """A JSON list of ids as a tuple; a string or an object is no list of ids."""
     if not isinstance(value, (list, tuple)):
@@ -354,10 +363,10 @@ def parse_grid(d: dict) -> MeasureGrid:
         if "weights" in d:
             weights = nums(d["weights"])
         else:
-            n = int(d["cells"])
+            n = _count(d["cells"], "grid cells")
             if n > MAX_CELLS:
                 raise ConfigError(f"grid cells must be at most {MAX_CELLS}, got {n!r}")
-            rng = np.random.default_rng(int(d["weight_seed"]))
+            rng = np.random.default_rng(_count(d["weight_seed"], "grid weight_seed"))
             lo, hi = (num(t) for t in d.get("weight_range", [0.5, 2.0]))
             weights = tuple(rng.uniform(lo, hi, n).tolist())
         ids = _cell_ids(d["ids"], "grid ids") if "ids" in d else ()
@@ -403,12 +412,10 @@ class GaugeSpace:
         return classify(self.field, samples=samples, seed=seed)
 
     def oracles(self, tol: float) -> tuple:
-        """The probes' norm, Luxemburg (the one that norms row blocks), and dual norm, Amemiya of the conjugate."""
+        """The probes' row norms: Luxemburg, and the dual's, Amemiya of the conjugate."""
         field, tol = self.field, min(tol, 1e-10)
-        primal = BlockOracle(
-            functools.partial(luxemburg_norm, field, tol=tol), functools.partial(luxemburg_norms, field, tol=tol)
-        )
-        return primal, functools.partial(amemiya_norm, conjugate_field(field), tol=tol)
+        dual = functools.partial(amemiya_norm, conjugate_field(field), tol=tol)
+        return functools.partial(luxemburg_norms, field, tol=tol), per_row(dual, self.grid)
 
     def conjugate(self) -> dict:
         return {"curves": conjugate_field(self.field).table.specs()}
@@ -448,7 +455,8 @@ class WeightedSpace:
         return (classify_sum if self.is_sum else classify_int)(self.spec, samples=samples, seed=seed)
 
     def oracles(self, tol: float) -> tuple:
-        return self.norm, lambda f: self.dual.norm(f)  # the dual spec is formed on first use
+        """The probes' row norms; the dual spec is formed on first use."""
+        return per_row(self.norm, self.grid), per_row(lambda f: self.dual.norm(f), self.grid)
 
     def to_json(self) -> dict:
         kind = "weighted_sum" if self.is_sum else "weighted_intersection"
@@ -498,7 +506,7 @@ def parse_x(cfg: dict, grid: MeasureGrid) -> StepFunction:
         raise ConfigError("config needs an x entry (values or generator)")
     try:
         if isinstance(x, dict):
-            rng = np.random.default_rng(int(x["seed"]))
+            rng = np.random.default_rng(_count(x["seed"], "x seed"))
             scale = num(x.get("scale", 1.0))
             return StepFunction(grid, tuple((scale * rng.standard_normal(len(grid))).tolist()))
         return _step(grid, x)
@@ -541,13 +549,7 @@ def _settings(cfg: dict, args) -> dict:
     settings = {}
     for key, default in (("seed", 0), ("samples", 10000)):
         value = getattr(args, key)
-        if value is None:
-            value = cfg.get(key, default)
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigError(f"{key} must be an integer >= 0, got {value!r}")
-        settings[key] = value
+        settings[key] = _count(cfg.get(key, default) if value is None else value, key)
     if settings["samples"] > MAX_SAMPLES:
         raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {settings['samples']!r}")
     tol = args.tol if args.tol is not None else num(cfg.get("tol", 1e-10))
@@ -666,7 +668,7 @@ def cmd_probe(cfg: dict, args, digest: Digest, seed: int, samples: int, tol: flo
             y = _step(space.grid, probe[key])
         except (ValueError, GridMismatchError) as exc:
             raise ConfigError(f"probe {i}: bad {key}: {exc}") from exc
-        scale = oracle(y)
+        scale = float(oracle(np.array([y.values]))[0])
         if scale == 0.0:
             raise ConfigError(f"{what} must be nonzero")
         return (1.0 / scale) * y  # probes expect unit inputs; normalise here

@@ -724,11 +724,12 @@ def _short(q: float, k: float, r: float) -> bool:
 def _objective_up(r: float, k: float) -> float:
     """(1 + r)/k' rounded up (an exact check), k' = k*(1 - 2**-53): each normal
     fl(k*|x_i|) is at least k'*|x_i|, so where r bounds the modular at those
-    floats, this bounds h(k') from above."""
+    floats, this bounds h(k') from above.  A bound above DBL_MAX raises."""
     q = (1.0 + r) / k
-    if math.isfinite(q):
-        while _short(q, k, r):
-            q = math.nextafter(q, INF)
+    while math.isfinite(q) and _short(q, k, r):
+        q = math.nextafter(q, INF)
+    if not math.isfinite(q):
+        raise UnboundedNormError("the Amemiya objective overflows: the norm exceeds DBL_MAX")
     return q
 
 
@@ -794,7 +795,8 @@ def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
         if tangent:
             db = sb / kb
             bound = max(bound, db + (1.0 - gb) / ka)
-        if best - bound <= tol * best or math.nextafter(ka, INF) >= kb:
+        # an overflowed tangent (subnormal kb) bounds nothing
+        if math.isfinite(bound) and best - bound <= tol * best or math.nextafter(ka, INF) >= kb:
             return _objective_up(*arg), bound, evals
         k = INF
         if tangent and math.log(kb) - math.log(ka) <= 0.5 * width and db > da:

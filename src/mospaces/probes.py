@@ -4,18 +4,19 @@ Every probe here is one-sided: slice diameters come back as certified lower
 bounds (a pair of points that far apart was actually found), roughness
 quotients and non-square values as the best found over sampled directions,
 and the slice-condition search reports failure as inconclusive rather than
-as a negative.  Norms enter only through oracles (callables on step functions),
-so the probes run unchanged against gauge norms, weighted norms or duals.
+as a negative.  Norms enter only through row norms: callables from a
+(rows x cells) float array of cell values to the norm of each row, so the
+probes run unchanged against gauge norms, weighted norms or duals.
+``per_row`` makes a norm of one step function a row norm, one
+``StepFunction`` per row.
 
-An oracle that also has ``rows(ndarray) -> ndarray`` (such as a
-``BlockOracle``) norms every row of a (rows x cells) array of cell values
-at once.  ``roughness_probe`` and ``slice_diameter_lb`` know many of their
-points before they norm them, so they build them as row blocks of at most
-``_BLOCK_CELLS`` cells, with the float operations of the step-function
-arithmetic, and hand each block to ``rows``; an oracle without ``rows`` is
-called once per row on the same values, so it gives the one-point loop's
-result exactly.  ``daugavet_condition_probe`` and ``no_nonsquare_probe``
-are sequential searches, one point at a time: each scans a pool, then
+Every point is a float row, built with the float operations of the
+step-function arithmetic and passed through StepFunction's value check
+(``finite``) where that arithmetic would build a step function.
+``roughness_probe`` and ``slice_diameter_lb`` know many of their points
+before they norm them, so they norm row blocks of at most ``_BLOCK_CELLS``
+cells in one call.  ``daugavet_condition_probe`` and ``no_nonsquare_probe``
+are sequential searches that norm one-row arrays: each scans a pool, then
 climbs from its best point by the one coordinate ascent ``_ascend``.
 Every candidate list is built from the row toolkit of ``grid`` (atoms,
 sign patterns, seeded normal draws, ``RowSums``).
@@ -31,29 +32,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import (
-    MeasureGrid, RowSums, StepFunction, atom_rows, finite, normal_rows, pairing, row_blocks, signs,
-)
+from .grid import MeasureGrid, RowSums, StepFunction, atom_rows, finite, normal_rows, row_blocks, signs
 
-NormOracle = Callable[[StepFunction], float]
+RowNorm = Callable[[np.ndarray], np.ndarray]  # (rows x cells) cell values -> the norm of each row
 
 _ARCHIVE = 48  # slice points kept for pairwise distance checks
 _BLOCK_CELLS = 1 << 14  # cells per row block the probes norm at once; bounds their memory
-
-
-@dataclass(frozen=True)
-class BlockOracle:
-    """A norm oracle that also norms row blocks.
-
-    ``norm`` norms one step function; ``rows`` takes a (rows x cells) array
-    of cell values and returns the norm of each row.
-    """
-
-    norm: NormOracle
-    rows: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, y: StepFunction) -> float:
-        return self.norm(y)
 
 
 @dataclass(frozen=True)
@@ -76,18 +60,20 @@ class ConditionProbeResult:
     note: str
 
 
-def _norms(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarray:
-    """The oracle's norm of each row: one ``rows`` call when it has one, else a loop."""
-    block = getattr(oracle, "rows", None)
-    if block is not None:
-        return np.asarray(block(rows), dtype=float)
-    return np.array([oracle(StepFunction(grid, tuple(r))) for r in rows.tolist()])
+def per_row(norm: Callable[[StepFunction], float], grid: MeasureGrid) -> RowNorm:
+    """The row norm of ``norm``, a norm of one step function on ``grid``: one StepFunction per row."""
+    return lambda rows: np.array([norm(StepFunction(grid, tuple(r))) for r in rows.tolist()])
+
+
+def _norm(oracle: RowNorm, row: np.ndarray) -> float:
+    """The oracle's norm of the one row ``row``."""
+    return float(oracle(row[None, :])[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finite() below names an inf or NaN row
-def _unit_rows(oracle: NormOracle, grid: MeasureGrid, rows: np.ndarray) -> np.ndarray:
+def _unit_rows(oracle: RowNorm, rows: np.ndarray) -> np.ndarray:
     """The rows of nonzero norm, each scaled to norm one, after StepFunction's value check."""
-    norms = _norms(oracle, grid, rows)
+    norms = oracle(rows)
     nonzero = norms != 0.0
     return finite((1.0 / norms[nonzero])[:, None] * rows[nonzero])
 
@@ -105,8 +91,8 @@ def _aligned_rows(f: np.ndarray, size: int):
 
 
 def slice_diameter_lb(
-    primal: NormOracle,
-    dual: NormOracle,
+    primal: RowNorm,
+    dual: RowNorm,
     s: Slice,
     samples: int = 2000,
     seed: int = 0,
@@ -118,19 +104,17 @@ def slice_diameter_lb(
     archive of accepted points.  Raises when the slice stays empty within
     the budget.  Candidates are normed in row blocks, in the draw order of
     one ``rng.standard_normal(n)`` per candidate.  Each candidate is
-    admitted as ``pairing``'s ``math.fsum`` over the same terms would
+    admitted as ``grid.pairing``'s ``math.fsum`` over the same terms would
     admit it: by the certified bounds of ``RowSums`` where they decide, by
     that fsum where they do not.  The distances from each admitted point
     to the archive are normed in row blocks as well.
     """
-    f = s.functional
-    if abs(dual(f) - 1.0) > 1e-9:
+    fv, w = np.array(s.functional.values), np.array(s.functional.grid.weights)
+    if abs(_norm(dual, fv) - 1.0) > 1e-9:
         raise PreconditionError("slice functional must have dual norm 1")
-    grid = f.grid
     rng = np.random.default_rng(seed)
-    n = len(grid)
+    n = len(fv)
     size = max(1, _BLOCK_CELLS // n)
-    fv, w = np.array(f.values), np.array(grid.weights)
     candidates = itertools.chain(_aligned_rows(fv, size), normal_rows(rng, samples - (n + 2), n, size))
     archive = np.empty((_ARCHIVE, n))
     kept = 0
@@ -138,7 +122,7 @@ def slice_diameter_lb(
     def distances():
         nonlocal kept
         for ys in row_blocks(candidates, size):
-            ys = _unit_rows(primal, grid, ys)
+            ys = _unit_rows(primal, ys)
             pairs = RowSums((fv * ys) * w)
             for i, y in enumerate(ys):
                 if pairs.exceeds(i, 1.0 - s.eps):
@@ -149,7 +133,7 @@ def slice_diameter_lb(
 
     best = 0.0
     for ds in row_blocks(distances(), size):
-        best = _best_of(best, _norms(primal, grid, finite(ds)))
+        best = _best_of(best, primal(finite(ds)))
     if not kept:
         raise PreconditionError("slice empty at this sample budget (eps too small)")
     if best > 2.0 + 1e-9:
@@ -159,7 +143,7 @@ def slice_diameter_lb(
 
 @np.errstate(over="ignore", invalid="ignore")  # finite() and the cap at 2 decide
 def roughness_probe(
-    norm: NormOracle,
+    norm: RowNorm,
     x: StepFunction,
     h_scales: Sequence[float] = (0.5, 0.1, 0.02, 0.004),
     samples: int = 500,
@@ -172,21 +156,18 @@ def roughness_probe(
     out: x + t*(-h) is x - t*h exactly, so they repeat the quotients of
     e_i.  The draws still start after 2n + 1 directions, as if they were
     tried.  A lower bound on the local roughness: values near 2 certify
-    near-octahedral behaviour.  Every
-    scale must be finite and positive.  The directions, then x + t*h and
-    x - t*h at each scale t, are normed in row blocks of at most
-    ``_BLOCK_CELLS`` cells, each row the StepFunction arithmetic of a
-    one-direction loop.
+    near-octahedral behaviour.  Every scale must be finite and positive.
+    The directions, then x + t*h and x - t*h at each scale t, are normed
+    in row blocks of at most ``_BLOCK_CELLS`` cells.
     """
     if not all(0.0 < t < math.inf for t in h_scales):
         raise PreconditionError("scales must be finite and positive")
-    if abs(norm(x) - 1.0) > 1e-8:
-        raise PreconditionError("roughness probe needs a unit vector")
-    grid = x.grid
-    rng = np.random.default_rng(seed)
-    n = len(grid)
-    size = max(1, _BLOCK_CELLS // n)
     xv = np.array(x.values)
+    if abs(_norm(norm, xv) - 1.0) > 1e-8:
+        raise PreconditionError("roughness probe needs a unit vector")
+    rng = np.random.default_rng(seed)
+    n = len(xv)
+    size = max(1, _BLOCK_CELLS // n)
     scales = np.array(h_scales, dtype=float)
     per_dir = max(1, size // (2 * max(1, len(scales))))  # directions per block
     per_scale = max(1, size // (2 * per_dir))  # scales per block
@@ -197,20 +178,20 @@ def roughness_probe(
     )
     best = 0.0
     for hs in row_blocks(directions, per_dir):
-        hs = _unit_rows(norm, grid, hs)
+        hs = _unit_rows(norm, hs)
         if not len(hs):
             continue
         for a in range(0, len(scales), per_scale):
             ts = scales[a : a + per_scale, None, None]
             steps = ts * hs
             rows = finite(np.concatenate((xv + steps, xv - steps)).reshape(-1, n))
-            plus, minus = _norms(norm, grid, rows).reshape(2, len(ts), len(hs))
+            plus, minus = norm(rows).reshape(2, len(ts), len(hs))
             best = _best_of(best, (plus + minus - 2.0) / ts[:, :, 0])
     return min(best, 2.0)  # the triangle inequality caps the quotient at 2; rounding can say more
 
 
-def _ascend(score, best: float, best_y: Optional[StepFunction], rounds: Optional[int], done):
-    """Greedy coordinate ascent on ``score`` (candidate -> (unit point or None, score))
+def _ascend(score, best: float, best_y: Optional[np.ndarray], rounds: Optional[int], done):
+    """Greedy coordinate ascent on ``score`` (candidate row -> (unit row or None, score))
     from ``best_y``, which scores ``best``; returns the last (best, best_y).
 
     A round tries best_y + step, then best_y - step, on each cell, moving to
@@ -221,11 +202,11 @@ def _ascend(score, best: float, best_y: Optional[StepFunction], rounds: Optional
     step, spent = 0.5, 0
     while best_y is not None and step > 1e-6 and spent != rounds and not done(best):
         spent += 1
-        grid, moved = best_y.grid, False
-        for i, sgn in itertools.product(range(len(grid)), (1.0, -1.0)):
-            vals = list(best_y.values)
-            vals[i] += sgn * step
-            y, s = score(StepFunction(grid, tuple(vals)))
+        moved = False
+        for i, sgn in itertools.product(range(len(best_y)), (1.0, -1.0)):
+            y = best_y.copy()
+            y[i] += sgn * step  # a finite value plus at most 0.5 stays finite
+            y, s = score(y)
             if s > best:
                 best, best_y, moved = s, y, True
             if done(best):
@@ -235,9 +216,10 @@ def _ascend(score, best: float, best_y: Optional[StepFunction], rounds: Optional
     return best, best_y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite() names an inf or NaN point
 def daugavet_condition_probe(
-    primal: NormOracle,
-    dual: NormOracle,
+    primal: RowNorm,
+    dual: RowNorm,
     x: StepFunction,
     f: StepFunction,
     eps: float,
@@ -253,13 +235,13 @@ def daugavet_condition_probe(
     """
     if not 0.0 < eps < math.inf:  # NaN compares false
         raise PreconditionError("eps must be finite and positive")
-    if abs(primal(x) - 1.0) > 1e-8:
+    xv, fv, w = np.array(x.values), np.array(f.values), np.array(x.grid.weights)
+    if abs(_norm(primal, xv) - 1.0) > 1e-8:
         raise PreconditionError("probe needs a unit point")
-    if abs(dual(f) - 1.0) > 1e-8:
+    if abs(_norm(dual, fv) - 1.0) > 1e-8:
         raise PreconditionError("probe needs a norm-one functional")
-    grid = x.grid
     rng = np.random.default_rng(seed)
-    n = len(grid)
+    n = len(xv)
     evaluations = 0
 
     def slack(y, scored=True):
@@ -270,24 +252,21 @@ def daugavet_condition_probe(
         minimum) is returned instead.
         """
         nonlocal evaluations
-        ny = primal(y)
+        ny = _norm(primal, y)
         if ny == 0.0:
             return None, -math.inf
-        y = (1.0 / ny) * y
+        y = finite((1.0 / ny) * y)
         evaluations += 1
-        s = pairing(f, y) - (1.0 - eps)
+        s = math.fsum(((fv * y) * w).tolist()) - (1.0 - eps)  # grid.pairing's terms
         if scored or s > 0.0:
-            s = min(s, primal(x + y) - (2.0 - eps))
+            s = min(s, _norm(primal, finite(xv + y)) - (2.0 - eps))
         return y, s
 
     def witnessed(y):
-        return ConditionProbeResult(True, y, evaluations, "condition witnessed")
+        return ConditionProbeResult(True, StepFunction(x.grid, y.tolist()), evaluations, "condition witnessed")
 
-    xv = np.array(x.values)
-    aligned = np.concatenate(list(_aligned_rows(np.array(f.values), n)))
-    with np.errstate(over="ignore"):  # an inf midpoint raises StepFunction's error below
-        rows = np.concatenate((aligned, xv[None, :], 0.5 * (xv + aligned)))
-    pool = [StepFunction(grid, tuple(y)) for y in rows.tolist()]
+    aligned = np.concatenate(list(_aligned_rows(fv, n)))
+    pool = finite(np.concatenate((aligned, xv[None, :], 0.5 * (xv + aligned))))
     best_score, best_y = -math.inf, None
     for y in pool:
         y, score = slack(y)
@@ -302,13 +281,14 @@ def daugavet_condition_probe(
     if best_score > 0.0:
         return witnessed(best_y)
     while evaluations < budget:
-        y, score = slack(StepFunction(grid, tuple(rng.standard_normal(n))), scored=False)
+        y, score = slack(rng.standard_normal(n), scored=False)
         if score > 0.0:
             return witnessed(y)
     return ConditionProbeResult(False, None, evaluations, "not found within budget; inconclusive")
 
 
-def no_nonsquare_probe(norm: NormOracle, grid: MeasureGrid, candidates, samples: int, seed: int) -> list:
+@np.errstate(over="ignore", invalid="ignore")  # finite() names an inf or NaN point
+def no_nonsquare_probe(norm: RowNorm, grid: MeasureGrid, candidates, samples: int, seed: int) -> list:
     """Best value of min(|x+y|, |x-y|) found per candidate unit x.
 
     A lower bound on 2 - delta_best: values near 2 mean the point is not
@@ -319,20 +299,20 @@ def no_nonsquare_probe(norm: NormOracle, grid: MeasureGrid, candidates, samples:
     n = len(grid)
     results = []
     for x in candidates:
-        nx = norm(x)
+        xv = np.array(x.values)
+        nx = _norm(norm, xv)
         if nx == 0.0:
             raise PreconditionError("candidate points must be nonzero")
-        x = (1.0 / nx) * x
+        xv = finite((1.0 / nx) * xv)
 
         def score(y):
-            """Unit y and min(|x + y|, |x - y|); (None, -inf) when |y| = 0."""
-            ny = norm(y)
+            """Unit y and min(|x + y|, |x - y|), normed in that order; (None, -inf) when |y| = 0."""
+            ny = _norm(norm, y)
             if ny == 0.0:
                 return None, -math.inf
-            y = (1.0 / ny) * y
-            return y, min(norm(x + y), norm(x - y))
+            y = finite((1.0 / ny) * y)
+            return y, min(_norm(norm, finite(xv + y)), _norm(norm, finite(xv - y)))
 
-        xv = np.array(x.values)
         pattern = signs(xv)
         pool = np.concatenate((
             *atom_rows(np.tile((1.0, -1.0), n), np.repeat(np.arange(n), 2), n, 2 * n),
@@ -341,8 +321,8 @@ def no_nonsquare_probe(norm: NormOracle, grid: MeasureGrid, candidates, samples:
             rng.standard_normal((max(0, samples - (3 * n + 4)), n)),
         ))
         best, best_y = 0.0, None
-        for y in pool.tolist():
-            y, val = score(StepFunction(grid, tuple(y)))
+        for y in pool:
+            y, val = score(y)
             if val > best:
                 best, best_y = val, y
         results.append(_ascend(score, best, best_y, 12, lambda best: False)[0])

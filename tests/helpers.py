@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,10 +35,11 @@ from mospaces import musielak
 from mospaces.cli import jsonify, num
 from mospaces.grid import RowSums, atom_rows, finite_error, fsum_up, row_blocks, signs
 from mospaces.interpolation import _BLOCK_CELLS, _SLACK, _check, _check_margin
-from mospaces.probes import _ARCHIVE, ConditionProbeResult, NormOracle
+from mospaces.probes import _ARCHIVE, ConditionProbeResult
 from mospaces.reports import record_from_samples
 
 INF = math.inf
+PointNorm = Callable[[StepFunction], float]  # a norm of one step function, as the references take
 
 
 def random_grid(rng, n, lo=0.1, hi=3.0, dyadic=False):
@@ -792,8 +793,8 @@ def _aligned_candidates(grid, f: StepFunction):
 
 
 def slice_diameter_reference(
-    primal: NormOracle,
-    dual: NormOracle,
+    primal: PointNorm,
+    dual: PointNorm,
     s: Slice,
     samples: int = 2000,
     seed: int = 0,
@@ -836,7 +837,7 @@ def slice_diameter_reference(
 
 
 def roughness_reference(
-    norm: NormOracle,
+    norm: PointNorm,
     x: StepFunction,
     h_scales: Sequence[float] = (0.5, 0.1, 0.02, 0.004),
     samples: int = 500,

@@ -37,6 +37,7 @@ from mospaces import (
     luxemburg_norm,
     orlicz_norm_sup_oracle,
     partition,
+    per_row,
     roughness_probe,
     slice_diameter_lb,
     verify_int_certificate,
@@ -335,12 +336,12 @@ def test_criterion_9_probe_consistency():
         for i, cid in enumerate(grid.ids)
     ]
     assert primal(atoms[0] - atoms[1]) == 2.0
-    lb = slice_diameter_lb(primal, dual, Slice(f, 0.1), samples=10_000, seed=1)
+    lb = slice_diameter_lb(per_row(primal, grid), per_row(dual, grid), Slice(f, 0.1), samples=10_000, seed=1)
     assert lb >= 2.0
     assert lb <= 2.0 + 1e-9
     x0 = atoms[0]
     assert primal(x0) == 1.0
-    rough = roughness_probe(primal, x0, samples=1000, seed=2)
+    rough = roughness_probe(per_row(primal, grid), x0, samples=1000, seed=2)
     assert rough >= 2.0 - 1e-6
 
     # quadratic field: both probes stay clearly under 2
@@ -353,10 +354,10 @@ def test_criterion_9_probe_consistency():
         return math.sqrt(math.fsum(2.0 * t * t * m for t, m in zip(h.values, g2.weights)))
 
     f2 = StepFunction(g2, (2.0**-0.5, 0.0))
-    lb2 = slice_diameter_lb(primal2, dual2, Slice(f2, 0.05), samples=10_000, seed=3)
+    lb2 = slice_diameter_lb(per_row(primal2, g2), per_row(dual2, g2), Slice(f2, 0.05), samples=10_000, seed=3)
     assert lb2 < 1.9
     x2 = StepFunction(g2, (math.sqrt(2.0), 0.0))
-    rough2 = roughness_probe(primal2, x2, samples=2500, seed=4)
+    rough2 = roughness_probe(per_row(primal2, g2), x2, samples=2500, seed=4)
     assert rough2 < 1.9
     _report(
         9,

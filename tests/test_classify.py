@@ -38,6 +38,7 @@ from mospaces import (
     modular,
     no_nonsquare_probe,
     partition,
+    per_row,
     verify_nonsquare,
     weights,
 )
@@ -636,7 +637,7 @@ def test_probe_finds_two_in_l1():
     g = unit_grid()
     f = MusielakField.constant(g, Linear(1.0))
     norm = lambda y: luxemburg_norm(f, y)
-    (best,) = no_nonsquare_probe(norm, g, [StepFunction.atom(g, "c0")], samples=40, seed=2)
+    (best,) = no_nonsquare_probe(per_row(norm, g), g, [StepFunction.atom(g, "c0")], samples=40, seed=2)
     assert best >= 2.0 - 1e-9
 
 
@@ -645,15 +646,23 @@ def test_probe_finds_two_in_linf():
     f = MusielakField.constant(g, Indicator(1.0))
     norm = lambda y: luxemburg_norm(f, y)
     x = StepFunction(g, (1.0, 1.0))
-    (best,) = no_nonsquare_probe(norm, g, [x], samples=40, seed=2)
+    (best,) = no_nonsquare_probe(per_row(norm, g), g, [x], samples=40, seed=2)
     assert best >= 2.0 - 1e-6
+
+
+def test_no_nonsquare_probe_refuses_a_zero_candidate():
+    g = unit_grid()
+    f = MusielakField.constant(g, Power(2.0))
+    norm = per_row(lambda y: luxemburg_norm(f, y), g)
+    with pytest.raises(PreconditionError, match="candidate points must be nonzero"):
+        no_nonsquare_probe(norm, g, [StepFunction.zero(g)], samples=4, seed=0)
 
 
 def test_probe_bounded_by_parallelogram_on_power():
     g = unit_grid()
     f = MusielakField.constant(g, Power(2.0))
     norm = lambda y: luxemburg_norm(f, y)
-    (best,) = no_nonsquare_probe(norm, g, [StepFunction.atom(g, "c0")], samples=40, seed=2)
+    (best,) = no_nonsquare_probe(per_row(norm, g), g, [StepFunction.atom(g, "c0")], samples=40, seed=2)
     assert best <= math.sqrt(2.0) + 1e-6
 
 
@@ -666,7 +675,7 @@ def test_no_nonsquare_probe_matches_its_stepfunction_reference():
         xs = [random_x(rng, f.grid) for _ in range(2)]
         for norm, samples in zip(norms * 2, (0, 3 * n + 4, 3 * n + 5, 40)):
             want = no_nonsquare_reference(norm, f.grid, xs, samples, seed=n)
-            assert no_nonsquare_probe(norm, f.grid, xs, samples, seed=n) == want
+            assert no_nonsquare_probe(per_row(norm, f.grid), f.grid, xs, samples, seed=n) == want
 
 
 def test_bounded_top_up_scale_matches_its_modular_loop():

@@ -1273,6 +1273,8 @@ _INT_WITNESS = dict(_SUM_WITNESS, type="intersection-case", constants={})
          EXIT_CONFIG, "error: certificate results must be a JSON object"),
         ("verify", BASE, None, None,
          EXIT_CONFIG, "error: verify needs --certificate <report.json>"),
+        ("verify", BASE, _certificate(BASE, {"verdict": "daugavet", "canonical_form": "weighted-L1", "witness": None}),
+         None, EXIT_PRECONDITION, "precondition failure: report carries no witness to verify"),
         ("verify", SUM_CFG, _certificate(SUM_CFG, {"witness": {"type": "nonsquare"}}), None,
          EXIT_PRECONDITION, "precondition failure: nonsquare witnesses need a gauge-norm space"),
         ("verify", INT_CFG, _certificate(INT_CFG, {"witness": dict(_INT_WITNESS, constants=5)}), None,
@@ -1287,11 +1289,13 @@ _INT_WITNESS = dict(_SUM_WITNESS, type="intersection-case", constants={})
          EXIT_CONFIG, "error: probe point must be nonzero"),
         ("probe", BASE, None, [{"type": "cubic"}],
          EXIT_CONFIG, "error: unknown probe type 'cubic'"),
+        ("probe", BASE, None, [{"type": "slice_diameter", "functional": [1.0, 0.0], "eps": 1.0}],
+         EXIT_PRECONDITION, "precondition failure: slice depth must lie in (0, 1)"),
     ],
     ids=[
         "witness-not-object", "unknown-witness-type", "results-not-object", "no-certificate",
-        "nonsquare-on-weighted", "constants-not-object", "component-without-spec",
-        "sum-grid-mismatch", "zero-probe-point", "unknown-probe-type",
+        "collapse-report", "nonsquare-on-weighted", "constants-not-object", "component-without-spec",
+        "sum-grid-mismatch", "zero-probe-point", "unknown-probe-type", "slice-depth-outside-0-1",
     ],
 )
 def test_refused_verify_and_probe_inputs_exit_with_one_line(tmp_path, capsys, command, cfg, cert, probes, code, line):
@@ -2141,3 +2145,87 @@ def test_the_benchmark_cross_checks_a_gauge_norm_through_parse_space(tmp_path, m
     assert (rc, err) == (EXIT_OK, "")
     value = run.sup_oracle(cli, musielak, grid)(cfg.body, json.loads(out)["results"]["x"])
     assert checks.check_report("norm", out, cfg.expect, value) == []
+
+
+@pytest.mark.parametrize(
+    "grid, space, line",
+    [
+        ({"weights": []}, None, "bad grid spec: grid needs at least one cell"),
+        ({"weights": [1.0, 1.0], "ids": ["a"]}, None, "bad grid spec: id count must match cell count"),
+        (None, {"kind": "weighted_sum", "gamma": [], "v": [1.0, 1.0], "w": [1.0, 1.0]},
+         "bad space spec: gamma must have positive measure"),
+        (None, {"kind": "weighted_intersection", "w": [1.0], "v": [1.0, 1.0]},
+         "bad space spec: weight count must equal cell count"),
+        (None, {"kind": "weighted_sum", "v": [1.0, 0.0], "w": [1.0, 1.0]},
+         "bad space spec: weight on c1 must be positive finite, got 0.0"),
+        (None, {"kind": "weighted_intersection", "w": [-1.0, 1.0], "v": [1.0, 1.0]},
+         "bad space spec: weight on c0 must be positive finite, got -1.0"),
+    ],
+    ids=["no-weights", "short-ids", "empty-gamma", "short-weights", "zero-weight", "negative-weight"],
+)
+def test_refused_grids_and_weighted_specs_exit_2_with_one_line(tmp_path, grid, space, line):
+    cfg = dict(SUM_CFG, grid=grid or SUM_CFG["grid"], space=space or SUM_CFG["space"])
+    assert _op(write(tmp_path / "c.json", cfg), "norm") == (EXIT_CONFIG, "", f"error: {line}\n")
+
+
+_GENERATED = {"grid": {"cells": 3, "weight_seed": 1}, "space": {"kind": "nakano", "exponents": [2, 2, 2]}}
+
+
+@pytest.mark.parametrize(
+    "key, value, what",
+    [
+        ("cells", 2.5, "grid cells"),
+        ("cells", "3", "grid cells"),
+        ("cells", True, "grid cells"),
+        ("weight_seed", True, "grid weight_seed"),
+        ("weight_seed", 0.5, "grid weight_seed"),
+        ("weight_seed", -1, "grid weight_seed"),
+        ("x", 1.7, "x seed"),
+        ("x", True, "x seed"),
+        ("x", math.inf, "x seed"),
+        ("x", "2", "x seed"),
+    ],
+)
+def test_integer_fields_take_integers_or_integral_floats_only(tmp_path, key, value, what):
+    # the config's seed and samples are read by the same rule
+    grid = dict(_GENERATED["grid"], **({} if key == "x" else {key: value}))
+    cfg = dict(_GENERATED, grid=grid, x={"seed": value if key == "x" else 2})
+    line = f"error: {what} must be an integer >= 0, got {value!r}\n"
+    assert _op(write(tmp_path / "c.json", cfg), "norm") == (EXIT_CONFIG, "", line)
+
+
+def test_integral_floats_read_as_their_integers(tmp_path):
+    ints = dict(_GENERATED, x={"seed": 2}, seed=4, samples=10)
+    floats = dict(_GENERATED, grid={"cells": 3.0, "weight_seed": 1.0}, x={"seed": 2.0}, seed=4.0, samples=10.0)
+    reports = [json.loads(_op(write(tmp_path / "c.json", cfg), "norm")[1]) for cfg in (ints, floats)]
+    assert [(r["results"], r["seed"], r["samples"]) for r in reports] == [(reports[0]["results"], 4, 10)] * 2
+
+
+_POWER2 = {"grid": {"weights": [1, 0.5, 2]}, "space": {"kind": "orlicz", "curve": {"family": "power", "p": 2}}}
+
+
+@pytest.mark.parametrize("p, x", [(2, [9e307, 0, 0]), (2, [1e308, 1e308, 0]), (3, [1e308, 0, 0])])
+def test_an_amemiya_norm_near_dbl_max_meets_the_sup_oracle(tmp_path, p, x):
+    # the minimiser k is subnormal here, so the tangent bound at the bracket's upper
+    # end overflows; it bounds nothing, and the search goes on to the infimum
+    cfg = dict(_POWER2, space={"kind": "orlicz", "curve": {"family": "power", "p": p}}, x=x)
+    rc, out, err = _op(write(tmp_path / "c.json", cfg), "norm")
+    res = json.loads(out)["results"]
+    assert (rc, err) == (EXIT_OK, "")
+    assert res["luxemburg"] <= res["amemiya"] <= (2.0 + 1e-9) * res["luxemburg"]
+    space = parse_space(cfg)
+    want = orlicz_norm_sup_oracle(space.field, parse_x(cfg, space.grid)).value
+    assert abs(res["amemiya"] - want) <= 1e-9 * want
+
+
+def test_an_amemiya_norm_above_dbl_max_exits_3_with_one_line(tmp_path):
+    # the exact norm is 1.84e308: the objective at every k past the bracket overflows
+    line = "precondition failure: the Amemiya objective overflows: the norm exceeds DBL_MAX\n"
+    assert _op(write(tmp_path / "c.json", dict(_POWER2, x=[1.3e308, 0, 0])), "norm") == (EXIT_PRECONDITION, "", line)
+
+
+def test_a_slice_functional_near_dbl_max_normalises_to_dual_norm_one(tmp_path):
+    probe = {"type": "slice_diameter", "functional": [1e308, 1e308, 0], "eps": 0.1}
+    rc, out, err = _op(write(tmp_path / "c.json", dict(_POWER2, samples=200, seed=1, probes=[probe])), "probe")
+    assert (rc, err) == (EXIT_OK, "")
+    assert 0.0 < json.loads(out)["results"]["probes"][0]["diameter_lower_bound"] <= 2.0

@@ -66,6 +66,16 @@ def test_step_function_rejects_mismatch():
         restrict(StepFunction.zero(g), {"nope"})
 
 
+def test_step_function_arithmetic_is_cellwise_on_one_grid():
+    g = MeasureGrid((1.0, 1.0))
+    x = StepFunction(g, (3.0, -1.5))
+    assert abs(x).values == (3.0, 1.5)
+    assert (-x).values == (-3.0, 1.5)
+    assert (x + x).values == (6.0, -3.0)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        x + StepFunction(MeasureGrid((1.0, 2.0)), (1.0, 1.0))
+
+
 def test_additivity_exact_on_dyadic():
     g = MeasureGrid((0.5, 2.0, 1.0, 0.25))
     x = StepFunction(g, (3.0, -1.5, 4.0, 8.0))

@@ -435,6 +435,16 @@ def test_slice_verifiers_reject_margins_that_are_not_finite_and_positive(eps):
             verify(spec, cert, samples=10, seed=0)
 
 
+def test_slice_verifiers_refuse_a_certificate_of_the_other_kind():
+    sum_spec = ones_spec()
+    g4 = MeasureGrid((1.0,) * 4)
+    int_spec = IntSpaceSpec(g4, g4.cell_set(), (1.0,) * 4, (1.0,) * 4)
+    with pytest.raises(PreconditionError, match="not for an intersection space"):
+        verify_int_certificate(int_spec, witness_sum(sum_spec), samples=10, seed=0)
+    with pytest.raises(PreconditionError, match="not for a sum space"):
+        verify_sum_certificate(sum_spec, witness_int(int_spec), samples=10, seed=0)
+
+
 def test_certificates_survive_fresh_seeds():
     spec = ones_spec(masses=(1.0, 0.5, 0.8))
     cert = witness_sum(spec, samples=400, seed=1)

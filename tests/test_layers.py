@@ -164,3 +164,18 @@ def test_the_cli_commands_call_the_space_object():
         and any(isinstance(side, ast.Constant) and side.value in _KINDS for side in (node.left, *node.comparators))
     }
     assert {name for name, _ in compares} == {"parse_space"}, sorted(compares, key=str)
+
+
+def test_every_probe_oracle_is_a_row_norm():
+    # one oracle protocol: a callable on a (rows x cells) array; per_row adapts a norm
+    # of one step function, and the condition probe returns its direction as one
+    tree = ast.parse((SRC / "probes.py").read_text())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not names & {"BlockOracle", "NormOracle", "_norms"}
+    assert "per_row" in names
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert [node.lineno for node in calls if node.func.id == "getattr"] == []
+    owners = _outermost_defs(tree)
+    built = {owners.get(node) for node in calls if node.func.id == "StepFunction"}
+    assert built == {"per_row", "daugavet_condition_probe"}

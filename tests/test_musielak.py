@@ -332,6 +332,15 @@ def test_exact_checks_in_integers_decide_as_fractions(k, x, e, ulps, near):
         assert musielak._short(q, k, r) == want
 
 
+@pytest.mark.parametrize("r, k", [(_DBL_MAX, 1.0), (1.0, 1e-308), (_DBL_MAX, 0.5)])
+def test_an_objective_rounded_up_past_dbl_max_raises(r, k):
+    # (1 + r)/k rounds to DBL_MAX below the exact value, or overflows at once:
+    # either way the bound is above DBL_MAX, and no inf is returned
+    with pytest.raises(UnboundedNormError, match="the norm exceeds DBL_MAX"):
+        musielak._objective_up(r, k)
+    assert musielak._objective_up(1.0, 1.0) == math.nextafter(2.0, 3.0)
+
+
 @pytest.mark.parametrize("p", [1.0000001, 1.0004, 1.001])
 def test_amemiya_power_near_one(p):
     # constant power field: h(k) = 1/k + k**(p-1) S/p with S = sum w|x|^p, so
