@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -210,19 +211,26 @@ def _flat_numbers(lists) -> Optional[list]:
     trailing "inf" as inf, or None unless each list holds plain ints and
     floats, perhaps ending in "inf".
 
-    The trailing "inf"s are replaced first, so one type pass over the
-    tokens refuses every other string (a mid-list "inf", "-inf", a numeric
-    string) and every boolean.  The ints are left for the caller to convert;
-    one beyond the float range raises OverflowError there.
+    The lists are joined by one copy each, and a type pass over the tokens
+    accepts a list of plain numbers at once.  A pass that stops early (at a
+    string, say) makes numpy pick out the lists' last tokens; each "inf"
+    among them is replaced, and one more type pass refuses every other
+    string (a mid-list "inf", "-inf", a numeric string) and every boolean.
+    The ints are left for the caller to convert; one beyond the float range
+    raises OverflowError there.
     """
     if not {list}.issuperset(map(type, lists)):
         return None
-    flat = list(itertools.chain.from_iterable(lists))
-    # the end of an empty list is the end of the one before it, whose last
-    # token may be "inf" as well; an empty first list ends at 0
-    for end in itertools.accumulate(map(len, lists)):
-        if end and flat[end - 1] == "inf":
-            flat[end - 1] = math.inf
+    flat = functools.reduce(operator.iadd, lists, [])
+    if _PLAIN_NUMBERS.issuperset(map(type, flat)):
+        return flat
+    # an empty list ends where the one before it ends, so its "last token" is
+    # that list's, read (and replaced) twice alike; an empty first list ends at 0
+    ends = np.fromiter(map(len, lists), np.intp, len(lists)).cumsum()
+    lasts = ends[ends > 0] - 1
+    tails = np.fromiter(map(flat.__getitem__, lasts.tolist()), object, len(lasts))
+    for at in lasts[tails == "inf"].tolist():
+        flat[at] = math.inf
     return flat if _PLAIN_NUMBERS.issuperset(map(type, flat)) else None
 
 
@@ -267,8 +275,12 @@ def _cell_ids(value, what: str) -> tuple:
 
 
 def _sorted_object(pairs: list) -> dict:
-    """A decoded JSON object, keys stably sorted: a repeated key keeps its last value, as in json.load."""
-    return dict(sorted(pairs, key=operator.itemgetter(0)))
+    """A decoded JSON object, keys stably sorted: a repeated key keeps its last value, as in json.load.
+
+    The decoder hands each object's fresh pairs list to this hook, so it is sorted in place.
+    """
+    pairs.sort(key=operator.itemgetter(0))
+    return dict(pairs)
 
 
 def config_hash(cfg: dict) -> str:
@@ -754,12 +766,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_object(path: str, what: str) -> dict:
-    """A JSON object read from ``path``, every object key-sorted; anything else is a ConfigError."""
+    """A JSON object read from ``path``, every object key-sorted; anything else is a ConfigError.
+
+    The cyclic garbage collector is paused while the decoder runs: a decoded
+    JSON tree holds no cycles, so a collection there only walks the young
+    lists and dicts again and frees nothing.  Its prior state is restored on
+    every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             obj = json.load(fh, object_pairs_hook=_sorted_object)
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge ints
         raise ConfigError(f"cannot read {what}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return obj

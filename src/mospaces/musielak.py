@@ -696,7 +696,10 @@ def amemiya_norm(field: MusielakField, x: StepFunction, tol: float = 1e-10) -> f
     kernel's bound) when every supporting cell is linear from some knot on
     and g stays below 1.  Where the objective overflows before a
     bracket is found, the search restarts from the gauge scale; a norm
-    above DBL_MAX raises ``UnboundedNormError``.
+    above DBL_MAX raises ``UnboundedNormError``.  So does a minimiser above
+    DBL_MAX (g still at most 1 there, short of k_sup or k_lin), which no
+    float k reaches, unless h(DBL_MAX) is within ``tol`` of the slope
+    r'(DBL_MAX): past k, the tangent of r at k keeps h above r'(k).
     """
     _check(field, x)
     if x.is_zero():
@@ -768,8 +771,13 @@ def _amemiya(field: MusielakField, ax, tol: float) -> tuple[float, float, int]:
         else:
             hi = (k, r, s, g)
         if hi is None:  # h falls up to k
-            if k >= top:  # the minimum sits at the edge
-                return _objective_up(*arg), (1.0 + r) / k, evals
+            if k >= top:
+                if top == edge:  # the minimum sits at the edge
+                    return _objective_up(*arg), (1.0 + r) / k, evals
+                # DBL_MAX cut the search short; past k, h stays above r'(k) = s/k
+                if not best - s / k <= tol * best:
+                    raise UnboundedNormError("the Amemiya scale overflows: the minimising k exceeds DBL_MAX")
+                return _objective_up(*arg), s / k, evals
             k, grow = min(k * grow, top), grow * grow
             continue
         if lo is None:

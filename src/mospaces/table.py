@@ -11,7 +11,8 @@ From the columns it derives what the solvers read: one knot table, padded
 with inf, for the linear, indicator and piecewise-linear cells (the left
 knots, the value at each and the slope from each), and per such cell the
 domain end ``b``, the closed value there and the stored one.  Knot values
-are summed left to right and each finite end's left limit is one fsum, as
+are summed left to right and each finite end's left limit is the fsum of
+its rises (``grid.tree_sums`` where it certifies the sum), as
 ``PiecewiseLinear`` computes them, so every number is the curve object's
 bit for bit.  Per cell in grid order it holds the zero, linearity and
 domain ends a, d, b of ``OrliczCurve.params``.  ``value`` (on one profile
@@ -34,6 +35,7 @@ import operator
 import numpy as np
 
 from .curves import INF, Indicator, Linear, OrliczCurve, PiecewiseLinear, Power, _pow
+from .grid import tree_sums
 
 POWER, LINEAR, INDICATOR, PIECEWISE = range(4)
 FAMILIES = {"power": POWER, "linear": LINEAR, "indicator": INDICATOR, "piecewise": PIECEWISE}
@@ -64,15 +66,24 @@ def _any_per_run(run: np.ndarray, flags: np.ndarray, runs: int) -> np.ndarray:
 
 
 def _fsums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """math.fsum of each run of ``values``; NaN where it raises."""
-    flat, out, at = values.tolist(), [], 0
-    for k in lengths.tolist():
+    """math.fsum of each run of ``values``; NaN where it raises.
+
+    The runs, zero-padded to rows, are summed by ``tree_sums``; only a row
+    it does not certify (a zero, subnormal, non-finite or huge one, or one
+    near a halfway point) takes its own fsum, so each sum is fsum's bit for bit.
+    """
+    filled = np.arange(int(lengths.max(initial=1))) < lengths[:, None]
+    rows = np.zeros(filled.shape)
+    rows[filled] = values
+    with np.errstate(over="ignore"):  # a sum of |t| past DBL_MAX is inf, and certifies nothing
+        sums, certified = tree_sums(rows, np.abs(rows).sum(axis=1))
+    starts = (np.cumsum(lengths) - lengths).tolist()
+    for i in np.flatnonzero(~certified).tolist():
         try:
-            out.append(math.fsum(flat[at : at + k]))
+            sums[i] = math.fsum(values[starts[i] : starts[i] + int(lengths[i])].tolist())
         except (ValueError, OverflowError):  # inf - inf, or a finite sum past DBL_MAX
-            out.append(math.nan)
-        at += k
-    return np.array(out, dtype=float)
+            sums[i] = math.nan
+    return sums
 
 
 def _check_piecewise(bp, bp_len, sl, sl_len, given, end):

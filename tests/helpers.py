@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -403,6 +404,22 @@ def gauge_bisect(field, x: StepFunction, level=1.0, steps=200):
         else:
             hi = mid
     return lo, hi
+
+
+def amemiya_slope_gap(field, values, k: float) -> float:
+    """g(k) = k r'(k-) - r(k) for r(k) = rho(k|x|), the closed modular, cell by
+    cell with the curve objects; a power cell's term is (p - 1) phi(u), which
+    does not cancel.  h(k) = (1 + r(k))/k falls up to k where g(k) <= 1."""
+    terms = []
+    for v, crv, w in zip(values, field.curves, field.grid.weights):
+        u = k * abs(v)
+        if u == 0.0:
+            continue
+        if isinstance(crv, Power):
+            terms.append(w * (crv.p - 1.0) * crv.value(u))
+        else:
+            terms.append(w * (u * crv.left_derivative(u) - crv.value_closed(u)))
+    return math.fsum(terms)
 
 
 def amemiya_golden(field, x: StepFunction, tol=1e-10):
@@ -880,6 +897,25 @@ def canonical_json(obj) -> str:
     """Compact JSON with sorted keys and "inf" tokens, through ``cli.jsonify``:
     two configs that write the same text here are the same config."""
     return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
+
+
+def sorted_object_reference(pairs: list) -> dict:
+    """A decoded JSON object with its keys stably sorted into a new list: the
+    reference for ``cli._sorted_object``, which sorts the pairs in place."""
+    return dict(sorted(pairs, key=operator.itemgetter(0)))
+
+
+def fsums_reference(values, lengths) -> list:
+    """math.fsum of each run of ``values`` (cut into runs of ``lengths``), NaN
+    where it raises: one fsum per run, the reference for ``table._fsums``."""
+    flat, out, at = list(values), [], 0
+    for k in lengths:
+        try:
+            out.append(math.fsum(flat[at : at + k]))
+        except (ValueError, OverflowError):  # inf - inf, or a finite sum past DBL_MAX
+            out.append(math.nan)
+        at += k
+    return out
 
 
 def piecewise_reference(spec: dict):

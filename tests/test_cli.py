@@ -1,7 +1,9 @@
 import contextlib
 import functools
+import gc
 import io
 import json
+import marshal
 import math
 import random
 import re
@@ -41,7 +43,7 @@ from mospaces import cli, interpolation
 from mospaces.musielak import orlicz_norm_sup_oracle
 from mospaces.reports import record_from_samples
 
-from helpers import canonical_json, knot_values_reference, piecewise_reference
+from helpers import canonical_json, knot_values_reference, piecewise_reference, sorted_object_reference
 
 
 def run_cli(args):
@@ -1044,6 +1046,141 @@ def test_the_config_hash_of_a_small_config_is_pinned(tmp_path, capsys):
     assert main(["norm", "--config", write(tmp_path / "c.json", dict(BASE, extra=extra))]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["config_hash"] == "26e3d416c115f71179ea2dc09e5bf7efcd58e92b29f9ffb83cd87bd86d818d31"
+
+
+# -- reading a config: a key-sorted decode with the collector paused -----------
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off, and back to its state before on exit."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+_READS = {
+    "good": lambda path: write(path, BASE),
+    "missing": str,  # writes no file
+    "bad JSON": lambda path: path.write_text('{"grid": '),
+    "bad UTF-8": lambda path: path.write_bytes(b'{"a": "\xff"}'),
+    "too deep": lambda path: write(path, {"x": _Nested(_TOO_DEEP)}),
+    "not an object": lambda path: path.write_text("[1, 2]"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", sorted(_READS))
+def test_a_config_read_leaves_the_collector_as_it_found_it(tmp_path, enabled, case):
+    path = tmp_path / "c.json"
+    _READS[case](path)
+    with _collector(enabled):
+        try:
+            _load_object(str(path), "config")
+        except ConfigError as exc:
+            assert case != "good"
+            assert isinstance(exc.__cause__, RecursionError) == (case == "too deep")
+        else:
+            assert case == "good"
+        assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    cfg = write(tmp_path / "c.json", dict(BASE, samples=60))
+    cert = str(tmp_path / "cert.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    runs = [
+        (["classify", "--config", cfg, "--out", cert], EXIT_OK),
+        (["verify", "--config", cfg, "--certificate", cert], EXIT_OK),
+        (["norm", "--config", str(bad)], EXIT_CONFIG),
+        (["verify", "--config", cfg, "--certificate", str(bad)], EXIT_CONFIG),
+    ]
+    with _collector(enabled):
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() == enabled
+    capsys.readouterr()
+
+
+class _Pairs(list):
+    """A JSON object as its list of (key, value) pairs, a key perhaps repeated."""
+
+
+def _pairs_text(value) -> str:
+    """The JSON text of ``value``, each ``_Pairs`` written pair by pair."""
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(json.dumps(k) + ": " + _pairs_text(v) for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_pairs_text, value)) + "]"
+    return json.dumps(value)
+
+
+_PAIR_KEYS = st.sampled_from(["a", "b", "B", "", "a b", "\u00e9", "10", "9"])  # few keys, so they repeat
+_OBJECTS = st.lists(
+    st.tuples(
+        _PAIR_KEYS,
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2),
+            lambda kids: st.lists(kids, max_size=3) | st.lists(st.tuples(_PAIR_KEYS, kids), max_size=6).map(_Pairs),
+            max_leaves=24,
+        ),
+    ),
+    max_size=8,
+).map(_Pairs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_OBJECTS)
+def test_the_in_place_hook_decodes_as_the_sorting_reference(obj):
+    # marshal writes a dict's items in order and each float as its bytes, so
+    # equal dumps mean the same keys in the same order, each with the same last value
+    text = _pairs_text(obj)
+    want = marshal.dumps(json.loads(text, object_pairs_hook=sorted_object_reference), 2)
+    assert marshal.dumps(json.loads(text, object_pairs_hook=_sorted_object), 2) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "c.json").write_text(text)
+        assert marshal.dumps(_load_object(str(Path(tmp) / "c.json"), "config"), 2) == want
+
+
+def _spec_text(rng, i: int) -> str:
+    """A curve spec as JSON text: keys out of order, a piecewise spec with a repeated key."""
+    if i % 4 == 0:
+        return '{"p": %r, "family": "power"}' % rng.uniform(1.2, 3.5)
+    if i % 4 == 1:
+        return '{"slope": %r, "family": "linear"}' % rng.uniform(0.5, 2.0)
+    cuts = sorted(rng.uniform(0.1, 4.0) for _ in range(rng.randint(1, 6)))
+    slopes = sorted(rng.uniform(0.1, 3.0) for _ in range(len(cuts) + 1))
+    tail = ', "inf"' if i % 4 == 2 else ", %r" % (cuts[-1] + 1.0)
+    breakpoints = "[0" + "".join(", %r" % c for c in cuts) + tail + "]"
+    return '{"slopes": %s, "breakpoints": [0, "x"], "family": "piecewise", "breakpoints": %s}' % (
+        json.dumps(slopes),
+        breakpoints,
+    )
+
+
+def test_a_large_config_hashes_as_the_reference_decode(tmp_path, capsys):
+    # n = 4096, keys out of order in every object, repeated keys, trailing "inf" breakpoints
+    rng = random.Random(4096)
+    n = 4096
+    weights = json.dumps([rng.uniform(0.5, 2.0) for _ in range(n)])
+    curves = ", ".join(_spec_text(rng, i) for i in range(n))
+    text = (
+        '{"x": {"scale": 0.5, "seed": 7}, "tol": 1e-6, "space": {"curves": [%s], "kind": "musielak"}, '
+        '"grid": {"weights": %s}, "tol": 1e-10}' % (curves, weights)
+    )
+    path = tmp_path / "large.json"
+    path.write_text(text)
+    want = config_hash(json.loads(text, object_pairs_hook=sorted_object_reference))
+    assert config_hash(_load_object(str(path), "config")) == want
+    assert main(["norm", "--config", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["config_hash"] == want
+    assert report["results"]["tolerance"] == 1e-10
 
 
 def test_verify_matches_a_reordered_config_and_refuses_a_changed_one(tmp_path, capsys):

@@ -11,6 +11,7 @@ spec's mask tests which cells lie in gamma.  ``cli`` imports no private
 (``_``-prefixed, not dunder) name from another package module.  Only
 ``cli.parse_space`` tells the kinds of space apart: a ``cmd_*`` command
 calls the space object it returns and reads neither its field nor its spec.
+Only ``cli._load_object`` decodes JSON.
 """
 
 import ast
@@ -179,3 +180,25 @@ def test_every_probe_oracle_is_a_row_norm():
     owners = _outermost_defs(tree)
     built = {owners.get(node) for node in calls if node.func.id == "StepFunction"}
     assert built == {"per_row", "daugavet_condition_probe"}
+
+
+_DECODERS = ("load", "loads", "JSONDecoder", "raw_decode")
+
+
+def test_only_the_config_reader_decodes_json():
+    # every config and certificate goes through cli._load_object: the key-sorted
+    # decode that config_hash is defined on, with the collector paused
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = _outermost_defs(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):  # json under another name would hide its reads
+                reads += [(path.stem, None, alias.asname) for alias in node.names if alias.name == "json" and alias.asname]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json"):
+                reads += [(path.stem, None, alias.name) for alias in node.names if alias.name in _DECODERS]
+            elif isinstance(node, ast.Attribute) and node.attr in _DECODERS:
+                if node.attr.startswith("load") and getattr(node.value, "id", None) != "json":
+                    continue  # np.load or marshal.loads decodes no JSON
+                reads.append((path.stem, owners.get(node), node.attr))
+    assert reads == [("cli", "_load_object", "load")]

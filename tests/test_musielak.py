@@ -45,6 +45,7 @@ from mospaces.musielak import (
 )
 from helpers import (
     amemiya_golden,
+    amemiya_slope_gap,
     exact_amemiya,
     exact_luxemburg,
     exact_modular,
@@ -298,6 +299,50 @@ def test_amemiya_decides_its_bracket_on_g_summed_cell_by_cell():
 
 
 _DBL_MAX = sys.float_info.max
+
+
+def capped_amemiya(field, x):
+    """``amemiya_norm`` of x, or None where it refuses a minimiser above
+    DBL_MAX; h must then still fall at DBL_MAX by the curve objects' g."""
+    try:
+        return amemiya_norm(field, x)
+    except UnboundedNormError as exc:
+        if "the minimising k exceeds DBL_MAX" not in str(exc):
+            raise
+    assert amemiya_slope_gap(field, x.values, _DBL_MAX) <= 1.0 + 1e-9
+    return None
+
+
+def test_amemiya_refuses_a_minimiser_above_dbl_max():
+    # Power(2) on [1, 0.5, 2]: h(k) = (1 + k**2 x**2 / 2)/k is least at
+    # k* = sqrt(2)/x, beyond DBL_MAX for x = 6e-309; h(DBL_MAX) = 8.7985e-309
+    # missed the norm sqrt(2)*x = 8.485e-309 by far more than its tol
+    g = MeasureGrid((1.0, 0.5, 2.0))
+    f = MusielakField.constant(g, Power(2.0))
+    for v in (6e-309, 1e-320):
+        with pytest.raises(UnboundedNormError, match="^the Amemiya scale overflows: the minimising k exceeds DBL_MAX$"):
+            amemiya_norm(f, StepFunction(g, (v, 0.0, 0.0)))
+    for v in (1e-300, 1e-307):  # k* below DBL_MAX
+        assert math.isclose(amemiya_norm(f, StepFunction(g, (v, 0.0, 0.0))), math.sqrt(2.0) * v, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 0.25, 0.999, 1.001, 1.5, 4.0, 1e3])
+def test_amemiya_near_the_cap_against_the_exact_reference(factor):
+    # flat up to the knot 1, then slope 2: g jumps from 0 to 2 at the knot, so
+    # the minimiser is k* = 1/x and the norm is x; past DBL_MAX it is refused
+    g = MeasureGrid((1.0, 1.0))
+    f = MusielakField.constant(g, PiecewiseLinear((0.0, 1.0, INF), (0.0, 2.0)))
+    values = (factor / _DBL_MAX, 0.0)
+    exact = exact_amemiya(f, values)
+    k_star = 1 / Fraction(values[0])
+    if k_star > Fraction(_DBL_MAX):
+        with pytest.raises(UnboundedNormError, match="the minimising k exceeds DBL_MAX"):
+            amemiya_norm(f, StepFunction(g, values))
+    else:
+        value = amemiya_norm(f, StepFunction(g, values))
+        assert exact <= value <= exact * (1 + Fraction(1, 10**9))
+
+
 _EDGES = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0,
           math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.nextafter(_DBL_MAX, 0.0), _DBL_MAX]
 _EXTREME = st.one_of(
@@ -949,8 +994,8 @@ def test_array_valued_gauge_loop_on_extreme_inputs(case):
         x = StepFunction(f.grid, tuple(values))
         assert modular(f, l * x) <= 1.0
         assert gauge(f, a.tolist()) == (l, h)
-        lux, ame = luxemburg_norm(f, x), amemiya_norm(f, x)
-        assert lux <= ame <= (2.0 + 1e-8) * lux
+        lux, ame = luxemburg_norm(f, x), capped_amemiya(f, x)
+        assert ame is None or lux <= ame <= (2.0 + 1e-8) * lux
         assert lux.hex() == norm.hex()
         assert [v.hex() for v in unit_sphere_point(f, x).values] == [v.hex() for v in point.tolist()]
 
@@ -965,8 +1010,8 @@ def test_sup_oracle_agrees_with_both_gauge_norms_on_extreme_inputs(case):
     for values in rows:
         x = StepFunction(f.grid, tuple(values))
         oracle = orlicz_norm_sup_oracle(f, x)
-        lux, ame = luxemburg_norm(f, x), amemiya_norm(f, x)
-        assert oracle.value <= ame * (1.0 + 1e-9)
+        lux, ame = luxemburg_norm(f, x), capped_amemiya(f, x)
+        assert ame is None or oracle.value <= ame * (1.0 + 1e-9)
         if oracle.converged:
             assert lux <= oracle.value * (1.0 + 1e-9)
 

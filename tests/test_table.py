@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -44,9 +45,10 @@ from mospaces import (
 from mospaces import musielak
 from mospaces.classify import _nonsquare_directions
 from mospaces.cli import EXIT_OK, _curve_table, jsonify, main, num, parse_curve, parse_grid, parse_space
-from mospaces.table import CurveTable, InvalidCell
+from mospaces.table import CurveTable, InvalidCell, _check_piecewise, _fsums
 
 from helpers import (
+    fsums_reference,
     half_ratio_reference,
     knot_values_reference,
     modular_of_bounds_reference,
@@ -58,6 +60,7 @@ from helpers import (
 from test_norm_reports import PINNED, _config
 
 INF = math.inf
+_DBL_MAX = sys.float_info.max
 _SCALES = (1e-300, 1e-200, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e200, 1e300)
 _LEVELS = (1.0, 0.3, 1.05, 1e-300, 1e300)
 
@@ -385,6 +388,56 @@ def test_columnar_parse_refuses_what_the_per_cell_parse_refuses(seed, n, breaks,
         assert refused == _first_refused(specs)
     if table is None:  # the columns decline only a list holding an invalid curve
         assert _first_refused(specs) is not None
+
+
+# rises near DBL_MAX, subnormal ones, infinities of both signs (inf - inf) and signed zeros
+_RISES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-960, 1.7e308, -1.7e308, 8.9e307, INF, -INF, 1.0 + 2.0**-52]),
+)
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in values]  # "nan" for every NaN, and -0.0 apart from 0.0
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.lists(_RISES, min_size=1, max_size=17), max_size=12))
+def test_tree_summed_left_limits_equal_one_fsum_per_cell(runs):
+    lengths = list(map(len, runs))
+    values = [v for run in runs for v in run]
+    got = _fsums(np.array(values, dtype=float), np.array(lengths, dtype=np.intp))
+    assert _hexes(got) == _hexes(fsums_reference(values, lengths))
+
+
+_KNOTS = st.one_of(st.floats(5e-324, 1.7e308), st.sampled_from([5e-324, 1e-310, 1.0, 8.9e307, 1.7e308, _DBL_MAX]))
+_SLOPES = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, _DBL_MAX]))
+
+
+@st.composite
+def _bounded_cells(draw):
+    """(breakpoints, slopes) of bounded piecewise cells, one knot or more, breaking
+    the curve rules now and then: their left limits are summed all the same."""
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 6))
+        knots = draw(st.lists(_KNOTS, min_size=k, max_size=k))
+        cells.append(([0.0, *sorted(knots)], draw(st.lists(_SLOPES, min_size=k, max_size=k))))
+    return cells
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_bounded_cells())
+def test_the_left_limits_of_extreme_cells_are_one_fsum_each(cells):
+    bp = np.array([u for knots, _ in cells for u in knots])
+    sl = np.array([v for _, slopes in cells for v in slopes])
+    bp_len = np.array([len(knots) for knots, _ in cells], dtype=np.intp)
+    sl_len = np.array([len(slopes) for _, slopes in cells], dtype=np.intp)
+    n = len(cells)
+    with np.errstate(all="ignore"):
+        _, limits = _check_piecewise(bp, bp_len, sl, sl_len, np.zeros(n, dtype=bool), np.full(n, math.nan))
+    rises = [[v * (hi - lo) for v, lo, hi in zip(slopes, knots, knots[1:])] for knots, slopes in cells]
+    assert _hexes(limits) == _hexes(fsums_reference([r for run in rises for r in run], list(map(len, rises))))
 
 
 @pytest.mark.parametrize("flavour", sorted(PINNED))
